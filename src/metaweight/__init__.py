@@ -5,135 +5,7 @@ MLP that maps each sample's training loss to a weight in [0, 1], guided
 by a small clean and balanced meta set. Companion modules generate
 synthetically biased datasets (class imbalance, label noise) and run the
 experiment harness that checks the method's qualitative behavior.
+
+The public API is the modules (metaweight.config, metaweight.harness,
+...); the package root re-exports nothing.
 """
-
-from metaweight.nnet import (
-    DenseNet,
-    ForwardCache,
-    LayerSpec,
-    fd_gradient,
-    forward,
-    init_net,
-    per_sample_gradients,
-    sgd_step,
-    softmax_cross_entropy,
-)
-from metaweight.weightnet import (
-    MWNet,
-    init_mwnet,
-    load_mwnet,
-    mw_forward,
-    mw_jacobian,
-    normalize,
-    probe_curve,
-    save_mwnet,
-)
-from metaweight.biasgen import (
-    BiasedDataset,
-    GaussianMixtureSpec,
-    ImbalanceSpec,
-    NoiseSpec,
-    apply_flip_noise,
-    apply_longtail,
-    apply_uniform_noise,
-    gen_gaussians,
-    load_dataset,
-    sample_batch,
-    save_dataset,
-    split_meta,
-)
-from metaweight.metaopt import (
-    Batch,
-    MetaGradientReport,
-    TrainConfig,
-    TrainState,
-    meta_gradient_direct,
-    meta_gradient_fd,
-    train,
-    train_step,
-    update_classifier,
-    update_theta,
-    virtual_update,
-    weighted_train_loss,
-)
-from metaweight.config import ConfigError, ExperimentConfig, load_config, parse_config
-from metaweight.harness import (
-    BaselineSpec,
-    ExperimentResult,
-    RunReport,
-    evaluate,
-    generate_biased,
-    load_report,
-    monotonicity_score,
-    render_plots,
-    run_baseline,
-    run_experiment,
-    save_experiment,
-    save_report,
-    stability_trace,
-    summarize,
-    weight_distribution,
-)
-
-__all__ = [
-    "BaselineSpec",
-    "Batch",
-    "BiasedDataset",
-    "ConfigError",
-    "DenseNet",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ForwardCache",
-    "GaussianMixtureSpec",
-    "ImbalanceSpec",
-    "LayerSpec",
-    "MetaGradientReport",
-    "MWNet",
-    "NoiseSpec",
-    "RunReport",
-    "TrainConfig",
-    "TrainState",
-    "apply_flip_noise",
-    "apply_longtail",
-    "apply_uniform_noise",
-    "evaluate",
-    "fd_gradient",
-    "forward",
-    "gen_gaussians",
-    "generate_biased",
-    "init_mwnet",
-    "init_net",
-    "load_config",
-    "load_dataset",
-    "load_mwnet",
-    "load_report",
-    "meta_gradient_direct",
-    "meta_gradient_fd",
-    "monotonicity_score",
-    "mw_forward",
-    "mw_jacobian",
-    "normalize",
-    "parse_config",
-    "per_sample_gradients",
-    "probe_curve",
-    "render_plots",
-    "run_baseline",
-    "run_experiment",
-    "sample_batch",
-    "save_dataset",
-    "save_experiment",
-    "save_mwnet",
-    "save_report",
-    "sgd_step",
-    "softmax_cross_entropy",
-    "split_meta",
-    "stability_trace",
-    "summarize",
-    "train",
-    "train_step",
-    "update_classifier",
-    "update_theta",
-    "virtual_update",
-    "weight_distribution",
-    "weighted_train_loss",
-]

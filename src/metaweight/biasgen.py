@@ -72,7 +72,6 @@ class ImbalanceSpec:
 class NoiseSpec:
     kind: str
     rate: float
-    seed: int
 
     def __post_init__(self):
         if self.kind not in (UNIFORM, FLIP):
@@ -176,6 +175,13 @@ def apply_longtail(dataset: BiasedDataset, spec: ImbalanceSpec, seed: int) -> Bi
     return dataset.subset(np.concatenate(kept))
 
 
+def _relabeled(dataset: BiasedDataset, observed: np.ndarray) -> BiasedDataset:
+    """A copy of `dataset` with new observed labels, corruption flags recomputed."""
+    return BiasedDataset(
+        dataset.features.copy(), observed, dataset.true_labels.copy(), observed != dataset.true_labels, dataset.c
+    )
+
+
 def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
     """With probability p, resample a label uniformly over all c classes.
 
@@ -187,14 +193,7 @@ def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDa
     rng = rng_stream(seed, 2)
     hit = rng.random(dataset.n) < p
     draws = rng.integers(0, dataset.c, size=dataset.n)
-    observed = np.where(hit, draws, dataset.observed_labels)
-    return BiasedDataset(
-        dataset.features.copy(),
-        observed,
-        dataset.true_labels.copy(),
-        observed != dataset.true_labels,
-        dataset.c,
-    )
+    return _relabeled(dataset, np.where(hit, draws, dataset.observed_labels))
 
 
 def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
@@ -213,14 +212,7 @@ def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDatas
     hit = rng.random(dataset.n) < p
     side = rng.integers(0, 2, size=dataset.n)
     flipped = targets[dataset.observed_labels, side]
-    observed = np.where(hit, flipped, dataset.observed_labels)
-    return BiasedDataset(
-        dataset.features.copy(),
-        observed,
-        dataset.true_labels.copy(),
-        observed != dataset.true_labels,
-        dataset.c,
-    )
+    return _relabeled(dataset, np.where(hit, flipped, dataset.observed_labels))
 
 
 def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[BiasedDataset, BiasedDataset]:

@@ -7,10 +7,11 @@ hyperparameter fails loudly instead of silently training with defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from metaweight.biasgen import FLIP, UNIFORM, ImbalanceSpec, NoiseSpec
-from metaweight.metaopt import TrainConfig
+from metaweight.biasgen import FLIP, NoiseSpec
+from metaweight.metaopt import BaselineSpec, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -34,6 +35,8 @@ def _number(block: dict, key: str, context: str, default=None, lo=None, integer=
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}.{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{context}.{key} must be finite")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{context}.{key} must be an integer")
@@ -57,13 +60,6 @@ class DatasetBlock:
 
 
 @dataclass(frozen=True)
-class BaselineBlock:
-    kind: str
-    gamma: float = 1.0
-    lam: float = 1.0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetBlock
     meta_per_class: int
@@ -75,13 +71,8 @@ class ExperimentConfig:
     mwnet_hidden: tuple[int, ...] = (100,)
     out_dir: str = ""
     plots: bool = False
-    baselines: tuple[BaselineBlock, ...] = ()
+    baselines: tuple[BaselineSpec, ...] = ()
     raw: dict = field(default_factory=dict)
-
-    def imbalance_spec(self, base_count: int) -> ImbalanceSpec | None:
-        if self.imbalance_factor is None:
-            return None
-        return ImbalanceSpec(base_count=base_count, factor=self.imbalance_factor)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -137,10 +128,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if bias.get("noise") is not None:
             nz = bias["noise"]
             _require_keys(nz, {"kind", "rate"}, {"kind", "rate"}, "bias.noise")
-            if nz["kind"] not in (UNIFORM, FLIP):
-                raise ConfigError(f"bias.noise.kind must be '{UNIFORM}' or '{FLIP}'")
+            rate = _number(nz, "rate", "bias.noise")
             try:
-                noise = NoiseSpec(kind=nz["kind"], rate=_number(nz, "rate", "bias.noise"), seed=0)
+                noise = NoiseSpec(kind=nz["kind"], rate=rate)
             except ValueError as exc:
                 raise ConfigError(f"bias.noise: {exc}") from exc
 
@@ -173,6 +163,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         isinstance(e, list) and len(e) == 2 for e in schedule
     ):
         raise ConfigError("optim.lr_schedule must be a list of [iteration, multiplier] pairs")
+    for k, (it, mult) in enumerate(schedule):
+        pair = {"iteration": it, "multiplier": mult}
+        _number(pair, "iteration", f"optim.lr_schedule[{k}]", integer=True)
+        _number(pair, "multiplier", f"optim.lr_schedule[{k}]")
     normalize = optim_block.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError("optim.normalize must be a boolean")
@@ -187,7 +181,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             normalize=normalize,
             classifier_momentum=_number(optim_block, "momentum", "optim", 0.0),
             classifier_weight_decay=_number(optim_block, "weight_decay", "optim", 0.0),
-            lr_schedule=tuple((int(it), float(mult)) for it, mult in schedule),
+            lr_schedule=schedule,
         )
     except ValueError as exc:
         raise ConfigError(f"optim: {exc}") from exc
@@ -212,16 +206,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     baselines = []
     for k, entry in enumerate(doc.get("baselines") or []):
-        _require_keys(entry, {"kind", "gamma", "lam"}, {"kind"}, f"baselines[{k}]")
-        if entry["kind"] not in ("uniform", "ramp", "step"):
-            raise ConfigError(f"baselines[{k}].kind must be uniform, ramp or step")
-        gamma = _number(entry, "gamma", f"baselines[{k}]", 1.0)
-        lam = _number(entry, "lam", f"baselines[{k}]", 1.0)
-        if entry["kind"] == "ramp" and gamma < 0:
-            raise ConfigError(f"baselines[{k}].gamma must be >= 0")
-        if entry["kind"] == "step" and lam <= 0:
-            raise ConfigError(f"baselines[{k}].lam must be > 0")
-        baselines.append(BaselineBlock(kind=entry["kind"], gamma=gamma, lam=lam))
+        context = f"baselines[{k}]"
+        _require_keys(entry, {"kind", "gamma", "lam"}, {"kind"}, context)
+        gamma = _number(entry, "gamma", context, 1.0)
+        lam = _number(entry, "lam", context, 1.0)
+        try:
+            baselines.append(BaselineSpec(kind=entry["kind"], gamma=gamma, lam=lam))
+        except ValueError as exc:
+            raise ConfigError(f"{context}: {exc}") from exc
 
     return ExperimentConfig(
         dataset=dataset,

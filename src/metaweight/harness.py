@@ -40,84 +40,11 @@ from metaweight.biasgen import (
     rng_stream,
     split_meta,
 )
-from metaweight.config import ExperimentConfig
-from metaweight.metaopt import RunReport, TrainConfig, TrainState, train
-from metaweight.nnet import DenseNet, LayerSpec, forward, softmax_cross_entropy
+from metaweight.config import DatasetBlock, ExperimentConfig
+from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, train
+from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
-from metaweight.weightnet import MWNet, mw_forward, save_mwnet
-
-UNIFORM_BASELINE = "uniform"
-RAMP_BASELINE = "ramp"
-STEP_BASELINE = "step"
-
-
-def evaluate(classifier: DenseNet, test_set: BiasedDataset) -> tuple[float, np.ndarray]:
-    """Accuracy of argmax predictions plus the confusion matrix
-    (rows true class, columns predicted class)."""
-    out, _ = forward(classifier, test_set.features)
-    predictions = np.argmax(out, axis=1)
-    confusion = metrics.confusion_matrix(test_set.true_labels, predictions, test_set.c)
-    return float(np.trace(confusion) / test_set.n), confusion
-
-
-def weight_distribution(state: TrainState, train_set: BiasedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Raw final weight of every training sample, tagged by its
-    corrupted flag. Returns (weights, corrupted)."""
-    out, _ = forward(state.w, train_set.features)
-    losses, _ = softmax_cross_entropy(out, train_set.observed_labels)
-    return mw_forward(state.theta, losses), train_set.corrupted.copy()
-
-
-def stability_trace(
-    weight_snapshots: np.ndarray, tracked_indices: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean/std of adjacent-epoch |weight change| over tracked samples.
-
-    weight_snapshots has one row per epoch; tracked_indices selects
-    columns (all columns when omitted).
-    """
-    weight_snapshots = np.asarray(weight_snapshots, dtype=np.float64)
-    if tracked_indices is not None:
-        weight_snapshots = weight_snapshots[:, np.asarray(tracked_indices, dtype=np.int64)]
-    return metrics.stability_from_history(weight_snapshots)
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    """A fixed loss -> weight rule standing in for the learned net.
-
-    uniform: weight 1. ramp: (loss / max loss in the batch)^gamma,
-    clipped to [0, 1]. step: 1 below the threshold lam, 0 above.
-    """
-
-    kind: str
-    gamma: float = 1.0
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in (UNIFORM_BASELINE, RAMP_BASELINE, STEP_BASELINE):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.kind == RAMP_BASELINE and self.gamma < 0:
-            raise ValueError("ramp exponent gamma must be >= 0")
-        if self.kind == STEP_BASELINE and not self.lam > 0:
-            raise ValueError("step threshold lam must be > 0")
-
-    def weight_fn(self):
-        if self.kind == UNIFORM_BASELINE:
-            return lambda losses: np.ones_like(np.asarray(losses, dtype=np.float64))
-        if self.kind == RAMP_BASELINE:
-            gamma = self.gamma
-
-            def ramp(losses):
-                losses = np.asarray(losses, dtype=np.float64)
-                top = losses.max()
-                if top <= 0.0:
-                    return np.ones_like(losses)
-                return np.clip((losses / top) ** gamma, 0.0, 1.0)
-
-            return ramp
-        lam = self.lam
-        return lambda losses: (np.asarray(losses, dtype=np.float64) < lam).astype(np.float64)
+from metaweight.weightnet import MWNet, save_mwnet
 
 
 def run_baseline(
@@ -169,72 +96,60 @@ class ExperimentResult:
     summary: dict
 
 
-def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, BiasedDataset, BiasedDataset]:
-    """Generate or load data, carve the meta set from the clean pool,
-    then inject imbalance and/or noise into the remaining training data."""
+def _gaussians(ds: DatasetBlock, per_class: int, seed: int) -> BiasedDataset:
+    means = circle_means(ds.classes, ds.radius)
+    return gen_gaussians(GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, per_class), seed)
+
+
+def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
+    """The unbiased data: generated from the config's mixture, or loaded."""
     ds = cfg.dataset
     if ds.kind == "gaussians":
-        means = circle_means(ds.classes, ds.radius)
-        pool = gen_gaussians(
-            GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, ds.per_class),
-            derive_seed(seed, 11),
-        )
-        test_set = gen_gaussians(
-            GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, ds.test_per_class),
-            derive_seed(seed, 15),
-        )
-    else:
-        full = load_dataset(ds.path)
-        rng = rng_stream(seed, 15)
-        n_test = max(1, int(round(full.n * ds.test_fraction)))
-        if n_test >= full.n:
-            raise ValueError("test fraction leaves no training data")
-        order = rng.permutation(full.n)
-        test_set = full.subset(np.sort(order[:n_test]))
-        pool = full.subset(np.sort(order[n_test:]))
+        return _gaussians(ds, ds.per_class, derive_seed(seed, 11))
+    return load_dataset(ds.path)
 
-    meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
+
+def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> BiasedDataset:
+    """Apply the config's imbalance, then its label noise."""
     if cfg.imbalance_factor is not None:
-        counts = train_set.class_counts
+        counts = dataset.class_counts
         if np.any(counts != counts[0]):
-            raise ValueError("imbalance injection needs a balanced training pool")
-        train_set = apply_longtail(
-            train_set,
+            raise ValueError("imbalance injection needs a balanced dataset")
+        dataset = apply_longtail(
+            dataset,
             ImbalanceSpec(base_count=int(counts[0]), factor=cfg.imbalance_factor),
             derive_seed(seed, 12),
         )
     if cfg.noise is not None:
         inject = apply_uniform_noise if cfg.noise.kind == UNIFORM else apply_flip_noise
-        train_set = inject(train_set, cfg.noise.rate, derive_seed(seed, 13))
-    return train_set, meta_set, test_set
+        dataset = inject(dataset, cfg.noise.rate, derive_seed(seed, 13))
+    return dataset
+
+
+def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, BiasedDataset, BiasedDataset]:
+    """Generate or load data, carve the meta set from the clean pool,
+    then inject imbalance and/or noise into the remaining training data."""
+    ds = cfg.dataset
+    pool = _pool(cfg, seed)
+    if ds.kind == "gaussians":
+        test_set = _gaussians(ds, ds.test_per_class, derive_seed(seed, 15))
+    else:
+        n_test = max(1, int(round(pool.n * ds.test_fraction)))
+        if n_test >= pool.n:
+            raise ValueError("test fraction leaves no training data")
+        order = rng_stream(seed, 15).permutation(pool.n)
+        test_set = pool.subset(np.sort(order[:n_test]))
+        pool = pool.subset(np.sort(order[n_test:]))
+
+    meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
+    return _inject_bias(cfg, train_set, seed), meta_set, test_set
 
 
 def generate_biased(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
     """The config's data pipeline without the meta/test split: generate
     or load, then inject imbalance and/or noise. Backs the data-file
     export command."""
-    ds = cfg.dataset
-    if ds.kind == "gaussians":
-        means = circle_means(ds.classes, ds.radius)
-        pool = gen_gaussians(
-            GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, ds.per_class),
-            derive_seed(seed, 11),
-        )
-    else:
-        pool = load_dataset(ds.path)
-    if cfg.imbalance_factor is not None:
-        counts = pool.class_counts
-        if np.any(counts != counts[0]):
-            raise ValueError("imbalance injection needs a balanced dataset")
-        pool = apply_longtail(
-            pool,
-            ImbalanceSpec(base_count=int(counts[0]), factor=cfg.imbalance_factor),
-            derive_seed(seed, 12),
-        )
-    if cfg.noise is not None:
-        inject = apply_uniform_noise if cfg.noise.kind == UNIFORM else apply_flip_noise
-        pool = inject(pool, cfg.noise.rate, derive_seed(seed, 13))
-    return pool
+    return _inject_bias(cfg, _pool(cfg, seed), seed)
 
 
 def _classifier_specs(cfg: ExperimentConfig, d: int, c: int) -> tuple[LayerSpec, ...]:
@@ -300,9 +215,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         reports.append(report)
         mwnets.append(state.theta)
-        for block in cfg.baselines:
-            spec = BaselineSpec(kind=block.kind, gamma=block.gamma, lam=block.lam)
-            baseline_reports[block.kind].append(
+        for spec in cfg.baselines:
+            baseline_reports[spec.kind].append(
                 run_baseline(
                     train_set, meta_set, test_set, optim, spec,
                     classifier_specs=specs,

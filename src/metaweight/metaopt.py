@@ -28,7 +28,7 @@ in step 3 (they do not depend on Theta).
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,6 +197,45 @@ class RunReport:
         return float(np.trace(self.final_confusion) / total)
 
 
+BASELINE_KINDS = ("uniform", "ramp", "step")
+
+
+@dataclass(frozen=True)
+class BaselineSpec:
+    """A fixed loss -> weight rule standing in for the learned net.
+
+    uniform: weight 1. ramp: (loss / max loss in the batch)^gamma,
+    clipped to [0, 1]. step: 1 below the threshold lam, 0 above.
+    """
+
+    kind: str
+    gamma: float = 1.0
+    lam: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in BASELINE_KINDS:
+            raise ValueError(f"unknown baseline kind {self.kind!r}")
+        if self.kind == "ramp" and self.gamma < 0:
+            raise ValueError("ramp exponent gamma must be >= 0")
+        if self.kind == "step" and not self.lam > 0:
+            raise ValueError("step threshold lam must be > 0")
+
+    def weight_fn(self):
+        if self.kind == "uniform":
+            return lambda losses: np.ones_like(np.asarray(losses, dtype=np.float64))
+        if self.kind == "ramp":
+
+            def ramp(losses):
+                losses = np.asarray(losses, dtype=np.float64)
+                top = losses.max()
+                if top <= 0.0:
+                    return np.ones_like(losses)
+                return np.clip((losses / top) ** self.gamma, 0.0, 1.0)
+
+            return ramp
+        return lambda losses: (np.asarray(losses, dtype=np.float64) < self.lam).astype(np.float64)
+
+
 def _per_sample_losses_grads(net: DenseNet, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     out, cache = forward(net, batch.features)
     losses, dlogits = softmax_cross_entropy(out, batch.labels)
@@ -333,12 +372,8 @@ def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> Trai
     grad_theta = np.asarray(grad_theta, dtype=np.float64)
     if grad_theta.shape != state.theta.theta.shape:
         raise ValueError("grad_theta shape mismatch")
-    return TrainState(
-        w=state.w,
-        theta=state.theta.with_theta(state.theta.theta - beta * grad_theta),
-        velocity=state.velocity,
-        iteration=state.iteration,
-    )
+    theta = state.theta.with_theta(state.theta.theta - beta * grad_theta)
+    return TrainState(state.w, theta, state.velocity, state.iteration)
 
 
 def update_classifier(
@@ -362,17 +397,20 @@ def update_classifier(
     if losses is None or grads is None:
         losses, grads = _per_sample_losses_grads(state.w, batch)
     raw = mw_forward(state.theta, losses)
+    return _weighted_step(state, losses, grads, raw, alpha, momentum, weight_decay, normalize, tau)[0]
+
+
+def _weighted_step(
+    state: TrainState, losses: np.ndarray, grads: np.ndarray, raw: np.ndarray,
+    alpha: float, momentum: float, weight_decay: float, normalize: bool, tau: float,
+) -> tuple[TrainState, np.ndarray]:
+    """The classifier's SGD step on per-sample gradients weighted by `raw`;
+    returns the new state and the coefficients applied."""
     coeffs = _coefficients(raw, normalize, tau)
-    grad = coeffs @ grads
     new_params, new_velocity = sgd_step(
-        state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
+        state.w.params, coeffs @ grads, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
     )
-    return TrainState(
-        w=state.w.with_params(new_params),
-        theta=state.theta,
-        velocity=new_velocity,
-        iteration=state.iteration,
-    )
+    return TrainState(state.w.with_params(new_params), state.theta, new_velocity, state.iteration), coeffs
 
 
 def train_step(
@@ -409,7 +447,9 @@ def train_step(
     return state, report
 
 
-def _evaluate(net: DenseNet, dataset: BiasedDataset) -> tuple[float, np.ndarray]:
+def evaluate(net: DenseNet, dataset: BiasedDataset) -> tuple[float, np.ndarray]:
+    """Accuracy of argmax predictions against the true labels plus the
+    confusion matrix (rows true class, columns predicted class)."""
     out, _ = forward(net, dataset.features)
     predictions = np.argmax(out, axis=1)
     confusion = confusion_matrix(dataset.true_labels, predictions, dataset.c)
@@ -482,10 +522,13 @@ def train(
     tracked_ids = np.asarray(tracked_ids, dtype=np.int64)
     tracked_batch = Batch.from_dataset(train_set, tracked_ids)
 
-    def batch_weights(net: DenseNet, theta: MWNet, batch: Batch) -> np.ndarray:
-        out, _ = forward(net, batch.features)
-        losses, _ = softmax_cross_entropy(out, batch.labels)
-        return weight_fn(losses) if weight_fn is not None else mw_forward(theta, losses)
+    def weigh(theta: MWNet, losses: np.ndarray) -> np.ndarray:
+        if weight_fn is None:
+            return mw_forward(theta, losses)
+        raw = np.asarray(weight_fn(losses), dtype=np.float64)
+        if raw.shape != losses.shape or np.any(raw < 0) or not np.all(np.isfinite(raw)):
+            raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
+        return raw
 
     rng_train = rng_stream(config.seed, 100)
     rng_meta = rng_stream(config.seed, 101)
@@ -493,8 +536,7 @@ def train(
     iters_per_epoch = -(-train_set.n // config.n)
 
     alpha = config.alpha
-    acc_hist, loss_hist, meta_hist, norm_hist = [], [], [], []
-    tracked_hist = []
+    history = {"accuracy": [], "train_loss": [], "meta_loss": [], "grad_norm": [], "tracked": []}
     epoch_losses, epoch_norms = [], []
 
     for t in range(config.T):
@@ -512,50 +554,25 @@ def train(
             epoch_norms.append(float(np.linalg.norm(report.grad_theta)))
         else:
             losses, grads = _per_sample_losses_grads(state.w, train_batch)
-            raw = np.asarray(weight_fn(losses), dtype=np.float64)
-            if raw.shape != losses.shape or np.any(raw < 0) or not np.all(np.isfinite(raw)):
-                raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
-            coeffs = _coefficients(raw, config.normalize, config.tau)
-            grad = coeffs @ grads
-            new_params, new_velocity = sgd_step(
-                state.w.params,
-                grad,
-                alpha,
-                momentum=config.classifier_momentum,
-                weight_decay=config.classifier_weight_decay,
-                state=state.velocity,
+            state, coeffs = _weighted_step(
+                state, losses, grads, weigh(state.theta, losses), alpha, config.classifier_momentum,
+                config.classifier_weight_decay, config.normalize, config.tau,
             )
-            state = TrainState(state.w.with_params(new_params), state.theta, new_velocity, state.iteration + 1)
+            state.iteration += 1
             epoch_losses.append(float(coeffs @ losses))
             epoch_norms.append(0.0)
 
         if (t + 1) % iters_per_epoch == 0:
-            accuracy, _ = _evaluate(state.w, test_set)
-            acc_hist.append(accuracy)
-            loss_hist.append(float(np.mean(epoch_losses)))
-            norm_hist.append(float(np.mean(epoch_norms)))
+            history["accuracy"].append(evaluate(state.w, test_set)[0])
+            history["train_loss"].append(float(np.mean(epoch_losses)))
+            history["grad_norm"].append(float(np.mean(epoch_norms)))
             meta_out, _ = forward(state.w, meta_set.features)
             meta_losses, _ = softmax_cross_entropy(meta_out, meta_set.observed_labels)
-            meta_hist.append(float(np.mean(meta_losses)))
-            tracked_hist.append(batch_weights(state.w, state.theta, tracked_batch))
+            history["meta_loss"].append(float(np.mean(meta_losses)))
+            out, _ = forward(state.w, tracked_batch.features)
+            losses, _ = softmax_cross_entropy(out, tracked_batch.labels)
+            history["tracked"].append(weigh(state.theta, losses))
             epoch_losses, epoch_norms = [], []
-
-    _, final_confusion = _evaluate(state.w, test_set)
-
-    full_batch = Batch.from_dataset(train_set, np.arange(train_set.n))
-    out, _ = forward(state.w, full_batch.features)
-    final_losses, _ = softmax_cross_entropy(out, full_batch.labels)
-    final_weights = weight_fn(final_losses) if weight_fn is not None else mw_forward(state.theta, final_losses)
-
-    hi = max(float(np.percentile(final_losses, CURVE_PERCENTILE)), 1e-6)
-    grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)
-    curve_weights = weight_fn(grid) if weight_fn is not None else mw_forward(state.theta, grid)
-
-    tracked_matrix = np.array(tracked_hist) if tracked_hist else np.empty((0, tracked_ids.size))
-    if tracked_matrix.shape[0] >= 2:
-        stab_mean, stab_std = stability_from_history(tracked_matrix)
-    else:
-        stab_mean, stab_std = np.empty(0), np.empty(0)
 
     echo = asdict(config)
     echo["classifier_layers"] = [
@@ -566,17 +583,40 @@ def train(
     echo["lr_schedule"] = [list(entry) for entry in config.lr_schedule]
     if config_echo:
         echo.update(config_echo)
+    return state, _final_report(state, weigh, train_set, test_set, tracked_ids, history, echo, notes)
 
-    report = RunReport(
-        accuracy_history=np.array(acc_hist),
-        train_loss_history=np.array(loss_hist),
-        meta_loss_history=np.array(meta_hist),
-        grad_norm_history=np.array(norm_hist),
+
+def _final_report(
+    state: TrainState, weigh: Callable[[MWNet, np.ndarray], np.ndarray], train_set: BiasedDataset,
+    test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
+) -> RunReport:
+    """The run report: per-epoch histories plus the final classifier's
+    confusion matrix, per-sample weights, weight curve and stability."""
+    _, final_confusion = evaluate(state.w, test_set)
+
+    full_batch = Batch.from_dataset(train_set, np.arange(train_set.n))
+    out, _ = forward(state.w, full_batch.features)
+    final_losses, _ = softmax_cross_entropy(out, full_batch.labels)
+
+    hi = max(float(np.percentile(final_losses, CURVE_PERCENTILE)), 1e-6)
+    grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)
+
+    tracked_matrix = np.array(history["tracked"]) if history["tracked"] else np.empty((0, tracked_ids.size))
+    if tracked_matrix.shape[0] >= 2:
+        stab_mean, stab_std = stability_from_history(tracked_matrix)
+    else:
+        stab_mean, stab_std = np.empty(0), np.empty(0)
+
+    return RunReport(
+        accuracy_history=np.array(history["accuracy"]),
+        train_loss_history=np.array(history["train_loss"]),
+        meta_loss_history=np.array(history["meta_loss"]),
+        grad_norm_history=np.array(history["grad_norm"]),
         final_confusion=final_confusion,
         curve_losses=grid,
-        curve_weights=np.asarray(curve_weights, dtype=np.float64),
+        curve_weights=weigh(state.theta, grid),
         dist_ids=full_batch.ids,
-        dist_weights=np.asarray(final_weights, dtype=np.float64),
+        dist_weights=weigh(state.theta, final_losses),
         dist_corrupted=train_set.corrupted[full_batch.ids],
         tracked_ids=tracked_ids,
         tracked_weight_history=tracked_matrix,
@@ -585,4 +625,3 @@ def train(
         config_echo=echo,
         warnings=notes,
     )
-    return state, report

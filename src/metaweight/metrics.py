@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def confusion_matrix(true_labels: np.ndarray, predictions: np.ndarray, c: int) -> np.ndarray:
@@ -33,11 +32,18 @@ def stability_from_history(weight_history: np.ndarray) -> tuple[np.ndarray, np.n
     return deltas.mean(axis=1), deltas.std(axis=1)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, each run of tied values given the mean of its positions."""
+    _, run, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2)[run]
+
+
 def monotonicity_score(losses: np.ndarray, weights: np.ndarray) -> tuple[float, bool]:
     """Spearman rank correlation between losses and weights.
 
-    Returns (score, degenerate). A constant input makes the correlation
-    undefined; that case scores 0.0 with the degenerate flag set.
+    Returns (score, degenerate). A constant or NaN-holding input makes the
+    correlation undefined; that case scores 0.0 with the degenerate flag set.
     """
     losses = np.asarray(losses, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -45,9 +51,8 @@ def monotonicity_score(losses: np.ndarray, weights: np.ndarray) -> tuple[float, 
         raise ValueError("losses and weights must be 1-d vectors of equal length")
     if losses.size < 2:
         raise ValueError("need at least 2 points")
-    if np.all(losses == losses[0]) or np.all(weights == weights[0]):
+    constant = np.all(losses == losses[0]) or np.all(weights == weights[0])
+    if constant or np.isnan(losses).any() or np.isnan(weights).any():
         return 0.0, True
-    rho = stats.spearmanr(losses, weights).statistic
-    if np.isnan(rho):
-        return 0.0, True
-    return float(rho), False
+    ranks = np.column_stack((_average_ranks(losses), _average_ranks(weights)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0]), False

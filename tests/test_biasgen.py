@@ -40,9 +40,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ImbalanceSpec(base_count=10, factor=0.5)
     with pytest.raises(ValueError):
-        NoiseSpec(kind="gauss", rate=0.1, seed=0)
+        NoiseSpec(kind="gauss", rate=0.1)
     with pytest.raises(ValueError):
-        NoiseSpec(kind="uniform", rate=1.5, seed=0)
+        NoiseSpec(kind="uniform", rate=1.5)
 
 
 def test_dataset_invariants_enforced():

@@ -253,3 +253,10 @@ def test_unknown_flag_exits_one(cfg_path):
     assert proc.returncode == 1
     proc = run_cli()
     assert proc.returncode == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, metaweight.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

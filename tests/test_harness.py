@@ -20,8 +20,6 @@ from metaweight.biasgen import (
 )
 from metaweight.config import parse_config
 from metaweight.harness import (
-    BaselineSpec,
-    evaluate,
     generate_biased,
     load_report,
     monotonicity_score,
@@ -30,13 +28,12 @@ from metaweight.harness import (
     run_experiment,
     save_experiment,
     save_report,
-    stability_trace,
     summarize,
-    weight_distribution,
 )
-from metaweight.metaopt import TrainConfig, TrainState, train
-from metaweight.nnet import DenseNet, LayerSpec, init_net
-from metaweight.weightnet import init_mwnet, load_mwnet
+from metaweight.metaopt import BaselineSpec, TrainConfig, evaluate, train
+from metaweight.metrics import stability_from_history
+from metaweight.nnet import DenseNet, LayerSpec, forward, softmax_cross_entropy
+from metaweight.weightnet import load_mwnet, mw_forward
 
 SMALL_LAYERS = (LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity"))
 
@@ -110,18 +107,17 @@ def test_evaluate_uses_true_labels():
 
 
 def test_weight_distribution_fresh_net_near_half():
-    train_set, _, _ = make_sets(3)
-    state = TrainState(
-        w=init_net(SMALL_LAYERS, 0),
-        theta=init_mwnet((5,), 1),
-        velocity=np.zeros(init_net(SMALL_LAYERS, 0).params.size),
-    )
-    weights, corrupted = weight_distribution(state, train_set)
-    assert weights.shape == (train_set.n,)
-    assert np.all((weights > 0.3) & (weights < 0.7))
-    assert np.array_equal(corrupted, train_set.corrupted)
-    corrupted[0] = True  # the returned flag vector is a copy
-    assert not train_set.corrupted[0]
+    train_set, meta_set, test_set = make_sets(3)
+    config = TrainConfig(alpha=0.1, beta=0.01, n=8, m=4, T=1, seed=0)
+    state, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    out, _ = forward(state.w, train_set.features)
+    losses, _ = softmax_cross_entropy(out, train_set.observed_labels)
+    assert np.array_equal(report.dist_ids, np.arange(train_set.n))
+    assert np.array_equal(report.dist_weights, mw_forward(state.theta, losses))
+    assert np.all((report.dist_weights > 0.3) & (report.dist_weights < 0.7))
+    assert np.array_equal(report.dist_corrupted, train_set.corrupted)
+    report.dist_corrupted[0] = not report.dist_corrupted[0]  # the report holds a copy
+    assert not np.array_equal(report.dist_corrupted, train_set.corrupted)
 
 
 # ---------------------------------------------------------------- stability
@@ -135,12 +131,12 @@ def test_stability_trace_selects_columns():
             [0.4, 0.5, 0.6],
         ]
     )
-    mean_all, _ = stability_trace(snaps)
+    mean_all, _ = stability_from_history(snaps)
     assert np.allclose(mean_all, [(0.1 + 0.0 + 0.1) / 3, (0.2 + 0.0 + 0.2) / 3], atol=1e-15)
-    mean_sel, std_sel = stability_trace(snaps, np.array([1]))
+    mean_sel, std_sel = stability_from_history(snaps[:, [1]])
     assert np.all(mean_sel == 0.0) and np.all(std_sel == 0.0)
     with pytest.raises(ValueError):
-        stability_trace(snaps[:1])
+        stability_from_history(snaps[:1])
 
 
 # ---------------------------------------------------------------- baselines

@@ -640,6 +640,9 @@ def test_train_weight_fn_validation():
     with pytest.raises(ValueError):
         train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
               weight_fn=lambda losses: np.ones(3))
+    with pytest.raises(ValueError):
+        train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
+              weight_fn=lambda losses: np.full_like(losses, np.nan))
 
 
 def test_train_lr_schedule_scales_the_step():

@@ -105,7 +105,24 @@ def test_monotonicity_degenerate_inputs():
     assert score == 0.0 and deg
     score, deg = monotonicity_score(np.full(3, 2.0), losses)
     assert score == 0.0 and deg
+    score, deg = monotonicity_score(np.array([1.0, 1.0, np.nan]), losses)
+    assert score == 0.0 and deg
     with pytest.raises(ValueError):
         monotonicity_score(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         monotonicity_score(losses, np.array([1.0, 2.0]))
+
+
+def test_monotonicity_matches_scipy_spearmanr_bitwise():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.Generator(np.random.Philox(3))
+    for k in range(400):
+        n = int(rng.integers(2, 80))
+        # Few distinct values, so most vectors hold long runs of ties.
+        losses = rng.integers(0, rng.integers(2, 10), size=n) * 0.37
+        weights = rng.integers(0, rng.integers(2, 10), size=n) + (rng.normal(size=n) if k % 4 == 0 else 0.0)
+        score, degenerate = monotonicity_score(losses, weights)
+        if degenerate:
+            assert np.all(losses == losses[0]) or np.all(weights == weights[0])
+        else:
+            assert score == stats.spearmanr(losses, weights).statistic
