@@ -61,16 +61,19 @@ def run_baseline(
     beta is ignored and recorded meta-gradient norms are zero."""
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
-    _, report = train(
-        train_set,
-        meta_set,
-        test_set,
-        config,
-        classifier_specs=classifier_specs,
-        weight_fn=baseline.weight_fn(),
-        tracked_ids=tracked_ids,
-        config_echo=echo,
-    )
+    try:
+        _, report = train(
+            train_set,
+            meta_set,
+            test_set,
+            config,
+            classifier_specs=classifier_specs,
+            weight_fn=baseline.weight_fn(),
+            tracked_ids=tracked_ids,
+            config_echo=echo,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{baseline.kind} baseline, {exc}") from exc
     return report
 
 

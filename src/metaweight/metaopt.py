@@ -7,11 +7,11 @@ independent meta mini-batch:
    a plain SGD step whose coefficients coeff_i come from the weighting
    net (raw weight / n, or the normalized eta_i).
 2. Meta step: the meta-set loss at w_hat is differentiated through the
-   virtual step analytically. With G_ij the inner product between meta
-   sample i's gradient at w_hat and training sample j's gradient at w,
-   the unnormalized case gives
+   virtual step analytically. With g_meta the mean meta-batch gradient at
+   w_hat and g_j training sample j's gradient at w, the unnormalized case
+   gives
 
-       grad_theta = -(alpha/(n*m)) * sum_j (sum_i G_ij) * dV(L_j)/dTheta
+       grad_theta = -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j)/dTheta
 
    and Theta moves by -beta * grad_theta, so a training sample whose
    gradient aligns with the meta gradients gets its weight pushed up.
@@ -21,8 +21,12 @@ independent meta mini-batch:
    weights recomputed under the new Theta, this time with the configured
    momentum and weight decay.
 
-Per-sample training gradients are computed once per iteration and reused
-in step 3 (they do not depend on Theta).
+No step builds a per-sample gradient row. One backward pass on the
+training batch gives each layer's deltas (`nnet.layer_deltas`); the
+weighted steps reduce them to sum_i coeff_i g_i and the meta step to the
+inner products g_meta . g_j, layer by layer, in O(n * width) memory
+instead of O(n * param_count). The deltas do not depend on Theta, so the
+virtual step's backward pass is reused by step 3.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from metaweight.biasgen import BiasedDataset, derive_seed, rng_stream, sample_ba
 from metaweight.metrics import confusion_matrix, stability_from_history
 from metaweight.nnet import (
     DenseNet,
+    ForwardCache,
     LayerSpec,
     forward,
+    gradient_dots,
     init_net,
-    per_sample_gradients,
+    layer_deltas,
     sgd_step,
     softmax_cross_entropy,
+    weighted_gradient,
 )
 from metaweight.weightnet import MWNet, init_mwnet, mw_forward, mw_jacobian
 
@@ -142,27 +149,39 @@ class Batch:
 
 @dataclass
 class VirtualCache:
-    """Intermediates of one virtual step, reused by the actual update."""
+    """Intermediates of one virtual step, reused by the meta step and the
+    actual update: the training batch's forward pass, its per-layer deltas
+    (`nnet.layer_deltas`), losses, raw weights and step coefficients."""
 
     losses: np.ndarray
-    grads: np.ndarray
+    forward_cache: ForwardCache
+    deltas: list[np.ndarray]
     raw_weights: np.ndarray
     coeffs: np.ndarray
 
 
 @dataclass
 class MetaGradientReport:
-    """The analytic meta-gradient and the pieces it is assembled from."""
+    """The analytic meta-gradient and the pieces it is assembled from.
+
+    mean_G_per_j[j] is the inner product between the mean meta gradient at
+    w_hat and training sample j's gradient at w.
+    """
 
     grad_theta: np.ndarray
-    G: np.ndarray
     mean_G_per_j: np.ndarray
-    per_sample_weights: np.ndarray
-    train_losses: np.ndarray
-    train_grads: np.ndarray
     w_hat: np.ndarray
     weighted_loss: float
     meta_loss: float
+    virtual: VirtualCache
+
+    @property
+    def per_sample_weights(self) -> np.ndarray:
+        return self.virtual.raw_weights
+
+    @property
+    def train_losses(self) -> np.ndarray:
+        return self.virtual.losses
 
 
 @dataclass
@@ -236,17 +255,32 @@ class BaselineSpec:
         return lambda losses: (np.asarray(losses, dtype=np.float64) < self.lam).astype(np.float64)
 
 
-def _per_sample_losses_grads(net: DenseNet, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
+    """Per-sample losses plus the forward cache and per-layer deltas of
+    one backward pass."""
     out, cache = forward(net, batch.features)
     losses, dlogits = softmax_cross_entropy(out, batch.labels)
-    grads = per_sample_gradients(net, cache, dlogits)
-    return losses, grads
+    return losses, cache, layer_deltas(net, cache, dlogits)
 
 
 def _coefficients(raw: np.ndarray, normalize: bool, tau: float) -> np.ndarray:
     if normalize:
         return weightnet.normalize(raw, tau)
     return raw / raw.size
+
+
+class _stage:
+    """Prefix a numeric failure inside the block with the loop stage it hit."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, ArithmeticError)):
+            raise ValueError(f"{self.name}: {exc}") from exc
 
 
 def weighted_train_loss(
@@ -279,11 +313,11 @@ def virtual_update(
     weight decay; those belong to the actual update."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    losses, grads = _per_sample_losses_grads(state.w, batch)
+    losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw = mw_forward(state.theta, losses)
     coeffs = _coefficients(raw, normalize, tau)
-    w_hat = state.w.params - alpha * (coeffs @ grads)
-    return w_hat, VirtualCache(losses, grads, raw, coeffs)
+    w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
+    return w_hat, VirtualCache(losses, fcache, deltas, raw, coeffs)
 
 
 def meta_gradient_direct(
@@ -297,44 +331,46 @@ def meta_gradient_direct(
     """Exact gradient of the mean meta loss at w_hat(Theta) w.r.t. Theta.
 
     Unnormalized, this is the closed form
-    -(alpha/(n*m)) * sum_j (sum_i G_ij) * dV(L_j; Theta)/dTheta; under
+    -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j; Theta)/dTheta; under
     normalization the same chain rule runs through eta = raw/sum(raw)
-    and picks up the quotient-rule coupling between samples.
+    and picks up the quotient-rule coupling between samples. g_meta
+    takes one backward pass at w_hat; the n inner products with the
+    training gradients are reduced layer by layer from the virtual
+    step's deltas.
     """
-    w_hat, cache = virtual_update(state, train_batch, alpha, normalize, tau)
-    net_hat = state.w.with_params(w_hat)
-    meta_losses, meta_grads = _per_sample_losses_grads(net_hat, meta_batch)
+    with _stage("virtual step"):
+        w_hat, cache = virtual_update(state, train_batch, alpha, normalize, tau)
+    with _stage("meta step"):
+        net_hat = state.w.with_params(w_hat)
+        meta_losses, meta_fcache, meta_deltas = _losses_deltas(net_hat, meta_batch)
+        m = meta_batch.size
+        mean_meta_grad = weighted_gradient(net_hat, meta_fcache, meta_deltas, np.full(m, 1.0 / m))
+        mean_G_per_j = gradient_dots(state.w, cache.forward_cache, cache.deltas, mean_meta_grad)
+        _, jac = mw_jacobian(state.theta, cache.losses)
 
-    G = meta_grads @ cache.grads.T
-    mean_G_per_j = G.mean(axis=0)
-    _, jac = mw_jacobian(state.theta, cache.losses)
-
-    n = train_batch.size
-    if normalize:
-        total = float(cache.raw_weights.sum())
-        denom = total if total > 0.0 else tau
-        if total > 0.0:
-            # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2
-            coupled = float(mean_G_per_j @ cache.raw_weights) / denom**2
-            dmeta_draw = -alpha * (mean_G_per_j / denom - coupled)
+        n = train_batch.size
+        if normalize:
+            total = float(cache.raw_weights.sum())
+            denom = total if total > 0.0 else tau
+            if total > 0.0:
+                # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2
+                coupled = float(mean_G_per_j @ cache.raw_weights) / denom**2
+                dmeta_draw = -alpha * (mean_G_per_j / denom - coupled)
+            else:
+                dmeta_draw = -alpha * mean_G_per_j / denom
+            grad_theta = dmeta_draw @ jac
         else:
-            dmeta_draw = -alpha * mean_G_per_j / denom
-        grad_theta = dmeta_draw @ jac
-    else:
-        grad_theta = -(alpha / n) * (mean_G_per_j @ jac)
+            grad_theta = -(alpha / n) * (mean_G_per_j @ jac)
 
-    if not np.all(np.isfinite(grad_theta)):
-        raise ValueError("non-finite meta-gradient")
+        if not np.all(np.isfinite(grad_theta)):
+            raise ValueError("non-finite meta-gradient")
     return MetaGradientReport(
         grad_theta=grad_theta,
-        G=G,
         mean_G_per_j=mean_G_per_j,
-        per_sample_weights=cache.raw_weights,
-        train_losses=cache.losses,
-        train_grads=cache.grads,
         w_hat=w_hat,
         weighted_loss=float(cache.coeffs @ cache.losses),
         meta_loss=float(meta_losses.mean()),
+        virtual=cache,
     )
 
 
@@ -351,13 +387,13 @@ def meta_gradient_fd(
     Theta coordinate, rebuild w_hat(Theta), re-evaluate the meta loss."""
     from metaweight.nnet import fd_gradient
 
-    losses, grads = _per_sample_losses_grads(state.w, train_batch)
+    losses, fcache, deltas = _losses_deltas(state.w, train_batch)
 
     def mean_meta_loss(theta_params: np.ndarray) -> float:
         mw = state.theta.with_theta(theta_params)
         raw = mw_forward(mw, losses)
         coeffs = _coefficients(raw, normalize, tau)
-        w_hat = state.w.params - alpha * (coeffs @ grads)
+        w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
         out, _ = forward(state.w.with_params(w_hat), meta_batch.features)
         meta_losses, _ = softmax_cross_entropy(out, meta_batch.labels)
         return float(meta_losses.mean())
@@ -384,31 +420,35 @@ def update_classifier(
     weight_decay: float = 0.0,
     normalize: bool = False,
     tau: float = 1e-8,
-    losses: np.ndarray | None = None,
-    grads: np.ndarray | None = None,
+    cache: VirtualCache | None = None,
 ) -> TrainState:
     """The actual weighted step from w, with weights recomputed under the
     state's (already updated) Theta. Momentum and weight decay apply here
     and only here; zero both for the bare one-step form.
 
-    losses/grads may be passed in from the virtual step of the same
-    iteration (they depend on w only, not on Theta).
+    `cache` may be passed in from the virtual step of the same iteration
+    (its losses and deltas depend on w only, not on Theta).
     """
-    if losses is None or grads is None:
-        losses, grads = _per_sample_losses_grads(state.w, batch)
-    raw = mw_forward(state.theta, losses)
-    return _weighted_step(state, losses, grads, raw, alpha, momentum, weight_decay, normalize, tau)[0]
+    with _stage("classifier step"):
+        if cache is None:
+            losses, fcache, deltas = _losses_deltas(state.w, batch)
+        else:
+            losses, fcache, deltas = cache.losses, cache.forward_cache, cache.deltas
+        raw = mw_forward(state.theta, losses)
+        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize, tau)[0]
 
 
 def _weighted_step(
-    state: TrainState, losses: np.ndarray, grads: np.ndarray, raw: np.ndarray,
+    state: TrainState, fcache: ForwardCache, deltas: list[np.ndarray], raw: np.ndarray,
     alpha: float, momentum: float, weight_decay: float, normalize: bool, tau: float,
 ) -> tuple[TrainState, np.ndarray]:
-    """The classifier's SGD step on per-sample gradients weighted by `raw`;
-    returns the new state and the coefficients applied."""
+    """The classifier's SGD step on the per-sample gradients (given as one
+    backward pass's deltas) weighted by `raw`; returns the new state and
+    the coefficients applied."""
     coeffs = _coefficients(raw, normalize, tau)
+    grad = weighted_gradient(state.w, fcache, deltas, coeffs)
     new_params, new_velocity = sgd_step(
-        state.w.params, coeffs @ grads, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
+        state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
     )
     return TrainState(state.w.with_params(new_params), state.theta, new_velocity, state.iteration), coeffs
 
@@ -440,8 +480,7 @@ def train_step(
         weight_decay=config.classifier_weight_decay,
         normalize=config.normalize,
         tau=config.tau,
-        losses=report.train_losses,
-        grads=report.train_grads,
+        cache=report.virtual,
     )
     state.iteration += 1
     return state, report
@@ -540,39 +579,44 @@ def train(
     epoch_losses, epoch_norms = [], []
 
     for t in range(config.T):
-        for it, mult in schedule:
-            if it == t:
-                alpha *= mult
-        idx, rng_train = sample_batch(train_set, config.n, rng_train)
-        train_batch = Batch.from_dataset(train_set, idx)
+        try:
+            for it, mult in schedule:
+                if it == t:
+                    alpha *= mult
+            idx, rng_train = sample_batch(train_set, config.n, rng_train)
+            train_batch = Batch.from_dataset(train_set, idx)
 
-        if weight_fn is None:
-            midx, rng_meta = sample_batch(meta_set, config.m, rng_meta)
-            meta_batch = Batch.from_dataset(meta_set, midx)
-            state, report = train_step(state, train_batch, meta_batch, config, alpha=alpha)
-            epoch_losses.append(report.weighted_loss)
-            epoch_norms.append(float(np.linalg.norm(report.grad_theta)))
-        else:
-            losses, grads = _per_sample_losses_grads(state.w, train_batch)
-            state, coeffs = _weighted_step(
-                state, losses, grads, weigh(state.theta, losses), alpha, config.classifier_momentum,
-                config.classifier_weight_decay, config.normalize, config.tau,
-            )
-            state.iteration += 1
-            epoch_losses.append(float(coeffs @ losses))
-            epoch_norms.append(0.0)
+            if weight_fn is None:
+                midx, rng_meta = sample_batch(meta_set, config.m, rng_meta)
+                meta_batch = Batch.from_dataset(meta_set, midx)
+                state, report = train_step(state, train_batch, meta_batch, config, alpha=alpha)
+                epoch_losses.append(report.weighted_loss)
+                epoch_norms.append(float(np.linalg.norm(report.grad_theta)))
+            else:
+                with _stage("classifier step"):
+                    losses, fcache, deltas = _losses_deltas(state.w, train_batch)
+                    state, coeffs = _weighted_step(
+                        state, fcache, deltas, weigh(state.theta, losses), alpha, config.classifier_momentum,
+                        config.classifier_weight_decay, config.normalize, config.tau,
+                    )
+                state.iteration += 1
+                epoch_losses.append(float(coeffs @ losses))
+                epoch_norms.append(0.0)
 
-        if (t + 1) % iters_per_epoch == 0:
-            history["accuracy"].append(evaluate(state.w, test_set)[0])
-            history["train_loss"].append(float(np.mean(epoch_losses)))
-            history["grad_norm"].append(float(np.mean(epoch_norms)))
-            meta_out, _ = forward(state.w, meta_set.features)
-            meta_losses, _ = softmax_cross_entropy(meta_out, meta_set.observed_labels)
-            history["meta_loss"].append(float(np.mean(meta_losses)))
-            out, _ = forward(state.w, tracked_batch.features)
-            losses, _ = softmax_cross_entropy(out, tracked_batch.labels)
-            history["tracked"].append(weigh(state.theta, losses))
-            epoch_losses, epoch_norms = [], []
+            if (t + 1) % iters_per_epoch == 0:
+                with _stage("epoch evaluation"):
+                    history["accuracy"].append(evaluate(state.w, test_set)[0])
+                    history["train_loss"].append(float(np.mean(epoch_losses)))
+                    history["grad_norm"].append(float(np.mean(epoch_norms)))
+                    meta_out, _ = forward(state.w, meta_set.features)
+                    meta_losses, _ = softmax_cross_entropy(meta_out, meta_set.observed_labels)
+                    history["meta_loss"].append(float(np.mean(meta_losses)))
+                    out, _ = forward(state.w, tracked_batch.features)
+                    losses, _ = softmax_cross_entropy(out, tracked_batch.labels)
+                    history["tracked"].append(weigh(state.theta, losses))
+                epoch_losses, epoch_norms = [], []
+        except ValueError as exc:
+            raise ValueError(f"seed {config.seed}, iteration {t + 1} of {config.T}, {exc}") from exc
 
     echo = asdict(config)
     echo["classifier_layers"] = [

@@ -7,10 +7,21 @@ the contract shared by every gradient in the package:
     for each layer k:  W_k.ravel() (C order, shape (input_dim, output_dim)),
                        then b_k (length output_dim)
 
-Per-sample gradients are first-class: `per_sample_gradients` returns one
-row per sample so callers can weight, dot or normalize them individually.
-Reductions use numpy's fixed summation order, so identical inputs give
-bit-identical results across runs.
+Gradients come from one backward pass. `layer_deltas` returns, for each
+layer k, the (batch, output_dim) matrix delta_k of per-sample loss
+gradients with respect to the layer's pre-activations. Sample i's gradient
+block for layer k is then a_k[i] (outer) delta_k[i] for W_k and delta_k[i]
+for b_k, so the reductions the training loop needs never build a
+per-sample gradient row:
+
+    weighted_gradient:  sum_i c_i g_i  = per layer a_k^T (c * delta_k), c^T delta_k
+    gradient_dots:      (g_i . v)_i    = per layer rowsum((a_k V_W + v_b) * delta_k)
+
+Both cost O(batch * width) memory instead of O(batch * param_count).
+`per_sample_gradients` materializes the rows from the same deltas; it
+serves as the oracle in tests and as the engine of the weighting net's
+small Jacobian. Reductions use numpy's fixed summation order, so identical
+inputs give bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -140,13 +151,14 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _activation_grad(preact: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
+def _activation_backward(delta: np.ndarray, preact: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
+    """delta times the activation's derivative; identity passes delta through."""
     # ReLU subgradient at 0 is defined as 0.
     if kind == RELU:
-        return (preact > 0.0).astype(np.float64)
+        return delta * (preact > 0.0)
     if kind == SIGMOID:
-        return act * (1.0 - act)
-    return np.ones_like(preact)
+        return delta * (act * (1.0 - act))
+    return delta
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -167,32 +179,77 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     return acts[-1], ForwardCache(preacts, acts)
 
 
-def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
-    """Backprop one scalar loss per sample; row i is d(loss_i)/d(params).
+def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> list[np.ndarray]:
+    """Backprop one scalar loss per sample; entry k is the (batch_size,
+    output_dim_k) matrix d(loss_i)/d(preact_k).
 
     `upstream` is the (batch_size, output_dim) matrix of per-sample loss
-    gradients with respect to the network outputs. The mean of the rows
-    equals the gradient of the mean loss.
+    gradients with respect to the network outputs.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     bsz = cache.batch_size
     if upstream.shape != (bsz, net.output_dim):
         raise ValueError(f"upstream must have shape ({bsz}, {net.output_dim}), got {upstream.shape}")
-    grads = np.empty((bsz, net.param_count))
-    weights = list(net.layer_params())
+    weights = [w for w, _ in net.layer_params()]
+    deltas = [None] * len(net.layers)
     delta = upstream
-    off = net.param_count
     for k in range(len(net.layers) - 1, -1, -1):
-        spec = net.layers[k]
-        delta = delta * _activation_grad(cache.preacts[k], cache.acts[k + 1], spec.activation)
-        a_prev = cache.acts[k]
+        delta = _activation_backward(delta, cache.preacts[k], cache.acts[k + 1], net.layers[k].activation)
+        deltas[k] = delta
+        if k > 0:
+            delta = delta @ weights[k].T
+    return deltas
+
+
+def weighted_gradient(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
+    """The flat vector sum_i coeffs[i] * d(loss_i)/d(params), built layer
+    by layer from `layer_deltas` output without per-sample rows."""
+    grad = np.empty(net.param_count)
+    off = 0
+    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
         nw = spec.input_dim * spec.output_dim
-        off -= spec.param_count
+        np.matmul(a_prev.T, coeffs[:, None] * delta, out=grad[off:off + nw].reshape(spec.input_dim, spec.output_dim))
+        grad[off + nw:off + spec.param_count] = coeffs @ delta
+        off += spec.param_count
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradients")
+    return grad
+
+
+def gradient_dots(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The batch vector of inner products d(loss_i)/d(params) . v, built
+    layer by layer as (a_i^T V_W + v_b) . delta_i."""
+    dots = np.zeros(cache.batch_size)
+    off = 0
+    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
+        nw = spec.input_dim * spec.output_dim
+        v_w = v[off:off + nw].reshape(spec.input_dim, spec.output_dim)
+        dots += np.einsum("bo,bo->b", a_prev @ v_w + v[off + nw:off + spec.param_count], delta)
+        off += spec.param_count
+    if not np.isfinite(dots).all():
+        raise ValueError("non-finite gradient inner products")
+    return dots
+
+
+def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
+    """Backprop one scalar loss per sample; row i is d(loss_i)/d(params).
+
+    `upstream` is the (batch_size, output_dim) matrix of per-sample loss
+    gradients with respect to the network outputs. The mean of the rows
+    equals the gradient of the mean loss. Memory is batch_size *
+    param_count floats; the training loop uses `weighted_gradient` and
+    `gradient_dots` instead.
+    """
+    deltas = layer_deltas(net, cache, upstream)
+    bsz = cache.batch_size
+    grads = np.empty((bsz, net.param_count))
+    off = 0
+    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
+        nw = spec.input_dim * spec.output_dim
         # dL_i/dW = a_prev_i (outer) delta_i, C-order ravel matches the layout
         grads[:, off:off + nw] = np.einsum("bi,bo->bio", a_prev, delta).reshape(bsz, nw)
-        grads[:, off + nw:off + nw + spec.output_dim] = delta
-        if k > 0:
-            delta = delta @ weights[k][0].T
+        grads[:, off + nw:off + spec.param_count] = delta
+        off += spec.param_count
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradients")
     return grads

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -157,6 +158,21 @@ def test_train_missing_config_file_is_config_error(tmp_path):
     proc = run_cli("train", "--config", tmp_path / "absent.json", "--out", tmp_path / "r")
     assert proc.returncode == 1
     assert "config error" in proc.stderr
+
+
+def test_train_numeric_failure_names_iteration_and_stage(tmp_path):
+    # A valid config whose step size makes the uniform baseline's classifier
+    # blow up: the error names the run, the iteration and the stage.
+    config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    with open(os.path.join(config_dir, "noise40.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["optim"]["alpha"] = 1e6
+    cfg = write_config(tmp_path / "huge_alpha.json", doc)
+    proc = run_cli("train", "--config", cfg, "--out", tmp_path / "r", "--seed", 1)
+    assert proc.returncode == 2
+    message = proc.stderr.strip().splitlines()[-1]
+    stages = "virtual step|meta step|classifier step|epoch evaluation"
+    assert re.fullmatch(rf"error: uniform baseline, seed 1, iteration \d+ of 600, ({stages}): .+", message), message
 
 
 # ---------------------------------------------------------------- probe

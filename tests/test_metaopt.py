@@ -6,8 +6,12 @@ value is known (zero meta gradients, dead weighting nets, single-sample
 sign semantics).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaweight.biasgen import (
     GaussianMixtureSpec,
@@ -32,6 +36,7 @@ from metaweight.metaopt import (
     weighted_train_loss,
 )
 from metaweight.nnet import (
+    ACTIVATIONS,
     DenseNet,
     LayerSpec,
     forward,
@@ -39,8 +44,9 @@ from metaweight.nnet import (
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
+    weighted_gradient,
 )
-from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian
+from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian, normalize as normalize_weights
 
 
 def rel_err(a, b):
@@ -154,7 +160,10 @@ def test_virtual_update_per_sample_oracle():
         step += (raw[i] / batch.size) * grads[i]
     assert rel_err(w_hat, state.w.params - alpha * step) < 1e-12
     assert np.array_equal(cache.losses, losses)
-    assert np.array_equal(cache.grads, grads)
+    # The cached deltas hold every per-sample gradient: a one-hot
+    # coefficient vector reduces them to exactly the oracle's row.
+    for i, onehot in enumerate(np.eye(batch.size)):
+        assert np.array_equal(weighted_gradient(state.w, cache.forward_cache, cache.deltas, onehot), grads[i])
     assert np.array_equal(cache.raw_weights, raw)
 
 
@@ -186,22 +195,26 @@ def test_meta_gradient_report_pieces_consistent():
     alpha = 0.1
     report = meta_gradient_direct(state, tb, mb, alpha)
     n, m = tb.size, mb.size
-    assert report.G.shape == (m, n)
-    assert np.array_equal(report.mean_G_per_j, report.G.mean(axis=0))
+    assert report.mean_G_per_j.shape == (n,)
 
     losses, grads = per_sample_losses_grads(state.w, tb)
     assert np.array_equal(report.train_losses, losses)
-    assert np.array_equal(report.train_grads, grads)
+    assert rel_err(
+        weighted_gradient(state.w, report.virtual.forward_cache, report.virtual.deltas, report.virtual.coeffs),
+        report.virtual.coeffs @ grads,
+    ) < 1e-14
     assert np.array_equal(report.per_sample_weights, mw_forward(state.theta, losses))
 
-    # G really is the matrix of meta/train gradient inner products at (w_hat, w).
+    # mean_G_per_j is the meta-sample mean of the meta/train gradient inner
+    # products G_ij at (w_hat, w), built here from per-sample rows.
     meta_losses, meta_grads = per_sample_losses_grads(state.w.with_params(report.w_hat), mb)
-    assert rel_err(report.G, meta_grads @ grads.T) < 1e-14
+    G = meta_grads @ grads.T
+    assert rel_err(report.mean_G_per_j, G.mean(axis=0)) < 1e-14
     assert report.meta_loss == pytest.approx(meta_losses.mean(), rel=1e-14)
 
     # grad_theta == -(alpha/(n*m)) * sum_j (sum_i G_ij) * dV(L_j)/dTheta.
     _, jac = mw_jacobian(state.theta, losses)
-    expected = -(alpha / (n * m)) * (report.G.sum(axis=0) @ jac)
+    expected = -(alpha / (n * m)) * (G.sum(axis=0) @ jac)
     assert rel_err(report.grad_theta, expected) < 1e-12
 
 
@@ -238,7 +251,9 @@ def test_meta_gradient_zero_when_classifier_exact_on_meta():
     train_batch = Batch(np.arange(6), 0.5 * rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
 
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha=0.1)
-    assert np.all(report.G == 0.0)
+    _, meta_grads = per_sample_losses_grads(classifier.with_params(report.w_hat), meta_batch)
+    assert np.all(meta_grads == 0.0)
+    assert np.all(report.mean_G_per_j == 0.0)
     assert np.all(report.grad_theta == 0.0)
     fd = meta_gradient_fd(state, train_batch, meta_batch, alpha=0.1, eps=1e-5)
     assert np.all(fd == 0.0)
@@ -299,7 +314,9 @@ def test_meta_gradient_duplicated_sample_columns_identical():
         labels[[0, 0, 1, 2]],
     )
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
-    assert np.array_equal(report.G[:, 0], report.G[:, 1])
+    _, grads = per_sample_losses_grads(state.w, tb)
+    _, meta_grads = per_sample_losses_grads(state.w.with_params(report.w_hat), mb)
+    assert rel_err(report.mean_G_per_j, (meta_grads @ grads.T).mean(axis=0)) < 1e-14
     assert report.mean_G_per_j[0] == report.mean_G_per_j[1]
     assert report.per_sample_weights[0] == report.per_sample_weights[1]
     _, jac = mw_jacobian(state.theta, report.train_losses)
@@ -396,8 +413,114 @@ def test_meta_gradient_batch_order_invariance():
     r1 = meta_gradient_direct(state, tb1, mb1, alpha=0.1, normalize=True)
     r2 = meta_gradient_direct(state, tb2, mb2, alpha=0.1, normalize=True)
     assert np.array_equal(r1.grad_theta, r2.grad_theta)
-    assert np.array_equal(r1.G, r2.G)
+    assert np.array_equal(r1.mean_G_per_j, r2.mean_G_per_j)
     assert np.array_equal(r1.w_hat, r2.w_hat)
+
+
+# ---------------------------------------------------------------- per-layer path vs per-sample oracle
+
+
+def close(a, b, scale=0.0, tol=1e-12):
+    """|a - b| <= tol * max(|b|, scale). `scale` bounds the size of the
+    terms summed into b, so a result that cancels to (near) zero is held
+    to the rounding of its terms; a zero vector with zero terms must
+    match exactly."""
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) <= tol * max(np.linalg.norm(b), scale)
+
+
+def row_scale(coeffs, rows):
+    """sum_i |coeffs_i| * |rows_i|, the size of the terms of coeffs @ rows."""
+    return float(np.abs(coeffs) @ np.linalg.norm(rows, axis=1))
+
+
+@st.composite
+def bilevel_instances(draw):
+    """A random classifier of depth 1-3 with mixed hidden activations,
+    batches down to one sample, train batches with duplicate ids, both
+    normalize modes and alpha down to zero."""
+    dims = [draw(st.integers(1, 3))]
+    depth = draw(st.integers(1, 3))
+    dims += [draw(st.integers(1, 5)) for _ in range(depth - 1)] + [draw(st.integers(2, 4))]
+    specs = tuple(
+        LayerSpec(dims[k], dims[k + 1], draw(st.sampled_from(ACTIVATIONS)) if k < depth - 1 else "identity")
+        for k in range(depth)
+    )
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    # Ids drawn from a pool smaller than n repeat; a repeated id is the same sample.
+    pool = draw(st.integers(1, n))
+    ids = np.array(draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n)))
+    normalize = draw(st.booleans())
+    alpha = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    seed = draw(st.integers(0, 2**16))
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    classifier = init_net(specs, derive_seed(seed, 1))
+    mwnet = init_mwnet((3,), derive_seed(seed, 2))
+    mwnet = mwnet.with_theta(mwnet.theta + 0.5 * rng.standard_normal(mwnet.theta.size))
+    state = TrainState(classifier, mwnet, 0.1 * rng.standard_normal(classifier.params.size))
+    feats, labels = rng.standard_normal((pool, dims[0])), rng.integers(0, dims[-1], pool)
+    train_batch = Batch(ids, feats[ids], labels[ids])
+    meta_batch = Batch(np.arange(m), rng.standard_normal((m, dims[0])), rng.integers(0, dims[-1], m))
+    config = TrainConfig(
+        alpha=0.1, beta=0.5, n=n, m=m, T=1, normalize=normalize,
+        classifier_momentum=0.9, classifier_weight_decay=1e-3,
+    )
+    return state, train_batch, meta_batch, config, alpha
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bilevel_instances())
+def test_train_step_matches_per_sample_oracle(instance):
+    state, tb, mb, config, alpha = instance
+    new_state, report = train_step(state, tb, mb, config, alpha=alpha)
+
+    def coefficients(theta):
+        raw = mw_forward(theta, losses)
+        return normalize_weights(raw, config.tau) if config.normalize else raw / tb.size
+
+    losses, grads = per_sample_losses_grads(state.w, tb)
+    w, velocity = state.w.params, state.velocity
+    coeffs = coefficients(state.theta)
+    w_hat = w - alpha * (coeffs @ grads)
+    assert close(report.w_hat, w_hat, np.linalg.norm(w) + alpha * row_scale(coeffs, grads))
+
+    meta_grads = per_sample_losses_grads(state.w.with_params(w_hat), mb)[1]
+    mean_meta_grad = meta_grads.mean(axis=0)
+    # Every term of g_j . mean_meta_grad is bounded via Cauchy-Schwarz.
+    terms = row_scale(np.full(mb.size, 1.0 / mb.size), meta_grads) * np.linalg.norm(grads, axis=1)
+    assert close(report.mean_G_per_j, grads @ mean_meta_grad, np.linalg.norm(terms))
+
+    new_coeffs = coefficients(new_state.theta)
+    expected, expected_velocity = sgd_step(
+        w, new_coeffs @ grads, alpha, momentum=config.classifier_momentum,
+        weight_decay=config.classifier_weight_decay, state=velocity,
+    )
+    velocity_scale = np.linalg.norm(velocity) + row_scale(new_coeffs, grads) + np.linalg.norm(w)
+    assert close(new_state.velocity, expected_velocity, velocity_scale)
+    assert close(new_state.w.params, expected, np.linalg.norm(w) + alpha * velocity_scale)
+
+    fd = meta_gradient_fd(state, tb, mb, alpha, eps=1e-5, normalize=config.normalize, tau=config.tau)
+    assert rel_err(report.grad_theta, fd) < 1e-6
+
+
+def test_train_step_memory_is_per_layer():
+    # Per-sample gradient matrices would hold (n+m)*P floats, 52 MB at
+    # P=68362, n=64, m=32; the per-layer reductions need a few MB.
+    rng = np.random.Generator(np.random.Philox(41))
+    classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
+    state = TrainState(classifier, init_mwnet((100,), 2), np.zeros_like(classifier.params))
+    tb = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
+    mb = Batch(np.arange(32), rng.standard_normal((32, 256)), rng.integers(0, 10, 32))
+    config = TrainConfig(alpha=0.1, beta=0.3, n=64, m=32, T=1, normalize=True, classifier_momentum=0.9)
+    train_step(state, tb, mb, config)
+    tracemalloc.start()
+    try:
+        train_step(state, tb, mb, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"train_step peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------- updates
@@ -444,12 +567,17 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     expected, expected_vel = sgd_step(
         state.w.params, (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd, state=state.velocity
     )
-    assert np.array_equal(new_state.w.params, expected)
-    assert np.array_equal(new_state.velocity, expected_vel)
+    # The per-layer reduction sums in another order than the oracle's
+    # row-weighted sum, so agreement is to rounding, not bitwise.
+    assert rel_err(new_state.w.params, expected) < 1e-14
+    assert rel_err(new_state.velocity, expected_vel) < 1e-14
 
-    # Passing the cached losses/grads must not change the result.
-    cached = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, losses=losses, grads=grads)
-    assert np.array_equal(cached.w.params, expected)
+    # Passing the virtual step's cache (the deltas depend on w only, not on
+    # Theta) must not change the result.
+    _, cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
+    cached = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, cache=cache)
+    assert np.array_equal(cached.w.params, new_state.w.params)
+    assert np.array_equal(cached.velocity, new_state.velocity)
 
 
 # ---------------------------------------------------------------- train_step
@@ -468,8 +596,7 @@ def test_train_step_composes_the_three_updates():
         config.alpha,
         momentum=config.classifier_momentum,
         weight_decay=config.classifier_weight_decay,
-        losses=manual.train_losses,
-        grads=manual.train_grads,
+        cache=manual.virtual,
     )
     assert np.array_equal(new_state.theta.theta, s2.theta.theta)
     assert np.array_equal(new_state.w.params, s2.w.params)
@@ -640,7 +767,7 @@ def test_train_weight_fn_validation():
     with pytest.raises(ValueError):
         train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
               weight_fn=lambda losses: np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed 2, iteration 1 of 1, classifier step: weight_fn must"):
         train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
               weight_fn=lambda losses: np.full_like(losses, np.nan))
 

@@ -14,10 +14,13 @@ from metaweight.nnet import (
     LayerSpec,
     fd_gradient,
     forward,
+    gradient_dots,
     init_net,
+    layer_deltas,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
+    weighted_gradient,
 )
 
 
@@ -158,6 +161,29 @@ def test_gradient_mean_equals_mean_loss_gradient(small_net):
 
     fd = fd_gradient(mean_loss, small_net.params, eps=1e-5)
     assert rel_err(per_sample.mean(axis=0), fd) < 1e-7
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+def test_layer_reductions_match_per_sample_rows(activation):
+    # weighted_gradient and gradient_dots reduce the deltas layer by layer;
+    # the oracle reduces the materialized per-sample rows.
+    rng = np.random.Generator(np.random.Philox(19))
+    net = init_net((LayerSpec(4, 6, activation), LayerSpec(6, 5, activation), LayerSpec(5, 3, "identity")), 3)
+    x = rng.normal(size=(7, 4))
+    out, cache = forward(net, x)
+    _, dlogits = softmax_cross_entropy(out, rng.integers(0, 3, size=7))
+    deltas = layer_deltas(net, cache, dlogits)
+    assert [d.shape for d in deltas] == [(7, 6), (7, 5), (7, 3)]
+    rows = per_sample_gradients(net, cache, dlogits)
+    coeffs = rng.random(7)
+    v = rng.normal(size=net.param_count)
+    assert rel_err(weighted_gradient(net, cache, deltas, coeffs), coeffs @ rows) < 1e-14
+    assert rel_err(gradient_dots(net, cache, deltas, v), rows @ v) < 1e-14
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_gradient(net, cache, deltas, np.full(7, np.inf))
+        with pytest.raises(ValueError, match="non-finite"):
+            gradient_dots(net, cache, deltas, np.full(net.param_count, np.nan))
 
 
 def test_relu_subgradient_at_zero_is_zero():
