@@ -38,8 +38,7 @@ def main():
           f"{'acc (mwnet)':>11}  {'acc (uniform)':>13}")
     for i, seed in enumerate(result.seeds):
         rep = result.reports[i]
-        clean = rep.dist_weights[~rep.dist_corrupted].mean()
-        noisy = rep.dist_weights[rep.dist_corrupted].mean()
+        clean, noisy = rep.clean_noisy_means()
         rho = summary["monotonicity"]["per_seed"][i]
         acc = rep.final_accuracy
         base = result.baseline_reports["uniform"][i].final_accuracy

@@ -16,14 +16,7 @@ import numpy as np
 
 from metaweight.biasgen import derive_seed, save_dataset
 from metaweight.config import ConfigError, load_config
-from metaweight.harness import (
-    generate_biased,
-    load_report,
-    monotonicity_score,
-    render_plots,
-    run_experiment,
-    save_experiment,
-)
+from metaweight.harness import generate_biased, load_report, render_plots, run_experiment, save_experiment
 from metaweight.metaopt import (
     BASELINE_KINDS,
     BaselineSpec,
@@ -32,6 +25,7 @@ from metaweight.metaopt import (
     meta_gradient_direct,
     meta_gradient_fd,
 )
+from metaweight.metrics import monotonicity_score
 from metaweight.nnet import LayerSpec, init_net
 from metaweight.weightnet import init_mwnet, load_mwnet, probe_curve
 
@@ -180,15 +174,16 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     report = load_report(args.dir)
-    written = render_plots(args.dir)
-    rho, degenerate = monotonicity_score((report.curve_losses, report.curve_weights))
+    written = render_plots(report, args.dir)
+    rho, degenerate = monotonicity_score(report.curve_losses, report.curve_weights)
     print(f"final accuracy: {report.final_accuracy:.4f}")
     flag = " (degenerate: constant curve)" if degenerate else ""
     print(f"weighting-curve monotonicity (Spearman): {rho:+.4f}{flag}")
-    if report.dist_corrupted.any() and not report.dist_corrupted.all():
-        clean = report.dist_weights[~report.dist_corrupted].mean()
-        noisy = report.dist_weights[report.dist_corrupted].mean()
-        print(f"mean weight clean {clean:.4f} vs noisy {noisy:.4f}")
+    means = report.clean_noisy_means()
+    if means is not None:
+        print(f"mean weight clean {means[0]:.4f} vs noisy {means[1]:.4f}")
+    for warning in report.warnings:
+        print(f"run warning: {warning}")
     for path in written:
         print(f"rendered {path}")
     return 0
@@ -204,8 +199,11 @@ def main(argv=None) -> int:
         "gradcheck": cmd_gradcheck,
         "report": cmd_report,
     }
+    # The finite checks name the stage of a numeric failure; NumPy's own
+    # overflow/invalid-value warnings on the way there would only add noise.
     try:
-        return handlers[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,18 +1,14 @@
 """Experiment orchestration: metrics, baselines, reports, multi-seed runs.
 
-A RunReport serializes to a flat directory of CSVs plus config.json:
-
-    metrics.csv          epoch, train_loss, meta_loss, test_accuracy, meta_grad_norm
-    weight_curve.csv     loss, weight            (probed loss -> weight mapping)
-    weight_dist.csv      sample_id, weight, corrupted
-    stability.csv        epoch, mean_abs_delta, std_abs_delta
-                         (row `epoch` = change from epoch-1 to epoch, so rows run 2..E)
-    tracked_weights.csv  epoch, id_<k>...        (raw per-epoch weights behind stability.csv)
-    confusion.csv        true, pred_0..pred_{c-1}
-    config.json          resolved config echo plus recorded run warnings
-
-Optionally weight_curve.svg and accuracy.svg. All floats are written with
-repr(), so a load/save round trip is byte-identical.
+A RunReport serializes to a flat directory of CSVs plus config.json (the
+resolved config echo with the run's warnings under "run_warnings"),
+optionally mwnet.json and the plots weight_curve.svg and accuracy.svg.
+The CSV layout is written down once, in _COLUMN_FILES and _MATRIX_FILES:
+each file's header and the RunReport field and cell format behind each
+column. save_report and load_report both walk those tables. stability.csv
+holds computed fields, so it is written but never read back (row `epoch`
+is the change from epoch-1 to epoch). All floats are written with repr(),
+so a load/save round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +38,7 @@ from metaweight.biasgen import (
     split_meta,
 )
 from metaweight.config import DatasetBlock, ExperimentConfig
-from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, train
+from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, _stage, train
 from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
 from metaweight.weightnet import MWNet, save_mwnet
@@ -75,16 +72,6 @@ def run_baseline(
     except ValueError as exc:
         raise ValueError(f"{baseline.kind} baseline, {exc}") from exc
     return report
-
-
-def monotonicity_score(weight_curve: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
-    """Spearman rank correlation between the probed losses and weights;
-    a constant curve scores 0.0 with the degeneracy flag set."""
-    losses, weights = weight_curve
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size < 10:
-        raise ValueError("need at least 10 curve points")
-    return metrics.monotonicity_score(losses, weights)
 
 
 @dataclass
@@ -167,23 +154,15 @@ def _mean_std(values: list[float]) -> dict:
     return {"per_seed": values, "mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def _clean_noisy_gap(report: RunReport) -> float | None:
-    noisy = report.dist_corrupted
-    if not noisy.any() or noisy.all():
-        return None
-    clean_mean = float(report.dist_weights[~noisy].mean())
-    noisy_mean = float(report.dist_weights[noisy].mean())
-    return clean_mean - noisy_mean
-
-
 def summarize(seeds, reports: list[RunReport], baseline_reports: dict[str, list[RunReport]]) -> dict:
     """Aggregate per-seed reports into the summary dict saved as summary.json."""
     scores, degenerate, gaps = [], [], []
     for rep in reports:
-        rho, flag = monotonicity_score((rep.curve_losses, rep.curve_weights))
+        rho, flag = metrics.monotonicity_score(rep.curve_losses, rep.curve_weights)
+        means = rep.clean_noisy_means()
         scores.append(rho)
         degenerate.append(flag)
-        gaps.append(_clean_noisy_gap(rep))
+        gaps.append(None if means is None else means[0] - means[1])
     summary = {
         "seeds": list(seeds),
         "final_accuracy": _mean_std([rep.final_accuracy for rep in reports]),
@@ -231,6 +210,50 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg.seeds, reports, mwnets, baseline_reports, summary)
 
 
+class _Cell(NamedTuple):
+    """How one CSV column's values are written and parsed."""
+
+    write: Callable
+    read: Callable
+    dtype: type
+
+
+_FLOAT = _Cell(lambda v: repr(float(v)), float, np.float64)
+_INT = _Cell(int, int, np.int64)
+_FLAG = _Cell(int, lambda s: bool(int(s)), bool)
+
+# The report layout. Column files: file name, the index column (header and
+# first value) or None, then (header, RunReport field, cell) per column.
+# Columns of a computed RunReport property are written and never read back.
+_COLUMN_FILES = (
+    ("metrics.csv", ("epoch", 1), (
+        ("train_loss", "train_loss_history", _FLOAT),
+        ("meta_loss", "meta_loss_history", _FLOAT),
+        ("test_accuracy", "accuracy_history", _FLOAT),
+        ("meta_grad_norm", "grad_norm_history", _FLOAT),
+    )),
+    ("weight_curve.csv", None, (("loss", "curve_losses", _FLOAT), ("weight", "curve_weights", _FLOAT))),
+    ("weight_dist.csv", None, (
+        ("sample_id", "dist_ids", _INT),
+        ("weight", "dist_weights", _FLOAT),
+        ("corrupted", "dist_corrupted", _FLAG),
+    )),
+    ("stability.csv", ("epoch", 2), (
+        ("mean_abs_delta", "stability_mean", _FLOAT),
+        ("std_abs_delta", "stability_std", _FLOAT),
+    )),
+)
+# Matrix files: file name, index column (header, first value), the prefix
+# of each column header, the RunReport field holding the column labels
+# (None: 0..columns-1), the matrix field and its cell.
+_MATRIX_FILES = (
+    ("tracked_weights.csv", ("epoch", 1), "id_", "tracked_ids", "tracked_weight_history", _FLOAT),
+    ("confusion.csv", ("true", 0), "pred_", None, "final_confusion", _INT),
+)
+_STORED = {f.name for f in fields(RunReport)}
+MIN_CURVE_POINTS = 10
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -238,60 +261,37 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _f(v) -> str:
-    return repr(float(v))
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh)) or [[]]
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"line {k} has {len(row)} fields, the header {len(rows[0])}")
+    return rows[0], rows[1:]
+
+
+def _header(index, columns) -> list[str]:
+    return ([index[0]] if index else []) + [h for h, _, _ in columns]
 
 
 def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: bool = False) -> None:
     """Write the report directory (see module docstring for the layout)."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
-
-    epochs = range(1, len(report.accuracy_history) + 1)
-    _write_csv(
-        join("metrics.csv"),
-        ["epoch", "train_loss", "meta_loss", "test_accuracy", "meta_grad_norm"],
-        [
-            [e, _f(report.train_loss_history[i]), _f(report.meta_loss_history[i]),
-             _f(report.accuracy_history[i]), _f(report.grad_norm_history[i])]
-            for i, e in enumerate(epochs)
-        ],
-    )
-    _write_csv(
-        join("weight_curve.csv"),
-        ["loss", "weight"],
-        [[_f(l), _f(w)] for l, w in zip(report.curve_losses, report.curve_weights)],
-    )
-    _write_csv(
-        join("weight_dist.csv"),
-        ["sample_id", "weight", "corrupted"],
-        [
-            [int(i), _f(w), int(c)]
-            for i, w, c in zip(report.dist_ids, report.dist_weights, report.dist_corrupted)
-        ],
-    )
-    _write_csv(
-        join("stability.csv"),
-        ["epoch", "mean_abs_delta", "std_abs_delta"],
-        [
-            [k + 2, _f(report.stability_mean[k]), _f(report.stability_std[k])]
-            for k in range(len(report.stability_mean))
-        ],
-    )
-    _write_csv(
-        join("tracked_weights.csv"),
-        ["epoch"] + [f"id_{int(i)}" for i in report.tracked_ids],
-        [
-            [e] + [_f(w) for w in report.tracked_weight_history[i]]
-            for i, e in enumerate(epochs)
-        ],
-    )
-    c = report.final_confusion.shape[0]
-    _write_csv(
-        join("confusion.csv"),
-        ["true"] + [f"pred_{k}" for k in range(c)],
-        [[k] + [int(v) for v in report.final_confusion[k]] for k in range(c)],
-    )
+    for name, index, columns in _COLUMN_FILES:
+        cells = [map(cell.write, getattr(report, field)) for _, field, cell in columns]
+        rows = [list(row) for row in zip(*cells)]
+        if index:
+            rows = [[index[1] + k] + row for k, row in enumerate(rows)]
+        _write_csv(join(name), _header(index, columns), rows)
+    for name, (index, first), prefix, labels, field, cell in _MATRIX_FILES:
+        matrix = getattr(report, field)
+        tags = getattr(report, labels) if labels else range(matrix.shape[1])
+        _write_csv(
+            join(name),
+            [index] + [f"{prefix}{int(t)}" for t in tags],
+            [[first + k] + [cell.write(v) for v in row] for k, row in enumerate(matrix)],
+        )
     payload = dict(report.config_echo)
     payload["run_warnings"] = list(report.warnings)
     with open(join("config.json"), "w", encoding="utf-8", newline="\n") as fh:
@@ -300,78 +300,47 @@ def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: b
     if mwnet is not None:
         save_mwnet(mwnet, join("mwnet.json"))
     if plots:
-        render_plots(out_dir)
+        render_plots(report, out_dir)
 
 
 def load_report(report_dir) -> RunReport:
-    """Rebuild a RunReport from a report directory."""
+    """Rebuild a RunReport from a report directory. A malformed file, or a
+    weight curve of fewer than MIN_CURVE_POINTS points, raises ValueError
+    naming the file."""
     join = lambda name: os.path.join(report_dir, name)
-
-    def read_csv(name):
-        with open(join(name), "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        return rows[0], rows[1:]
-
-    _, metric_rows = read_csv("metrics.csv")
-    train_loss = np.array([float(r[1]) for r in metric_rows])
-    meta_loss = np.array([float(r[2]) for r in metric_rows])
-    accuracy = np.array([float(r[3]) for r in metric_rows])
-    grad_norm = np.array([float(r[4]) for r in metric_rows])
-
-    _, curve_rows = read_csv("weight_curve.csv")
-    curve_losses = np.array([float(r[0]) for r in curve_rows])
-    curve_weights = np.array([float(r[1]) for r in curve_rows])
-
-    _, dist_rows = read_csv("weight_dist.csv")
-    dist_ids = np.array([int(r[0]) for r in dist_rows], dtype=np.int64)
-    dist_weights = np.array([float(r[1]) for r in dist_rows])
-    dist_corrupted = np.array([bool(int(r[2])) for r in dist_rows])
-
-    _, stab_rows = read_csv("stability.csv")
-    stab_mean = np.array([float(r[1]) for r in stab_rows])
-    stab_std = np.array([float(r[2]) for r in stab_rows])
-
-    tracked_header, tracked_rows = read_csv("tracked_weights.csv")
-    tracked_ids = np.array([int(h.removeprefix("id_")) for h in tracked_header[1:]], dtype=np.int64)
-    tracked_history = (
-        np.array([[float(v) for v in r[1:]] for r in tracked_rows])
-        if tracked_rows
-        else np.empty((0, tracked_ids.size))
-    )
-
-    _, conf_rows = read_csv("confusion.csv")
-    confusion = np.array([[int(v) for v in r[1:]] for r in conf_rows], dtype=np.int64)
-
-    with open(join("config.json"), "r", encoding="utf-8") as fh:
+    kwargs = {}
+    for name, index, columns in _COLUMN_FILES:
+        if not any(field in _STORED for _, field, _ in columns):
+            continue
+        with _stage(join(name)):
+            header, rows = _read_csv(join(name))
+            expected = _header(index, columns)
+            if header != expected:
+                raise ValueError(f"header {header} is not {expected}")
+            for k, (_, field, cell) in enumerate(columns, start=bool(index)):
+                kwargs[field] = np.array([cell.read(row[k]) for row in rows], dtype=cell.dtype)
+    for name, (index, _), prefix, labels, field, cell in _MATRIX_FILES:
+        with _stage(join(name)):
+            header, rows = _read_csv(join(name))
+            if header[:1] != [index] or not all(h.startswith(prefix) for h in header[1:]):
+                raise ValueError(f"header {header} is not {index}, {prefix}<k>, ...")
+            if labels:
+                kwargs[labels] = np.array([int(h[len(prefix):]) for h in header[1:]], dtype=np.int64)
+            matrix = [[cell.read(v) for v in row[1:]] for row in rows]
+            kwargs[field] = np.array(matrix, dtype=cell.dtype).reshape(len(rows), len(header) - 1)
+    points = kwargs["curve_losses"].size
+    if points < MIN_CURVE_POINTS:
+        raise ValueError(f"{join('weight_curve.csv')}: need at least {MIN_CURVE_POINTS} curve points, got {points}")
+    with _stage(join("config.json")), open(join("config.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     warnings = payload.pop("run_warnings", [])
-
-    return RunReport(
-        accuracy_history=accuracy,
-        train_loss_history=train_loss,
-        meta_loss_history=meta_loss,
-        grad_norm_history=grad_norm,
-        final_confusion=confusion,
-        curve_losses=curve_losses,
-        curve_weights=curve_weights,
-        dist_ids=dist_ids,
-        dist_weights=dist_weights,
-        dist_corrupted=dist_corrupted,
-        tracked_ids=tracked_ids,
-        tracked_weight_history=tracked_history,
-        stability_mean=stab_mean,
-        stability_std=stab_std,
-        config_echo=payload,
-        warnings=warnings,
-    )
+    return RunReport(config_echo=payload, warnings=warnings, **kwargs)
 
 
-def render_plots(report_dir) -> list[str]:
-    """Render weight_curve.svg and accuracy.svg inside a report
-    directory; deterministic, so re-rendering overwrites identically."""
-    report = load_report(report_dir)
-    written = []
-    curve_path = os.path.join(report_dir, "weight_curve.svg")
+def render_plots(report: RunReport, out_dir) -> list[str]:
+    """Render the report's weight_curve.svg and accuracy.svg into out_dir;
+    deterministic, so re-rendering overwrites identically."""
+    curve_path = os.path.join(out_dir, "weight_curve.svg")
     save_plot(
         curve_path,
         [("weight", report.curve_losses, report.curve_weights)],
@@ -379,9 +348,9 @@ def render_plots(report_dir) -> list[str]:
         "training loss",
         "weight",
     )
-    written.append(curve_path)
+    written = [curve_path]
     if len(report.accuracy_history) >= 1:
-        acc_path = os.path.join(report_dir, "accuracy.svg")
+        acc_path = os.path.join(out_dir, "accuracy.svg")
         epochs = np.arange(1, len(report.accuracy_history) + 1, dtype=np.float64)
         save_plot(
             acc_path,

@@ -189,8 +189,9 @@ class RunReport:
     """Everything a finished run exposes for analysis.
 
     Histories hold one entry per completed epoch (an epoch is
-    ceil(N_train / n) iterations); stability rows sit between adjacent
-    epochs, so there are len(histories) - 1 of them.
+    ceil(N_train / n) iterations). Stability is computed from the tracked
+    weights: one row between each pair of adjacent epochs, so
+    len(histories) - 1 of them, and none below 2 epochs.
     """
 
     accuracy_history: np.ndarray
@@ -205,8 +206,6 @@ class RunReport:
     dist_corrupted: np.ndarray
     tracked_ids: np.ndarray
     tracked_weight_history: np.ndarray
-    stability_mean: np.ndarray
-    stability_std: np.ndarray
     config_echo: dict
     warnings: list[str] = field(default_factory=list)
 
@@ -214,6 +213,27 @@ class RunReport:
     def final_accuracy(self) -> float:
         total = self.final_confusion.sum()
         return float(np.trace(self.final_confusion) / total)
+
+    @property
+    def stability_mean(self) -> np.ndarray:
+        return self._stability()[0]
+
+    @property
+    def stability_std(self) -> np.ndarray:
+        return self._stability()[1]
+
+    def _stability(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.tracked_weight_history.shape[0] < 2:
+            return np.empty(0), np.empty(0)
+        return stability_from_history(self.tracked_weight_history)
+
+    def clean_noisy_means(self) -> tuple[float, float] | None:
+        """Mean final weight of the clean and of the corrupted samples;
+        None unless both groups are present."""
+        noisy = self.dist_corrupted
+        if not noisy.any() or noisy.all():
+            return None
+        return float(self.dist_weights[~noisy].mean()), float(self.dist_weights[noisy].mean())
 
 
 BASELINE_KINDS = ("uniform", "ramp", "step")
@@ -270,7 +290,8 @@ def _coefficients(raw: np.ndarray, normalize: bool, tau: float) -> np.ndarray:
 
 
 class _stage:
-    """Prefix a numeric failure inside the block with the loop stage it hit."""
+    """Prefix a numeric failure inside the block with where it happened: the
+    loop stage it hit, or the report file being read."""
 
     def __init__(self, name: str):
         self.name = name
@@ -281,24 +302,6 @@ class _stage:
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, (ValueError, ArithmeticError)):
             raise ValueError(f"{self.name}: {exc}") from exc
-
-
-def weighted_train_loss(
-    w: DenseNet,
-    theta: MWNet,
-    batch: Batch,
-    normalize: bool = False,
-    tau: float = 1e-8,
-) -> float:
-    """The weighted objective (1/n) * sum_i V(L_i; Theta) * L_i, or
-    sum_i eta_i * L_i when normalizing."""
-    out, _ = forward(w, batch.features)
-    losses, _ = softmax_cross_entropy(out, batch.labels)
-    raw = mw_forward(theta, losses)
-    value = float(_coefficients(raw, normalize, tau) @ losses)
-    if not np.isfinite(value):
-        raise ValueError("non-finite weighted loss")
-    return value
 
 
 def virtual_update(
@@ -421,10 +424,11 @@ def update_classifier(
     normalize: bool = False,
     tau: float = 1e-8,
     cache: VirtualCache | None = None,
-) -> TrainState:
+) -> tuple[TrainState, np.ndarray]:
     """The actual weighted step from w, with weights recomputed under the
-    state's (already updated) Theta. Momentum and weight decay apply here
-    and only here; zero both for the bare one-step form.
+    state's (already updated) Theta; returns the new state and those raw
+    weights. Momentum and weight decay apply here and only here; zero both
+    for the bare one-step form.
 
     `cache` may be passed in from the virtual step of the same iteration
     (its losses and deltas depend on w only, not on Theta).
@@ -435,7 +439,7 @@ def update_classifier(
         else:
             losses, fcache, deltas = cache.losses, cache.forward_cache, cache.deltas
         raw = mw_forward(state.theta, losses)
-        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize, tau)[0]
+        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize, tau)[0], raw
 
 
 def _weighted_step(
@@ -459,8 +463,10 @@ def train_step(
     meta_batch: Batch,
     config: TrainConfig,
     alpha: float | None = None,
-) -> tuple[TrainState, MetaGradientReport]:
+) -> tuple[TrainState, MetaGradientReport, np.ndarray]:
     """One full iteration: virtual step, Theta update, classifier update.
+    Returns the new state, the meta-gradient report and the raw weights
+    the classifier step applied.
 
     `alpha` overrides config.alpha so the driver can apply its schedule.
     """
@@ -472,7 +478,7 @@ def train_step(
         alpha = config.alpha
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize, config.tau)
     state = update_theta(state, report.grad_theta, config.beta)
-    state = update_classifier(
+    state, raw = update_classifier(
         state,
         train_batch,
         alpha,
@@ -483,7 +489,7 @@ def train_step(
         cache=report.virtual,
     )
     state.iteration += 1
-    return state, report
+    return state, report, raw
 
 
 def evaluate(net: DenseNet, dataset: BiasedDataset) -> tuple[float, np.ndarray]:
@@ -537,7 +543,9 @@ def train(
 
     weight_fn replaces the weighting net with a fixed losses -> weights
     map (baselines); in that mode Theta is never touched and recorded
-    meta-gradient norms are zero.
+    meta-gradient norms are zero. The report's warnings name a meta set
+    larger than the train set and classifier steps whose weights were
+    all zero.
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -577,6 +585,7 @@ def train(
     alpha = config.alpha
     history = {"accuracy": [], "train_loss": [], "meta_loss": [], "grad_norm": [], "tracked": []}
     epoch_losses, epoch_norms = [], []
+    zero_weight_iters = []
 
     for t in range(config.T):
         try:
@@ -589,19 +598,22 @@ def train(
             if weight_fn is None:
                 midx, rng_meta = sample_batch(meta_set, config.m, rng_meta)
                 meta_batch = Batch.from_dataset(meta_set, midx)
-                state, report = train_step(state, train_batch, meta_batch, config, alpha=alpha)
+                state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
                 epoch_losses.append(report.weighted_loss)
                 epoch_norms.append(float(np.linalg.norm(report.grad_theta)))
             else:
                 with _stage("classifier step"):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
+                    raw = weigh(state.theta, losses)
                     state, coeffs = _weighted_step(
-                        state, fcache, deltas, weigh(state.theta, losses), alpha, config.classifier_momentum,
+                        state, fcache, deltas, raw, alpha, config.classifier_momentum,
                         config.classifier_weight_decay, config.normalize, config.tau,
                     )
                 state.iteration += 1
                 epoch_losses.append(float(coeffs @ losses))
                 epoch_norms.append(0.0)
+            if not raw.any():
+                zero_weight_iters.append(t + 1)
 
             if (t + 1) % iters_per_epoch == 0:
                 with _stage("epoch evaluation"):
@@ -618,6 +630,11 @@ def train(
         except ValueError as exc:
             raise ValueError(f"seed {config.seed}, iteration {t + 1} of {config.T}, {exc}") from exc
 
+    if zero_weight_iters:
+        notes.append(
+            f"all-zero weights: every sample weight of the classifier step was zero in "
+            f"{len(zero_weight_iters)} of {config.T} iterations, first in iteration {zero_weight_iters[0]}"
+        )
     echo = asdict(config)
     echo["classifier_layers"] = [
         {"input_dim": s.input_dim, "output_dim": s.output_dim, "activation": s.activation}
@@ -635,7 +652,7 @@ def _final_report(
     test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
 ) -> RunReport:
     """The run report: per-epoch histories plus the final classifier's
-    confusion matrix, per-sample weights, weight curve and stability."""
+    confusion matrix, per-sample weights and weight curve."""
     _, final_confusion = evaluate(state.w, test_set)
 
     full_batch = Batch.from_dataset(train_set, np.arange(train_set.n))
@@ -646,10 +663,6 @@ def _final_report(
     grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)
 
     tracked_matrix = np.array(history["tracked"]) if history["tracked"] else np.empty((0, tracked_ids.size))
-    if tracked_matrix.shape[0] >= 2:
-        stab_mean, stab_std = stability_from_history(tracked_matrix)
-    else:
-        stab_mean, stab_std = np.empty(0), np.empty(0)
 
     return RunReport(
         accuracy_history=np.array(history["accuracy"]),
@@ -664,8 +677,6 @@ def _final_report(
         dist_corrupted=train_set.corrupted[full_batch.ids],
         tracked_ids=tracked_ids,
         tracked_weight_history=tracked_matrix,
-        stability_mean=stab_mean,
-        stability_std=stab_std,
         config_echo=echo,
         warnings=notes,
     )

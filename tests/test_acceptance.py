@@ -121,6 +121,12 @@ def test_criterion_2_classifier_gradients_match_fd():
     record(2, ok, f"classifier gradients vs FD, {checked} nets <= 200 params, max rel err {worst:.2e}, {elapsed:.1f}s")
 
 
+def test_shipped_configs_record_no_run_warnings(noise_runs, imbalance_runs, clean_runs):
+    for result, _ in (noise_runs, imbalance_runs, clean_runs):
+        for report in result.reports + [r for reps in result.baseline_reports.values() for r in reps]:
+            assert report.warnings == []
+
+
 def test_criterion_3_imbalance_curve_rises(imbalance_runs):
     result, elapsed = imbalance_runs
     scores = result.summary["monotonicity"]["per_seed"]

@@ -3,12 +3,14 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from metaweight import cli, harness
 from metaweight.biasgen import load_dataset
 from metaweight.weightnet import init_mwnet, probe_curve, save_mwnet
 
@@ -39,6 +41,7 @@ def base_doc():
         "meta": {"per_class": 2},
         "model": {"classifier_hidden": [8], "mwnet_hidden": [5]},
         "optim": {"alpha": 0.1, "beta": 0.01, "n": 8, "m": 4, "T": 6},
+        "output": {"plots": True},
         "seeds": [0],
     }
 
@@ -160,19 +163,41 @@ def test_train_missing_config_file_is_config_error(tmp_path):
     assert "config error" in proc.stderr
 
 
-def test_train_numeric_failure_names_iteration_and_stage(tmp_path):
-    # A valid config whose step size makes the uniform baseline's classifier
-    # blow up: the error names the run, the iteration and the stage.
+def huge_alpha_noise40(baselines):
     config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     with open(os.path.join(config_dir, "noise40.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["optim"]["alpha"] = 1e6
-    cfg = write_config(tmp_path / "huge_alpha.json", doc)
+    doc["baselines"] = baselines
+    return doc
+
+
+def test_train_numeric_failure_names_iteration_and_stage(tmp_path):
+    # A valid config whose step size makes the uniform baseline's classifier
+    # blow up: the error names the run, the iteration and the stage, and it
+    # is the only thing on stderr.
+    cfg = write_config(tmp_path / "huge_alpha.json", huge_alpha_noise40([{"kind": "uniform"}]))
     proc = run_cli("train", "--config", cfg, "--out", tmp_path / "r", "--seed", 1)
     assert proc.returncode == 2
-    message = proc.stderr.strip().splitlines()[-1]
     stages = "virtual step|meta step|classifier step|epoch evaluation"
-    assert re.fullmatch(rf"error: uniform baseline, seed 1, iteration \d+ of 600, ({stages}): .+", message), message
+    pattern = rf"error: uniform baseline, seed 1, iteration \d+ of 600, ({stages}): [^\n]+\n"
+    assert re.fullmatch(pattern, proc.stderr), proc.stderr
+
+
+def test_train_weight_collapse_is_reported(tmp_path):
+    # Without the baseline the same step size does not fail: the weighting
+    # net saturates and every weight is zero. The run records that, and
+    # `report` prints it.
+    cfg = write_config(tmp_path / "collapse.json", huge_alpha_noise40([]))
+    out = tmp_path / "r"
+    proc = run_cli("train", "--config", cfg, "--out", out, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    warnings = json.load(open(out / "config.json"))["run_warnings"]
+    assert len(warnings) == 1
+    assert re.fullmatch(r"all-zero weights: .* in \d+ of 600 iterations, first in iteration \d+", warnings[0])
+    shown = run_cli("report", out)
+    assert shown.returncode == 0, shown.stderr
+    assert f"run warning: {warnings[0]}\n" in shown.stdout
 
 
 # ---------------------------------------------------------------- probe
@@ -239,18 +264,41 @@ def test_gradcheck_rejects_bad_instance_count():
 
 def test_report_renders_and_summarizes(trained):
     dirs, _ = trained
+    # train drew the plots from memory; report re-renders them from disk.
+    svgs = [os.path.join(dirs[0], name) for name in ("weight_curve.svg", "accuracy.svg")]
+    from_train = [open(p, "rb").read() for p in svgs]
     proc = run_cli("report", dirs[0])
     assert proc.returncode == 0, proc.stderr
     assert "final accuracy" in proc.stdout
     assert "monotonicity" in proc.stdout
     assert "clean" in proc.stdout  # the run had noisy labels
-    curve = os.path.join(dirs[0], "weight_curve.svg")
-    acc = os.path.join(dirs[0], "accuracy.svg")
-    assert os.path.isfile(curve) and os.path.isfile(acc)
-    before = open(curve, "rb").read(), open(acc, "rb").read()
-    again = run_cli("report", dirs[0])
-    assert again.returncode == 0
-    assert (open(curve, "rb").read(), open(acc, "rb").read()) == before
+    assert "run warning" not in proc.stdout
+    assert [open(p, "rb").read() for p in svgs] == from_train
+
+
+def test_report_loads_the_directory_once(trained, monkeypatch, capsys):
+    dirs, _ = trained
+    loads, load = [], harness.load_report
+
+    def counting(report_dir):
+        loads.append(report_dir)
+        return load(report_dir)
+
+    monkeypatch.setattr(cli, "load_report", counting)
+    monkeypatch.setattr(harness, "load_report", counting)
+    assert cli.main(["report", dirs[0]]) == 0
+    assert loads == [dirs[0]]
+    assert "final accuracy" in capsys.readouterr().out
+
+
+def test_report_on_a_short_curve_names_the_file(trained, tmp_path):
+    dirs, _ = trained
+    shutil.copytree(dirs[0], tmp_path / "run")
+    curve = tmp_path / "run" / "weight_curve.csv"
+    curve.write_text("".join(curve.read_text().splitlines(keepends=True)[:6]))  # header + 5 rows
+    proc = run_cli("report", tmp_path / "run")
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: .*weight_curve\.csv: need at least 10 curve points, got 5\n", proc.stderr)
 
 
 def test_report_on_missing_directory_is_runtime_error(tmp_path):

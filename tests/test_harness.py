@@ -18,11 +18,11 @@ from metaweight.biasgen import (
     save_dataset,
     split_meta,
 )
+from metaweight import harness
 from metaweight.config import parse_config
 from metaweight.harness import (
     generate_biased,
     load_report,
-    monotonicity_score,
     render_plots,
     run_baseline,
     run_experiment,
@@ -195,20 +195,6 @@ def test_run_baseline_degenerate_rules_match_uniform():
     assert np.array_equal(ramp.accuracy_history, uniform.accuracy_history)
 
 
-# ------------------------------------------------------------- monotonicity
-
-
-def test_monotonicity_score_wrapper():
-    losses = np.linspace(0, 5, 50)
-    rho, deg = monotonicity_score((losses, np.exp(-losses)))
-    assert rho == pytest.approx(-1.0)
-    assert not deg
-    rho, deg = monotonicity_score((losses, np.full(50, 0.5)))
-    assert rho == 0.0 and deg
-    with pytest.raises(ValueError):
-        monotonicity_score((losses[:5], losses[:5]))
-
-
 # ------------------------------------------------------------- round trips
 
 
@@ -217,58 +203,109 @@ def run_tiny_experiment(tmp_path, doc=None):
     return cfg, run_experiment(cfg)
 
 
-def test_report_save_load_round_trip(tmp_path):
-    _, result = run_tiny_experiment(tmp_path)
-    report = result.reports[0]
-    out = tmp_path / "run"
-    save_report(report, out, mwnet=result.mwnets[0])
-    loaded = load_report(out)
-
+def assert_round_trip(report, out, mwnet=None):
+    """Save, load and save again: every field and every file survives."""
+    save_report(report, out / "run", mwnet=mwnet)
+    loaded = load_report(out / "run")
     for name in (
         "accuracy_history", "train_loss_history", "meta_loss_history", "grad_norm_history",
-        "curve_losses", "curve_weights", "dist_weights", "stability_mean", "stability_std",
-        "tracked_weight_history",
+        "curve_losses", "curve_weights", "dist_ids", "dist_weights", "dist_corrupted",
+        "tracked_ids", "tracked_weight_history", "final_confusion", "stability_mean", "stability_std",
     ):
-        assert np.array_equal(getattr(loaded, name), getattr(report, name)), name
-    assert np.array_equal(loaded.dist_ids, report.dist_ids)
-    assert np.array_equal(loaded.dist_corrupted, report.dist_corrupted)
-    assert np.array_equal(loaded.tracked_ids, report.tracked_ids)
-    assert np.array_equal(loaded.final_confusion, report.final_confusion)
+        got, want = getattr(loaded, name), getattr(report, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
     assert loaded.config_echo == report.config_echo
     assert loaded.warnings == report.warnings
 
-    # Saving the loaded report again reproduces every file byte for byte.
-    again = tmp_path / "run2"
-    save_report(loaded, again, mwnet=load_mwnet(out / "mwnet.json"))
-    for name in REPORT_FILES + ["mwnet.json"]:
-        assert filecmp.cmp(out / name, again / name, shallow=False), name
+    save_report(loaded, out / "again", mwnet=mwnet)
+    names = REPORT_FILES + (["mwnet.json"] if mwnet else [])
+    for name in names:
+        assert filecmp.cmp(out / "run" / name, out / "again" / name, shallow=False), name
+    return loaded
+
+
+def test_report_save_load_round_trip(tmp_path):
+    _, result = run_tiny_experiment(tmp_path)
+    report = result.reports[0]
+    assert report.accuracy_history.size == 2
+    loaded = assert_round_trip(report, tmp_path, mwnet=result.mwnets[0])
+    # Stability is computed from the tracked weights, one row between epochs.
+    assert loaded.stability_mean.size == 1
+    stab_mean, stab_std = stability_from_history(loaded.tracked_weight_history)
+    assert np.array_equal(loaded.stability_mean, stab_mean)
+    assert np.array_equal(loaded.stability_std, stab_std)
+    assert load_mwnet(tmp_path / "run" / "mwnet.json").theta.tolist() == result.mwnets[0].theta.tolist()
 
 
 def test_report_round_trip_with_no_completed_epochs(tmp_path):
     train_set, meta_set, test_set = make_sets(8)
     config = TrainConfig(alpha=0.1, beta=0.01, n=8, m=4, T=1, seed=1)
     _, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    out = tmp_path / "short"
-    save_report(report, out)
-    loaded = load_report(out)
+    loaded = assert_round_trip(report, tmp_path)
     assert loaded.accuracy_history.size == 0
     assert loaded.stability_mean.size == 0
-    assert loaded.tracked_weight_history.shape == report.tracked_weight_history.shape
-    assert np.array_equal(loaded.dist_weights, report.dist_weights)
+    assert loaded.tracked_weight_history.shape == (0, report.tracked_ids.size)
 
 
-def test_render_plots_deterministic(tmp_path):
+def test_report_round_trip_with_one_completed_epoch(tmp_path):
+    train_set, meta_set, test_set = make_sets(8)
+    # 24 training samples, n=8: 3 iterations make one epoch.
+    config = TrainConfig(alpha=0.1, beta=0.01, n=8, m=4, T=4, seed=1)
+    _, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    loaded = assert_round_trip(report, tmp_path)
+    assert loaded.accuracy_history.size == 1
+    assert loaded.stability_mean.size == 0
+    assert (tmp_path / "run" / "stability.csv").read_text() == "epoch,mean_abs_delta,std_abs_delta\n"
+
+
+def test_load_report_rejects_a_short_curve(tmp_path):
     _, result = run_tiny_experiment(tmp_path)
     out = tmp_path / "run"
     save_report(result.reports[0], out)
-    written = render_plots(out)
+    curve = out / "weight_curve.csv"
+    curve.write_text("".join(curve.read_text().splitlines(keepends=True)[:6]))  # header + 5 rows
+    with pytest.raises(ValueError, match=r"weight_curve\.csv: need at least 10 curve points, got 5"):
+        load_report(out)
+
+
+def test_load_report_names_a_malformed_file(tmp_path):
+    _, result = run_tiny_experiment(tmp_path)
+    out = tmp_path / "run"
+    save_report(result.reports[0], out)
+    dist = out / "weight_dist.csv"
+    good = dist.read_text()
+    for bad in (good.replace("sample_id,weight", "weight,sample_id"), good.replace(",0\n", ",x\n", 1),
+                good + "1,0.5\n"):
+        dist.write_text(bad)
+        with pytest.raises(ValueError, match=r"weight_dist\.csv: "):
+            load_report(out)
+    dist.write_text(good)
+    (out / "config.json").write_text("{")
+    with pytest.raises(ValueError, match=r"config\.json: "):
+        load_report(out)
+
+
+def test_render_plots_deterministic(tmp_path, monkeypatch):
+    _, result = run_tiny_experiment(tmp_path)
+    report = result.reports[0]
+
+    def no_reading(_):
+        raise AssertionError("save_report read its own output back")
+
+    monkeypatch.setattr(harness, "load_report", no_reading)
+    save_report(report, tmp_path / "saved", plots=True)
+    (tmp_path / "rendered").mkdir()
+    written = render_plots(report, tmp_path / "rendered")
     assert [os.path.basename(p) for p in written] == ["weight_curve.svg", "accuracy.svg"]
-    first = {p: open(p, "rb").read() for p in written}
-    for p, blob in first.items():
+    for p in written:
+        blob = open(p, "rb").read()
         assert blob.startswith(b"<svg")
-    again = render_plots(out)
-    for p in again:
-        assert open(p, "rb").read() == first[p]
+        assert (tmp_path / "saved" / os.path.basename(p)).read_bytes() == blob
+    monkeypatch.undo()
+    # Rendering the report loaded back from disk gives the same bytes.
+    for p in render_plots(load_report(tmp_path / "saved"), tmp_path / "saved"):
+        assert open(p, "rb").read() == (tmp_path / "rendered" / os.path.basename(p)).read_bytes()
 
 
 # ------------------------------------------------------------- experiments

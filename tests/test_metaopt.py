@@ -21,6 +21,7 @@ from metaweight.biasgen import (
     gen_gaussians,
     split_meta,
 )
+from metaweight import metaopt
 from metaweight.metaopt import (
     Batch,
     MetaGradientReport,
@@ -33,7 +34,6 @@ from metaweight.metaopt import (
     update_classifier,
     update_theta,
     virtual_update,
-    weighted_train_loss,
 )
 from metaweight.nnet import (
     ACTIVATIONS,
@@ -101,25 +101,29 @@ SMALL_LAYERS = (LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity"))
 # ---------------------------------------------------------------- weighted loss
 
 
+def weighted_loss(state, batch, meta_batch, normalize=False):
+    return meta_gradient_direct(state, batch, meta_batch, alpha=0.1, normalize=normalize).weighted_loss
+
+
 def test_weighted_loss_constant_half_weights():
-    state, batch, _ = make_instance(0)
-    flat = state.theta.with_theta(np.zeros_like(state.theta.theta))
+    state, batch, meta_batch = make_instance(0)
+    flat = TrainState(state.w, state.theta.with_theta(np.zeros_like(state.theta.theta)), state.velocity)
     losses, _ = per_sample_losses_grads(state.w, batch)
-    value = weighted_train_loss(state.w, flat, batch)
+    value = weighted_loss(flat, batch, meta_batch)
     assert value == pytest.approx(0.5 * losses.mean(), rel=1e-14)
-    normalized = weighted_train_loss(state.w, flat, batch, normalize=True)
+    normalized = weighted_loss(flat, batch, meta_batch, normalize=True)
     assert normalized == pytest.approx(losses.mean(), rel=1e-14)
 
 
 def test_weighted_loss_compositional_oracle():
     for seed in range(3):
-        state, batch, _ = make_instance(seed)
+        state, batch, meta_batch = make_instance(seed)
         losses, _ = per_sample_losses_grads(state.w, batch)
         raw = mw_forward(state.theta, losses)
         expected = sum(float(r) * float(l) for r, l in zip(raw, losses)) / batch.size
-        assert weighted_train_loss(state.w, state.theta, batch) == pytest.approx(expected, rel=1e-13)
+        assert weighted_loss(state, batch, meta_batch) == pytest.approx(expected, rel=1e-13)
         expected_norm = sum(float(r) * float(l) for r, l in zip(raw, losses)) / raw.sum()
-        got_norm = weighted_train_loss(state.w, state.theta, batch, normalize=True)
+        got_norm = weighted_loss(state, batch, meta_batch, normalize=True)
         assert got_norm == pytest.approx(expected_norm, rel=1e-13)
 
 
@@ -260,7 +264,7 @@ def test_meta_gradient_zero_when_classifier_exact_on_meta():
 
     # The fixed point: a full step leaves Theta bitwise unchanged.
     config = TrainConfig(alpha=0.1, beta=0.5, n=6, m=4, T=1)
-    new_state, _ = train_step(state, train_batch, meta_batch, config)
+    new_state, _, _ = train_step(state, train_batch, meta_batch, config)
     assert np.array_equal(new_state.theta.theta, mwnet.theta)
 
 
@@ -473,7 +477,7 @@ def bilevel_instances(draw):
 @given(bilevel_instances())
 def test_train_step_matches_per_sample_oracle(instance):
     state, tb, mb, config, alpha = instance
-    new_state, report = train_step(state, tb, mb, config, alpha=alpha)
+    new_state, report, _ = train_step(state, tb, mb, config, alpha=alpha)
 
     def coefficients(theta):
         raw = mw_forward(theta, losses)
@@ -543,15 +547,16 @@ def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
     w_hat, _ = virtual_update(state, batch, alpha)
-    new_state = update_classifier(state, batch, alpha)
+    new_state, _ = update_classifier(state, batch, alpha)
     assert np.array_equal(new_state.w.params, w_hat)
 
 
 def test_update_classifier_zero_weights_is_identity():
     state, batch, _ = make_instance(32)
     state = TrainState(state.w, zero_weight_theta(seed=1), state.velocity)
-    new_state = update_classifier(state, batch, alpha=0.3)
+    new_state, raw = update_classifier(state, batch, alpha=0.3)
     assert np.array_equal(new_state.w.params, state.w.params)
+    assert np.all(raw == 0.0)
 
 
 def test_update_classifier_recomputes_weights_under_new_theta():
@@ -562,7 +567,7 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     state = TrainState(state.w, shifted, np.full_like(state.w.params, 0.01))
 
     mom, wd, alpha = 0.9, 5e-4, 0.1
-    new_state = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd)
+    new_state, _ = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd)
     raw = mw_forward(shifted, losses)
     expected, expected_vel = sgd_step(
         state.w.params, (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd, state=state.velocity
@@ -575,7 +580,7 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     # Passing the virtual step's cache (the deltas depend on w only, not on
     # Theta) must not change the result.
     _, cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
-    cached = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, cache=cache)
+    cached, _ = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, cache=cache)
     assert np.array_equal(cached.w.params, new_state.w.params)
     assert np.array_equal(cached.velocity, new_state.velocity)
 
@@ -586,11 +591,11 @@ def test_update_classifier_recomputes_weights_under_new_theta():
 def test_train_step_composes_the_three_updates():
     state, tb, mb = make_instance(37)
     config = TrainConfig(alpha=0.1, beta=0.05, n=8, m=4, T=1, classifier_momentum=0.9, classifier_weight_decay=1e-3)
-    new_state, report = train_step(state, tb, mb, config)
+    new_state, report, raw = train_step(state, tb, mb, config)
 
     manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize, config.tau)
     s1 = update_theta(state, manual.grad_theta, config.beta)
-    s2 = update_classifier(
+    s2, s2_raw = update_classifier(
         s1,
         tb,
         config.alpha,
@@ -603,6 +608,9 @@ def test_train_step_composes_the_three_updates():
     assert np.array_equal(new_state.velocity, s2.velocity)
     assert new_state.iteration == state.iteration + 1
     assert np.array_equal(report.grad_theta, manual.grad_theta)
+    # The weights applied are the classifier step's, under the updated Theta.
+    assert np.array_equal(raw, s2_raw)
+    assert np.array_equal(raw, mw_forward(s1.theta, manual.train_losses))
 
 
 def test_train_step_beta_zero_freezes_theta():
@@ -610,7 +618,7 @@ def test_train_step_beta_zero_freezes_theta():
     config = TrainConfig(alpha=0.1, beta=0.0, n=8, m=4, T=1)
     theta0 = state.theta.theta.copy()
     w0 = state.w.params.copy()
-    new_state, _ = train_step(state, tb, mb, config)
+    new_state, _, _ = train_step(state, tb, mb, config)
     assert np.array_equal(new_state.theta.theta, theta0)
     assert not np.array_equal(new_state.w.params, w0)
 
@@ -618,7 +626,7 @@ def test_train_step_beta_zero_freezes_theta():
 def test_train_step_alpha_zero_is_stationary():
     state, tb, mb = make_instance(39)
     config = TrainConfig(alpha=0.1, beta=0.5, n=8, m=4, T=1)
-    new_state, report = train_step(state, tb, mb, config, alpha=0.0)
+    new_state, report, _ = train_step(state, tb, mb, config, alpha=0.0)
     assert np.all(report.grad_theta == 0.0)
     assert np.array_equal(report.w_hat, state.w.params)
     assert np.array_equal(new_state.w.params, state.w.params)
@@ -726,6 +734,41 @@ def test_train_warns_when_meta_outnumbers_train():
     with pytest.warns(UserWarning, match="larger than train"):
         _, report = train(rest, meta, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
     assert any("larger than train" in w for w in report.warnings)
+
+
+def test_train_warns_when_weights_collapse(monkeypatch):
+    # A huge step size saturates the weighting net's sigmoid: from some
+    # iteration on every weight is exactly zero and the run would stall silently.
+    train_set, meta_set, test_set = make_toy_sets(12)
+    config = TrainConfig(alpha=1e4, beta=0.3, n=10, m=4, T=9, seed=2, normalize=True)
+    zero_steps = []
+
+    def spy(*args, **kwargs):
+        new_state, raw = update_classifier(*args, **kwargs)
+        zero_steps.append(not raw.any())
+        return new_state, raw
+
+    monkeypatch.setattr(metaopt, "update_classifier", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    assert len(zero_steps) == 9 and 0 < sum(zero_steps) < 9
+    first = zero_steps.index(True) + 1
+    assert report.warnings == [
+        f"all-zero weights: every sample weight of the classifier step was zero in "
+        f"{sum(zero_steps)} of 9 iterations, first in iteration {first}"
+    ]
+
+    # A baseline whose rule zeroes every weight warns from iteration 1; a
+    # healthy run records nothing.
+    _, zeroed = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
+                      weight_fn=np.zeros_like)
+    assert zeroed.warnings == [
+        "all-zero weights: every sample weight of the classifier step was zero in 9 of 9 iterations, "
+        "first in iteration 1"
+    ]
+    _, healthy = train(train_set, meta_set, test_set, TrainConfig(n=10, m=4, T=9, seed=2),
+                       classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    assert healthy.warnings == []
 
 
 def test_train_beta_zero_equals_frozen_weighting_fn():
