@@ -27,6 +27,11 @@ weighted steps reduce them to sum_i coeff_i g_i and the meta step to the
 inner products g_meta . g_j, layer by layer, in O(n * width) memory
 instead of O(n * param_count). The deltas do not depend on Theta, so the
 virtual step's backward pass is reused by step 3.
+
+The weighting net runs forward once per Theta: the virtual step's pass at
+Theta gives the raw weights, and its cache gives the meta step's Jacobian
+dV(L_j)/dTheta (`nnet.per_sample_gradients` with unit upstream); step 3
+runs the second pass, at the updated Theta'.
 """
 
 from __future__ import annotations
@@ -48,11 +53,12 @@ from metaweight.nnet import (
     gradient_dots,
     init_net,
     layer_deltas,
+    per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
     weighted_gradient,
 )
-from metaweight.weightnet import MWNet, init_mwnet, mw_forward, mw_jacobian
+from metaweight.weightnet import MWNet, init_mwnet, mw_forward, mw_forward_cache
 
 WEIGHT_CURVE_POINTS = 200
 TRACKED_SAMPLES = 10
@@ -76,24 +82,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # Each comparison is written so that NaN fails it.
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         # beta == 0 freezes the weighting net, used by baselines and tests
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if self.n < 1 or self.m < 1:
             raise ValueError("batch sizes must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.classifier_momentum < 1.0:
             raise ValueError("classifier_momentum must be in [0, 1)")
-        if self.classifier_weight_decay < 0:
+        if not self.classifier_weight_decay >= 0:
             raise ValueError("classifier_weight_decay must be >= 0")
         schedule = tuple((int(it), float(mult)) for it, mult in self.lr_schedule)
         for it, mult in schedule:
-            if it < 0 or mult <= 0:
+            if it < 0 or not mult > 0:
                 raise ValueError(f"bad lr_schedule entry ({it}, {mult})")
         object.__setattr__(self, "lr_schedule", schedule)
 
@@ -151,13 +158,15 @@ class Batch:
 class VirtualCache:
     """Intermediates of one virtual step, reused by the meta step and the
     actual update: the training batch's forward pass, its per-layer deltas
-    (`nnet.layer_deltas`), losses, raw weights and step coefficients."""
+    (`nnet.layer_deltas`), losses, raw weights and step coefficients, and
+    the weighting net's forward pass at Theta that gave the raw weights."""
 
     losses: np.ndarray
     forward_cache: ForwardCache
     deltas: list[np.ndarray]
     raw_weights: np.ndarray
     coeffs: np.ndarray
+    mw_cache: ForwardCache
 
 
 @dataclass
@@ -254,7 +263,7 @@ class BaselineSpec:
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.kind == "ramp" and self.gamma < 0:
+        if self.kind == "ramp" and not self.gamma >= 0:
             raise ValueError("ramp exponent gamma must be >= 0")
         if self.kind == "step" and not self.lam > 0:
             raise ValueError("step threshold lam must be > 0")
@@ -314,13 +323,13 @@ def virtual_update(
     """One plain SGD step on the weighted loss, kept as a function of
     Theta: w_hat = w - alpha * sum_i coeff_i * grad_i. No momentum, no
     weight decay; those belong to the actual update."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     losses, fcache, deltas = _losses_deltas(state.w, batch)
-    raw = mw_forward(state.theta, losses)
+    raw, mw_cache = mw_forward_cache(state.theta, losses)
     coeffs = _coefficients(raw, normalize, tau)
     w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
-    return w_hat, VirtualCache(losses, fcache, deltas, raw, coeffs)
+    return w_hat, VirtualCache(losses, fcache, deltas, raw, coeffs, mw_cache)
 
 
 def meta_gradient_direct(
@@ -339,7 +348,8 @@ def meta_gradient_direct(
     and picks up the quotient-rule coupling between samples. g_meta
     takes one backward pass at w_hat; the n inner products with the
     training gradients are reduced layer by layer from the virtual
-    step's deltas.
+    step's deltas, and the weighting net's Jacobian from the virtual
+    step's forward pass at Theta.
     """
     with _stage("virtual step"):
         w_hat, cache = virtual_update(state, train_batch, alpha, normalize, tau)
@@ -349,7 +359,7 @@ def meta_gradient_direct(
         m = meta_batch.size
         mean_meta_grad = weighted_gradient(net_hat, meta_fcache, meta_deltas, np.full(m, 1.0 / m))
         mean_G_per_j = gradient_dots(state.w, cache.forward_cache, cache.deltas, mean_meta_grad)
-        _, jac = mw_jacobian(state.theta, cache.losses)
+        jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
 
         n = train_batch.size
         if normalize:
@@ -365,7 +375,7 @@ def meta_gradient_direct(
         else:
             grad_theta = -(alpha / n) * (mean_G_per_j @ jac)
 
-        if not np.all(np.isfinite(grad_theta)):
+        if not np.isfinite(grad_theta).all():
             raise ValueError("non-finite meta-gradient")
     return MetaGradientReport(
         grad_theta=grad_theta,
@@ -406,7 +416,7 @@ def meta_gradient_fd(
 
 def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> TrainState:
     """Plain SGD on the weighting net: Theta' = Theta - beta * grad_theta."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     grad_theta = np.asarray(grad_theta, dtype=np.float64)
     if grad_theta.shape != state.theta.theta.shape:
@@ -573,7 +583,7 @@ def train(
         if weight_fn is None:
             return mw_forward(theta, losses)
         raw = np.asarray(weight_fn(losses), dtype=np.float64)
-        if raw.shape != losses.shape or np.any(raw < 0) or not np.all(np.isfinite(raw)):
+        if raw.shape != losses.shape or (raw < 0).any() or not np.isfinite(raw).all():
             raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
         return raw
 

@@ -66,21 +66,36 @@ def _check_chain(specs: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
     return specs
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseNet:
-    """Layer specs plus one flat parameter vector (see module docstring for layout)."""
+    """Layer specs plus one flat parameter vector (see module docstring for layout).
+
+    Frozen: the per-layer (W, b) views into `params` are built once, at
+    construction, and stay bound to that vector.
+    """
 
     layers: tuple[LayerSpec, ...]
     params: np.ndarray
 
     def __post_init__(self):
-        self.layers = _check_chain(self.layers)
-        self.params = np.asarray(self.params, dtype=np.float64)
-        expected = sum(s.param_count for s in self.layers)
-        if self.params.shape != (expected,):
-            raise ValueError(f"params must have shape ({expected},), got {self.params.shape}")
-        if not np.all(np.isfinite(self.params)):
+        object.__setattr__(self, "layers", _check_chain(self.layers))
+        self._bind(np.asarray(self.params, dtype=np.float64), sum(s.param_count for s in self.layers))
+
+    def _bind(self, params: np.ndarray, expected: int) -> None:
+        """Check `params` against the layer chain and store it with its
+        per-layer (W, b) views."""
+        if params.shape != (expected,):
+            raise ValueError(f"params must have shape ({expected},), got {params.shape}")
+        if not np.isfinite(params).all():
             raise ValueError("non-finite parameter entries")
+        views, off = [], 0
+        for spec in self.layers:
+            nw = spec.input_dim * spec.output_dim
+            views.append((params[off:off + nw].reshape(spec.input_dim, spec.output_dim),
+                          params[off + nw:off + spec.param_count]))
+            off += spec.param_count
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_views", tuple(views))
 
     @property
     def param_count(self) -> int:
@@ -94,18 +109,17 @@ class DenseNet:
     def output_dim(self) -> int:
         return self.layers[-1].output_dim
 
-    def layer_params(self):
-        """Yield (W, b) views into the flat vector, layer by layer."""
-        off = 0
-        for spec in self.layers:
-            nw = spec.input_dim * spec.output_dim
-            w = self.params[off:off + nw].reshape(spec.input_dim, spec.output_dim)
-            b = self.params[off + nw:off + nw + spec.output_dim]
-            off += nw + spec.output_dim
-            yield w, b
+    def layer_params(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (W, b) views into the flat vector, layer by layer."""
+        return self._views
 
     def with_params(self, params: np.ndarray) -> "DenseNet":
-        return DenseNet(self.layers, np.array(params, dtype=np.float64))
+        """A copy of `params` on the same layers. The layer chain was checked
+        when this net was built, so only the new vector is checked."""
+        net = object.__new__(DenseNet)
+        object.__setattr__(net, "layers", self.layers)
+        net._bind(np.array(params, dtype=np.float64), self.params.size)
+        return net
 
 
 @dataclass
@@ -142,12 +156,10 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return np.maximum(z, 0.0)
     if kind == SIGMOID:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # exp(-|z|) <= 1 cannot overflow; for each sign of z this is the same
+        # arithmetic as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), so the bits match
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return z
 
 
@@ -169,7 +181,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input batch")
     preacts, acts = [], [x]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
@@ -250,14 +262,14 @@ def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarra
         grads[:, off:off + nw] = np.einsum("bi,bo->bio", a_prev, delta).reshape(bsz, nw)
         grads[:, off + nw:off + spec.param_count] = delta
         off += spec.param_count
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradients")
     return grads
 
 
 def fd_gradient(loss_fn: Callable[[np.ndarray], float], params: np.ndarray, eps: float) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     params = np.asarray(params, dtype=np.float64)
     grad = np.empty_like(params)
@@ -285,11 +297,11 @@ def sgd_step(
     """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v'."""
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if lr < 0:
+    if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
-    if weight_decay < 0:
+    if not weight_decay >= 0:
         raise ValueError("weight_decay must be >= 0")
     if grad.shape != params.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
@@ -312,9 +324,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     norm = expz.sum(axis=1, keepdims=True)
-    probs = expz / norm
     idx = np.arange(logits.shape[0])
     losses = np.log(norm[:, 0]) - shifted[idx, labels]
-    grad = probs.copy()
+    grad = np.divide(expz, norm, out=expz)  # softmax, turned into the gradient in place
     grad[idx, labels] -= 1.0
     return losses, grad

@@ -1,10 +1,15 @@
 """The weighting network: a tiny MLP mapping a scalar loss to a weight.
 
 Architecture is 1 -> hidden (ReLU, possibly several layers) -> 1 with a
-sigmoid head, so every weight lands in (0, 1). `mw_jacobian` returns the
-exact per-input parameter Jacobian that the meta update consumes, and
-`normalize` rescales a weight vector to sum to one with a guard for the
-all-zero case.
+sigmoid head, so every weight lands in (0, 1). `normalize` rescales a
+weight vector to sum to one with a guard for the all-zero case.
+
+The meta update consumes the exact per-input parameter Jacobian
+d(weight_i)/d(theta). The training loop runs the net's forward pass once
+per Theta, through `mw_forward_cache`, and builds that Jacobian from the
+returned cache with `nnet.per_sample_gradients(mwnet.net, cache, ones)`.
+`mw_jacobian` does both steps from the losses alone; the loop no longer
+calls it, the tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight.nnet import DenseNet, LayerSpec, forward, init_net, per_sample_gradients
+from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, per_sample_gradients
 
 INIT_SCALE = 0.1
 ZERO_SUM_GUARD = 1e-8
@@ -64,13 +69,18 @@ def init_mwnet(hidden: tuple[int, ...] = (100,), seed: int = 0) -> MWNet:
     return MWNet(net.with_params(net.params * INIT_SCALE))
 
 
-def mw_forward(mwnet: MWNet, losses: np.ndarray) -> np.ndarray:
-    """Map a vector of losses to a vector of weights in (0, 1)."""
+def mw_forward_cache(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """`mw_forward` plus the cache of its forward pass."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1:
         raise ValueError(f"losses must be a 1-d vector, got shape {losses.shape}")
-    out, _ = forward(mwnet.net, losses.reshape(-1, 1))
-    return out[:, 0]
+    out, cache = forward(mwnet.net, losses.reshape(-1, 1))
+    return out[:, 0], cache
+
+
+def mw_forward(mwnet: MWNet, losses: np.ndarray) -> np.ndarray:
+    """Map a vector of losses to a vector of weights in (0, 1)."""
+    return mw_forward_cache(mwnet, losses)[0]
 
 
 def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,20 +88,16 @@ def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns (weights, jac) with jac shape (len(losses), param_count).
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1:
-        raise ValueError(f"losses must be a 1-d vector, got shape {losses.shape}")
-    out, cache = forward(mwnet.net, losses.reshape(-1, 1))
-    upstream = np.ones((losses.size, 1))
-    jac = per_sample_gradients(mwnet.net, cache, upstream)
-    return out[:, 0], jac
+    weights, cache = mw_forward_cache(mwnet, losses)
+    jac = per_sample_gradients(mwnet.net, cache, np.ones((weights.size, 1)))
+    return weights, jac
 
 
 def normalize(weights: np.ndarray, guard: float = ZERO_SUM_GUARD) -> np.ndarray:
     """Rescale nonnegative weights to sum to 1; an all-zero vector maps
     to all zeros (the guard only replaces the denominator)."""
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+    if (weights < 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be finite and nonnegative")
     total = float(weights.sum())
     denom = total if total > 0.0 else guard

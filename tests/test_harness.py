@@ -147,6 +147,10 @@ def test_baseline_spec_validation():
         BaselineSpec("focal")
     with pytest.raises(ValueError):
         BaselineSpec("ramp", gamma=-1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        BaselineSpec("ramp", gamma=float("nan"))
+    with pytest.raises(ValueError, match="lam"):
+        BaselineSpec("step", lam=float("nan"))
     with pytest.raises(ValueError):
         BaselineSpec("step", lam=0.0)
     assert BaselineSpec("uniform").kind == "uniform"

@@ -656,6 +656,57 @@ def test_train_config_validation():
         TrainConfig(classifier_momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_schedule=((5, 0.0),))
+    nan = float("nan")
+    for field in ("alpha", "beta", "tau", "classifier_momentum", "classifier_weight_decay"):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: nan})
+    with pytest.raises(ValueError, match="lr_schedule"):
+        TrainConfig(lr_schedule=((5, nan),))
+    state, tb, _ = make_instance(41)
+    with pytest.raises(ValueError, match="alpha"):
+        virtual_update(state, tb, alpha=nan)
+    with pytest.raises(ValueError, match="beta"):
+        update_theta(state, np.zeros_like(state.theta.theta), beta=nan)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_train_step_does_the_promised_work(monkeypatch, normalize):
+    """One weighting-net forward per Theta (Theta, then Theta'), four
+    forwards in all, one classifier sgd_step (the benchmark's clock), and
+    a meta-step Jacobian equal bit for bit to mw_jacobian's."""
+    from metaweight import nnet, weightnet
+
+    state, tb, mb = make_instance(42)
+    config = TrainConfig(n=tb.size, m=mb.size, T=1, beta=0.5, normalize=normalize)
+    calls = {"forward": [], "sgd_step": 0, "jacobians": []}
+
+    def counting_forward(net, batch):
+        calls["forward"].append(net.layers)
+        return forward(net, batch)
+
+    def counting_sgd_step(*args, **kwargs):
+        calls["sgd_step"] += 1
+        return sgd_step(*args, **kwargs)
+
+    def recording_psg(net, cache, upstream):
+        calls["jacobians"].append(per_sample_gradients(net, cache, upstream))
+        return calls["jacobians"][-1]
+
+    for module in (nnet, weightnet, metaopt):
+        monkeypatch.setattr(module, "forward", counting_forward)
+    monkeypatch.setattr(metaopt, "sgd_step", counting_sgd_step)
+    monkeypatch.setattr(metaopt, "per_sample_gradients", recording_psg)
+    new_state, report, _ = train_step(state, tb, mb, config)
+
+    assert len(calls["forward"]) == 4
+    assert calls["forward"].count(state.theta.net.layers) == 2
+    assert calls["sgd_step"] == 1
+    monkeypatch.undo()
+    weights, jac = mw_jacobian(state.theta, report.train_losses)
+    assert len(calls["jacobians"]) == 1
+    assert np.array_equal(calls["jacobians"][0], jac)
+    assert np.array_equal(report.per_sample_weights, weights)
+    assert not np.array_equal(new_state.theta.theta, state.theta.theta)
 
 
 # ---------------------------------------------------------------- train loop

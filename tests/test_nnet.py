@@ -5,6 +5,7 @@ code shared with the implementation) and central finite differences.
 """
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from metaweight.nnet import (
     DenseNet,
     LayerSpec,
+    _activate,
     fd_gradient,
     forward,
     gradient_dots,
@@ -123,6 +125,48 @@ def test_layer_validation():
         DenseNet((LayerSpec(2, 3), LayerSpec(4, 1)), np.zeros(14))
     with pytest.raises(ValueError):
         DenseNet((LayerSpec(2, 3),), np.zeros(5))
+
+
+def test_with_params_checks_the_new_vector_and_rebinds_the_views(small_net):
+    p = small_net.params
+    with pytest.raises(ValueError, match=r"^params must have shape \(54,\), got \(53,\)$"):
+        small_net.with_params(p[:-1])
+    bad = p.copy()
+    bad[7] = np.inf
+    with pytest.raises(ValueError, match="^non-finite parameter entries$"):
+        small_net.with_params(bad)
+
+    new = small_net.with_params(p + 1.0)
+    assert new.layers is small_net.layers
+    off = 0
+    for spec, (w, b) in zip(new.layers, new.layer_params()):
+        nw = spec.input_dim * spec.output_dim
+        assert np.array_equal(w, (p + 1.0)[off:off + nw].reshape(spec.input_dim, spec.output_dim))
+        assert np.array_equal(b, (p + 1.0)[off + nw:off + spec.param_count])
+        assert np.shares_memory(w, new.params) and np.shares_memory(b, new.params)
+        off += spec.param_count
+    # The views are bound once, so the vector cannot be swapped under them.
+    with pytest.raises(FrozenInstanceError):
+        new.params = p
+
+
+def masked_sigmoid(z):
+    """The sigmoid as first written, with boolean-mask indexing; the oracle
+    for the branch-free form in nnet."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    edge = np.array([0.0, 1e-300, 36.0, 710.0, 745.0, 1e308, np.inf])
+    rng = np.random.Generator(np.random.Philox(29))
+    z = np.concatenate([edge, -edge, rng.normal(0.0, 20.0, 10_000)]).reshape(-1, 1)
+    got = _activate(z, "sigmoid")
+    assert np.array_equal(got.view(np.uint64), masked_sigmoid(z).view(np.uint64))
 
 
 def test_per_sample_gradients_match_fd(small_net):
@@ -257,6 +301,14 @@ def test_sgd_step_validation():
         sgd_step(p, np.zeros(3), lr=0.1, weight_decay=-0.1)
     with pytest.raises(ValueError):
         sgd_step(p, np.zeros(2), lr=0.1)
+    with pytest.raises(ValueError, match="^lr"):
+        sgd_step(p, np.zeros(3), lr=float("nan"))
+    with pytest.raises(ValueError, match="^momentum"):
+        sgd_step(p, np.zeros(3), lr=0.1, momentum=float("nan"))
+    with pytest.raises(ValueError, match="^weight_decay"):
+        sgd_step(p, np.zeros(3), lr=0.1, weight_decay=float("nan"))
+    with pytest.raises(ValueError, match="^eps"):
+        fd_gradient(lambda q: 0.0, p, eps=float("nan"))
     # lr=0 is a legal degenerate step: parameters stay put, velocity updates.
     new, vel = sgd_step(p, np.ones(3), lr=0.0, momentum=0.9)
     assert np.array_equal(new, p)
