@@ -82,7 +82,10 @@ class NoiseSpec:
 
 @dataclass
 class BiasedDataset:
-    """Features plus observed/true labels and per-sample corruption flags."""
+    """Features plus observed/true labels and per-sample corruption flags.
+
+    Features must be finite; this is the one place they are checked, so
+    the training loop runs its batches unchecked."""
 
     features: np.ndarray
     observed_labels: np.ndarray
@@ -98,6 +101,8 @@ class BiasedDataset:
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
+        if not np.isfinite(self.features).all():
+            raise ValueError("non-finite feature values")
         for name, arr in (("observed_labels", self.observed_labels),
                           ("true_labels", self.true_labels),
                           ("corrupted", self.corrupted)):
@@ -283,6 +288,8 @@ def load_dataset(path) -> BiasedDataset:
             if len(row) != d + 3:
                 raise ValueError(f"{path}: record {seen} has {len(row)} fields, expected {d + 3}")
             features[seen] = [float(v) for v in row[:d]]
+            if not np.isfinite(features[seen]).all():
+                raise ValueError(f"{path}: record {seen} has a non-finite feature")
             observed[seen] = int(row[d])
             true[seen] = int(row[d + 1])
             corrupted[seen] = bool(int(row[d + 2]))

@@ -21,17 +21,29 @@ independent meta mini-batch:
    weights recomputed under the new Theta, this time with the configured
    momentum and weight decay.
 
-No step builds a per-sample gradient row. One backward pass on the
-training batch gives each layer's deltas (`nnet.layer_deltas`); the
-weighted steps reduce them to sum_i coeff_i g_i and the meta step to the
-inner products g_meta . g_j, layer by layer, in O(n * width) memory
-instead of O(n * param_count). The deltas do not depend on Theta, so the
-virtual step's backward pass is reused by step 3.
+No step builds a per-sample gradient row, and the meta step builds no
+vector of param_count length at all. One backward pass on the training
+batch gives each layer's inputs a_k and deltas delta_k at w
+(`nnet.layer_deltas`); the virtual step is kept as these factors, and the
+meta batch runs forward and backward at w_hat through them
+(`nnet.lookahead_forward`, `nnet.lookahead_deltas`) with the m x n Gram
+matrices K_k = a_meta,k a_k^T + 1. The inner products g_meta . g_j are
+then the column means of sum_k K_k * (delta_meta,k delta_k^T)
+(`nnet.gradient_gram`), so neither w_hat nor g_meta is ever formed; the
+extra work is O(n * m * width). w_hat is computed only on demand
+(`VirtualCache.w_hat`), and `meta_gradient_fd` keeps the explicit w_hat
+path as the independent oracle. The deltas do not depend on Theta, so
+the virtual step's backward pass is reused by step 3, the one
+param_count-sized reduction of an iteration.
 
 The weighting net runs forward once per Theta: the virtual step's pass at
 Theta gives the raw weights, and its cache gives the meta step's Jacobian
 dV(L_j)/dTheta (`nnet.per_sample_gradients` with unit upstream); step 3
 runs the second pass, at the updated Theta'.
+
+Finiteness is checked once per stage output: the step coefficients,
+grad_theta, and each new parameter vector (`DenseNet` rejects a
+non-finite one); dataset features are checked where the dataset is built.
 """
 
 from __future__ import annotations
@@ -50,9 +62,11 @@ from metaweight.nnet import (
     ForwardCache,
     LayerSpec,
     forward,
-    gradient_dots,
+    gradient_gram,
     init_net,
     layer_deltas,
+    lookahead_deltas,
+    lookahead_forward,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
@@ -63,6 +77,10 @@ from metaweight.weightnet import MWNet, init_mwnet, mw_forward, mw_forward_cache
 WEIGHT_CURVE_POINTS = 200
 TRACKED_SAMPLES = 10
 CURVE_PERCENTILE = 99.0
+# An epoch's meta loss above this many times ln(c), the loss of a uniform
+# guess, marks a diverging run. The shipped configs stay below 3 times
+# ln(c) in every epoch, baselines included.
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -156,17 +174,26 @@ class Batch:
 
 @dataclass
 class VirtualCache:
-    """Intermediates of one virtual step, reused by the meta step and the
-    actual update: the training batch's forward pass, its per-layer deltas
+    """One virtual step, kept as the factors of w_hat and reused by the
+    meta step and the actual update: the classifier w and step size alpha,
+    the training batch's forward pass, its per-layer deltas
     (`nnet.layer_deltas`), losses, raw weights and step coefficients, and
     the weighting net's forward pass at Theta that gave the raw weights."""
 
+    net: DenseNet
+    alpha: float
     losses: np.ndarray
     forward_cache: ForwardCache
     deltas: list[np.ndarray]
     raw_weights: np.ndarray
     coeffs: np.ndarray
     mw_cache: ForwardCache
+
+    @property
+    def w_hat(self) -> np.ndarray:
+        """The virtual parameters w - alpha * sum_i coeff_i g_i, built on
+        demand; the training loop never needs them."""
+        return self.net.params - self.alpha * weighted_gradient(self.net, self.forward_cache, self.deltas, self.coeffs)
 
 
 @dataclass
@@ -179,10 +206,13 @@ class MetaGradientReport:
 
     grad_theta: np.ndarray
     mean_G_per_j: np.ndarray
-    w_hat: np.ndarray
     weighted_loss: float
     meta_loss: float
     virtual: VirtualCache
+
+    @property
+    def w_hat(self) -> np.ndarray:
+        return self.virtual.w_hat
 
     @property
     def per_sample_weights(self) -> np.ndarray:
@@ -295,7 +325,10 @@ def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCach
 def _coefficients(raw: np.ndarray, normalize: bool, tau: float) -> np.ndarray:
     if normalize:
         return weightnet.normalize(raw, tau)
-    return raw / raw.size
+    coeffs = raw / raw.size
+    if not np.isfinite(coeffs).all():
+        raise ValueError("non-finite sample weights")
+    return coeffs
 
 
 class _stage:
@@ -319,17 +352,17 @@ def virtual_update(
     alpha: float,
     normalize: bool = False,
     tau: float = 1e-8,
-) -> tuple[np.ndarray, VirtualCache]:
+) -> VirtualCache:
     """One plain SGD step on the weighted loss, kept as a function of
-    Theta: w_hat = w - alpha * sum_i coeff_i * grad_i. No momentum, no
-    weight decay; those belong to the actual update."""
+    Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
+    (`VirtualCache.w_hat` builds the vector). No momentum, no weight
+    decay; those belong to the actual update."""
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw, mw_cache = mw_forward_cache(state.theta, losses)
     coeffs = _coefficients(raw, normalize, tau)
-    w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
-    return w_hat, VirtualCache(losses, fcache, deltas, raw, coeffs, mw_cache)
+    return VirtualCache(state.w, alpha, losses, fcache, deltas, raw, coeffs, mw_cache)
 
 
 def meta_gradient_direct(
@@ -345,20 +378,21 @@ def meta_gradient_direct(
     Unnormalized, this is the closed form
     -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j; Theta)/dTheta; under
     normalization the same chain rule runs through eta = raw/sum(raw)
-    and picks up the quotient-rule coupling between samples. g_meta
-    takes one backward pass at w_hat; the n inner products with the
-    training gradients are reduced layer by layer from the virtual
-    step's deltas, and the weighting net's Jacobian from the virtual
-    step's forward pass at Theta.
+    and picks up the quotient-rule coupling between samples. The meta
+    batch runs forward and backward at w_hat through the virtual step's
+    factors, and the n inner products come from the m x n Gram matrices
+    of the two batches (see the module docstring); the weighting net's
+    Jacobian comes from the virtual step's forward pass at Theta.
     """
     with _stage("virtual step"):
-        w_hat, cache = virtual_update(state, train_batch, alpha, normalize, tau)
+        cache = virtual_update(state, train_batch, alpha, normalize, tau)
     with _stage("meta step"):
-        net_hat = state.w.with_params(w_hat)
-        meta_losses, meta_fcache, meta_deltas = _losses_deltas(net_hat, meta_batch)
-        m = meta_batch.size
-        mean_meta_grad = weighted_gradient(net_hat, meta_fcache, meta_deltas, np.full(m, 1.0 / m))
-        mean_G_per_j = gradient_dots(state.w, cache.forward_cache, cache.deltas, mean_meta_grad)
+        scale = (alpha * cache.coeffs)[:, None]
+        steps = [scale * delta for delta in cache.deltas]
+        meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
+        meta_losses, dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)
+        meta_deltas = lookahead_deltas(state.w, cache.forward_cache, steps, meta_fcache, dmeta)
+        mean_G_per_j = gradient_gram(grams, meta_deltas, cache.deltas).mean(axis=0)
         jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
 
         n = train_batch.size
@@ -380,7 +414,6 @@ def meta_gradient_direct(
     return MetaGradientReport(
         grad_theta=grad_theta,
         mean_G_per_j=mean_G_per_j,
-        w_hat=w_hat,
         weighted_loss=float(cache.coeffs @ cache.losses),
         meta_loss=float(meta_losses.mean()),
         virtual=cache,
@@ -464,7 +497,9 @@ def _weighted_step(
     new_params, new_velocity = sgd_step(
         state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
     )
-    return TrainState(state.w.with_params(new_params), state.theta, new_velocity, state.iteration), coeffs
+    # sgd_step's output is fresh, so the new net takes it without a copy;
+    # DenseNet rejects a non-finite vector.
+    return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity, state.iteration), coeffs
 
 
 def train_step(
@@ -554,8 +589,8 @@ def train(
     weight_fn replaces the weighting net with a fixed losses -> weights
     map (baselines); in that mode Theta is never touched and recorded
     meta-gradient norms are zero. The report's warnings name a meta set
-    larger than the train set and classifier steps whose weights were
-    all zero.
+    larger than the train set, classifier steps whose weights were all
+    zero, and epochs whose meta loss shows the run diverging.
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -645,6 +680,7 @@ def train(
             f"all-zero weights: every sample weight of the classifier step was zero in "
             f"{len(zero_weight_iters)} of {config.T} iterations, first in iteration {zero_weight_iters[0]}"
         )
+    notes.extend(_divergence_notes(history["meta_loss"], meta_set.c))
     echo = asdict(config)
     echo["classifier_layers"] = [
         {"input_dim": s.input_dim, "output_dim": s.output_dim, "activation": s.activation}
@@ -655,6 +691,21 @@ def train(
     if config_echo:
         echo.update(config_echo)
     return state, _final_report(state, weigh, train_set, test_set, tracked_ids, history, echo, notes)
+
+
+def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:
+    """A run warning when some epoch's meta loss is above DIVERGENCE_FACTOR
+    times ln(c): the classifier is then confidently wrong on the clean,
+    balanced meta set, far worse than guessing."""
+    limit = DIVERGENCE_FACTOR * float(np.log(c))
+    over = [epoch for epoch, loss in enumerate(meta_losses, 1) if loss > limit]
+    if not over:
+        return []
+    return [
+        f"diverging meta loss: the meta-set loss was above {limit:.4g} ({DIVERGENCE_FACTOR:g} times ln {c}, "
+        f"the loss of a uniform guess) in {len(over)} of {len(meta_losses)} epochs, first in epoch {over[0]} "
+        f"at {meta_losses[over[0] - 1]:.4g}"
+    ]
 
 
 def _final_report(

@@ -11,16 +11,34 @@ Gradients come from one backward pass. `layer_deltas` returns, for each
 layer k, the (batch, output_dim) matrix delta_k of per-sample loss
 gradients with respect to the layer's pre-activations. Sample i's gradient
 block for layer k is then a_k[i] (outer) delta_k[i] for W_k and delta_k[i]
-for b_k, so the reductions the training loop needs never build a
-per-sample gradient row:
+for b_k, with a_k the layer's input, so the reductions the training loop
+needs never build a per-sample gradient row:
 
     weighted_gradient:  sum_i c_i g_i  = per layer a_k^T (c * delta_k), c^T delta_k
-    gradient_dots:      (g_i . v)_i    = per layer rowsum((a_k V_W + v_b) * delta_k)
+    gradient_gram:      (g'_i . g_j)   = sum_k K_k * (delta'_k delta_k^T),
+                                         K_k = a'_k a_k^T + 1
 
-Both cost O(batch * width) memory instead of O(batch * param_count).
+`gradient_gram` is the Gram-matrix form of per-example gradient inner
+products (Goodfellow, arXiv:1510.01799): the bias block adds the 1.
+
+The same factorization runs a network at the virtual point
+w_hat = w - sum_i s_i g_i of an SGD step without forming w_hat. Layer k's
+step is W_k - a_k^T S_k, b_k - 1^T S_k with S_k = s * delta_k, so a new
+batch a'_k sees
+
+    forward:   z'_k = a'_k W_k + b_k - K_k S_k
+    backward:  delta'_{k-1} = (delta'_k W_k^T - (delta'_k S_k^T) a_k) * act'
+
+(`lookahead_forward`, `lookahead_deltas`), and the K_k of the forward
+pass are the Gram matrices `gradient_gram` needs. All of this costs
+O(batch * width) memory instead of O(batch * param_count).
 `per_sample_gradients` materializes the rows from the same deltas; it
 serves as the oracle in tests and as the engine of the weighting net's
-small Jacobian. Reductions use numpy's fixed summation order, so identical
+small Jacobian.
+
+Nothing here checks its outputs for finiteness except `DenseNet`, which
+rejects a non-finite parameter vector; callers check the quantities
+they act on. Reductions use numpy's fixed summation order, so identical
 inputs give bit-identical results across runs.
 """
 
@@ -181,11 +199,10 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input batch")
     preacts, acts = [], [x]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w
+        z += b
         preacts.append(z)
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(preacts, acts)
@@ -223,24 +240,58 @@ def weighted_gradient(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarra
         np.matmul(a_prev.T, coeffs[:, None] * delta, out=grad[off:off + nw].reshape(spec.input_dim, spec.output_dim))
         grad[off + nw:off + spec.param_count] = coeffs @ delta
         off += spec.param_count
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradients")
     return grad
 
 
-def gradient_dots(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """The batch vector of inner products d(loss_i)/d(params) . v, built
-    layer by layer as (a_i^T V_W + v_b) . delta_i."""
-    dots = np.zeros(cache.batch_size)
-    off = 0
-    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
-        nw = spec.input_dim * spec.output_dim
-        v_w = v[off:off + nw].reshape(spec.input_dim, spec.output_dim)
-        dots += np.einsum("bo,bo->b", a_prev @ v_w + v[off + nw:off + spec.param_count], delta)
-        off += spec.param_count
-    if not np.isfinite(dots).all():
-        raise ValueError("non-finite gradient inner products")
-    return dots
+def lookahead_forward(
+    net: DenseNet, cache: ForwardCache, steps: list[np.ndarray], batch: np.ndarray
+) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
+    """`forward` at w_hat = w - sum_i s_i g_i, where g_i are the per-sample
+    gradients of the batch cached in `cache` and steps[k] = s * delta_k
+    (see module docstring). Returns the outputs, the cache and the
+    per-layer Gram matrices K_k = a'_k a_k^T + 1 of this batch against the
+    cached one."""
+    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if x.shape[1] != net.input_dim:
+        raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
+    preacts, acts, grams = [], [x], []
+    for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
+        gram = acts[-1] @ a_prev.T
+        gram += 1.0
+        z = acts[-1] @ w
+        z += b
+        z -= gram @ step
+        grams.append(gram)
+        preacts.append(z)
+        acts.append(_activate(z, spec.activation))
+    return acts[-1], ForwardCache(preacts, acts), grams
+
+
+def lookahead_deltas(
+    net: DenseNet, cache: ForwardCache, steps: list[np.ndarray], look_cache: ForwardCache, upstream: np.ndarray
+) -> list[np.ndarray]:
+    """`layer_deltas` at the w_hat of `lookahead_forward`, for the batch of
+    `look_cache`; `cache` and `steps` are the ones that defined w_hat."""
+    weights = [w for w, _ in net.layer_params()]
+    deltas = [None] * len(net.layers)
+    delta = np.asarray(upstream, dtype=np.float64)
+    for k in range(len(net.layers) - 1, -1, -1):
+        delta = _activation_backward(delta, look_cache.preacts[k], look_cache.acts[k + 1], net.layers[k].activation)
+        deltas[k] = delta
+        if k > 0:
+            delta = delta @ weights[k].T - (delta @ steps[k].T) @ cache.acts[k]
+    return deltas
+
+
+def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b: list[np.ndarray]) -> np.ndarray:
+    """The (batch_a, batch_b) matrix of inner products g_a[i] . g_b[j]
+    between two batches' per-sample gradients, sum_k K_k * (da_k db_k^T),
+    from the per-layer Gram matrices K_k = a_a,k a_b,k^T + 1 (as returned
+    by `lookahead_forward`) and each batch's per-layer deltas."""
+    total = grams[0] * (deltas_a[0] @ deltas_b[0].T)
+    for gram, da, db in zip(grams[1:], deltas_a[1:], deltas_b[1:]):
+        total += gram * (da @ db.T)
+    return total
 
 
 def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
@@ -250,7 +301,7 @@ def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarra
     gradients with respect to the network outputs. The mean of the rows
     equals the gradient of the mean loss. Memory is batch_size *
     param_count floats; the training loop uses `weighted_gradient` and
-    `gradient_dots` instead.
+    `gradient_gram` instead.
     """
     deltas = layer_deltas(net, cache, upstream)
     bsz = cache.batch_size
@@ -259,11 +310,10 @@ def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarra
     for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
         nw = spec.input_dim * spec.output_dim
         # dL_i/dW = a_prev_i (outer) delta_i, C-order ravel matches the layout
-        grads[:, off:off + nw] = np.einsum("bi,bo->bio", a_prev, delta).reshape(bsz, nw)
+        block = grads[:, off:off + nw].reshape(bsz, spec.input_dim, spec.output_dim)
+        np.multiply(a_prev[:, :, None], delta[:, None, :], out=block)
         grads[:, off + nw:off + spec.param_count] = delta
         off += spec.param_count
-    if not np.isfinite(grads).all():
-        raise ValueError("non-finite gradients")
     return grads
 
 
@@ -294,7 +344,10 @@ def sgd_step(
     weight_decay: float = 0.0,
     state: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v'."""
+    """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v'.
+
+    Evaluated left to right into the two returned arrays, with no other
+    param-sized temporary."""
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if not lr >= 0:
@@ -309,8 +362,12 @@ def sgd_step(
         state = np.zeros_like(params)
     elif state.shape != params.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs state {state.shape}")
-    velocity = momentum * state + grad + weight_decay * params
-    return params - lr * velocity, velocity
+    velocity = np.multiply(momentum, state)
+    velocity += grad
+    new_params = np.multiply(weight_decay, params)
+    velocity += new_params
+    np.multiply(lr, velocity, out=new_params)
+    return np.subtract(params, new_params, out=new_params), velocity
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Bias-generator checks: exact counts, binomial concentration, purity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,10 @@ def test_dataset_invariants_enforced():
         BiasedDataset(feats, labels, labels, np.array([True, False, False, False]), 3)
     with pytest.raises(ValueError):
         BiasedDataset(feats, np.array([0, 1, 3, 0]), labels, np.zeros(4, bool), 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match="^non-finite feature values$"):
+            BiasedDataset(feats, labels, labels, np.zeros(4, bool), 3)
 
 
 def test_gen_gaussians_counts_and_determinism():
@@ -236,3 +242,7 @@ def test_load_dataset_rejects_malformed(tmp_path):
     path.write_text("1,2,3\n0.0,0.0,0,0\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+    for cell in ("nan", "inf", "-Infinity"):
+        path.write_text(f"2,2,3\n0.0,0.0,0,0,0\n1.5,{cell},1,1,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: record 1 has a non-finite feature$"):
+            load_dataset(path)

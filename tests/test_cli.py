@@ -200,6 +200,41 @@ def test_train_weight_collapse_is_reported(tmp_path):
     assert f"run warning: {warnings[0]}\n" in shown.stdout
 
 
+@pytest.mark.parametrize("alpha", [30, 100])
+def test_train_divergence_is_reported(tmp_path, alpha):
+    # A large step size drives the classifier to chance accuracy with
+    # positive weights, so no weight collapses: the run records the meta
+    # loss it diverged to, and `report` prints it.
+    doc = huge_alpha_noise40([])
+    doc["optim"]["alpha"] = alpha
+    cfg = write_config(tmp_path / "diverge.json", doc)
+    out = tmp_path / "r"
+    proc = run_cli("train", "--config", cfg, "--out", out, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    warnings = json.load(open(out / "config.json"))["run_warnings"]
+    assert len(warnings) == 1
+    pattern = r"diverging meta loss: the meta-set loss was above 10\.99 \(10 times ln 3, .*\) in \d+ of 100 epochs, first in epoch \d+ at [0-9.e+]+"
+    assert re.fullmatch(pattern, warnings[0]), warnings[0]
+    shown = run_cli("report", out)
+    assert shown.returncode == 0, shown.stderr
+    assert f"run warning: {warnings[0]}\n" in shown.stdout
+
+
+def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--config", write_config(tmp_path / "gen.json", base_doc()), "--out", data).returncode == 0
+    lines = data.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n")
+    doc = base_doc()
+    doc["dataset"] = {"kind": "file", "path": str(data), "test_fraction": 0.2}
+    out = tmp_path / "r"
+    proc = run_cli("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {data}: record 3 has a non-finite feature\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- probe
 
 

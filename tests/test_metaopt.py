@@ -133,8 +133,8 @@ def test_weighted_loss_compositional_oracle():
 def test_virtual_update_zero_weights_is_identity():
     state, batch, _ = make_instance(1)
     state = TrainState(state.w, zero_weight_theta(), state.velocity)
-    w_hat, cache = virtual_update(state, batch, alpha=0.5)
-    assert np.array_equal(w_hat, state.w.params)
+    cache = virtual_update(state, batch, alpha=0.5)
+    assert np.array_equal(cache.w_hat, state.w.params)
     assert np.all(cache.raw_weights == 0.0)
     assert np.all(cache.coeffs == 0.0)
 
@@ -143,12 +143,12 @@ def test_virtual_update_half_weights_is_half_step():
     state, batch, _ = make_instance(2)
     flat = TrainState(state.w, state.theta.with_theta(np.zeros_like(state.theta.theta)), state.velocity)
     alpha = 0.2
-    w_hat, _ = virtual_update(flat, batch, alpha)
+    w_hat = virtual_update(flat, batch, alpha).w_hat
     _, grads = per_sample_losses_grads(state.w, batch)
     expected, _ = sgd_step(state.w.params, grads.mean(axis=0), 0.5 * alpha)
     assert rel_err(w_hat, expected) < 1e-13
     # Normalized flat weights are exactly 1/n: a full-rate mean-loss step.
-    w_hat_n, _ = virtual_update(flat, batch, alpha, normalize=True)
+    w_hat_n = virtual_update(flat, batch, alpha, normalize=True).w_hat
     expected_n, _ = sgd_step(state.w.params, grads.mean(axis=0), alpha)
     assert rel_err(w_hat_n, expected_n) < 1e-13
 
@@ -156,7 +156,8 @@ def test_virtual_update_half_weights_is_half_step():
 def test_virtual_update_per_sample_oracle():
     state, batch, _ = make_instance(3)
     alpha = 0.1
-    w_hat, cache = virtual_update(state, batch, alpha)
+    cache = virtual_update(state, batch, alpha)
+    w_hat = cache.w_hat
     losses, grads = per_sample_losses_grads(state.w, batch)
     raw = mw_forward(state.theta, losses)
     step = np.zeros_like(state.w.params)
@@ -487,6 +488,8 @@ def test_train_step_matches_per_sample_oracle(instance):
     w, velocity = state.w.params, state.velocity
     coeffs = coefficients(state.theta)
     w_hat = w - alpha * (coeffs @ grads)
+    # The step never forms w_hat; report.w_hat builds it on demand from the
+    # virtual step's factors, and the meta batch ran at it through them.
     assert close(report.w_hat, w_hat, np.linalg.norm(w) + alpha * row_scale(coeffs, grads))
 
     meta_grads = per_sample_losses_grads(state.w.with_params(w_hat), mb)[1]
@@ -546,7 +549,7 @@ def test_update_theta_closed_forms():
 def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
-    w_hat, _ = virtual_update(state, batch, alpha)
+    w_hat = virtual_update(state, batch, alpha).w_hat
     new_state, _ = update_classifier(state, batch, alpha)
     assert np.array_equal(new_state.w.params, w_hat)
 
@@ -579,7 +582,7 @@ def test_update_classifier_recomputes_weights_under_new_theta():
 
     # Passing the virtual step's cache (the deltas depend on w only, not on
     # Theta) must not change the result.
-    _, cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
+    cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
     cached, _ = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, cache=cache)
     assert np.array_equal(cached.w.params, new_state.w.params)
     assert np.array_equal(cached.velocity, new_state.velocity)
@@ -671,36 +674,75 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_train_step_does_the_promised_work(monkeypatch, normalize):
-    """One weighting-net forward per Theta (Theta, then Theta'), four
-    forwards in all, one classifier sgd_step (the benchmark's clock), and
-    a meta-step Jacobian equal bit for bit to mw_jacobian's."""
+    """One weighting-net forward per Theta (Theta, then Theta'), the
+    training batch's forward at w and the meta batch's lookahead forward
+    at w_hat, one classifier sgd_step (the benchmark's clock), and a
+    meta-step Jacobian equal bit for bit to mw_jacobian's. The meta step
+    runs no weighted-gradient reduction and builds no net, so it builds no
+    param_count-length vector: the one weighted_gradient belongs to the
+    classifier step, the one with_params to Theta', and the new classifier
+    takes sgd_step's output without a copy."""
     from metaweight import nnet, weightnet
 
     state, tb, mb = make_instance(42)
     config = TrainConfig(n=tb.size, m=mb.size, T=1, beta=0.5, normalize=normalize)
-    calls = {"forward": [], "sgd_step": 0, "jacobians": []}
+    calls = {"forward": [], "lookahead": 0, "sgd_step": [], "jacobians": [], "weighted": [], "nets": []}
+    stage = ["update"]
 
     def counting_forward(net, batch):
         calls["forward"].append(net.layers)
         return forward(net, batch)
 
+    def counting_lookahead(*args):
+        calls["lookahead"] += 1
+        return nnet.lookahead_forward(*args)
+
     def counting_sgd_step(*args, **kwargs):
-        calls["sgd_step"] += 1
-        return sgd_step(*args, **kwargs)
+        calls["sgd_step"].append(sgd_step(*args, **kwargs))
+        return calls["sgd_step"][-1]
 
     def recording_psg(net, cache, upstream):
         calls["jacobians"].append(per_sample_gradients(net, cache, upstream))
         return calls["jacobians"][-1]
 
+    def staged_weighted_gradient(*args):
+        calls["weighted"].append(stage[0])
+        return weighted_gradient(*args)
+
+    with_params, post_init = DenseNet.with_params, DenseNet.__post_init__
+
+    def staged_with_params(net, params):
+        calls["nets"].append((stage[0], "with_params", net.layers))
+        return with_params(net, params)
+
+    def staged_post_init(net):
+        calls["nets"].append((stage[0], "DenseNet", net.layers))
+        post_init(net)
+
+    def meta_step(*args, **kwargs):
+        stage[0] = "meta"
+        try:
+            return meta_gradient_direct(*args, **kwargs)
+        finally:
+            stage[0] = "update"
+
     for module in (nnet, weightnet, metaopt):
         monkeypatch.setattr(module, "forward", counting_forward)
+    monkeypatch.setattr(metaopt, "lookahead_forward", counting_lookahead)
     monkeypatch.setattr(metaopt, "sgd_step", counting_sgd_step)
     monkeypatch.setattr(metaopt, "per_sample_gradients", recording_psg)
+    monkeypatch.setattr(metaopt, "weighted_gradient", staged_weighted_gradient)
+    monkeypatch.setattr(DenseNet, "with_params", staged_with_params)
+    monkeypatch.setattr(DenseNet, "__post_init__", staged_post_init)
+    monkeypatch.setattr(metaopt, "meta_gradient_direct", meta_step)
     new_state, report, _ = train_step(state, tb, mb, config)
 
-    assert len(calls["forward"]) == 4
-    assert calls["forward"].count(state.theta.net.layers) == 2
-    assert calls["sgd_step"] == 1
+    assert calls["forward"] == [state.w.layers, state.theta.net.layers, state.theta.net.layers]
+    assert calls["lookahead"] == 1
+    assert len(calls["sgd_step"]) == 1
+    assert new_state.w.params is calls["sgd_step"][0][0]
+    assert calls["weighted"] == ["update"]
+    assert calls["nets"] == [("update", "with_params", state.theta.net.layers), ("update", "DenseNet", state.w.layers)]
     monkeypatch.undo()
     weights, jac = mw_jacobian(state.theta, report.train_losses)
     assert len(calls["jacobians"]) == 1
@@ -789,9 +831,12 @@ def test_train_warns_when_meta_outnumbers_train():
 
 def test_train_warns_when_weights_collapse(monkeypatch):
     # A huge step size saturates the weighting net's sigmoid: from some
-    # iteration on every weight is exactly zero and the run would stall silently.
+    # iteration on every weight is exactly zero and the run would stall
+    # silently. The schedule raises the step size to 1e4 from iteration 5;
+    # unnormalized, the meta-gradient that saturates the sigmoid is far
+    # above rounding, so the collapse does not hinge on the last bits.
     train_set, meta_set, test_set = make_toy_sets(12)
-    config = TrainConfig(alpha=1e4, beta=0.3, n=10, m=4, T=9, seed=2, normalize=True)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=9, seed=2, lr_schedule=((4, 1e5),))
     zero_steps = []
 
     def spy(*args, **kwargs):

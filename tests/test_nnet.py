@@ -16,9 +16,11 @@ from metaweight.nnet import (
     _activate,
     fd_gradient,
     forward,
-    gradient_dots,
+    gradient_gram,
     init_net,
     layer_deltas,
+    lookahead_deltas,
+    lookahead_forward,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
@@ -92,8 +94,10 @@ def test_forward_cache_shapes(small_net):
 def test_forward_rejects_bad_input(small_net):
     with pytest.raises(ValueError):
         forward(small_net, np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        forward(small_net, np.array([[1.0, np.nan, 0.0]]))
+    # Values are not checked here: datasets reject non-finite features when
+    # they are built, and the training loop checks what each stage outputs.
+    out, _ = forward(small_net, np.array([[1.0, np.nan, 0.0]]))
+    assert np.isnan(out).all()
 
 
 def test_init_deterministic_and_scaled():
@@ -209,7 +213,7 @@ def test_gradient_mean_equals_mean_loss_gradient(small_net):
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
 def test_layer_reductions_match_per_sample_rows(activation):
-    # weighted_gradient and gradient_dots reduce the deltas layer by layer;
+    # weighted_gradient and gradient_gram reduce the deltas layer by layer;
     # the oracle reduces the materialized per-sample rows.
     rng = np.random.Generator(np.random.Philox(19))
     net = init_net((LayerSpec(4, 6, activation), LayerSpec(6, 5, activation), LayerSpec(5, 3, "identity")), 3)
@@ -220,14 +224,51 @@ def test_layer_reductions_match_per_sample_rows(activation):
     assert [d.shape for d in deltas] == [(7, 6), (7, 5), (7, 3)]
     rows = per_sample_gradients(net, cache, dlogits)
     coeffs = rng.random(7)
-    v = rng.normal(size=net.param_count)
     assert rel_err(weighted_gradient(net, cache, deltas, coeffs), coeffs @ rows) < 1e-14
-    assert rel_err(gradient_dots(net, cache, deltas, v), rows @ v) < 1e-14
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            weighted_gradient(net, cache, deltas, np.full(7, np.inf))
-        with pytest.raises(ValueError, match="non-finite"):
-            gradient_dots(net, cache, deltas, np.full(net.param_count, np.nan))
+
+    # A second batch at the same point (zero steps): the lookahead pass is
+    # the plain forward, and its Gram matrices give the rows' inner products.
+    x2 = rng.normal(size=(4, 4))
+    out2, cache2 = forward(net, x2)
+    _, dlogits2 = softmax_cross_entropy(out2, rng.integers(0, 3, size=4))
+    rows2 = per_sample_gradients(net, cache2, dlogits2)
+    zero = [np.zeros_like(d) for d in deltas]
+    look_out, look_cache, grams = lookahead_forward(net, cache, zero, x2)
+    assert np.array_equal(look_out, out2)
+    assert [g.shape for g in grams] == [(4, 7)] * 3
+    deltas2 = lookahead_deltas(net, cache, zero, look_cache, dlogits2)
+    assert all(np.array_equal(a, b) for a, b in zip(deltas2, layer_deltas(net, cache2, dlogits2)))
+    assert rel_err(gradient_gram(grams, deltas2, deltas), rows2 @ rows.T) < 1e-14
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+def test_lookahead_pass_matches_the_explicit_step(activation):
+    # The lookahead pass runs a batch at w_hat = w - sum_i s_i g_i from the
+    # step's factors; the oracle builds w_hat and runs the plain passes.
+    rng = np.random.Generator(np.random.Philox(23))
+    net = init_net((LayerSpec(3, 5, activation), LayerSpec(5, 4, activation), LayerSpec(4, 3, "identity")), 5)
+    x = rng.normal(size=(6, 3))
+    out, cache = forward(net, x)
+    _, dlogits = softmax_cross_entropy(out, rng.integers(0, 3, size=6))
+    deltas = layer_deltas(net, cache, dlogits)
+    rows = per_sample_gradients(net, cache, dlogits)
+    s = 0.3 * rng.random(6)
+    steps = [s[:, None] * d for d in deltas]
+    net_hat = net.with_params(net.params - s @ rows)
+
+    x2 = rng.normal(size=(5, 3))
+    labels2 = rng.integers(0, 3, size=5)
+    look_out, look_cache, grams = lookahead_forward(net, cache, steps, x2)
+    out_hat, cache_hat = forward(net_hat, x2)
+    assert rel_err(look_out, out_hat) < 1e-14
+    for gram, a_new, a_old in zip(grams, cache_hat.acts, cache.acts):
+        assert rel_err(gram, a_new @ a_old.T + 1.0) < 1e-14
+    _, dlogits2 = softmax_cross_entropy(look_out, labels2)
+    deltas2 = lookahead_deltas(net, cache, steps, look_cache, dlogits2)
+    for got, want in zip(deltas2, layer_deltas(net_hat, cache_hat, dlogits2)):
+        assert rel_err(got, want) < 1e-14
+    rows_hat = per_sample_gradients(net_hat, cache_hat, softmax_cross_entropy(out_hat, labels2)[1])
+    assert rel_err(gradient_gram(grams, deltas2, deltas), rows_hat @ rows.T) < 1e-13
 
 
 def test_relu_subgradient_at_zero_is_zero():
