@@ -80,12 +80,19 @@ class NoiseSpec:
             raise ValueError("noise rate must be in [0, 1]")
 
 
+def _read_only(arr, dtype) -> np.ndarray:
+    view = np.asarray(arr, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class BiasedDataset:
     """Features plus observed/true labels and per-sample corruption flags.
 
     Features must be finite; this is the one place they are checked, so
-    the training loop runs its batches unchecked."""
+    the training loop runs its batches unchecked. The fields are read-only
+    views, so derived datasets share arrays without copies or aliasing writes."""
 
     features: np.ndarray
     observed_labels: np.ndarray
@@ -94,10 +101,10 @@ class BiasedDataset:
     c: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        self.corrupted = np.asarray(self.corrupted, dtype=bool)
+        self.features = _read_only(self.features, np.float64)
+        self.observed_labels = _read_only(self.observed_labels, np.int64)
+        self.true_labels = _read_only(self.true_labels, np.int64)
+        self.corrupted = _read_only(self.corrupted, bool)
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
@@ -152,7 +159,7 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
             size=(spec.per_class_count, spec.d)
         )
         labels[lo:hi] = k
-    return BiasedDataset(features, labels, labels.copy(), np.zeros(n, dtype=bool), spec.c)
+    return BiasedDataset(features, labels, labels, np.zeros(n, dtype=bool), spec.c)
 
 
 def longtail_counts(c: int, spec: ImbalanceSpec) -> np.ndarray:
@@ -181,10 +188,8 @@ def apply_longtail(dataset: BiasedDataset, spec: ImbalanceSpec, seed: int) -> Bi
 
 
 def _relabeled(dataset: BiasedDataset, observed: np.ndarray) -> BiasedDataset:
-    """A copy of `dataset` with new observed labels, corruption flags recomputed."""
-    return BiasedDataset(
-        dataset.features.copy(), observed, dataset.true_labels.copy(), observed != dataset.true_labels, dataset.c
-    )
+    """`dataset` with new observed labels (features and true labels shared)."""
+    return BiasedDataset(dataset.features, observed, dataset.true_labels, observed != dataset.true_labels, dataset.c)
 
 
 def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:

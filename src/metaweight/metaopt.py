@@ -48,6 +48,8 @@ non-finite one); dataset features are checked where the dataset is built.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings as _warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -143,7 +145,8 @@ class TrainState:
 @dataclass
 class Batch:
     """A mini-batch; samples are sorted by dataset index at construction
-    so reductions run in one canonical order regardless of draw order."""
+    so reductions run in one canonical order regardless of draw order.
+    Ids already in order keep the arrays given, uncopied."""
 
     ids: np.ndarray
     features: np.ndarray
@@ -157,10 +160,11 @@ class Batch:
             raise ValueError("empty batch")
         if self.features.shape[0] != self.ids.size or self.labels.shape != self.ids.shape:
             raise ValueError("batch field lengths disagree")
-        order = np.argsort(self.ids, kind="stable")
-        self.ids = self.ids[order]
-        self.features = self.features[order]
-        self.labels = self.labels[order]
+        if (self.ids[1:] < self.ids[:-1]).any():
+            order = np.argsort(self.ids, kind="stable")
+            self.ids = self.ids[order]
+            self.features = self.features[order]
+            self.labels = self.labels[order]
 
     @property
     def size(self) -> int:
@@ -168,7 +172,7 @@ class Batch:
 
     @classmethod
     def from_dataset(cls, dataset: BiasedDataset, indices: np.ndarray) -> "Batch":
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.sort(np.asarray(indices, dtype=np.int64))
         return cls(indices, dataset.features[indices], dataset.observed_labels[indices])
 
 
@@ -314,6 +318,11 @@ class BaselineSpec:
         return lambda losses: (np.asarray(losses, dtype=np.float64) < self.lam).astype(np.float64)
 
 
+def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample losses of one forward pass, which keeps no cache."""
+    return softmax_cross_entropy(forward(net, features)[0], labels)[0]
+
+
 def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
     """Per-sample losses plus the forward cache and per-layer deltas of
     one backward pass."""
@@ -400,8 +409,10 @@ def meta_gradient_direct(
             total = float(cache.raw_weights.sum())
             denom = total if total > 0.0 else tau
             if total > 0.0:
-                # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2
-                coupled = float(mean_G_per_j @ cache.raw_weights) / denom**2
+                # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
+                # twice where denom^2 is below the normal range (or 0)
+                coupled = float(mean_G_per_j @ cache.raw_weights)
+                coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
                 dmeta_draw = -alpha * (mean_G_per_j / denom - coupled)
             else:
                 dmeta_draw = -alpha * mean_G_per_j / denom
@@ -440,9 +451,7 @@ def meta_gradient_fd(
         raw = mw_forward(mw, losses)
         coeffs = _coefficients(raw, normalize, tau)
         w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
-        out, _ = forward(state.w.with_params(w_hat), meta_batch.features)
-        meta_losses, _ = softmax_cross_entropy(out, meta_batch.labels)
-        return float(meta_losses.mean())
+        return float(_losses(state.w.with_params(w_hat), meta_batch.features, meta_batch.labels).mean())
 
     return fd_gradient(mean_meta_loss, state.theta.theta, eps)
 
@@ -645,7 +654,7 @@ def train(
                 meta_batch = Batch.from_dataset(meta_set, midx)
                 state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
                 epoch_losses.append(report.weighted_loss)
-                epoch_norms.append(float(np.linalg.norm(report.grad_theta)))
+                epoch_norms.append(math.sqrt(report.grad_theta @ report.grad_theta))
             else:
                 with _stage("classifier step"):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
@@ -665,11 +674,9 @@ def train(
                     history["accuracy"].append(evaluate(state.w, test_set)[0])
                     history["train_loss"].append(float(np.mean(epoch_losses)))
                     history["grad_norm"].append(float(np.mean(epoch_norms)))
-                    meta_out, _ = forward(state.w, meta_set.features)
-                    meta_losses, _ = softmax_cross_entropy(meta_out, meta_set.observed_labels)
+                    meta_losses = _losses(state.w, meta_set.features, meta_set.observed_labels)
                     history["meta_loss"].append(float(np.mean(meta_losses)))
-                    out, _ = forward(state.w, tracked_batch.features)
-                    losses, _ = softmax_cross_entropy(out, tracked_batch.labels)
+                    losses = _losses(state.w, tracked_batch.features, tracked_batch.labels)
                     history["tracked"].append(weigh(state.theta, losses))
                 epoch_losses, epoch_norms = [], []
         except ValueError as exc:
@@ -713,12 +720,11 @@ def _final_report(
     test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
 ) -> RunReport:
     """The run report: per-epoch histories plus the final classifier's
-    confusion matrix, per-sample weights and weight curve."""
+    confusion matrix, per-sample weights and weight curve. The final pass
+    reads the training set in place: its ids are already in `Batch` order."""
     _, final_confusion = evaluate(state.w, test_set)
 
-    full_batch = Batch.from_dataset(train_set, np.arange(train_set.n))
-    out, _ = forward(state.w, full_batch.features)
-    final_losses, _ = softmax_cross_entropy(out, full_batch.labels)
+    final_losses = _losses(state.w, train_set.features, train_set.observed_labels)
 
     hi = max(float(np.percentile(final_losses, CURVE_PERCENTILE)), 1e-6)
     grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)
@@ -733,9 +739,9 @@ def _final_report(
         final_confusion=final_confusion,
         curve_losses=grid,
         curve_weights=weigh(state.theta, grid),
-        dist_ids=full_batch.ids,
+        dist_ids=np.arange(train_set.n, dtype=np.int64),
         dist_weights=weigh(state.theta, final_losses),
-        dist_corrupted=train_set.corrupted[full_batch.ids],
+        dist_corrupted=train_set.corrupted.copy(),
         tracked_ids=tracked_ids,
         tracked_weight_history=tracked_matrix,
         config_echo=echo,

@@ -36,6 +36,11 @@ O(batch * width) memory instead of O(batch * param_count).
 serves as the oracle in tests and as the engine of the weighting net's
 small Jacobian.
 
+A forward pass keeps one array per layer, its output: ReLU rectifies the
+pre-activation in place and its backward pass masks on act > 0, equal to
+preact > 0 for every float (as in in-place activated layers, Rota Bulo et
+al., arXiv:1712.02616); sigmoid's derivative reads only its output.
+
 Nothing here checks its outputs for finiteness except `DenseNet`, which
 rejects a non-finite parameter vector; callers check the quantities
 they act on. Reductions use numpy's fixed summation order, so identical
@@ -142,10 +147,9 @@ class DenseNet:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass: acts[0] is the input batch,
-    preacts[k]/acts[k+1] belong to layer k."""
+    """The activations of one forward pass, the only arrays it keeps: acts[0]
+    is the input batch, acts[k+1] the output of layer k."""
 
-    preacts: list[np.ndarray]
     acts: list[np.ndarray]
 
     @property
@@ -171,21 +175,23 @@ def init_net(specs: Sequence[LayerSpec], seed: int) -> DenseNet:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of the pre-activation `z`; ReLU overwrites `z`."""
     if kind == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == SIGMOID:
         # exp(-|z|) <= 1 cannot overflow; for each sign of z this is the same
         # arithmetic as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), so the bits match
         e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
     return z
 
 
-def _activation_backward(delta: np.ndarray, preact: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
-    """delta times the activation's derivative; identity passes delta through."""
+def _activation_backward(delta: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
+    """delta times the activation's derivative at the layer output `act`;
+    identity passes delta through."""
     # ReLU subgradient at 0 is defined as 0.
     if kind == RELU:
-        return delta * (preact > 0.0)
+        return delta * (act > 0.0)
     if kind == SIGMOID:
         return delta * (act * (1.0 - act))
     return delta
@@ -199,13 +205,12 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    preacts, acts = [], [x]
+    acts = [x]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
         z = acts[-1] @ w
         z += b
-        preacts.append(z)
         acts.append(_activate(z, spec.activation))
-    return acts[-1], ForwardCache(preacts, acts)
+    return acts[-1], ForwardCache(acts)
 
 
 def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> list[np.ndarray]:
@@ -223,7 +228,7 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
     deltas = [None] * len(net.layers)
     delta = upstream
     for k in range(len(net.layers) - 1, -1, -1):
-        delta = _activation_backward(delta, cache.preacts[k], cache.acts[k + 1], net.layers[k].activation)
+        delta = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
             delta = delta @ weights[k].T
@@ -254,7 +259,7 @@ def lookahead_forward(
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    preacts, acts, grams = [], [x], []
+    acts, grams = [x], []
     for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
         gram = acts[-1] @ a_prev.T
         gram += 1.0
@@ -262,9 +267,8 @@ def lookahead_forward(
         z += b
         z -= gram @ step
         grams.append(gram)
-        preacts.append(z)
         acts.append(_activate(z, spec.activation))
-    return acts[-1], ForwardCache(preacts, acts), grams
+    return acts[-1], ForwardCache(acts), grams
 
 
 def lookahead_deltas(
@@ -276,7 +280,7 @@ def lookahead_deltas(
     deltas = [None] * len(net.layers)
     delta = np.asarray(upstream, dtype=np.float64)
     for k in range(len(net.layers) - 1, -1, -1):
-        delta = _activation_backward(delta, look_cache.preacts[k], look_cache.acts[k + 1], net.layers[k].activation)
+        delta = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
             delta = delta @ weights[k].T - (delta @ steps[k].T) @ cache.acts[k]
@@ -374,15 +378,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     """Per-sample softmax cross-entropy and its gradient w.r.t. the logits.
 
     Returns (losses, grad) with losses shape (batch,) and grad shape
-    (batch, classes) = softmax(logits) - onehot(labels).
+    (batch, classes) = softmax(logits) - onehot(labels). Labels must lie
+    in [0, classes); they are checked where datasets are built, not here.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     norm = expz.sum(axis=1, keepdims=True)
-    idx = np.arange(logits.shape[0])
-    losses = np.log(norm[:, 0]) - shifted[idx, labels]
+    # each sample's label entry, as one index into the raveled (batch, classes) arrays
+    at_label = np.arange(0, shifted.size, shifted.shape[1]) + labels
+    losses = np.log(norm[:, 0]) - shifted.ravel()[at_label]
     grad = np.divide(expz, norm, out=expz)  # softmax, turned into the gradient in place
-    grad[idx, labels] -= 1.0
+    grad.ravel()[at_label] -= 1.0
     return losses, grad

@@ -60,6 +60,28 @@ def test_dataset_invariants_enforced():
             BiasedDataset(feats, labels, labels, np.zeros(4, bool), 3)
 
 
+def test_dataset_fields_are_read_only_views():
+    feats = np.zeros((4, 2))
+    labels = np.array([0, 1, 2, 0])
+    ds = BiasedDataset(feats, labels, labels, np.zeros(4, bool), 3)
+    for arr in (ds.features, ds.observed_labels, ds.true_labels, ds.corrupted):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # the caller's arrays stay writable, and the dataset sees their writes
+    feats[0, 0] = 5.0
+    assert ds.features[0, 0] == 5.0 and np.shares_memory(ds.features, feats)
+
+
+def test_noise_injection_shares_features_and_true_labels():
+    ds = toy_dataset()
+    for noisy in (apply_uniform_noise(ds, 0.4, seed=5), apply_flip_noise(ds, 0.4, seed=5)):
+        assert np.shares_memory(noisy.features, ds.features)
+        assert np.shares_memory(noisy.true_labels, ds.true_labels)
+        assert not np.shares_memory(noisy.observed_labels, ds.observed_labels)
+        with pytest.raises(ValueError, match="read-only"):
+            noisy.features[0, 0] = 1.0
+
+
 def test_gen_gaussians_counts_and_determinism():
     ds = toy_dataset(c=3, per_class=100)
     assert ds.n == 300

@@ -307,6 +307,22 @@ def test_meta_gradient_zero_sum_guard_yields_finite_zero():
     assert np.all(report.grad_theta == 0.0)
 
 
+def test_meta_gradient_normalized_with_an_underflowing_square_sum():
+    state, tb, mb = make_instance(3)
+    # Last-layer weights 0 and bias -460: every raw weight is about 1e-200,
+    # so their sum is positive but its square underflows to 0.
+    theta = state.theta.theta.copy()
+    h = state.theta.net.layers[-1].input_dim
+    theta[-(h + 1):-1] = 0.0
+    theta[-1] = -460.0
+    state = TrainState(state.w, state.theta.with_theta(theta), state.velocity)
+    report = meta_gradient_direct(state, tb, mb, 0.1, normalize=True)
+    total = float(report.per_sample_weights.sum())
+    assert total > 0.0 and total**2 == 0.0
+    fd = meta_gradient_fd(state, tb, mb, 0.1, eps=1e-5, normalize=True)
+    assert np.linalg.norm(report.grad_theta - fd) < 1e-6 * np.linalg.norm(fd)
+
+
 def test_meta_gradient_duplicated_sample_columns_identical():
     state, _, mb = make_instance(13)
     rng = np.random.Generator(np.random.Philox(13))
@@ -422,6 +438,25 @@ def test_meta_gradient_batch_order_invariance():
     assert np.array_equal(r1.w_hat, r2.w_hat)
 
 
+def test_batch_sorts_only_out_of_order_ids():
+    rng = np.random.Generator(np.random.Philox(24))
+    feats = rng.standard_normal((5, 2))
+    labels = rng.integers(0, 3, 5)
+    ids = np.array([4, 0, 3, 1, 2])
+    shuffled = Batch(ids, feats, labels)
+    assert np.array_equal(shuffled.ids, np.arange(5))
+    assert np.array_equal(shuffled.features, feats[np.argsort(ids)])
+    assert np.array_equal(shuffled.labels, labels[np.argsort(ids)])
+    in_order = Batch(np.arange(5), feats, labels)
+    assert in_order.features is feats and in_order.labels is labels
+
+    train_set = make_toy_sets(12)[0]
+    batch = Batch.from_dataset(train_set, np.array([5, 1, 3]))
+    assert np.array_equal(batch.ids, [1, 3, 5])
+    assert np.array_equal(batch.features, train_set.features[[1, 3, 5]])
+    assert np.array_equal(batch.labels, train_set.observed_labels[[1, 3, 5]])
+
+
 # ---------------------------------------------------------------- per-layer path vs per-sample oracle
 
 
@@ -528,6 +563,30 @@ def test_train_step_memory_is_per_layer():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"train_step peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_train_keeps_one_activation_of_the_training_set():
+    # The run report's pass over all N training samples reads the dataset in
+    # place and keeps one array per layer, so a run peaks below 2.5 N x 256
+    # activations; a pass that gathered the set twice and kept each ReLU
+    # layer's pre-activation reached 3.9.
+    means = np.zeros((10, 256))
+    means[np.arange(10), np.arange(10)] = 16.0
+    pool = gen_gaussians(GaussianMixtureSpec(10, 256, means, 1.0, 200), 1)
+    meta_set, rest = split_meta(pool, 10, 2)
+    train_set = apply_uniform_noise(rest, 0.4, 3)
+    test_set = gen_gaussians(GaussianMixtureSpec(10, 256, means, 1.0, 20), 4)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=64, m=32, T=30, normalize=True, classifier_momentum=0.9)
+    specs = (LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity"))
+    assert train_set.n == 1900
+    tracemalloc.start()
+    try:
+        train(train_set, meta_set, test_set, config, classifier_specs=specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = train_set.n * 256 * 8
+    assert peak < 2.5 * activation, f"train peaked at {peak / activation:.2f} activations"
 
 
 # ---------------------------------------------------------------- updates

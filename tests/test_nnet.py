@@ -5,7 +5,7 @@ code shared with the implementation) and central finite differences.
 """
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from metaweight.nnet import (
     DenseNet,
     LayerSpec,
     _activate,
+    _activation_backward,
     fd_gradient,
     forward,
     gradient_gram,
@@ -85,9 +86,8 @@ def test_forward_cache_shapes(small_net):
     x = np.ones((4, 3))
     out, cache = forward(small_net, x)
     assert out.shape == (4, 2)
-    assert len(cache.preacts) == 3
-    assert len(cache.acts) == 4
-    assert cache.acts[0].shape == (4, 3)
+    # the input plus one activation per layer
+    assert [a.shape for a in cache.acts] == [(4, 3), (4, 5), (4, 4), (4, 2)]
     assert cache.batch_size == 4
 
 
@@ -171,6 +171,37 @@ def test_sigmoid_is_bit_identical_to_the_masked_form():
     z = np.concatenate([edge, -edge, rng.normal(0.0, 20.0, 10_000)]).reshape(-1, 1)
     got = _activate(z, "sigmoid")
     assert np.array_equal(got.view(np.uint64), masked_sigmoid(z).view(np.uint64))
+
+
+def test_forward_cache_holds_one_array_per_layer(small_net):
+    rng = np.random.Generator(np.random.Philox(31))
+    x = rng.normal(size=(6, 3))
+    out, cache = forward(small_net, x)
+    assert [f.name for f in fields(cache)] == ["acts"]
+    assert len(cache.acts) == len(small_net.layers) + 1
+    assert np.shares_memory(cache.acts[0], x) and out is cache.acts[-1]
+    for k, (spec, (w, b)) in enumerate(zip(small_net.layers, small_net.layer_params())):
+        z = cache.acts[k] @ w + b
+        expected = {"relu": np.maximum(z, 0.0), "sigmoid": masked_sigmoid(z), "identity": z}[spec.activation]
+        assert np.array_equal(cache.acts[k + 1], expected)
+        assert cache.acts[k + 1].base is None  # the layer's own buffer, no view of another
+    # ReLU rectifies the pre-activation buffer itself.
+    z = rng.normal(size=(4, 5))
+    assert _activate(z, "relu") is z and (z >= 0.0).all()
+
+
+def test_relu_backward_masks_on_the_output_exactly_as_on_the_preactivation():
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([0.0, tiny, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e308, np.inf, np.nan])
+    preact = np.concatenate([edge, -edge]).reshape(2, -1)
+    rng = np.random.Generator(np.random.Philox(37))
+    delta = rng.normal(size=preact.shape)
+    delta[0, :3] = [np.inf, -np.inf, np.nan]
+    act = _activate(preact.copy(), "relu")
+    with np.errstate(invalid="ignore"):  # inf * 0
+        got = _activation_backward(delta, act, "relu")
+        expected = delta * (preact > 0.0)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_per_sample_gradients_match_fd(small_net):
