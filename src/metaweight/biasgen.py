@@ -57,18 +57,6 @@ class GaussianMixtureSpec:
 
 
 @dataclass(frozen=True)
-class ImbalanceSpec:
-    base_count: int
-    factor: float
-
-    def __post_init__(self):
-        if self.base_count < 1:
-            raise ValueError("base_count must be >= 1")
-        if self.factor < 1:
-            raise ValueError("imbalance factor must be >= 1")
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     kind: str
     rate: float
@@ -162,22 +150,24 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
     return BiasedDataset(features, labels, labels, np.zeros(n, dtype=bool), spec.c)
 
 
-def longtail_counts(c: int, spec: ImbalanceSpec) -> np.ndarray:
+def longtail_counts(c: int, base_count: int, factor: float) -> np.ndarray:
     """Per-class keep counts round(base_count * mu^i), mu = factor^(-1/(c-1))."""
-    mu = spec.factor ** (-1.0 / (c - 1))
-    counts = np.array([round(spec.base_count * mu**i) for i in range(c)], dtype=np.int64)
+    if not factor >= 1:
+        raise ValueError("imbalance factor must be >= 1")
+    mu = factor ** (-1.0 / (c - 1))
+    counts = np.array([round(base_count * mu**i) for i in range(c)], dtype=np.int64)
     if counts.min() < 1:
-        raise ValueError(f"imbalance factor {spec.factor} empties a class (counts {counts.tolist()})")
+        raise ValueError(f"imbalance factor {factor} empties a class (counts {counts.tolist()})")
     return counts
 
 
-def apply_longtail(dataset: BiasedDataset, spec: ImbalanceSpec, seed: int) -> BiasedDataset:
-    """Subsample classes exponentially: class 0 keeps base_count samples,
-    class c-1 keeps about base_count/factor."""
+def apply_longtail(dataset: BiasedDataset, factor: float, seed: int) -> BiasedDataset:
+    """Subsample a balanced dataset's classes exponentially: class 0 keeps
+    all of its samples, class c-1 about 1/factor of them."""
     counts = dataset.class_counts
-    if np.any(counts != spec.base_count):
-        raise ValueError(f"expected a balanced dataset with {spec.base_count} per class, got {counts.tolist()}")
-    keep_counts = longtail_counts(dataset.c, spec)
+    if np.any(counts != counts[0]):
+        raise ValueError(f"imbalance injection needs a balanced dataset, got class counts {counts.tolist()}")
+    keep_counts = longtail_counts(dataset.c, int(counts[0]), factor)
     rng = rng_stream(seed, 1)
     kept = []
     for k in range(dataset.c):

@@ -9,6 +9,7 @@ no environment variables.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -83,7 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least(flag: str, value, lo) -> None:
+    """Reject a flag value below `lo` as a config error naming the flag."""
+    if value is not None and not value >= lo:
+        raise ConfigError(f"{flag} must be >= {lo}, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _at_least("--seed", args.seed, 0)
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     dataset = generate_biased(cfg, seed)
@@ -93,6 +101,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _at_least("--seed", args.seed, 0)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
@@ -112,6 +121,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _at_least("--steps", args.steps, 2)
+    if not -math.inf < args.min < args.max < math.inf:
+        raise ConfigError(f"--min and --max must be finite with --max above --min, got {args.min} and {args.max}")
     mwnet = load_mwnet(args.model)
     grid, weights = probe_curve(mwnet, args.min, args.max, args.steps)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -148,8 +160,8 @@ def _gradcheck_instance(seed: int, alpha: float, normalize: bool) -> tuple[np.nd
 
 
 def cmd_gradcheck(args) -> int:
-    if args.instances < 1:
-        raise ConfigError("--instances must be >= 1")
+    _at_least("--instances", args.instances, 1)
+    _at_least("--seed", args.seed, 0)
     worst = 0.0
     failures = 0
     # Alternate normalization modes; one extra zero-step instance at the

@@ -139,7 +139,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     meta = doc["meta"]
     _require_keys(meta, {"per_class"}, {"per_class"}, "meta")
-    meta_per_class = _number(meta, "per_class", "meta", lo=0, integer=True)
+    meta_per_class = _number(meta, "per_class", "meta", lo=1, integer=True)
 
     classifier_hidden = (32,)
     mwnet_hidden = (100,)
@@ -154,7 +154,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     optim_block = doc["optim"]
     _require_keys(
         optim_block,
-        {"alpha", "beta", "n", "m", "T", "tau", "normalize", "momentum", "weight_decay", "lr_schedule"},
+        {"alpha", "beta", "n", "m", "T", "normalize", "momentum", "weight_decay", "lr_schedule"},
         {"alpha", "beta", "n", "m", "T"},
         "optim",
     )
@@ -177,7 +177,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             n=_number(optim_block, "n", "optim", integer=True),
             m=_number(optim_block, "m", "optim", integer=True),
             T=_number(optim_block, "T", "optim", integer=True),
-            tau=_number(optim_block, "tau", "optim", 1e-8),
             normalize=normalize,
             classifier_momentum=_number(optim_block, "momentum", "optim", 0.0),
             classifier_weight_decay=_number(optim_block, "weight_decay", "optim", 0.0),

@@ -26,7 +26,6 @@ from metaweight.biasgen import (
     UNIFORM,
     BiasedDataset,
     GaussianMixtureSpec,
-    ImbalanceSpec,
     apply_flip_noise,
     apply_longtail,
     apply_uniform_noise,
@@ -102,14 +101,7 @@ def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
 def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> BiasedDataset:
     """Apply the config's imbalance, then its label noise."""
     if cfg.imbalance_factor is not None:
-        counts = dataset.class_counts
-        if np.any(counts != counts[0]):
-            raise ValueError("imbalance injection needs a balanced dataset")
-        dataset = apply_longtail(
-            dataset,
-            ImbalanceSpec(base_count=int(counts[0]), factor=cfg.imbalance_factor),
-            derive_seed(seed, 12),
-        )
+        dataset = apply_longtail(dataset, cfg.imbalance_factor, derive_seed(seed, 12))
     if cfg.noise is not None:
         inject = apply_uniform_noise if cfg.noise.kind == UNIFORM else apply_flip_noise
         dataset = inject(dataset, cfg.noise.rate, derive_seed(seed, 13))

@@ -94,7 +94,6 @@ class TrainConfig:
     n: int = 32
     m: int = 16
     T: int = 100
-    tau: float = 1e-8
     normalize: bool = False
     classifier_momentum: float = 0.0
     classifier_weight_decay: float = 0.0
@@ -112,8 +111,6 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
         if not 0.0 <= self.classifier_momentum < 1.0:
             raise ValueError("classifier_momentum must be in [0, 1)")
         if not self.classifier_weight_decay >= 0:
@@ -132,14 +129,11 @@ class TrainState:
     w: DenseNet
     theta: MWNet
     velocity: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=np.float64)
         if self.velocity.shape != self.w.params.shape:
             raise ValueError("velocity must match classifier parameter shape")
-        if self.iteration < 0:
-            raise ValueError("iteration must be >= 0")
 
 
 @dataclass
@@ -213,18 +207,6 @@ class MetaGradientReport:
     weighted_loss: float
     meta_loss: float
     virtual: VirtualCache
-
-    @property
-    def w_hat(self) -> np.ndarray:
-        return self.virtual.w_hat
-
-    @property
-    def per_sample_weights(self) -> np.ndarray:
-        return self.virtual.raw_weights
-
-    @property
-    def train_losses(self) -> np.ndarray:
-        return self.virtual.losses
 
 
 @dataclass
@@ -331,9 +313,9 @@ def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCach
     return losses, cache, layer_deltas(net, cache, dlogits)
 
 
-def _coefficients(raw: np.ndarray, normalize: bool, tau: float) -> np.ndarray:
+def _coefficients(raw: np.ndarray, normalize: bool) -> np.ndarray:
     if normalize:
-        return weightnet.normalize(raw, tau)
+        return weightnet.normalize(raw)
     coeffs = raw / raw.size
     if not np.isfinite(coeffs).all():
         raise ValueError("non-finite sample weights")
@@ -360,7 +342,6 @@ def virtual_update(
     batch: Batch,
     alpha: float,
     normalize: bool = False,
-    tau: float = 1e-8,
 ) -> VirtualCache:
     """One plain SGD step on the weighted loss, kept as a function of
     Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
@@ -370,7 +351,7 @@ def virtual_update(
         raise ValueError("alpha must be >= 0")
     losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw, mw_cache = mw_forward_cache(state.theta, losses)
-    coeffs = _coefficients(raw, normalize, tau)
+    coeffs = _coefficients(raw, normalize)
     return VirtualCache(state.w, alpha, losses, fcache, deltas, raw, coeffs, mw_cache)
 
 
@@ -380,21 +361,21 @@ def meta_gradient_direct(
     meta_batch: Batch,
     alpha: float,
     normalize: bool = False,
-    tau: float = 1e-8,
 ) -> MetaGradientReport:
     """Exact gradient of the mean meta loss at w_hat(Theta) w.r.t. Theta.
 
     Unnormalized, this is the closed form
     -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j; Theta)/dTheta; under
     normalization the same chain rule runs through eta = raw/sum(raw)
-    and picks up the quotient-rule coupling between samples. The meta
+    and picks up the quotient-rule coupling between samples; an all-zero
+    raw vector has an all-zero Jacobian, so its gradient is 0. The meta
     batch runs forward and backward at w_hat through the virtual step's
     factors, and the n inner products come from the m x n Gram matrices
     of the two batches (see the module docstring); the weighting net's
     Jacobian comes from the virtual step's forward pass at Theta.
     """
     with _stage("virtual step"):
-        cache = virtual_update(state, train_batch, alpha, normalize, tau)
+        cache = virtual_update(state, train_batch, alpha, normalize)
     with _stage("meta step"):
         scale = (alpha * cache.coeffs)[:, None]
         steps = [scale * delta for delta in cache.deltas]
@@ -406,17 +387,12 @@ def meta_gradient_direct(
 
         n = train_batch.size
         if normalize:
-            total = float(cache.raw_weights.sum())
-            denom = total if total > 0.0 else tau
-            if total > 0.0:
-                # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
-                # twice where denom^2 is below the normal range (or 0)
-                coupled = float(mean_G_per_j @ cache.raw_weights)
-                coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
-                dmeta_draw = -alpha * (mean_G_per_j / denom - coupled)
-            else:
-                dmeta_draw = -alpha * mean_G_per_j / denom
-            grad_theta = dmeta_draw @ jac
+            # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
+            # twice where denom^2 is below the normal range
+            denom = weightnet.normalizer(cache.raw_weights)
+            coupled = float(mean_G_per_j @ cache.raw_weights)
+            coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
+            grad_theta = (-alpha * (mean_G_per_j / denom - coupled)) @ jac
         else:
             grad_theta = -(alpha / n) * (mean_G_per_j @ jac)
 
@@ -438,7 +414,6 @@ def meta_gradient_fd(
     alpha: float,
     eps: float,
     normalize: bool = False,
-    tau: float = 1e-8,
 ) -> np.ndarray:
     """Central-difference oracle for the meta-gradient: perturb each
     Theta coordinate, rebuild w_hat(Theta), re-evaluate the meta loss."""
@@ -449,7 +424,7 @@ def meta_gradient_fd(
     def mean_meta_loss(theta_params: np.ndarray) -> float:
         mw = state.theta.with_theta(theta_params)
         raw = mw_forward(mw, losses)
-        coeffs = _coefficients(raw, normalize, tau)
+        coeffs = _coefficients(raw, normalize)
         w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
         return float(_losses(state.w.with_params(w_hat), meta_batch.features, meta_batch.labels).mean())
 
@@ -464,7 +439,7 @@ def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> Trai
     if grad_theta.shape != state.theta.theta.shape:
         raise ValueError("grad_theta shape mismatch")
     theta = state.theta.with_theta(state.theta.theta - beta * grad_theta)
-    return TrainState(state.w, theta, state.velocity, state.iteration)
+    return TrainState(state.w, theta, state.velocity)
 
 
 def update_classifier(
@@ -474,7 +449,6 @@ def update_classifier(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
     normalize: bool = False,
-    tau: float = 1e-8,
     cache: VirtualCache | None = None,
 ) -> tuple[TrainState, np.ndarray]:
     """The actual weighted step from w, with weights recomputed under the
@@ -491,24 +465,24 @@ def update_classifier(
         else:
             losses, fcache, deltas = cache.losses, cache.forward_cache, cache.deltas
         raw = mw_forward(state.theta, losses)
-        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize, tau)[0], raw
+        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize)[0], raw
 
 
 def _weighted_step(
     state: TrainState, fcache: ForwardCache, deltas: list[np.ndarray], raw: np.ndarray,
-    alpha: float, momentum: float, weight_decay: float, normalize: bool, tau: float,
+    alpha: float, momentum: float, weight_decay: float, normalize: bool,
 ) -> tuple[TrainState, np.ndarray]:
     """The classifier's SGD step on the per-sample gradients (given as one
     backward pass's deltas) weighted by `raw`; returns the new state and
     the coefficients applied."""
-    coeffs = _coefficients(raw, normalize, tau)
+    coeffs = _coefficients(raw, normalize)
     grad = weighted_gradient(state.w, fcache, deltas, coeffs)
     new_params, new_velocity = sgd_step(
         state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
     )
     # sgd_step's output is fresh, so the new net takes it without a copy;
     # DenseNet rejects a non-finite vector.
-    return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity, state.iteration), coeffs
+    return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity), coeffs
 
 
 def train_step(
@@ -530,7 +504,7 @@ def train_step(
         raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
     if alpha is None:
         alpha = config.alpha
-    report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize, config.tau)
+    report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
     state = update_theta(state, report.grad_theta, config.beta)
     state, raw = update_classifier(
         state,
@@ -539,10 +513,8 @@ def train_step(
         momentum=config.classifier_momentum,
         weight_decay=config.classifier_weight_decay,
         normalize=config.normalize,
-        tau=config.tau,
         cache=report.virtual,
     )
-    state.iteration += 1
     return state, report, raw
 
 
@@ -617,6 +589,8 @@ def train(
     classifier = init_net(classifier_specs, derive_seed(config.seed, 1))
     mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2))
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
+    # The state holds the only references, so each net is freed once replaced.
+    del classifier, mwnet
 
     if tracked_ids is None:
         tracked_ids = _pick_tracked(train_set, config.seed)
@@ -655,15 +629,17 @@ def train(
                 state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
                 epoch_losses.append(report.weighted_loss)
                 epoch_norms.append(math.sqrt(report.grad_theta @ report.grad_theta))
+                # Its virtual-step cache holds the previous classifier and the
+                # batch's activations and deltas; nothing reads them again.
+                del report
             else:
                 with _stage("classifier step"):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
                     raw = weigh(state.theta, losses)
                     state, coeffs = _weighted_step(
                         state, fcache, deltas, raw, alpha, config.classifier_momentum,
-                        config.classifier_weight_decay, config.normalize, config.tau,
+                        config.classifier_weight_decay, config.normalize,
                     )
-                state.iteration += 1
                 epoch_losses.append(float(coeffs @ losses))
                 epoch_norms.append(0.0)
             if not raw.any():

@@ -2,7 +2,7 @@
 
 Architecture is 1 -> hidden (ReLU, possibly several layers) -> 1 with a
 sigmoid head, so every weight lands in (0, 1). `normalize` rescales a
-weight vector to sum to one with a guard for the all-zero case.
+weight vector to sum to one and maps an all-zero vector to all zeros.
 
 The meta update consumes the exact per-input parameter Jacobian
 d(weight_i)/d(theta). The training loop runs the net's forward pass once
@@ -22,7 +22,6 @@ import numpy as np
 from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, per_sample_gradients
 
 INIT_SCALE = 0.1
-ZERO_SUM_GUARD = 1e-8
 
 
 @dataclass
@@ -93,15 +92,22 @@ def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return weights, jac
 
 
-def normalize(weights: np.ndarray, guard: float = ZERO_SUM_GUARD) -> np.ndarray:
+def normalizer(weights: np.ndarray) -> float:
+    """The denominator of `normalize`: the sum of the weights, or 1 when
+    every weight is 0. Any positive stand-in gives the same zeros, and the
+    meta step's Jacobian rows are then 0 too (a sigmoid head outputs 0 only
+    where it is saturated), so the choice never reaches an output."""
+    total = float(weights.sum())
+    return total if total > 0.0 else 1.0
+
+
+def normalize(weights: np.ndarray) -> np.ndarray:
     """Rescale nonnegative weights to sum to 1; an all-zero vector maps
-    to all zeros (the guard only replaces the denominator)."""
+    to all zeros."""
     weights = np.asarray(weights, dtype=np.float64)
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be finite and nonnegative")
-    total = float(weights.sum())
-    denom = total if total > 0.0 else guard
-    return weights / denom
+    return weights / normalizer(weights)
 
 
 def probe_curve(mwnet: MWNet, lo: float, hi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:

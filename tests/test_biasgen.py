@@ -8,7 +8,6 @@ import pytest
 from metaweight.biasgen import (
     BiasedDataset,
     GaussianMixtureSpec,
-    ImbalanceSpec,
     NoiseSpec,
     apply_flip_noise,
     apply_longtail,
@@ -37,10 +36,6 @@ def test_spec_validation():
         GaussianMixtureSpec(1, 2, np.zeros((1, 2)), 1.0, 10)
     with pytest.raises(ValueError):
         GaussianMixtureSpec(3, 2, np.zeros((2, 2)), 1.0, 10)
-    with pytest.raises(ValueError):
-        ImbalanceSpec(base_count=0, factor=2.0)
-    with pytest.raises(ValueError):
-        ImbalanceSpec(base_count=10, factor=0.5)
     with pytest.raises(ValueError):
         NoiseSpec(kind="gauss", rate=0.1)
     with pytest.raises(ValueError):
@@ -106,20 +101,24 @@ def test_gen_gaussians_zero_spread_collapses_to_means():
 
 def test_longtail_counts_formula():
     # factor^(-1/(c-1)) per class step, rounded
-    assert longtail_counts(2, ImbalanceSpec(100, 4.0)).tolist() == [100, 25]
-    counts = longtail_counts(10, ImbalanceSpec(5000, 100.0))
+    assert longtail_counts(2, 100, 4.0).tolist() == [100, 25]
+    counts = longtail_counts(10, 5000, 100.0)
     assert counts[0] == 5000
     assert counts[-1] == 50
     mu = 100.0 ** (-1.0 / 9.0)
     assert counts.tolist() == [round(5000 * mu**i) for i in range(10)]
-    with pytest.raises(ValueError):
-        longtail_counts(5, ImbalanceSpec(3, 100.0))
+    with pytest.raises(ValueError, match="empties a class"):
+        longtail_counts(5, 3, 100.0)
+    with pytest.raises(ValueError, match="empties a class"):
+        longtail_counts(3, 0, 2.0)
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        longtail_counts(3, 10, 0.5)
 
 
 def test_apply_longtail_end_to_end():
     ds = toy_dataset(c=10, per_class=5000, spread=1.0)
-    tail = apply_longtail(ds, ImbalanceSpec(5000, 100.0), seed=7)
-    assert tail.class_counts.tolist() == longtail_counts(10, ImbalanceSpec(5000, 100.0)).tolist()
+    tail = apply_longtail(ds, 100.0, seed=7)
+    assert tail.class_counts.tolist() == longtail_counts(10, 5000, 100.0).tolist()
     assert not tail.corrupted.any()
     # no fabricated samples: every kept row exists in the source
     src = {tuple(row) for row in ds.features}
@@ -128,16 +127,16 @@ def test_apply_longtail_end_to_end():
 
 def test_apply_longtail_factor_one_is_identity():
     ds = toy_dataset(c=3, per_class=50)
-    same = apply_longtail(ds, ImbalanceSpec(50, 1.0), seed=3)
+    same = apply_longtail(ds, 1.0, seed=3)
     assert same.class_counts.tolist() == [50, 50, 50]
     assert np.array_equal(np.sort(same.features, axis=0), np.sort(ds.features, axis=0))
 
 
 def test_apply_longtail_requires_balance():
     ds = toy_dataset(c=3, per_class=60)
-    tail = apply_longtail(ds, ImbalanceSpec(60, 4.0), seed=1)
-    with pytest.raises(ValueError):
-        apply_longtail(tail, ImbalanceSpec(60, 2.0), seed=1)
+    tail = apply_longtail(ds, 4.0, seed=1)
+    with pytest.raises(ValueError, match="needs a balanced dataset"):
+        apply_longtail(tail, 2.0, seed=1)
 
 
 def test_uniform_noise_rate_zero_and_determinism():

@@ -157,6 +157,18 @@ def test_train_without_out_dir_is_config_error(cfg_path):
     assert "output" in proc.stderr
 
 
+def test_negative_seed_flag_is_config_error(cfg_path, tmp_path):
+    for args in (
+        ("train", "--config", cfg_path, "--out", tmp_path / "r"),
+        ("gen-data", "--config", cfg_path, "--out", tmp_path / "x.csv"),
+        ("gradcheck", "--instances", 1),
+    ):
+        proc = run_cli(*args, "--seed", -1)
+        assert proc.returncode == 1, args
+        assert "config error: --seed must be >= 0, got -1" in proc.stderr
+    assert not (tmp_path / "r").exists() and not (tmp_path / "x.csv").exists()
+
+
 def test_train_missing_config_file_is_config_error(tmp_path):
     proc = run_cli("train", "--config", tmp_path / "absent.json", "--out", tmp_path / "r")
     assert proc.returncode == 1
@@ -263,13 +275,22 @@ def test_probe_round_trips_the_curve(tmp_path):
     assert np.all(np.abs(values - 0.5) < 0.2)
 
 
-def test_probe_bad_range_is_runtime_error(tmp_path):
+def test_probe_bad_range_is_config_error(tmp_path):
     mwnet = init_mwnet((5,), 3)
     model = tmp_path / "mwnet.json"
     save_mwnet(mwnet, model)
-    proc = run_cli("probe", "--model", model, "--out", tmp_path / "c.csv", "--min", 5.0, "--max", 1.0)
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
+    out = tmp_path / "c.csv"
+    for flags, message in (
+        (("--min", 5.0, "--max", 1.0), "--max above --min, got 5.0 and 1.0"),
+        (("--min", 3.0, "--max", 3.0), "--max above --min, got 3.0 and 3.0"),
+        (("--max", "inf"), "must be finite with --max above --min, got 0.0 and inf"),
+        (("--min", "nan"), "must be finite with --max above --min, got nan and 10.0"),
+        (("--steps", 1), "--steps must be >= 2, got 1"),
+    ):
+        proc = run_cli("probe", "--model", model, "--out", out, *flags)
+        assert proc.returncode == 1, flags
+        assert message in proc.stderr and "config error: --" in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- gradcheck

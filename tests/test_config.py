@@ -2,6 +2,8 @@
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,6 @@ def test_minimal_doc_parses_with_defaults():
     assert cfg.dataset.dim == 2
     assert cfg.meta_per_class == 2
     assert cfg.optim.alpha == 0.1
-    assert cfg.optim.tau == 1e-8
     assert cfg.optim.normalize is False
     assert cfg.optim.classifier_momentum == 0.0
     assert cfg.classifier_hidden == (32,)
@@ -48,6 +49,11 @@ def test_unknown_keys_are_rejected_by_name():
     doc = minimal_doc()
     doc["dataset"]["classs"] = 3
     with pytest.raises(ConfigError, match="classs"):
+        parse_config(doc)
+    # A removed key fails like a typo.
+    doc = minimal_doc()
+    doc["optim"]["tau"] = 1e-8
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['tau'\] in optim"):
         parse_config(doc)
 
 
@@ -102,6 +108,23 @@ def test_noise_rate_bounds():
     doc["bias"] = {"noise": {"kind": "salt", "rate": 0.1}}
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+def test_meta_per_class_must_be_positive():
+    # An empty meta set is a config error, named before any data is built.
+    doc = minimal_doc()
+    doc["meta"]["per_class"] = 0
+    with pytest.raises(ConfigError, match=r"meta\.per_class must be >= 1"):
+        parse_config(doc)
+
+
+def test_readme_configuration_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(re.sub(r"//.*", "", block)))
+    assert cfg.noise is not None and cfg.imbalance_factor == 20.0
+    assert cfg.optim.lr_schedule == ((360, 0.1), (480, 0.1))
+    assert [b.kind for b in cfg.baselines] == ["uniform"]
 
 
 def test_seed_validation():

@@ -6,7 +6,9 @@ value is known (zero meta gradients, dead weighting nets, single-sample
 sign semantics).
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -203,16 +205,16 @@ def test_meta_gradient_report_pieces_consistent():
     assert report.mean_G_per_j.shape == (n,)
 
     losses, grads = per_sample_losses_grads(state.w, tb)
-    assert np.array_equal(report.train_losses, losses)
+    assert np.array_equal(report.virtual.losses, losses)
     assert rel_err(
         weighted_gradient(state.w, report.virtual.forward_cache, report.virtual.deltas, report.virtual.coeffs),
         report.virtual.coeffs @ grads,
     ) < 1e-14
-    assert np.array_equal(report.per_sample_weights, mw_forward(state.theta, losses))
+    assert np.array_equal(report.virtual.raw_weights, mw_forward(state.theta, losses))
 
     # mean_G_per_j is the meta-sample mean of the meta/train gradient inner
     # products G_ij at (w_hat, w), built here from per-sample rows.
-    meta_losses, meta_grads = per_sample_losses_grads(state.w.with_params(report.w_hat), mb)
+    meta_losses, meta_grads = per_sample_losses_grads(state.w.with_params(report.virtual.w_hat), mb)
     G = meta_grads @ grads.T
     assert rel_err(report.mean_G_per_j, G.mean(axis=0)) < 1e-14
     assert report.meta_loss == pytest.approx(meta_losses.mean(), rel=1e-14)
@@ -228,14 +230,14 @@ def test_meta_gradient_normalized_quotient_rule_oracle():
         state, tb, mb = make_instance(seed + 20)
         alpha = 0.15
         report = meta_gradient_direct(state, tb, mb, alpha, normalize=True)
-        raw = report.per_sample_weights
+        raw = report.virtual.raw_weights
         n = tb.size
         total = raw.sum()
         # Independent formulation: chain rule through the explicit n-by-n
         # Jacobian of eta = raw / sum(raw).
         d_eta_d_raw = np.eye(n) / total - np.outer(raw, np.ones(n)) / total**2
         d_meta_d_eta = -alpha * report.mean_G_per_j
-        _, jac = mw_jacobian(state.theta, report.train_losses)
+        _, jac = mw_jacobian(state.theta, report.virtual.losses)
         expected = (d_meta_d_eta @ d_eta_d_raw) @ jac
         assert rel_err(report.grad_theta, expected) < 1e-12
 
@@ -256,7 +258,7 @@ def test_meta_gradient_zero_when_classifier_exact_on_meta():
     train_batch = Batch(np.arange(6), 0.5 * rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
 
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha=0.1)
-    _, meta_grads = per_sample_losses_grads(classifier.with_params(report.w_hat), meta_batch)
+    _, meta_grads = per_sample_losses_grads(classifier.with_params(report.virtual.w_hat), meta_batch)
     assert np.all(meta_grads == 0.0)
     assert np.all(report.mean_G_per_j == 0.0)
     assert np.all(report.grad_theta == 0.0)
@@ -300,9 +302,9 @@ def test_meta_gradient_zero_sum_guard_yields_finite_zero():
     state, tb, mb = make_instance(12)
     state = TrainState(state.w, zero_weight_theta(seed=3), state.velocity)
     report = meta_gradient_direct(state, tb, mb, alpha=0.1, normalize=True)
-    # All raw weights are exactly zero: tau keeps the quotient finite, and
+    # All raw weights are exactly zero: the denominator is then 1, and
     # the saturated sigmoid has zero slope, so the gradient is exactly zero.
-    assert np.all(report.per_sample_weights == 0.0)
+    assert np.all(report.virtual.raw_weights == 0.0)
     assert np.all(np.isfinite(report.grad_theta))
     assert np.all(report.grad_theta == 0.0)
 
@@ -317,7 +319,7 @@ def test_meta_gradient_normalized_with_an_underflowing_square_sum():
     theta[-1] = -460.0
     state = TrainState(state.w, state.theta.with_theta(theta), state.velocity)
     report = meta_gradient_direct(state, tb, mb, 0.1, normalize=True)
-    total = float(report.per_sample_weights.sum())
+    total = float(report.virtual.raw_weights.sum())
     assert total > 0.0 and total**2 == 0.0
     fd = meta_gradient_fd(state, tb, mb, 0.1, eps=1e-5, normalize=True)
     assert np.linalg.norm(report.grad_theta - fd) < 1e-6 * np.linalg.norm(fd)
@@ -336,11 +338,11 @@ def test_meta_gradient_duplicated_sample_columns_identical():
     )
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
     _, grads = per_sample_losses_grads(state.w, tb)
-    _, meta_grads = per_sample_losses_grads(state.w.with_params(report.w_hat), mb)
+    _, meta_grads = per_sample_losses_grads(state.w.with_params(report.virtual.w_hat), mb)
     assert rel_err(report.mean_G_per_j, (meta_grads @ grads.T).mean(axis=0)) < 1e-14
     assert report.mean_G_per_j[0] == report.mean_G_per_j[1]
-    assert report.per_sample_weights[0] == report.per_sample_weights[1]
-    _, jac = mw_jacobian(state.theta, report.train_losses)
+    assert report.virtual.raw_weights[0] == report.virtual.raw_weights[1]
+    _, jac = mw_jacobian(state.theta, report.virtual.losses)
     assert np.array_equal(jac[0], jac[1])
 
 
@@ -355,7 +357,7 @@ def test_meta_gradient_sign_single_sample():
         tb = Batch(np.zeros(1, dtype=int), rng.standard_normal((1, 2)), rng.integers(0, 3, 1))
         report = meta_gradient_direct(state, tb, mb, alpha=0.1)
         mean_g = float(report.mean_G_per_j[0])
-        _, jac = mw_jacobian(state.theta, report.train_losses)
+        _, jac = mw_jacobian(state.theta, report.virtual.losses)
         if mean_g > 1e-3 and np.linalg.norm(jac[0]) > 1e-3:
             found = True
             break
@@ -363,7 +365,7 @@ def test_meta_gradient_sign_single_sample():
 
     beta = 1e-4
     new_state = update_theta(state, report.grad_theta, beta)
-    loss = report.train_losses
+    loss = report.virtual.losses
     before = mw_forward(state.theta, loss)[0]
     after = mw_forward(new_state.theta, loss)[0]
     assert after > before
@@ -376,11 +378,11 @@ def test_meta_gradient_first_order_weight_movement():
     # under one Theta step is -beta * <dV(L_j)/dTheta, grad_theta>.
     state, tb, mb = make_instance(17)
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
-    _, jac = mw_jacobian(state.theta, report.train_losses)
+    _, jac = mw_jacobian(state.theta, report.virtual.losses)
     beta = 1e-5
     new_theta = state.theta.with_theta(state.theta.theta - beta * report.grad_theta)
-    before = mw_forward(state.theta, report.train_losses)
-    after = mw_forward(new_theta, report.train_losses)
+    before = mw_forward(state.theta, report.virtual.losses)
+    after = mw_forward(new_theta, report.virtual.losses)
     predicted = -beta * (jac @ report.grad_theta)
     assert np.linalg.norm((after - before) - predicted) < 1e-3 * np.linalg.norm(predicted)
     rising = predicted > 1e-14
@@ -435,7 +437,7 @@ def test_meta_gradient_batch_order_invariance():
     r2 = meta_gradient_direct(state, tb2, mb2, alpha=0.1, normalize=True)
     assert np.array_equal(r1.grad_theta, r2.grad_theta)
     assert np.array_equal(r1.mean_G_per_j, r2.mean_G_per_j)
-    assert np.array_equal(r1.w_hat, r2.w_hat)
+    assert np.array_equal(r1.virtual.w_hat, r2.virtual.w_hat)
 
 
 def test_batch_sorts_only_out_of_order_ids():
@@ -517,15 +519,15 @@ def test_train_step_matches_per_sample_oracle(instance):
 
     def coefficients(theta):
         raw = mw_forward(theta, losses)
-        return normalize_weights(raw, config.tau) if config.normalize else raw / tb.size
+        return normalize_weights(raw) if config.normalize else raw / tb.size
 
     losses, grads = per_sample_losses_grads(state.w, tb)
     w, velocity = state.w.params, state.velocity
     coeffs = coefficients(state.theta)
     w_hat = w - alpha * (coeffs @ grads)
-    # The step never forms w_hat; report.w_hat builds it on demand from the
-    # virtual step's factors, and the meta batch ran at it through them.
-    assert close(report.w_hat, w_hat, np.linalg.norm(w) + alpha * row_scale(coeffs, grads))
+    # The step never forms w_hat; report.virtual.w_hat builds it on demand
+    # from the virtual step's factors, and the meta batch ran at it through them.
+    assert close(report.virtual.w_hat, w_hat, np.linalg.norm(w) + alpha * row_scale(coeffs, grads))
 
     meta_grads = per_sample_losses_grads(state.w.with_params(w_hat), mb)[1]
     mean_meta_grad = meta_grads.mean(axis=0)
@@ -542,7 +544,7 @@ def test_train_step_matches_per_sample_oracle(instance):
     assert close(new_state.velocity, expected_velocity, velocity_scale)
     assert close(new_state.w.params, expected, np.linalg.norm(w) + alpha * velocity_scale)
 
-    fd = meta_gradient_fd(state, tb, mb, alpha, eps=1e-5, normalize=config.normalize, tau=config.tau)
+    fd = meta_gradient_fd(state, tb, mb, alpha, eps=1e-5, normalize=config.normalize)
     assert rel_err(report.grad_theta, fd) < 1e-6
 
 
@@ -655,7 +657,7 @@ def test_train_step_composes_the_three_updates():
     config = TrainConfig(alpha=0.1, beta=0.05, n=8, m=4, T=1, classifier_momentum=0.9, classifier_weight_decay=1e-3)
     new_state, report, raw = train_step(state, tb, mb, config)
 
-    manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize, config.tau)
+    manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize)
     s1 = update_theta(state, manual.grad_theta, config.beta)
     s2, s2_raw = update_classifier(
         s1,
@@ -668,11 +670,10 @@ def test_train_step_composes_the_three_updates():
     assert np.array_equal(new_state.theta.theta, s2.theta.theta)
     assert np.array_equal(new_state.w.params, s2.w.params)
     assert np.array_equal(new_state.velocity, s2.velocity)
-    assert new_state.iteration == state.iteration + 1
     assert np.array_equal(report.grad_theta, manual.grad_theta)
     # The weights applied are the classifier step's, under the updated Theta.
     assert np.array_equal(raw, s2_raw)
-    assert np.array_equal(raw, mw_forward(s1.theta, manual.train_losses))
+    assert np.array_equal(raw, mw_forward(s1.theta, manual.virtual.losses))
 
 
 def test_train_step_beta_zero_freezes_theta():
@@ -690,7 +691,7 @@ def test_train_step_alpha_zero_is_stationary():
     config = TrainConfig(alpha=0.1, beta=0.5, n=8, m=4, T=1)
     new_state, report, _ = train_step(state, tb, mb, config, alpha=0.0)
     assert np.all(report.grad_theta == 0.0)
-    assert np.array_equal(report.w_hat, state.w.params)
+    assert np.array_equal(report.virtual.w_hat, state.w.params)
     assert np.array_equal(new_state.w.params, state.w.params)
     assert np.array_equal(new_state.theta.theta, state.theta.theta)
 
@@ -713,13 +714,11 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(T=0)
     with pytest.raises(ValueError):
-        TrainConfig(tau=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(classifier_momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_schedule=((5, 0.0),))
     nan = float("nan")
-    for field in ("alpha", "beta", "tau", "classifier_momentum", "classifier_weight_decay"):
+    for field in ("alpha", "beta", "classifier_momentum", "classifier_weight_decay"):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: nan})
     with pytest.raises(ValueError, match="lr_schedule"):
@@ -803,10 +802,10 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert calls["weighted"] == ["update"]
     assert calls["nets"] == [("update", "with_params", state.theta.net.layers), ("update", "DenseNet", state.w.layers)]
     monkeypatch.undo()
-    weights, jac = mw_jacobian(state.theta, report.train_losses)
+    weights, jac = mw_jacobian(state.theta, report.virtual.losses)
     assert len(calls["jacobians"]) == 1
     assert np.array_equal(calls["jacobians"][0], jac)
-    assert np.array_equal(report.per_sample_weights, weights)
+    assert np.array_equal(report.virtual.raw_weights, weights)
     assert not np.array_equal(new_state.theta.theta, state.theta.theta)
 
 
@@ -825,13 +824,46 @@ def test_train_is_deterministic():
         assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
 
 
+def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
+    # The final pass over the whole training set is a run's memory peak.
+    # Neither the initial classifier nor the last step's report (whose
+    # virtual-step cache holds the previous classifier, the batch's
+    # activations and deltas) may still be reachable when it starts.
+    train_set, meta_set, test_set = make_toy_sets(5)
+    config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=4, seed=7)
+    refs, alive = {}, []
+    init_net_fn, train_step_fn, final_report_fn = metaopt.init_net, metaopt.train_step, metaopt._final_report
+
+    def spy_init_net(*args):
+        net = init_net_fn(*args)
+        refs["initial classifier"] = weakref.ref(net)
+        return net
+
+    def spy_train_step(*args, **kwargs):
+        state, report, raw = train_step_fn(*args, **kwargs)
+        refs["last report"] = weakref.ref(report)
+        refs["last virtual cache"] = weakref.ref(report.virtual)
+        return state, report, raw
+
+    def spy_final_report(*args):
+        gc.collect()
+        alive.extend(name for name, ref in refs.items() if ref() is not None)
+        return final_report_fn(*args)
+
+    monkeypatch.setattr(metaopt, "init_net", spy_init_net)
+    monkeypatch.setattr(metaopt, "train_step", spy_train_step)
+    monkeypatch.setattr(metaopt, "_final_report", spy_final_report)
+    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    assert sorted(refs) == ["initial classifier", "last report", "last virtual cache"]
+    assert alive == []
+
+
 def test_train_epoch_accounting_and_report_shapes():
     train_set, meta_set, test_set = make_toy_sets(6)
     assert train_set.n == 30
     config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=7, seed=3)
     state, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
     # ceil(30/10) = 3 iterations per epoch; 7 iterations complete 2 epochs.
-    assert state.iteration == 7
     assert report.accuracy_history.shape == (2,)
     assert report.train_loss_history.shape == (2,)
     assert report.meta_loss_history.shape == (2,)
@@ -856,7 +888,6 @@ def test_train_single_iteration_has_no_epochs():
     train_set, meta_set, test_set = make_toy_sets(8)
     config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=1, seed=3)
     state, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    assert state.iteration == 1
     assert report.accuracy_history.size == 0
     assert report.stability_mean.size == 0
     assert report.tracked_weight_history.shape[0] == 0
