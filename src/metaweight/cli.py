@@ -124,6 +124,8 @@ def cmd_probe(args) -> int:
     _at_least("--steps", args.steps, 2)
     if not -math.inf < args.min < args.max < math.inf:
         raise ConfigError(f"--min and --max must be finite with --max above --min, got {args.min} and {args.max}")
+    if not args.max - args.min < math.inf:
+        raise ConfigError(f"--max minus --min must be finite, got --min {args.min} and --max {args.max}")
     mwnet = load_mwnet(args.model)
     grid, weights = probe_curve(mwnet, args.min, args.max, args.steps)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

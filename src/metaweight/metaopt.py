@@ -41,6 +41,12 @@ Theta gives the raw weights, and its cache gives the meta step's Jacobian
 dV(L_j)/dTheta (`nnet.per_sample_gradients` with unit upstream); step 3
 runs the second pass, at the updated Theta'.
 
+Every pass over a whole dataset or grid (epoch evaluation and meta loss,
+the tracked samples, the final report's losses, weights and curve) runs
+without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so its
+memory does not grow with the dataset; the training steps, at most one
+block each, keep `nnet.forward` and its cache.
+
 Finiteness is checked once per stage output: the step coefficients,
 grad_theta, and each new parameter vector (`DenseNet` rejects a
 non-finite one); dataset features are checked where the dataset is built.
@@ -69,6 +75,7 @@ from metaweight.nnet import (
     layer_deltas,
     lookahead_deltas,
     lookahead_forward,
+    outputs,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
@@ -301,8 +308,9 @@ class BaselineSpec:
 
 
 def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample losses of one forward pass, which keeps no cache."""
-    return softmax_cross_entropy(forward(net, features)[0], labels)[0]
+    """Per-sample losses, from a forward pass in row blocks that keeps no
+    cache (`nnet.outputs`)."""
+    return softmax_cross_entropy(outputs(net, features), labels)[0]
 
 
 def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
@@ -520,9 +528,9 @@ def train_step(
 
 def evaluate(net: DenseNet, dataset: BiasedDataset) -> tuple[float, np.ndarray]:
     """Accuracy of argmax predictions against the true labels plus the
-    confusion matrix (rows true class, columns predicted class)."""
-    out, _ = forward(net, dataset.features)
-    predictions = np.argmax(out, axis=1)
+    confusion matrix (rows true class, columns predicted class). The
+    forward pass runs in row blocks (`nnet.outputs`)."""
+    predictions = np.argmax(outputs(net, dataset.features), axis=1)
     confusion = confusion_matrix(dataset.true_labels, predictions, dataset.c)
     return float(np.trace(confusion) / dataset.n), confusion
 
@@ -696,8 +704,10 @@ def _final_report(
     test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
 ) -> RunReport:
     """The run report: per-epoch histories plus the final classifier's
-    confusion matrix, per-sample weights and weight curve. The final pass
-    reads the training set in place: its ids are already in `Batch` order."""
+    confusion matrix, per-sample weights and weight curve. The final passes
+    read the training set in place (its ids are already in `Batch` order)
+    and run both nets in row blocks (`nnet.outputs`), so they hold
+    O(ROW_BLOCK * width) activations whatever the set's size."""
     _, final_confusion = evaluate(state.w, test_set)
 
     final_losses = _losses(state.w, train_set.features, train_set.observed_labels)

@@ -41,6 +41,10 @@ pre-activation in place and its backward pass masks on act > 0, equal to
 preact > 0 for every float (as in in-place activated layers, Rota Bulo et
 al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 
+`outputs` runs the forward pass ROW_BLOCK rows at a time and keeps no
+cache, for passes over a whole dataset or grid; its memory is
+O(ROW_BLOCK * width) whatever the number of rows.
+
 Nothing here checks its outputs for finiteness except `DenseNet`, which
 rejects a non-finite parameter vector; callers check the quantities
 they act on. Reductions use numpy's fixed summation order, so identical
@@ -53,6 +57,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Rows per block of `outputs`. A multiple of 4, so that every block starts
+# on a row where the BLAS kernels' row tiles start: with OpenBLAS (x86-64
+# SkylakeX kernels) each block's rows then equal the rows of the one-pass
+# product bit for bit on the shipped layer shapes (2-64-3, 2-16-3, 1-100-1).
+ROW_BLOCK = 256
 
 RELU = "relu"
 SIGMOID = "sigmoid"
@@ -211,6 +221,29 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
         z += b
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(acts)
+
+
+def outputs(net: DenseNet, batch: np.ndarray) -> np.ndarray:
+    """`forward`'s outputs without its cache, computed ROW_BLOCK rows at a
+    time into one (batch_size, output_dim) array, so a pass over a whole
+    dataset or grid holds O(ROW_BLOCK * width) activations, not
+    O(batch_size * width).
+
+    A 1-row tail joins the block before it: NumPy runs a 1-row product as a
+    matrix-vector product, whose rows differ in the last bits from the
+    matrix product's. A batch of at most ROW_BLOCK + 1 rows is one block.
+    """
+    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    n = x.shape[0]
+    if n <= ROW_BLOCK + 1:
+        return forward(net, x)[0]
+    out = np.empty((n, net.output_dim))
+    starts = list(range(0, n, ROW_BLOCK))
+    if n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        out[start:stop] = forward(net, x[start:stop])[0]
+    return out
 
 
 def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, per_sample_gradients
+from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, outputs, per_sample_gradients
 
 INIT_SCALE = 0.1
 
@@ -68,18 +68,24 @@ def init_mwnet(hidden: tuple[int, ...] = (100,), seed: int = 0) -> MWNet:
     return MWNet(net.with_params(net.params * INIT_SCALE))
 
 
-def mw_forward_cache(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """`mw_forward` plus the cache of its forward pass."""
+def _column(losses: np.ndarray) -> np.ndarray:
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1:
         raise ValueError(f"losses must be a 1-d vector, got shape {losses.shape}")
-    out, cache = forward(mwnet.net, losses.reshape(-1, 1))
+    return losses.reshape(-1, 1)
+
+
+def mw_forward_cache(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """`mw_forward` in one pass, plus the cache of that pass."""
+    out, cache = forward(mwnet.net, _column(losses))
     return out[:, 0], cache
 
 
 def mw_forward(mwnet: MWNet, losses: np.ndarray) -> np.ndarray:
-    """Map a vector of losses to a vector of weights in (0, 1)."""
-    return mw_forward_cache(mwnet, losses)[0]
+    """Map a vector of losses to a vector of weights in (0, 1), in row
+    blocks (`nnet.outputs`), so any number of losses costs O(block * hidden)
+    memory."""
+    return outputs(mwnet.net, _column(losses))[:, 0]
 
 
 def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +122,8 @@ def probe_curve(mwnet: MWNet, lo: float, hi: float, steps: int) -> tuple[np.ndar
         raise ValueError("steps must be >= 2")
     if not hi > lo:
         raise ValueError("need hi > lo")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"hi - lo must be finite, got {lo} and {hi}")
     grid = np.linspace(lo, hi, steps)
     return grid, mw_forward(mwnet, grid)
 

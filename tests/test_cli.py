@@ -285,6 +285,8 @@ def test_probe_bad_range_is_config_error(tmp_path):
         (("--min", 3.0, "--max", 3.0), "--max above --min, got 3.0 and 3.0"),
         (("--max", "inf"), "must be finite with --max above --min, got 0.0 and inf"),
         (("--min", "nan"), "must be finite with --max above --min, got nan and 10.0"),
+        (("--min=-1e308", "--max=1e308", "--steps", 5),
+         "--max minus --min must be finite, got --min -1e+308 and --max 1e+308"),
         (("--steps", 1), "--steps must be >= 2, got 1"),
     ):
         proc = run_cli("probe", "--model", model, "--out", out, *flags)

@@ -23,7 +23,7 @@ from metaweight.biasgen import (
     gen_gaussians,
     split_meta,
 )
-from metaweight import metaopt
+from metaweight import metaopt, nnet
 from metaweight.metaopt import (
     Batch,
     MetaGradientReport,
@@ -48,7 +48,7 @@ from metaweight.nnet import (
     softmax_cross_entropy,
     weighted_gradient,
 )
-from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian, normalize as normalize_weights
+from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian, normalize as normalize_weights, probe_curve
 
 
 def rel_err(a, b):
@@ -568,10 +568,11 @@ def test_train_step_memory_is_per_layer():
 
 
 def test_train_keeps_one_activation_of_the_training_set():
-    # The run report's pass over all N training samples reads the dataset in
-    # place and keeps one array per layer, so a run peaks below 2.5 N x 256
-    # activations; a pass that gathered the set twice and kept each ReLU
-    # layer's pre-activation reached 3.9.
+    # The run report's passes over all N training samples read the dataset in
+    # place and run in row blocks, so a run peaks below one N x 256
+    # activation (0.87 here, mostly parameter-sized arrays); one-pass
+    # evaluation reached 1.40, and a pass that gathered the set twice and
+    # kept each ReLU layer's pre-activation 3.9.
     means = np.zeros((10, 256))
     means[np.arange(10), np.arange(10)] = 16.0
     pool = gen_gaussians(GaussianMixtureSpec(10, 256, means, 1.0, 200), 1)
@@ -588,7 +589,46 @@ def test_train_keeps_one_activation_of_the_training_set():
     finally:
         tracemalloc.stop()
     activation = train_set.n * 256 * 8
-    assert peak < 2.5 * activation, f"train peaked at {peak / activation:.2f} activations"
+    assert peak < 1.0 * activation, f"train peaked at {peak / activation:.2f} activations"
+
+
+def test_full_set_passes_run_in_row_blocks(monkeypatch):
+    # evaluate, the final report and probe_curve run every network pass in
+    # blocks of at most ROW_BLOCK + 1 rows, none of them a single row.
+    block = 16
+    monkeypatch.setattr(nnet, "ROW_BLOCK", block)
+    train_set, meta_set, test_set = make_toy_sets(5, per_class=13)
+    assert (train_set.n, test_set.n) == (2 * block + 1, 18)
+    config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=4, seed=7)
+    real_forward = nnet.forward
+    rows, phase = {}, []
+
+    def spy_forward(net, batch):
+        if phase:
+            rows.setdefault(phase[0], []).append(len(batch))
+        return real_forward(net, batch)
+
+    def during(name, fn):
+        def wrapped(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(nnet, "forward", spy_forward)
+    monkeypatch.setattr(metaopt, "evaluate", during("evaluate", metaopt.evaluate))
+    monkeypatch.setattr(metaopt, "_final_report", during("final report", metaopt._final_report))
+    state, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    during("probe", probe_curve)(state.theta, 0.0, 5.0, 2 * block + 1)
+    # one epoch's evaluation; the final test pass, training losses, weight
+    # curve and per-sample weights; the probe grid
+    assert rows["evaluate"] == [16, 2]
+    assert rows["final report"] == [16, 2, 16, 17] + [16] * 12 + [8] + [16, 17]
+    assert rows["probe"] == [16, 17]
+    assert report.curve_losses.size == metaopt.WEIGHT_CURVE_POINTS == 200
 
 
 # ---------------------------------------------------------------- updates

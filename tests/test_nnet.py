@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
+from metaweight import nnet
 from metaweight.nnet import (
     DenseNet,
     LayerSpec,
@@ -22,6 +23,7 @@ from metaweight.nnet import (
     layer_deltas,
     lookahead_deltas,
     lookahead_forward,
+    outputs,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
@@ -188,6 +190,63 @@ def test_forward_cache_holds_one_array_per_layer(small_net):
     # ReLU rectifies the pre-activation buffer itself.
     z = rng.normal(size=(4, 5))
     assert _activate(z, "relu") is z and (z >= 0.0).all()
+
+
+# The classifier shapes of the shipped configs and the weighting net's.
+SHIPPED_SHAPES = {
+    "2-64-3": (LayerSpec(2, 64, "relu"), LayerSpec(64, 3, "identity")),
+    "2-16-3": (LayerSpec(2, 16, "relu"), LayerSpec(16, 3, "identity")),
+    "1-100-1": (LayerSpec(1, 100, "relu"), LayerSpec(100, 1, "sigmoid")),
+}
+
+
+def blocked_sizes(n, block):
+    """Row counts of `outputs`' blocks: full blocks, a 1-row tail folded
+    into the block before it."""
+    sizes = [block] * (n // block) + ([n % block] if n % block else [])
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [block + 1]
+    return sizes
+
+
+@pytest.mark.parametrize("block", [256, 64])
+@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+def test_outputs_in_row_blocks_match_one_pass_bit_for_bit(monkeypatch, shape, block):
+    monkeypatch.setattr(nnet, "ROW_BLOCK", block)
+    net = init_net(SHIPPED_SHAPES[shape], 41)
+    rng = np.random.Generator(np.random.Philox(41))
+    rows = []
+
+    def spy(net_, batch):
+        rows.append(len(batch))
+        return forward(net_, batch)
+
+    # `outputs` calls the spy; this module's `forward` stays the real one.
+    monkeypatch.setattr(nnet, "forward", spy)
+    for n in (1, 2, 180, 255, 600, block + 1, 2 * block + 1):
+        x = rng.normal(0.0, 3.0, size=(n, net.input_dim))
+        rows.clear()
+        got = outputs(net, x)
+        assert rows == blocked_sizes(n, block), n
+        assert got.shape == (n, net.output_dim)
+        assert np.array_equal(got.view(np.uint64), forward(net, x)[0].view(np.uint64)), n
+
+
+def test_outputs_in_row_blocks_match_one_pass_on_the_wide_shape():
+    # The 256 -> 10 product is not row-stable across block sizes, so here
+    # the blocks agree with the one-pass product to rounding, not in bits.
+    net = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 43)
+    rng = np.random.Generator(np.random.Philox(43))
+    for n in (600, nnet.ROW_BLOCK + 1, 2 * nnet.ROW_BLOCK + 1, 1900):
+        x = rng.normal(0.0, 1.0, size=(n, 256))
+        x[np.arange(n), np.arange(n) % 10] += 16.0
+        full = forward(net, x)[0]
+        np.testing.assert_allclose(outputs(net, x), full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+
+
+def test_outputs_rejects_bad_input(small_net):
+    with pytest.raises(ValueError, match="columns"):
+        outputs(small_net, np.zeros((2 * nnet.ROW_BLOCK + 3, 2)))
 
 
 def test_relu_backward_masks_on_the_output_exactly_as_on_the_preactivation():

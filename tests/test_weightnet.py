@@ -1,5 +1,7 @@
 """Weighting-net checks: shape contract, Jacobian oracle, normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ def test_probe_curve_grid():
         probe_curve(mwnet, 0.0, 4.0, 1)
     with pytest.raises(ValueError):
         probe_curve(mwnet, 4.0, 4.0, 10)
+    # both ends finite, their difference not: linspace would give nan rows
+    with pytest.raises(ValueError, match="hi - lo must be finite"):
+        probe_curve(mwnet, -1e308, 1e308, 5)
+
+
+def test_probe_curve_memory_does_not_grow_with_the_grid():
+    # The weighting net runs in row blocks: the grid and the weights column
+    # (1.53 MiB each at 200,000 points) dominate, where a one-pass forward
+    # also held a 200,000 x 100 hidden layer (160 MiB).
+    mwnet = init_mwnet((100,), 3)
+    tracemalloc.start()
+    try:
+        grid, weights = probe_curve(mwnet, 0.0, 10.0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == grid.shape == (200_000,)
+    assert peak < 4 * 2**20, f"probe_curve peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_save_load_round_trip(tmp_path):
