@@ -240,13 +240,12 @@ def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[Biase
     return dataset.subset(meta_idx), dataset.subset(np.flatnonzero(~mask))
 
 
-def sample_batch(dataset: BiasedDataset, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.random.Generator]:
+def sample_batch(dataset: BiasedDataset, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of `size` distinct indices; the generator advances
-    in place and is returned as the new state."""
+    in place."""
     if size < 1 or size > dataset.n:
         raise ValueError(f"batch size must be in [1, {dataset.n}], got {size}")
-    indices = rng.choice(dataset.n, size=size, replace=False)
-    return indices, rng
+    return rng.choice(dataset.n, size=size, replace=False)
 
 
 def save_dataset(dataset: BiasedDataset, path) -> None:

@@ -163,10 +163,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         isinstance(e, list) and len(e) == 2 for e in schedule
     ):
         raise ConfigError("optim.lr_schedule must be a list of [iteration, multiplier] pairs")
+    T = _number(optim_block, "T", "optim", integer=True)
     for k, (it, mult) in enumerate(schedule):
         pair = {"iteration": it, "multiplier": mult}
-        _number(pair, "iteration", f"optim.lr_schedule[{k}]", integer=True)
+        it = _number(pair, "iteration", f"optim.lr_schedule[{k}]", integer=True)
         _number(pair, "multiplier", f"optim.lr_schedule[{k}]")
+        if it >= T:
+            raise ConfigError(f"optim.lr_schedule[{k}] at iteration {it} is not below optim.T={T}, so it never applies")
     normalize = optim_block.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError("optim.normalize must be a boolean")
@@ -176,7 +179,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             beta=_number(optim_block, "beta", "optim"),
             n=_number(optim_block, "n", "optim", integer=True),
             m=_number(optim_block, "m", "optim", integer=True),
-            T=_number(optim_block, "T", "optim", integer=True),
+            T=T,
             normalize=normalize,
             classifier_momentum=_number(optim_block, "momentum", "optim", 0.0),
             classifier_weight_decay=_number(optim_block, "weight_decay", "optim", 0.0),

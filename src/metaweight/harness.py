@@ -49,24 +49,17 @@ def run_baseline(
     test_set: BiasedDataset,
     config: TrainConfig,
     baseline: BaselineSpec,
-    classifier_specs=None,
-    tracked_ids=None,
     config_echo: dict | None = None,
+    **train_kwargs,
 ) -> RunReport:
     """The training loop with the weighting net replaced by a fixed rule;
-    beta is ignored and recorded meta-gradient norms are zero."""
+    beta is ignored and recorded meta-gradient norms are zero. Other
+    keyword arguments go to `train` as they are."""
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
     try:
         _, report = train(
-            train_set,
-            meta_set,
-            test_set,
-            config,
-            classifier_specs=classifier_specs,
-            weight_fn=baseline.weight_fn(),
-            tracked_ids=tracked_ids,
-            config_echo=echo,
+            train_set, meta_set, test_set, config, weight_fn=baseline.weight_fn(), config_echo=echo, **train_kwargs
         )
     except ValueError as exc:
         raise ValueError(f"{baseline.kind} baseline, {exc}") from exc
@@ -193,9 +186,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             baseline_reports[spec.kind].append(
                 run_baseline(
                     train_set, meta_set, test_set, optim, spec,
-                    classifier_specs=specs,
-                    tracked_ids=report.tracked_ids,
                     config_echo=echo,
+                    classifier_specs=specs,
+                    mwnet_hidden=cfg.mwnet_hidden,
+                    tracked_ids=report.tracked_ids,
                 )
             )
     summary = summarize(cfg.seeds, reports, baseline_reports)

@@ -111,7 +111,8 @@ class TrainConfig:
         # Each comparison is written so that NaN fails it.
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        # beta == 0 freezes the weighting net, used by baselines and tests
+        # beta == 0 freezes the weighting net, which equals running it as a
+        # fixed rule; tests use it (baselines bring their own fixed rule)
         if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if self.n < 1 or self.m < 1:
@@ -124,8 +125,8 @@ class TrainConfig:
             raise ValueError("classifier_weight_decay must be >= 0")
         schedule = tuple((int(it), float(mult)) for it, mult in self.lr_schedule)
         for it, mult in schedule:
-            if it < 0 or not mult > 0:
-                raise ValueError(f"bad lr_schedule entry ({it}, {mult})")
+            if not 0 <= it < self.T or not mult > 0:
+                raise ValueError(f"bad lr_schedule entry ({it}, {mult}): need 0 <= iteration < T={self.T}, mult > 0")
         object.__setattr__(self, "lr_schedule", schedule)
 
 
@@ -452,45 +453,30 @@ def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> Trai
 
 def update_classifier(
     state: TrainState,
-    batch: Batch,
+    forward_cache: ForwardCache,
+    deltas: list[np.ndarray],
+    raw: np.ndarray,
     alpha: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
     normalize: bool = False,
-    cache: VirtualCache | None = None,
 ) -> tuple[TrainState, np.ndarray]:
-    """The actual weighted step from w, with weights recomputed under the
-    state's (already updated) Theta; returns the new state and those raw
-    weights. Momentum and weight decay apply here and only here; zero both
-    for the bare one-step form.
-
-    `cache` may be passed in from the virtual step of the same iteration
-    (its losses and deltas depend on w only, not on Theta).
+    """The classifier's SGD step from w on the per-sample gradients of one
+    backward pass at w (its forward cache and `nnet.layer_deltas`),
+    weighted by `raw`; returns the new state and the coefficients applied.
+    Momentum and weight decay apply here and only here; zero both for the
+    bare one-step form. The deltas depend on w only, not on Theta, so the
+    virtual step's pass serves a step under the updated Theta.
     """
     with _stage("classifier step"):
-        if cache is None:
-            losses, fcache, deltas = _losses_deltas(state.w, batch)
-        else:
-            losses, fcache, deltas = cache.losses, cache.forward_cache, cache.deltas
-        raw = mw_forward(state.theta, losses)
-        return _weighted_step(state, fcache, deltas, raw, alpha, momentum, weight_decay, normalize)[0], raw
-
-
-def _weighted_step(
-    state: TrainState, fcache: ForwardCache, deltas: list[np.ndarray], raw: np.ndarray,
-    alpha: float, momentum: float, weight_decay: float, normalize: bool,
-) -> tuple[TrainState, np.ndarray]:
-    """The classifier's SGD step on the per-sample gradients (given as one
-    backward pass's deltas) weighted by `raw`; returns the new state and
-    the coefficients applied."""
-    coeffs = _coefficients(raw, normalize)
-    grad = weighted_gradient(state.w, fcache, deltas, coeffs)
-    new_params, new_velocity = sgd_step(
-        state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
-    )
-    # sgd_step's output is fresh, so the new net takes it without a copy;
-    # DenseNet rejects a non-finite vector.
-    return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity), coeffs
+        coeffs = _coefficients(raw, normalize)
+        grad = weighted_gradient(state.w, forward_cache, deltas, coeffs)
+        new_params, new_velocity = sgd_step(
+            state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
+        )
+        # sgd_step's output is fresh, so the new net takes it without a copy;
+        # DenseNet rejects a non-finite vector.
+        return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity), coeffs
 
 
 def train_step(
@@ -514,14 +500,10 @@ def train_step(
         alpha = config.alpha
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
     state = update_theta(state, report.grad_theta, config.beta)
-    state, raw = update_classifier(
-        state,
-        train_batch,
-        alpha,
-        momentum=config.classifier_momentum,
-        weight_decay=config.classifier_weight_decay,
-        normalize=config.normalize,
-        cache=report.virtual,
+    raw = mw_forward(state.theta, report.virtual.losses)
+    state, _ = update_classifier(
+        state, report.virtual.forward_cache, report.virtual.deltas, raw, alpha,
+        config.classifier_momentum, config.classifier_weight_decay, config.normalize,
     )
     return state, report, raw
 
@@ -567,7 +549,7 @@ def train(
     meta_set: BiasedDataset,
     test_set: BiasedDataset,
     config: TrainConfig,
-    classifier_specs: Sequence[LayerSpec] | None = None,
+    classifier_specs: Sequence[LayerSpec],
     mwnet_hidden: tuple[int, ...] = (100,),
     weight_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     tracked_ids: np.ndarray | None = None,
@@ -576,10 +558,11 @@ def train(
     """Run T iterations of the bilevel loop and assemble the run report.
 
     weight_fn replaces the weighting net with a fixed losses -> weights
-    map (baselines); in that mode Theta is never touched and recorded
-    meta-gradient norms are zero. The report's warnings name a meta set
-    larger than the train set, classifier steps whose weights were all
-    zero, and epochs whose meta loss shows the run diverging.
+    map (baselines): each iteration is then the same `update_classifier`
+    step with the rule's weights and no meta step, Theta is never touched
+    and recorded meta-gradient norms are zero. The report's warnings name
+    a meta set larger than the train set, classifier steps whose weights
+    were all zero, and epochs whose meta loss shows the run diverging.
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -589,11 +572,6 @@ def train(
     if test_set.n == 0:
         raise ValueError("test set is empty")
 
-    if classifier_specs is None:
-        classifier_specs = (
-            LayerSpec(train_set.d, 32, "relu"),
-            LayerSpec(32, train_set.c, "identity"),
-        )
     classifier = init_net(classifier_specs, derive_seed(config.seed, 1))
     mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2))
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
@@ -628,12 +606,10 @@ def train(
             for it, mult in schedule:
                 if it == t:
                     alpha *= mult
-            idx, rng_train = sample_batch(train_set, config.n, rng_train)
-            train_batch = Batch.from_dataset(train_set, idx)
+            train_batch = Batch.from_dataset(train_set, sample_batch(train_set, config.n, rng_train))
 
             if weight_fn is None:
-                midx, rng_meta = sample_batch(meta_set, config.m, rng_meta)
-                meta_batch = Batch.from_dataset(meta_set, midx)
+                meta_batch = Batch.from_dataset(meta_set, sample_batch(meta_set, config.m, rng_meta))
                 state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
                 epoch_losses.append(report.weighted_loss)
                 epoch_norms.append(math.sqrt(report.grad_theta @ report.grad_theta))
@@ -644,10 +620,10 @@ def train(
                 with _stage("classifier step"):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
                     raw = weigh(state.theta, losses)
-                    state, coeffs = _weighted_step(
-                        state, fcache, deltas, raw, alpha, config.classifier_momentum,
-                        config.classifier_weight_decay, config.normalize,
-                    )
+                state, coeffs = update_classifier(
+                    state, fcache, deltas, raw, alpha,
+                    config.classifier_momentum, config.classifier_weight_decay, config.normalize,
+                )
                 epoch_losses.append(float(coeffs @ losses))
                 epoch_norms.append(0.0)
             if not raw.any():

@@ -8,8 +8,8 @@ The meta update consumes the exact per-input parameter Jacobian
 d(weight_i)/d(theta). The training loop runs the net's forward pass once
 per Theta, through `mw_forward_cache`, and builds that Jacobian from the
 returned cache with `nnet.per_sample_gradients(mwnet.net, cache, ones)`.
-`mw_jacobian` does both steps from the losses alone; the loop no longer
-calls it, the tests use it as the reference.
+`mw_jacobian` does both steps from the losses alone; the tests use it as
+the reference.
 """
 
 from __future__ import annotations

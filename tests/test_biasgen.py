@@ -214,7 +214,7 @@ def test_sample_batch_uniform_marginals():
     hits = np.zeros(ds.n)
     draws = 2000
     for _ in range(draws):
-        idx, rng = sample_batch(ds, 6, rng)
+        idx = sample_batch(ds, 6, rng)
         assert len(set(idx.tolist())) == 6
         hits[idx] += 1
     p = 6 / ds.n
@@ -224,7 +224,7 @@ def test_sample_batch_uniform_marginals():
 
 def test_sample_batch_full_size_is_permutation():
     ds = toy_dataset(c=2, per_class=5)
-    idx, _ = sample_batch(ds, ds.n, rng_stream(1, 2))
+    idx = sample_batch(ds, ds.n, rng_stream(1, 2))
     assert sorted(idx.tolist()) == list(range(ds.n))
     with pytest.raises(ValueError):
         sample_batch(ds, ds.n + 1, rng_stream(1, 2))
@@ -232,8 +232,8 @@ def test_sample_batch_full_size_is_permutation():
 
 def test_sample_batch_same_state_same_batch():
     ds = toy_dataset()
-    a, _ = sample_batch(ds, 8, rng_stream(7, 1))
-    b, _ = sample_batch(ds, 8, rng_stream(7, 1))
+    a = sample_batch(ds, 8, rng_stream(7, 1))
+    b = sample_batch(ds, 8, rng_stream(7, 1))
     assert np.array_equal(a, b)
 
 

@@ -1,11 +1,16 @@
-"""End-to-end tests of the command-line interface via subprocesses."""
+"""End-to-end tests of the command-line interface. One test per command
+starts `python -m metaweight` in a subprocess; the rest call `cli.main` in
+this process (`run_main`), which skips the interpreter start-up."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +26,26 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_main(*args):
+    """`cli.main` in this process, returning `run_cli`'s result shape: the
+    exit code (a SystemExit's code included), stdout and stderr. Warnings
+    go to the captured stderr, as a fresh process prints them, instead of
+    to pytest's warning summary."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_on_stderr
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def tree_bytes(root):
@@ -91,7 +116,7 @@ def test_gen_data_degenerate_bias_is_clean(tmp_path):
     doc["bias"] = {"imbalance": {"factor": 1}, "noise": {"kind": "uniform", "rate": 0.0}}
     cfg = write_config(tmp_path / "clean.json", doc)
     out = tmp_path / "clean.csv"
-    assert run_cli("gen-data", "--config", cfg, "--out", out).returncode == 0
+    assert run_main("gen-data", "--config", cfg, "--out", out).returncode == 0
     ds = load_dataset(out)
     assert not ds.corrupted.any()
     assert np.all(ds.class_counts == 10)
@@ -103,7 +128,7 @@ def test_gen_data_flip_noise_two_classes_is_config_error(tmp_path):
     doc["dataset"]["classes"] = 2
     doc["bias"] = {"noise": {"kind": "flip", "rate": 0.2}}
     cfg = write_config(tmp_path / "flip2.json", doc)
-    proc = run_cli("gen-data", "--config", cfg, "--out", tmp_path / "x.csv")
+    proc = run_main("gen-data", "--config", cfg, "--out", tmp_path / "x.csv")
     assert proc.returncode == 1
     assert "config error" in proc.stderr
     assert "3 classes" in proc.stderr
@@ -135,7 +160,7 @@ def test_train_repeat_is_byte_identical(trained):
 
 def test_train_seed_override(cfg_path, tmp_path):
     out = tmp_path / "s7"
-    proc = run_cli("train", "--config", cfg_path, "--out", out, "--seed", 7)
+    proc = run_main("train", "--config", cfg_path, "--out", out, "--seed", 7)
     assert proc.returncode == 0, proc.stderr
     echo = json.load(open(out / "config.json"))
     assert echo["run_seed"] == 7
@@ -146,13 +171,13 @@ def test_train_missing_meta_block_is_config_error(tmp_path):
     doc = base_doc()
     del doc["meta"]
     cfg = write_config(tmp_path / "nometa.json", doc)
-    proc = run_cli("train", "--config", cfg, "--out", tmp_path / "r")
+    proc = run_main("train", "--config", cfg, "--out", tmp_path / "r")
     assert proc.returncode == 1
     assert "meta" in proc.stderr
 
 
 def test_train_without_out_dir_is_config_error(cfg_path):
-    proc = run_cli("train", "--config", cfg_path)
+    proc = run_main("train", "--config", cfg_path)
     assert proc.returncode == 1
     assert "output" in proc.stderr
 
@@ -163,14 +188,26 @@ def test_negative_seed_flag_is_config_error(cfg_path, tmp_path):
         ("gen-data", "--config", cfg_path, "--out", tmp_path / "x.csv"),
         ("gradcheck", "--instances", 1),
     ):
-        proc = run_cli(*args, "--seed", -1)
+        proc = run_main(*args, "--seed", -1)
         assert proc.returncode == 1, args
         assert "config error: --seed must be >= 0, got -1" in proc.stderr
     assert not (tmp_path / "r").exists() and not (tmp_path / "x.csv").exists()
 
 
+def test_train_schedule_entry_past_T_is_config_error(tmp_path):
+    doc = base_doc()
+    doc["optim"]["lr_schedule"] = [[3, 0.5], [6, 0.1]]
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "late.json", doc), "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "config error: optim.lr_schedule[1] at iteration 6 is not below optim.T=6, so it never applies\n"
+    )
+    assert not out.exists()
+
+
 def test_train_missing_config_file_is_config_error(tmp_path):
-    proc = run_cli("train", "--config", tmp_path / "absent.json", "--out", tmp_path / "r")
+    proc = run_main("train", "--config", tmp_path / "absent.json", "--out", tmp_path / "r")
     assert proc.returncode == 1
     assert "config error" in proc.stderr
 
@@ -189,7 +226,7 @@ def test_train_numeric_failure_names_iteration_and_stage(tmp_path):
     # blow up: the error names the run, the iteration and the stage, and it
     # is the only thing on stderr.
     cfg = write_config(tmp_path / "huge_alpha.json", huge_alpha_noise40([{"kind": "uniform"}]))
-    proc = run_cli("train", "--config", cfg, "--out", tmp_path / "r", "--seed", 1)
+    proc = run_main("train", "--config", cfg, "--out", tmp_path / "r", "--seed", 1)
     assert proc.returncode == 2
     stages = "virtual step|meta step|classifier step|epoch evaluation"
     pattern = rf"error: uniform baseline, seed 1, iteration \d+ of 600, ({stages}): [^\n]+\n"
@@ -202,12 +239,12 @@ def test_train_weight_collapse_is_reported(tmp_path):
     # `report` prints it.
     cfg = write_config(tmp_path / "collapse.json", huge_alpha_noise40([]))
     out = tmp_path / "r"
-    proc = run_cli("train", "--config", cfg, "--out", out, "--seed", 1)
+    proc = run_main("train", "--config", cfg, "--out", out, "--seed", 1)
     assert proc.returncode == 0, proc.stderr
     warnings = json.load(open(out / "config.json"))["run_warnings"]
     assert len(warnings) == 1
     assert re.fullmatch(r"all-zero weights: .* in \d+ of 600 iterations, first in iteration \d+", warnings[0])
-    shown = run_cli("report", out)
+    shown = run_main("report", out)
     assert shown.returncode == 0, shown.stderr
     assert f"run warning: {warnings[0]}\n" in shown.stdout
 
@@ -221,27 +258,27 @@ def test_train_divergence_is_reported(tmp_path, alpha):
     doc["optim"]["alpha"] = alpha
     cfg = write_config(tmp_path / "diverge.json", doc)
     out = tmp_path / "r"
-    proc = run_cli("train", "--config", cfg, "--out", out, "--seed", 1)
+    proc = run_main("train", "--config", cfg, "--out", out, "--seed", 1)
     assert proc.returncode == 0, proc.stderr
     warnings = json.load(open(out / "config.json"))["run_warnings"]
     assert len(warnings) == 1
     pattern = r"diverging meta loss: the meta-set loss was above 10\.99 \(10 times ln 3, .*\) in \d+ of 100 epochs, first in epoch \d+ at [0-9.e+]+"
     assert re.fullmatch(pattern, warnings[0]), warnings[0]
-    shown = run_cli("report", out)
+    shown = run_main("report", out)
     assert shown.returncode == 0, shown.stderr
     assert f"run warning: {warnings[0]}\n" in shown.stdout
 
 
 def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
     data = tmp_path / "data.csv"
-    assert run_cli("gen-data", "--config", write_config(tmp_path / "gen.json", base_doc()), "--out", data).returncode == 0
+    assert run_main("gen-data", "--config", write_config(tmp_path / "gen.json", base_doc()), "--out", data).returncode == 0
     lines = data.read_text().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]
     data.write_text("\n".join(lines) + "\n")
     doc = base_doc()
     doc["dataset"] = {"kind": "file", "path": str(data), "test_fraction": 0.2}
     out = tmp_path / "r"
-    proc = run_cli("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
+    proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {data}: record 3 has a non-finite feature\n"
     assert not out.exists()
@@ -289,7 +326,7 @@ def test_probe_bad_range_is_config_error(tmp_path):
          "--max minus --min must be finite, got --min -1e+308 and --max 1e+308"),
         (("--steps", 1), "--steps must be >= 2, got 1"),
     ):
-        proc = run_cli("probe", "--model", model, "--out", out, *flags)
+        proc = run_main("probe", "--model", model, "--out", out, *flags)
         assert proc.returncode == 1, flags
         assert message in proc.stderr and "config error: --" in proc.stderr
     assert not out.exists()
@@ -306,13 +343,13 @@ def test_gradcheck_passes(tmp_path):
 
 
 def test_gradcheck_corrupted_sign_fails(tmp_path):
-    proc = run_cli("gradcheck", "--instances", 3, "--corrupt-sign")
+    proc = run_main("gradcheck", "--instances", 3, "--corrupt-sign")
     assert proc.returncode == 3
     assert proc.stdout.startswith("FAIL")
 
 
 def test_gradcheck_rejects_bad_instance_count():
-    proc = run_cli("gradcheck", "--instances", 0)
+    proc = run_main("gradcheck", "--instances", 0)
     assert proc.returncode == 1
     assert "config error" in proc.stderr
 
@@ -354,13 +391,13 @@ def test_report_on_a_short_curve_names_the_file(trained, tmp_path):
     shutil.copytree(dirs[0], tmp_path / "run")
     curve = tmp_path / "run" / "weight_curve.csv"
     curve.write_text("".join(curve.read_text().splitlines(keepends=True)[:6]))  # header + 5 rows
-    proc = run_cli("report", tmp_path / "run")
+    proc = run_main("report", tmp_path / "run")
     assert proc.returncode == 2
     assert re.fullmatch(r"error: .*weight_curve\.csv: need at least 10 curve points, got 5\n", proc.stderr)
 
 
 def test_report_on_missing_directory_is_runtime_error(tmp_path):
-    proc = run_cli("report", tmp_path / "empty")
+    proc = run_main("report", tmp_path / "empty")
     assert proc.returncode == 2
     assert "error" in proc.stderr
 
@@ -369,11 +406,11 @@ def test_report_on_missing_directory_is_runtime_error(tmp_path):
 
 
 def test_unknown_flag_exits_one(cfg_path):
-    proc = run_cli("train", "--config", cfg_path, "--frobnicate")
+    proc = run_main("train", "--config", cfg_path, "--frobnicate")
     assert proc.returncode == 1
-    proc = run_cli("trian")
+    proc = run_main("trian")
     assert proc.returncode == 1
-    proc = run_cli()
+    proc = run_main()
     assert proc.returncode == 1
 
 

@@ -167,7 +167,13 @@ def test_optim_validation_surfaces_as_config_error():
         doc["optim"]["lr_schedule"] = [[5, 0.5]] + bad
         with pytest.raises(ConfigError, match=r"optim\.lr_schedule\[1\]"):
             parse_config(doc)
+    # An entry at or past T would never apply.
     doc = minimal_doc()
+    doc["optim"]["lr_schedule"] = [[5, 0.5], [10, 0.1]]
+    with pytest.raises(ConfigError, match=r"optim\.lr_schedule\[1\] at iteration 10 is not below optim\.T=10"):
+        parse_config(doc)
+    doc = minimal_doc()
+    doc["optim"]["T"] = 30
     doc["optim"]["lr_schedule"] = [[10, 0.1], [20.0, 0.01]]
     assert parse_config(doc).optim.lr_schedule == ((10, 0.1), (20, 0.01))
 

@@ -369,6 +369,19 @@ def test_run_experiment_echo_names_the_seed(tmp_path):
     assert echo["experiment"]["optim"]["T"] == 6
 
 
+def test_baseline_echo_names_the_configs_weighting_net(tmp_path):
+    # A baseline run echoes the experiment's model block, not train's
+    # default weighting net, although its fixed rule never runs that net.
+    doc = tiny_doc(baselines=[{"kind": "uniform"}])
+    doc["model"]["mwnet_hidden"] = [7]
+    _, result = run_tiny_experiment(tmp_path, doc)
+    assert result.reports[0].config_echo["mwnet_hidden"] == [7]
+    assert result.baseline_reports["uniform"][0].config_echo["mwnet_hidden"] == [7]
+    save_experiment(result, tmp_path)
+    with open(tmp_path / "baseline_uniform" / "config.json", encoding="utf-8") as fh:
+        assert json.load(fh)["mwnet_hidden"] == [7]
+
+
 def test_summarize_reports_clean_noisy_gap(tmp_path):
     doc = tiny_doc(bias={"noise": {"kind": "uniform", "rate": 0.4}})
     _, result = run_tiny_experiment(tmp_path, doc)

@@ -650,17 +650,21 @@ def test_update_theta_closed_forms():
 def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
-    w_hat = virtual_update(state, batch, alpha).w_hat
-    new_state, _ = update_classifier(state, batch, alpha)
-    assert np.array_equal(new_state.w.params, w_hat)
+    cache = virtual_update(state, batch, alpha)
+    new_state, coeffs = update_classifier(state, cache.forward_cache, cache.deltas, cache.raw_weights, alpha)
+    assert np.array_equal(new_state.w.params, cache.w_hat)
+    assert np.array_equal(coeffs, cache.coeffs)
 
 
 def test_update_classifier_zero_weights_is_identity():
     state, batch, _ = make_instance(32)
     state = TrainState(state.w, zero_weight_theta(seed=1), state.velocity)
-    new_state, raw = update_classifier(state, batch, alpha=0.3)
+    losses, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+    raw = mw_forward(state.theta, losses)
+    new_state, coeffs = update_classifier(state, fcache, deltas, raw, alpha=0.3)
     assert np.array_equal(new_state.w.params, state.w.params)
     assert np.all(raw == 0.0)
+    assert np.all(coeffs == 0.0)
 
 
 def test_update_classifier_recomputes_weights_under_new_theta():
@@ -671,8 +675,9 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     state = TrainState(state.w, shifted, np.full_like(state.w.params, 0.01))
 
     mom, wd, alpha = 0.9, 5e-4, 0.1
-    new_state, _ = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd)
+    _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
     raw = mw_forward(shifted, losses)
+    new_state, _ = update_classifier(state, fcache, deltas, raw, alpha, momentum=mom, weight_decay=wd)
     expected, expected_vel = sgd_step(
         state.w.params, (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd, state=state.velocity
     )
@@ -681,10 +686,13 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     assert rel_err(new_state.w.params, expected) < 1e-14
     assert rel_err(new_state.velocity, expected_vel) < 1e-14
 
-    # Passing the virtual step's cache (the deltas depend on w only, not on
-    # Theta) must not change the result.
+    # The pass of a virtual step taken under a different Theta (the deltas
+    # depend on w only, not on Theta), with the weights recomputed under
+    # the new Theta, gives the same step.
     cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
-    cached, _ = update_classifier(state, batch, alpha, momentum=mom, weight_decay=wd, cache=cache)
+    cached, _ = update_classifier(
+        state, cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses), alpha, momentum=mom, weight_decay=wd
+    )
     assert np.array_equal(cached.w.params, new_state.w.params)
     assert np.array_equal(cached.velocity, new_state.velocity)
 
@@ -699,21 +707,22 @@ def test_train_step_composes_the_three_updates():
 
     manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize)
     s1 = update_theta(state, manual.grad_theta, config.beta)
-    s2, s2_raw = update_classifier(
+    s1_raw = mw_forward(s1.theta, manual.virtual.losses)
+    s2, _ = update_classifier(
         s1,
-        tb,
+        manual.virtual.forward_cache,
+        manual.virtual.deltas,
+        s1_raw,
         config.alpha,
         momentum=config.classifier_momentum,
         weight_decay=config.classifier_weight_decay,
-        cache=manual.virtual,
     )
     assert np.array_equal(new_state.theta.theta, s2.theta.theta)
     assert np.array_equal(new_state.w.params, s2.w.params)
     assert np.array_equal(new_state.velocity, s2.velocity)
     assert np.array_equal(report.grad_theta, manual.grad_theta)
     # The weights applied are the classifier step's, under the updated Theta.
-    assert np.array_equal(raw, s2_raw)
-    assert np.array_equal(raw, mw_forward(s1.theta, manual.virtual.losses))
+    assert np.array_equal(raw, s1_raw)
 
 
 def test_train_step_beta_zero_freezes_theta():
@@ -849,6 +858,60 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert not np.array_equal(new_state.theta.theta, state.theta.theta)
 
 
+def test_fixed_rule_step_does_the_promised_work(monkeypatch):
+    """A baseline iteration is the bilevel iteration without its meta
+    step: one classifier forward, no weighting-net forward, one training
+    batch drawn and no meta batch, one weighted-gradient reduction and one
+    sgd_step (the benchmark's clock), all inside `update_classifier` but
+    the forward and the draw."""
+    from metaweight import weightnet
+    from metaweight.metaopt import BaselineSpec
+
+    train_set, meta_set, test_set = make_toy_sets(15, per_class=40)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=6, seed=3)
+    assert -(-train_set.n // config.n) > config.T  # no epoch evaluation
+    calls = {"forward": [], "sample_batch": [], "weighted": [], "sgd_step": []}
+    stage, counting = ["loop"], [True]
+
+    def record(name, fn, tag=lambda *args: stage[0]):
+        def wrapped(*args, **kwargs):
+            if counting[0]:
+                calls[name].append(tag(*args))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def staged_update(*args, **kwargs):
+        stage[0] = "update"
+        try:
+            return update_classifier(*args, **kwargs)
+        finally:
+            stage[0] = "loop"
+
+    def uncounted_report(*args):
+        counting[0] = False
+        return final_report(*args)
+
+    final_report, sample_batch = metaopt._final_report, metaopt.sample_batch
+    net_kind = lambda net, batch: "weighting net" if net.output_dim == 1 else "classifier"
+    for module in (nnet, weightnet, metaopt):
+        monkeypatch.setattr(module, "forward", record("forward", forward, net_kind))
+    monkeypatch.setattr(metaopt, "sample_batch", record("sample_batch", sample_batch, lambda ds, size, rng: size))
+    monkeypatch.setattr(metaopt, "weighted_gradient", record("weighted", weighted_gradient))
+    monkeypatch.setattr(metaopt, "sgd_step", record("sgd_step", sgd_step))
+    monkeypatch.setattr(metaopt, "update_classifier", staged_update)
+    monkeypatch.setattr(metaopt, "_final_report", uncounted_report)
+    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
+          weight_fn=BaselineSpec("ramp").weight_fn())
+
+    T = config.T
+    assert calls["forward"] == ["classifier"] * T
+    assert calls["sample_batch"] == [config.n] * T
+    assert calls["weighted"] == ["update"] * T
+    assert calls["sgd_step"] == ["update"] * T
+    assert not counting[0]
+
+
 # ---------------------------------------------------------------- train loop
 
 
@@ -969,10 +1032,9 @@ def test_train_warns_when_weights_collapse(monkeypatch):
     config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=9, seed=2, lr_schedule=((4, 1e5),))
     zero_steps = []
 
-    def spy(*args, **kwargs):
-        new_state, raw = update_classifier(*args, **kwargs)
+    def spy(state, forward_cache, deltas, raw, *args, **kwargs):
         zero_steps.append(not raw.any())
-        return new_state, raw
+        return update_classifier(state, forward_cache, deltas, raw, *args, **kwargs)
 
     monkeypatch.setattr(metaopt, "update_classifier", spy)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1050,7 +1112,7 @@ def test_train_lr_schedule_scales_the_step():
     s_tiny, _ = train(train_set, meta_set, test_set, tiny, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
     assert np.linalg.norm(s_plain.w.params - w_init) > 1e-4
     assert np.linalg.norm(s_tiny.w.params - w_init) < 1e-9
-    # A multiplier scheduled past T never fires.
-    later = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=1, seed=6, lr_schedule=((5, 1e-12),))
-    s_later, _ = train(train_set, meta_set, test_set, later, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    assert np.array_equal(s_later.w.params, s_plain.w.params)
+    # A multiplier scheduled at or past T would never fire, so it is rejected.
+    for it in (1, 5):
+        with pytest.raises(ValueError, match=rf"bad lr_schedule entry \({it}, 1e-12\): need 0 <= iteration < T=1"):
+            TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=1, seed=6, lr_schedule=((it, 1e-12),))
