@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from metaweight.biasgen import FLIP, NoiseSpec
+from metaweight.biasgen import FLIP, NoiseSpec, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
 
@@ -188,6 +188,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"optim: {exc}") from exc
 
+    if kind == "gaussians":
+        _check_sizes(dataset, meta_per_class, imbalance_factor, optim)
+
     out_dir = ""
     plots = False
     if doc.get("output") is not None:
@@ -231,6 +234,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
         baselines=tuple(baselines),
         raw=doc,
     )
+
+
+def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | None, optim: TrainConfig) -> None:
+    """Reject batch sizes that no run could draw. A gaussians dataset's
+    sizes are known here: the meta set takes meta.per_class clean samples
+    of each class from the pool, and the training set is the rest, after
+    long-tail subsampling. (File datasets are checked when `train` runs.)"""
+    if meta_per_class > dataset.per_class:
+        raise ConfigError(
+            f"meta.per_class={meta_per_class} is above dataset.per_class={dataset.per_class}, "
+            f"so a class cannot fill the meta set"
+        )
+    base = dataset.per_class - meta_per_class
+    if factor is None or base == 0:
+        train_n = dataset.classes * base
+    else:
+        try:
+            train_n = int(longtail_counts(dataset.classes, base, factor).sum())
+        except ValueError as exc:
+            raise ConfigError(f"bias.imbalance.factor: {exc}") from exc
+    if optim.n > train_n:
+        raise ConfigError(f"optim.n={optim.n} is above the training-set size {train_n}")
+    meta_n = dataset.classes * meta_per_class
+    if optim.m > meta_n:
+        raise ConfigError(f"optim.m={optim.m} is above the meta-set size {meta_n} (classes times meta.per_class)")
 
 
 def _int_tuple(value, context: str) -> tuple[int, ...]:

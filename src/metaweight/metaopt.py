@@ -47,9 +47,17 @@ without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so its
 memory does not grow with the dataset; the training steps, at most one
 block each, keep `nnet.forward` and its cache.
 
-Finiteness is checked once per stage output: the step coefficients,
-grad_theta, and each new parameter vector (`DenseNet` rejects a
-non-finite one); dataset features are checked where the dataset is built.
+Values are checked once, where they enter: settings in `TrainConfig` and
+`BaselineSpec`, data in `BiasedDataset`, nets in the `DenseNet` and `MWNet`
+constructors, hand-built batches in the `Batch` constructor, a fixed
+rule's weights where `train` receives them. Each stage output is checked
+where it is made: the step coefficients (finite, and nonnegative when
+normalized), grad_theta, and each new parameter vector, which
+`DenseNet.with_params` binds onto the already-checked layers (shape and
+finiteness). Inside the loop nothing is checked or coerced again: the
+kernels take the float64 arrays the loop built as they are, the nets keep
+the layers they were built with, and `Batch.from_dataset` gathers sorted
+rows from a checked dataset.
 """
 
 from __future__ import annotations
@@ -90,6 +98,14 @@ CURVE_PERCENTILE = 99.0
 # guess, marks a diverging run. The shipped configs stay below 3 times
 # ln(c) in every epoch, baselines included.
 DIVERGENCE_FACTOR = 10.0
+# This many consecutive iterations with an exactly zero meta-gradient (and
+# some weight nonzero) mark a stalled weighting net. None of the 8400
+# iterations of the shipped configs' learned runs has a zero meta-gradient
+# (the smallest norm is about 1e-8), so a small count raises no false
+# alarm there. One zero can come from a batch whose weights all sit where
+# the sigmoid head rounds to 1; five in a row take five independently drawn
+# batches, and a stalled net is reported within five iterations.
+STALL_ITERS = 5
 
 
 @dataclass(frozen=True)
@@ -132,16 +148,15 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Classifier, weighting net and momentum buffer at one iteration."""
+    """Classifier, weighting net and momentum buffer at one iteration.
+
+    `velocity` is a float64 vector shaped like `w.params`; `nnet.sgd_step`
+    checks that shape at every classifier step. `theta` is None in a run
+    with a fixed weighting rule."""
 
     w: DenseNet
-    theta: MWNet
+    theta: MWNet | None
     velocity: np.ndarray
-
-    def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        if self.velocity.shape != self.w.params.shape:
-            raise ValueError("velocity must match classifier parameter shape")
 
 
 @dataclass
@@ -174,8 +189,15 @@ class Batch:
 
     @classmethod
     def from_dataset(cls, dataset: BiasedDataset, indices: np.ndarray) -> "Batch":
+        """The rows `indices` of a dataset, in sorted order. The dataset's
+        arrays were checked when it was built, so the batch is built from
+        them without the constructor's checks."""
         indices = np.sort(np.asarray(indices, dtype=np.int64))
-        return cls(indices, dataset.features[indices], dataset.observed_labels[indices])
+        if indices.size == 0:
+            raise ValueError("empty batch")
+        batch = object.__new__(cls)
+        batch.ids, batch.features, batch.labels = indices, dataset.features[indices], dataset.observed_labels[indices]
+        return batch
 
 
 @dataclass
@@ -444,7 +466,6 @@ def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> Trai
     """Plain SGD on the weighting net: Theta' = Theta - beta * grad_theta."""
     if not beta >= 0:
         raise ValueError("beta must be >= 0")
-    grad_theta = np.asarray(grad_theta, dtype=np.float64)
     if grad_theta.shape != state.theta.theta.shape:
         raise ValueError("grad_theta shape mismatch")
     theta = state.theta.with_theta(state.theta.theta - beta * grad_theta)
@@ -474,9 +495,9 @@ def update_classifier(
         new_params, new_velocity = sgd_step(
             state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
         )
-        # sgd_step's output is fresh, so the new net takes it without a copy;
-        # DenseNet rejects a non-finite vector.
-        return TrainState(DenseNet(state.w.layers, new_params), state.theta, new_velocity), coeffs
+        # with_params holds sgd_step's fresh output without a copy and
+        # rejects a non-finite vector.
+        return TrainState(state.w.with_params(new_params), state.theta, new_velocity), coeffs
 
 
 def train_step(
@@ -500,7 +521,7 @@ def train_step(
         alpha = config.alpha
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
     state = update_theta(state, report.grad_theta, config.beta)
-    raw = mw_forward(state.theta, report.virtual.losses)
+    raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
     state, _ = update_classifier(
         state, report.virtual.forward_cache, report.virtual.deltas, raw, alpha,
         config.classifier_momentum, config.classifier_weight_decay, config.normalize,
@@ -560,9 +581,11 @@ def train(
     weight_fn replaces the weighting net with a fixed losses -> weights
     map (baselines): each iteration is then the same `update_classifier`
     step with the rule's weights and no meta step, Theta is never touched
-    and recorded meta-gradient norms are zero. The report's warnings name
-    a meta set larger than the train set, classifier steps whose weights
-    were all zero, and epochs whose meta loss shows the run diverging.
+    and recorded meta-gradient norms are zero; no weighting net is built
+    and the returned state's `theta` is None. The report's warnings name a
+    meta set larger than the train set, classifier steps whose weights
+    were all zero, a meta-gradient that stayed exactly zero, and epochs
+    whose meta loss shows the run diverging.
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -573,7 +596,7 @@ def train(
         raise ValueError("test set is empty")
 
     classifier = init_net(classifier_specs, derive_seed(config.seed, 1))
-    mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2))
+    mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2)) if weight_fn is None else None
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
     # The state holds the only references, so each net is freed once replaced.
     del classifier, mwnet
@@ -599,7 +622,7 @@ def train(
     alpha = config.alpha
     history = {"accuracy": [], "train_loss": [], "meta_loss": [], "grad_norm": [], "tracked": []}
     epoch_losses, epoch_norms = [], []
-    zero_weight_iters = []
+    zero_weight_iters, zero_grad_iters = [], []
 
     for t in range(config.T):
         try:
@@ -616,6 +639,10 @@ def train(
                 # Its virtual-step cache holds the previous classifier and the
                 # batch's activations and deltas; nothing reads them again.
                 del report
+                # With all-zero weights the gradient is 0 too; that case is
+                # the all-zero-weights warning's.
+                if epoch_norms[-1] == 0.0 and raw.any():
+                    zero_grad_iters.append(t + 1)
             else:
                 with _stage("classifier step"):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
@@ -647,6 +674,7 @@ def train(
             f"all-zero weights: every sample weight of the classifier step was zero in "
             f"{len(zero_weight_iters)} of {config.T} iterations, first in iteration {zero_weight_iters[0]}"
         )
+    notes.extend(_stall_notes(zero_grad_iters, config.T))
     notes.extend(_divergence_notes(history["meta_loss"], meta_set.c))
     echo = asdict(config)
     echo["classifier_layers"] = [
@@ -658,6 +686,22 @@ def train(
     if config_echo:
         echo.update(config_echo)
     return state, _final_report(state, weigh, train_set, test_set, tracked_ids, history, echo, notes)
+
+
+def _stall_notes(zero_grad_iters: list[int], T: int) -> list[str]:
+    """A run warning when the meta-gradient was exactly zero, with some
+    weight nonzero, in STALL_ITERS consecutive iterations: Theta then no
+    longer moves and the run has become a fixed-rule run."""
+    run = 0
+    for k, t in enumerate(zero_grad_iters):
+        run = run + 1 if k and t == zero_grad_iters[k - 1] + 1 else 1
+        if run == STALL_ITERS:
+            return [
+                f"zero meta-gradient: the meta-gradient was exactly zero with nonzero weights in "
+                f"{len(zero_grad_iters)} of {T} iterations, {STALL_ITERS} or more in a row first from iteration "
+                f"{t - STALL_ITERS + 1}, so the weighting net stopped learning"
+            ]
+    return []
 
 
 def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:

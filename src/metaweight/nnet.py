@@ -45,10 +45,22 @@ al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 cache, for passes over a whole dataset or grid; its memory is
 O(ROW_BLOCK * width) whatever the number of rows.
 
-Nothing here checks its outputs for finiteness except `DenseNet`, which
-rejects a non-finite parameter vector; callers check the quantities
-they act on. Reductions use numpy's fixed summation order, so identical
-inputs give bit-identical results across runs.
+Values are checked once, where they enter. The `DenseNet` constructor
+checks the layer chain and the parameter vector; `DenseNet.with_params`,
+the one way a new vector is bound onto a built net, checks that vector's
+shape and finiteness against the layers already checked; `outputs`
+coerces its input to a float64 matrix. The kernels (`forward`,
+`lookahead_forward`, `layer_deltas`, `lookahead_deltas`,
+`weighted_gradient`, `gradient_gram`, `per_sample_gradients`,
+`softmax_cross_entropy`, `sgd_step`) take float64 2-D arrays (1-D
+vectors for `sgd_step`) as they are, without coercing them: the training
+loop builds every array they see, from datasets checked when they were
+built. They check argument shapes and step settings, not array values,
+and do not check their outputs for finiteness; the training loop checks
+each stage output it acts on (the step coefficients, the meta-gradient,
+and each new parameter vector through `with_params`). Reductions use
+numpy's fixed summation order, so identical inputs give bit-identical
+results across runs.
 """
 
 from __future__ import annotations
@@ -147,11 +159,13 @@ class DenseNet:
         return self._views
 
     def with_params(self, params: np.ndarray) -> "DenseNet":
-        """A copy of `params` on the same layers. The layer chain was checked
-        when this net was built, so only the new vector is checked."""
+        """This net's layers with the parameter vector `params`, held as
+        given (a float64 array is not copied, so pass one nothing else will
+        write to). The layer chain was checked when this net was built, so
+        only the new vector's shape and finiteness are checked."""
         net = object.__new__(DenseNet)
         object.__setattr__(net, "layers", self.layers)
-        net._bind(np.array(params, dtype=np.float64), self.params.size)
+        net._bind(np.asarray(params, dtype=np.float64), self.params.size)
         return net
 
 
@@ -207,15 +221,18 @@ def _activation_backward(delta: np.ndarray, act: np.ndarray, kind: str) -> np.nd
     return delta
 
 
+def _check_batch(net: DenseNet, batch: np.ndarray) -> None:
+    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
+        raise ValueError(f"batch must be a matrix with {net.input_dim} columns, got shape {batch.shape}")
+
+
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (batch_size, input_dim) matrix.
+    """Run the network on a float64 (batch_size, input_dim) matrix.
 
     Returns the final activations and a cache of every intermediate.
     """
-    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    acts = [x]
+    _check_batch(net, batch)
+    acts = [batch]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
         z = acts[-1] @ w
         z += b
@@ -253,18 +270,17 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
     `upstream` is the (batch_size, output_dim) matrix of per-sample loss
     gradients with respect to the network outputs.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
     bsz = cache.batch_size
     if upstream.shape != (bsz, net.output_dim):
         raise ValueError(f"upstream must have shape ({bsz}, {net.output_dim}), got {upstream.shape}")
-    weights = [w for w, _ in net.layer_params()]
+    views = net.layer_params()
     deltas = [None] * len(net.layers)
     delta = upstream
     for k in range(len(net.layers) - 1, -1, -1):
         delta = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = delta @ weights[k].T
+            delta = delta @ views[k][0].T
     return deltas
 
 
@@ -289,10 +305,8 @@ def lookahead_forward(
     (see module docstring). Returns the outputs, the cache and the
     per-layer Gram matrices K_k = a'_k a_k^T + 1 of this batch against the
     cached one."""
-    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"batch has {x.shape[1]} columns, network expects {net.input_dim}")
-    acts, grams = [x], []
+    _check_batch(net, batch)
+    acts, grams = [batch], []
     for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
         gram = acts[-1] @ a_prev.T
         gram += 1.0
@@ -309,14 +323,14 @@ def lookahead_deltas(
 ) -> list[np.ndarray]:
     """`layer_deltas` at the w_hat of `lookahead_forward`, for the batch of
     `look_cache`; `cache` and `steps` are the ones that defined w_hat."""
-    weights = [w for w, _ in net.layer_params()]
+    views = net.layer_params()
     deltas = [None] * len(net.layers)
-    delta = np.asarray(upstream, dtype=np.float64)
+    delta = upstream
     for k in range(len(net.layers) - 1, -1, -1):
         delta = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = delta @ weights[k].T - (delta @ steps[k].T) @ cache.acts[k]
+            delta = delta @ views[k][0].T - (delta @ steps[k].T) @ cache.acts[k]
     return deltas
 
 
@@ -385,8 +399,6 @@ def sgd_step(
 
     Evaluated left to right into the two returned arrays, with no other
     param-sized temporary."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
     if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
@@ -414,8 +426,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     (batch, classes) = softmax(logits) - onehot(labels). Labels must lie
     in [0, classes); they are checked where datasets are built, not here.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     norm = expz.sum(axis=1, keepdims=True)

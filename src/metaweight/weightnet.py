@@ -7,9 +7,14 @@ weight vector to sum to one and maps an all-zero vector to all zeros.
 The meta update consumes the exact per-input parameter Jacobian
 d(weight_i)/d(theta). The training loop runs the net's forward pass once
 per Theta, through `mw_forward_cache`, and builds that Jacobian from the
-returned cache with `nnet.per_sample_gradients(mwnet.net, cache, ones)`.
-`mw_jacobian` does both steps from the losses alone; the tests use it as
-the reference.
+virtual step's cache with `nnet.per_sample_gradients(mwnet.net, cache,
+ones)`. `mw_jacobian` does both steps from the losses alone; the tests
+use it as the reference.
+
+The `MWNet` constructor checks the 1-in, 1-out sigmoid-head shape;
+`MWNet.with_theta` binds a new vector onto that checked shape. The loss
+vector is checked where it enters, in `mw_forward`, `mw_forward_cache`
+and `mw_jacobian`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,11 @@ class MWNet:
         return self.net.param_count
 
     def with_theta(self, theta: np.ndarray) -> "MWNet":
-        return MWNet(self.net.with_params(theta))
+        """This net with parameter vector `theta` (see `DenseNet.with_params`);
+        the layer shape was checked when this net was built."""
+        mwnet = object.__new__(MWNet)
+        mwnet.net = self.net.with_params(theta)
+        return mwnet
 
 
 def init_mwnet(hidden: tuple[int, ...] = (100,), seed: int = 0) -> MWNet:
@@ -108,9 +117,8 @@ def normalizer(weights: np.ndarray) -> float:
 
 
 def normalize(weights: np.ndarray) -> np.ndarray:
-    """Rescale nonnegative weights to sum to 1; an all-zero vector maps
-    to all zeros."""
-    weights = np.asarray(weights, dtype=np.float64)
+    """Rescale a float64 vector of nonnegative weights to sum to 1; an
+    all-zero vector maps to all zeros."""
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be finite and nonnegative")
     return weights / normalizer(weights)

@@ -206,6 +206,18 @@ def test_train_schedule_entry_past_T_is_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_train_impossible_batch_size_is_config_error(tmp_path):
+    # The sizes of a gaussians dataset are known from the config, so a
+    # batch larger than its set fails before any data is built.
+    doc = base_doc()
+    doc["optim"]["n"] = 10000
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "big_n.json", doc), "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: optim.n=10000 is above the training-set size 24\n"
+    assert not out.exists()
+
+
 def test_train_missing_config_file_is_config_error(tmp_path):
     proc = run_main("train", "--config", tmp_path / "absent.json", "--out", tmp_path / "r")
     assert proc.returncode == 1
@@ -253,7 +265,9 @@ def test_train_weight_collapse_is_reported(tmp_path):
 def test_train_divergence_is_reported(tmp_path, alpha):
     # A large step size drives the classifier to chance accuracy with
     # positive weights, so no weight collapses: the run records the meta
-    # loss it diverged to, and `report` prints it.
+    # loss it diverged to, and `report` prints it. At alpha 100 the
+    # classifier also fits its batches with losses of exactly 0, so the
+    # meta-gradient is exactly 0 and the weighting net stops learning.
     doc = huge_alpha_noise40([])
     doc["optim"]["alpha"] = alpha
     cfg = write_config(tmp_path / "diverge.json", doc)
@@ -261,9 +275,33 @@ def test_train_divergence_is_reported(tmp_path, alpha):
     proc = run_main("train", "--config", cfg, "--out", out, "--seed", 1)
     assert proc.returncode == 0, proc.stderr
     warnings = json.load(open(out / "config.json"))["run_warnings"]
-    assert len(warnings) == 1
+    stalled = alpha == 100
+    assert len(warnings) == 1 + stalled
+    if stalled:
+        zero_grad = r"zero meta-gradient: .* in \d+ of 600 iterations, 5 or more in a row first from iteration \d+, .*"
+        assert re.fullmatch(zero_grad, warnings[0]), warnings[0]
     pattern = r"diverging meta loss: the meta-set loss was above 10\.99 \(10 times ln 3, .*\) in \d+ of 100 epochs, first in epoch \d+ at [0-9.e+]+"
-    assert re.fullmatch(pattern, warnings[0]), warnings[0]
+    assert re.fullmatch(pattern, warnings[-1]), warnings[-1]
+    shown = run_main("report", out)
+    assert shown.returncode == 0, shown.stderr
+    for warning in warnings:
+        assert f"run warning: {warning}\n" in shown.stdout
+
+
+def test_train_zero_meta_gradient_is_reported(tmp_path):
+    # A huge weighting-net step saturates the sigmoid head at 1 after the
+    # first update: every weight is 1, the meta-gradient is exactly 0 from
+    # then on, and the run has silently become the uniform baseline.
+    doc = huge_alpha_noise40([])
+    doc["optim"].update(alpha=0.1, beta=1e300, T=20, lr_schedule=[])
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "stall.json", doc), "--out", out, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    warnings = json.load(open(out / "config.json"))["run_warnings"]
+    assert warnings == [
+        "zero meta-gradient: the meta-gradient was exactly zero with nonzero weights in 19 of 20 iterations, "
+        "5 or more in a row first from iteration 2, so the weighting net stopped learning"
+    ]
     shown = run_main("report", out)
     assert shown.returncode == 0, shown.stderr
     assert f"run warning: {warnings[0]}\n" in shown.stdout

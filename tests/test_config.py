@@ -199,6 +199,48 @@ def test_gaussians_dim_must_be_two():
         parse_config(doc)
 
 
+def test_gaussian_set_sizes_are_checked_at_parse_time():
+    # minimal_doc: 3 classes of 20 samples, 2 per class for the meta set,
+    # so the meta set has 6 samples and the training set 3 * 18 = 54.
+    for key, value, message in (
+        ("n", 55, r"^optim\.n=55 is above the training-set size 54$"),
+        ("m", 7, r"^optim\.m=7 is above the meta-set size 6 \(classes times meta\.per_class\)$"),
+    ):
+        doc = minimal_doc()
+        doc["optim"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+    doc = minimal_doc()
+    doc["optim"].update(n=54, m=6)
+    optim = parse_config(doc).optim
+    assert (optim.n, optim.m) == (54, 6)
+    # Long tail over the 18 left per class: counts 18, 6 and 2, 26 in all.
+    doc = minimal_doc()
+    doc["bias"] = {"imbalance": {"factor": 10}, "noise": {"kind": "uniform", "rate": 0.4}}
+    doc["optim"]["n"] = 26
+    assert parse_config(doc).optim.n == 26
+    doc["optim"]["n"] = 27
+    with pytest.raises(ConfigError, match=r"^optim\.n=27 is above the training-set size 26$"):
+        parse_config(doc)
+    doc["bias"]["imbalance"]["factor"] = 1e6
+    with pytest.raises(ConfigError, match=r"^bias\.imbalance\.factor: imbalance factor 1000000\.0 empties a class"):
+        parse_config(doc)
+    doc = minimal_doc()
+    doc["meta"]["per_class"] = 21
+    with pytest.raises(ConfigError, match=r"^meta\.per_class=21 is above dataset\.per_class=20"):
+        parse_config(doc)
+    # Every sample in the meta set leaves no training set at all.
+    doc["meta"]["per_class"] = 20
+    doc["optim"]["m"] = 4
+    with pytest.raises(ConfigError, match=r"^optim\.n=8 is above the training-set size 0$"):
+        parse_config(doc)
+    # A file dataset's sizes are known only once it is read; train checks them.
+    doc = minimal_doc()
+    doc["dataset"] = {"kind": "file", "path": "data.csv"}
+    doc["optim"].update(n=10000, m=10000)
+    assert parse_config(doc).optim.n == 10000
+
+
 def test_file_dataset_block():
     doc = minimal_doc()
     doc["dataset"] = {"kind": "file", "path": "data.csv", "test_fraction": 0.25}

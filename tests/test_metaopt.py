@@ -787,8 +787,10 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     meta-step Jacobian equal bit for bit to mw_jacobian's. The meta step
     runs no weighted-gradient reduction and builds no net, so it builds no
     param_count-length vector: the one weighted_gradient belongs to the
-    classifier step, the one with_params to Theta', and the new classifier
-    takes sgd_step's output without a copy."""
+    classifier step. The two new nets, Theta' and the new classifier, are
+    each bound once through with_params, no net goes through the
+    constructor, and the new classifier takes sgd_step's output without a
+    copy."""
     from metaweight import nnet, weightnet
 
     state, tb, mb = make_instance(42)
@@ -849,7 +851,7 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert len(calls["sgd_step"]) == 1
     assert new_state.w.params is calls["sgd_step"][0][0]
     assert calls["weighted"] == ["update"]
-    assert calls["nets"] == [("update", "with_params", state.theta.net.layers), ("update", "DenseNet", state.w.layers)]
+    assert calls["nets"] == [("update", "with_params", state.theta.net.layers), ("update", "with_params", state.w.layers)]
     monkeypatch.undo()
     weights, jac = mw_jacobian(state.theta, report.virtual.losses)
     assert len(calls["jacobians"]) == 1
@@ -910,6 +912,54 @@ def test_fixed_rule_step_does_the_promised_work(monkeypatch):
     assert calls["weighted"] == ["update"] * T
     assert calls["sgd_step"] == ["update"] * T
     assert not counting[0]
+
+
+@pytest.mark.parametrize("fixed_rule", [False, True])
+def test_an_iteration_rechecks_nothing_checked_before(monkeypatch, fixed_rule):
+    """Structure is checked once, where it is built: an iteration of `train`,
+    bilevel or fixed-rule, runs no layer-chain check and no DenseNet, MWNet
+    or Batch constructor check, and TrainState has no check of its own
+    (sgd_step checks the velocity's shape at each classifier step)."""
+    from metaweight import weightnet
+
+    train_set, meta_set, test_set = make_toy_sets(15, per_class=40)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=3, seed=3)
+    assert -(-train_set.n // config.n) > config.T  # no epoch evaluation
+    phase, calls = ["set-up"], []
+    sample_batch, final_report = metaopt.sample_batch, metaopt._final_report
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((phase[0], name))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def iteration_starts(*args):
+        # Each iteration starts by drawing its training batch.
+        phase[0] = "iteration"
+        return sample_batch(*args)
+
+    def iterations_end(*args):
+        phase[0] = "final report"
+        return final_report(*args)
+
+    monkeypatch.setattr(metaopt, "sample_batch", iteration_starts)
+    monkeypatch.setattr(metaopt, "_final_report", iterations_end)
+    monkeypatch.setattr(nnet, "_check_chain", spy("_check_chain", nnet._check_chain))
+    for cls in (DenseNet, weightnet.MWNet, Batch):
+        monkeypatch.setattr(cls, "__post_init__", spy(f"{cls.__name__}.__post_init__", cls.__post_init__))
+    weight_fn = metaopt.BaselineSpec("uniform").weight_fn() if fixed_rule else None
+    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
+          weight_fn=weight_fn)
+
+    assert phase == ["final report"]
+    assert [name for stage, name in calls if stage == "iteration"] == []
+    assert "__post_init__" not in vars(TrainState)
+    # The spies do see the checks where the nets are built.
+    built = [name for stage, name in calls if stage == "set-up"]
+    assert "_check_chain" in built and "DenseNet.__post_init__" in built
+    assert ("MWNet.__post_init__" in built) == (not fixed_rule)
 
 
 # ---------------------------------------------------------------- train loop
@@ -1059,6 +1109,18 @@ def test_train_warns_when_weights_collapse(monkeypatch):
     assert healthy.warnings == []
 
 
+def test_stall_warning_needs_five_zero_gradients_in_a_row():
+    # Iterations (1-based) whose meta-gradient was exactly zero with some
+    # weight nonzero; only a run of STALL_ITERS = 5 consecutive ones warns.
+    assert metaopt.STALL_ITERS == 5
+    assert metaopt._stall_notes([], 50) == []
+    assert metaopt._stall_notes([1, 2, 3, 4, 6, 7, 8, 9, 11, 13, 15, 17, 19], 50) == []
+    assert metaopt._stall_notes([3, 10, 11, 12, 13, 14, 30], 50) == [
+        "zero meta-gradient: the meta-gradient was exactly zero with nonzero weights in 7 of 50 iterations, "
+        "5 or more in a row first from iteration 10, so the weighting net stopped learning"
+    ]
+
+
 def test_train_beta_zero_equals_frozen_weighting_fn():
     train_set, meta_set, test_set = make_toy_sets(10)
     config = TrainConfig(alpha=0.1, beta=0.0, n=10, m=4, T=6, seed=11)
@@ -1083,7 +1145,7 @@ def test_train_weight_fn_mode_skips_meta_machinery():
     state, report = train(train_set, meta_set, test_set, config,
                           classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
                           weight_fn=lambda losses: np.ones_like(losses))
-    assert np.array_equal(state.theta.theta, init_mwnet((5,), derive_seed(2, 2)).theta)
+    assert state.theta is None
     assert np.all(report.grad_norm_history == 0.0)
     assert np.all(report.dist_weights == 1.0)
     assert np.all(report.curve_weights == 1.0)

@@ -48,3 +48,19 @@ def test_one_sgd_step_per_bilevel_update_under_the_tracer():
     assert names.count("nnet.per_sample_gradients") == config.T
     assert [T for T, best in tracing.update_times(tracer.spans)] == [config.T]
     assert all(np.isfinite(best) and best > 0 for _, best in tracing.update_times(tracer.spans))
+
+
+def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
+    # A baseline run has no train_step: its T classifier updates are timed
+    # by the same sgd_step spans, so they must reach the traced name.
+    tracing = load_tracing()
+    train_set, meta_set, test_set = make_toy_sets(3)
+    config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=4, seed=1)
+    with tracing.Tracer() as tracer:
+        metaopt.train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
+                      weight_fn=metaopt.BaselineSpec("uniform").weight_fn())
+    names = [span.name for span in tracer.spans]
+    assert names.count("nnet.sgd_step") == config.T
+    assert names.count("metaopt.train_step") == 0
+    ((T, best),) = tracing.update_times(tracer.spans)
+    assert T == config.T and best > 0
