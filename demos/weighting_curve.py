@@ -14,9 +14,11 @@ import argparse
 import json
 import os
 
+import numpy as np
+
 from metaweight.config import parse_config
 from metaweight.harness import run_experiment
-from metaweight.weightnet import init_mwnet, probe_curve
+from metaweight.weightnet import init_mwnet, mw_forward
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -46,9 +48,8 @@ def main():
     imb_net = one_seed_run("imbalance20.json", args.seed)
     fresh = init_mwnet((100,), 0)
 
-    grid, w_fresh = probe_curve(fresh, 0.0, 3.0, args.steps)
-    _, w_noise = probe_curve(noise_net, 0.0, 3.0, args.steps)
-    _, w_imb = probe_curve(imb_net, 0.0, 3.0, args.steps)
+    grid = np.linspace(0.0, 3.0, args.steps)
+    w_fresh, w_noise, w_imb = (mw_forward(net, grid) for net in (fresh, noise_net, imb_net))
 
     print()
     print(f"{'loss':>6}  {'untrained':>9}  {'noise-trained':>13}  {'imbalance-trained':>17}")

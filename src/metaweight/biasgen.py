@@ -76,7 +76,8 @@ def _read_only(arr, dtype) -> np.ndarray:
 
 @dataclass
 class BiasedDataset:
-    """Features plus observed/true labels and per-sample corruption flags.
+    """Features plus observed and true labels; a sample is corrupted where
+    the two labels differ.
 
     Features must be finite; this is the one place they are checked, so
     the training loop runs its batches unchecked. The fields are read-only
@@ -85,22 +86,18 @@ class BiasedDataset:
     features: np.ndarray
     observed_labels: np.ndarray
     true_labels: np.ndarray
-    corrupted: np.ndarray
     c: int
 
     def __post_init__(self):
         self.features = _read_only(self.features, np.float64)
         self.observed_labels = _read_only(self.observed_labels, np.int64)
         self.true_labels = _read_only(self.true_labels, np.int64)
-        self.corrupted = _read_only(self.corrupted, bool)
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if not np.isfinite(self.features).all():
             raise ValueError("non-finite feature values")
-        for name, arr in (("observed_labels", self.observed_labels),
-                          ("true_labels", self.true_labels),
-                          ("corrupted", self.corrupted)):
+        for name, arr in (("observed_labels", self.observed_labels), ("true_labels", self.true_labels)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
         if self.c < 2:
@@ -108,8 +105,11 @@ class BiasedDataset:
         for labels in (self.observed_labels, self.true_labels):
             if labels.size and (labels.min() < 0 or labels.max() >= self.c):
                 raise ValueError("label out of range")
-        if not np.array_equal(self.corrupted, self.observed_labels != self.true_labels):
-            raise ValueError("corrupted flags inconsistent with labels")
+
+    @property
+    def corrupted(self) -> np.ndarray:
+        """Per-sample flags, observed label != true label (a new array)."""
+        return self.observed_labels != self.true_labels
 
     @property
     def n(self) -> int:
@@ -126,11 +126,7 @@ class BiasedDataset:
     def subset(self, indices: np.ndarray) -> "BiasedDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return BiasedDataset(
-            self.features[indices],
-            self.observed_labels[indices],
-            self.true_labels[indices],
-            self.corrupted[indices],
-            self.c,
+            self.features[indices], self.observed_labels[indices], self.true_labels[indices], self.c
         )
 
 
@@ -147,7 +143,7 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
             size=(spec.per_class_count, spec.d)
         )
         labels[lo:hi] = k
-    return BiasedDataset(features, labels, labels, np.zeros(n, dtype=bool), spec.c)
+    return BiasedDataset(features, labels, labels, spec.c)
 
 
 def longtail_counts(c: int, base_count: int, factor: float) -> np.ndarray:
@@ -177,11 +173,6 @@ def apply_longtail(dataset: BiasedDataset, factor: float, seed: int) -> BiasedDa
     return dataset.subset(np.concatenate(kept))
 
 
-def _relabeled(dataset: BiasedDataset, observed: np.ndarray) -> BiasedDataset:
-    """`dataset` with new observed labels (features and true labels shared)."""
-    return BiasedDataset(dataset.features, observed, dataset.true_labels, observed != dataset.true_labels, dataset.c)
-
-
 def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
     """With probability p, resample a label uniformly over all c classes.
 
@@ -193,7 +184,8 @@ def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDa
     rng = rng_stream(seed, 2)
     hit = rng.random(dataset.n) < p
     draws = rng.integers(0, dataset.c, size=dataset.n)
-    return _relabeled(dataset, np.where(hit, draws, dataset.observed_labels))
+    observed = np.where(hit, draws, dataset.observed_labels)
+    return BiasedDataset(dataset.features, observed, dataset.true_labels, dataset.c)
 
 
 def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
@@ -212,7 +204,8 @@ def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDatas
     hit = rng.random(dataset.n) < p
     side = rng.integers(0, 2, size=dataset.n)
     flipped = targets[dataset.observed_labels, side]
-    return _relabeled(dataset, np.where(hit, flipped, dataset.observed_labels))
+    observed = np.where(hit, flipped, dataset.observed_labels)
+    return BiasedDataset(dataset.features, observed, dataset.true_labels, dataset.c)
 
 
 def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[BiasedDataset, BiasedDataset]:
@@ -225,9 +218,10 @@ def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[Biase
     if per_class < 0:
         raise ValueError("per_class must be >= 0")
     rng = rng_stream(seed, 4)
+    is_clean = dataset.observed_labels == dataset.true_labels
     picked = []
     for k in range(dataset.c):
-        clean = np.flatnonzero((dataset.observed_labels == k) & ~dataset.corrupted)
+        clean = np.flatnonzero((dataset.observed_labels == k) & is_clean)
         if clean.size < per_class:
             raise ValueError(
                 f"class {k} has only {clean.size} clean samples, need {per_class}"
@@ -254,14 +248,17 @@ def save_dataset(dataset: BiasedDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([dataset.n, dataset.d, dataset.c])
+        corrupted = dataset.corrupted
         for i in range(dataset.n):
             writer.writerow(
                 [repr(float(v)) for v in dataset.features[i]]
-                + [int(dataset.observed_labels[i]), int(dataset.true_labels[i]), int(dataset.corrupted[i])]
+                + [int(dataset.observed_labels[i]), int(dataset.true_labels[i]), int(corrupted[i])]
             )
 
 
 def load_dataset(path) -> BiasedDataset:
+    """Read a `save_dataset` file. Each record's corrupted flag must agree
+    with its labels (set exactly where observed != true)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -274,7 +271,6 @@ def load_dataset(path) -> BiasedDataset:
         features = np.empty((n, d))
         observed = np.empty(n, dtype=np.int64)
         true = np.empty(n, dtype=np.int64)
-        corrupted = np.empty(n, dtype=bool)
         seen = 0
         for row in reader:
             if seen >= n:
@@ -286,11 +282,15 @@ def load_dataset(path) -> BiasedDataset:
                 raise ValueError(f"{path}: record {seen} has a non-finite feature")
             observed[seen] = int(row[d])
             true[seen] = int(row[d + 1])
-            corrupted[seen] = bool(int(row[d + 2]))
+            if bool(int(row[d + 2])) != (observed[seen] != true[seen]):
+                raise ValueError(
+                    f"{path}: record {seen} has corrupted flag {row[d + 2]} with observed label "
+                    f"{observed[seen]} and true label {true[seen]}"
+                )
             seen += 1
         if seen != n:
             raise ValueError(f"{path}: expected {n} sample records, found {seen}")
-    return BiasedDataset(features, observed, true, corrupted, c)
+    return BiasedDataset(features, observed, true, c)
 
 
 def circle_means(c: int, radius: float = 2.0) -> np.ndarray:

@@ -28,7 +28,7 @@ from metaweight.metaopt import (
 )
 from metaweight.metrics import monotonicity_score
 from metaweight.nnet import LayerSpec, init_net
-from metaweight.weightnet import init_mwnet, load_mwnet, probe_curve
+from metaweight.weightnet import init_mwnet, load_mwnet, mw_forward
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -127,7 +127,8 @@ def cmd_probe(args) -> int:
     if not args.max - args.min < math.inf:
         raise ConfigError(f"--max minus --min must be finite, got --min {args.min} and --max {args.max}")
     mwnet = load_mwnet(args.model)
-    grid, weights = probe_curve(mwnet, args.min, args.max, args.steps)
+    grid = np.linspace(args.min, args.max, args.steps)
+    weights = mw_forward(mwnet, grid)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("loss,weight\n")
         for l, w in zip(grid, weights):

@@ -46,6 +46,15 @@ def _number(block: dict, key: str, context: str, default=None, lo=None, integer=
     return value
 
 
+# The keys each dataset kind takes besides "kind"; the other kind's keys
+# are unknown keys. A gaussians key maps to (lower bound, integer?).
+_GAUSSIAN_KEYS = {
+    "classes": (2, True), "dim": (1, True), "per_class": (1, True),
+    "radius": (0, False), "spread": (0, False), "test_per_class": (1, True),
+}
+_FILE_KEYS = ("path", "test_fraction")
+
+
 @dataclass(frozen=True)
 class DatasetBlock:
     kind: str
@@ -84,32 +93,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
     ds_block = doc["dataset"]
-    _require_keys(
-        ds_block,
-        {"kind", "classes", "dim", "per_class", "radius", "spread", "test_per_class", "path", "test_fraction"},
-        {"kind"},
-        "dataset",
-    )
+    _require_keys(ds_block, {"kind", *_GAUSSIAN_KEYS, *_FILE_KEYS}, {"kind"}, "dataset")
     kind = ds_block["kind"]
     if kind == "gaussians":
-        dataset = DatasetBlock(
-            kind=kind,
-            classes=_number(ds_block, "classes", "dataset", 3, lo=2, integer=True),
-            dim=_number(ds_block, "dim", "dataset", 2, lo=1, integer=True),
-            per_class=_number(ds_block, "per_class", "dataset", 200, lo=1, integer=True),
-            radius=_number(ds_block, "radius", "dataset", 2.0, lo=0),
-            spread=_number(ds_block, "spread", "dataset", 1.0, lo=0),
-            test_per_class=_number(ds_block, "test_per_class", "dataset", 200, lo=1, integer=True),
-        )
+        _require_keys(ds_block, {"kind", *_GAUSSIAN_KEYS}, set(), "dataset")
+        dataset = DatasetBlock(kind, **{
+            key: _number(ds_block, key, "dataset", lo=lo, integer=integer)
+            for key, (lo, integer) in _GAUSSIAN_KEYS.items() if key in ds_block
+        })
         if dataset.dim != 2:
             raise ConfigError("dataset.dim must be 2 for gaussians on a circle of class means")
     elif kind == "file":
+        _require_keys(ds_block, {"kind", *_FILE_KEYS}, set(), "dataset")
         if not ds_block.get("path"):
             raise ConfigError("dataset.path required when dataset.kind is 'file'")
         dataset = DatasetBlock(
             kind=kind,
             path=str(ds_block["path"]),
-            test_fraction=_number(ds_block, "test_fraction", "dataset", 0.2, lo=0.0),
+            test_fraction=_number(ds_block, "test_fraction", "dataset", DatasetBlock.test_fraction, lo=0.0),
         )
         if not 0.0 < dataset.test_fraction < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0, 1)")
@@ -141,15 +142,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(meta, {"per_class"}, {"per_class"}, "meta")
     meta_per_class = _number(meta, "per_class", "meta", lo=1, integer=True)
 
-    classifier_hidden = (32,)
-    mwnet_hidden = (100,)
+    hidden = {}
     if doc.get("model") is not None:
         model = doc["model"]
         _require_keys(model, {"classifier_hidden", "mwnet_hidden"}, set(), "model")
-        if "classifier_hidden" in model:
-            classifier_hidden = _int_tuple(model["classifier_hidden"], "model.classifier_hidden")
-        if "mwnet_hidden" in model:
-            mwnet_hidden = _int_tuple(model["mwnet_hidden"], "model.mwnet_hidden")
+        hidden = {key: _int_tuple(value, f"model.{key}") for key, value in model.items()}
 
     optim_block = doc["optim"]
     _require_keys(
@@ -170,7 +167,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _number(pair, "multiplier", f"optim.lr_schedule[{k}]")
         if it >= T:
             raise ConfigError(f"optim.lr_schedule[{k}] at iteration {it} is not below optim.T={T}, so it never applies")
-    normalize = optim_block.get("normalize", False)
+    normalize = optim_block.get("normalize", TrainConfig.normalize)
     if not isinstance(normalize, bool):
         raise ConfigError("optim.normalize must be a boolean")
     try:
@@ -181,8 +178,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             m=_number(optim_block, "m", "optim", integer=True),
             T=T,
             normalize=normalize,
-            classifier_momentum=_number(optim_block, "momentum", "optim", 0.0),
-            classifier_weight_decay=_number(optim_block, "weight_decay", "optim", 0.0),
+            classifier_momentum=_number(optim_block, "momentum", "optim", TrainConfig.classifier_momentum),
+            classifier_weight_decay=_number(optim_block, "weight_decay", "optim", TrainConfig.classifier_weight_decay),
             lr_schedule=schedule,
         )
     except ValueError as exc:
@@ -191,13 +188,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "gaussians":
         _check_sizes(dataset, meta_per_class, imbalance_factor, optim)
 
-    out_dir = ""
-    plots = False
+    out_dir, plots = ExperimentConfig.out_dir, ExperimentConfig.plots
     if doc.get("output") is not None:
         output = doc["output"]
         _require_keys(output, {"dir", "plots"}, set(), "output")
-        out_dir = str(output.get("dir", ""))
-        plots = output.get("plots", False)
+        out_dir = str(output.get("dir", out_dir))
+        plots = output.get("plots", plots)
         if not isinstance(plots, bool):
             raise ConfigError("output.plots must be a boolean")
 
@@ -213,8 +209,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for k, entry in enumerate(doc.get("baselines") or []):
         context = f"baselines[{k}]"
         _require_keys(entry, {"kind", "gamma", "lam"}, {"kind"}, context)
-        gamma = _number(entry, "gamma", context, 1.0)
-        lam = _number(entry, "lam", context, 1.0)
+        gamma = _number(entry, "gamma", context, BaselineSpec.gamma)
+        lam = _number(entry, "lam", context, BaselineSpec.lam)
         try:
             baselines.append(BaselineSpec(kind=entry["kind"], gamma=gamma, lam=lam))
         except ValueError as exc:
@@ -227,8 +223,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seeds=tuple(seeds),
         imbalance_factor=imbalance_factor,
         noise=noise,
-        classifier_hidden=classifier_hidden,
-        mwnet_hidden=mwnet_hidden,
+        **hidden,
         out_dir=out_dir,
         plots=plots,
         baselines=tuple(baselines),

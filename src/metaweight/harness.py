@@ -189,7 +189,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     config_echo=echo,
                     classifier_specs=specs,
                     mwnet_hidden=cfg.mwnet_hidden,
-                    tracked_ids=report.tracked_ids,
                 )
             )
     summary = summarize(cfg.seeds, reports, baseline_reports)
@@ -327,24 +326,14 @@ def render_plots(report: RunReport, out_dir) -> list[str]:
     """Render the report's weight_curve.svg and accuracy.svg into out_dir;
     deterministic, so re-rendering overwrites identically."""
     curve_path = os.path.join(out_dir, "weight_curve.svg")
-    save_plot(
-        curve_path,
-        [("weight", report.curve_losses, report.curve_weights)],
-        "Loss to weight mapping",
-        "training loss",
-        "weight",
-    )
+    save_plot(curve_path, ("weight", report.curve_losses, report.curve_weights),
+              "Loss to weight mapping", "training loss", "weight")
     written = [curve_path]
     if len(report.accuracy_history) >= 1:
         acc_path = os.path.join(out_dir, "accuracy.svg")
         epochs = np.arange(1, len(report.accuracy_history) + 1, dtype=np.float64)
-        save_plot(
-            acc_path,
-            [("test accuracy", epochs, report.accuracy_history)],
-            "Test accuracy by epoch",
-            "epoch",
-            "accuracy",
-        )
+        save_plot(acc_path, ("test accuracy", epochs, report.accuracy_history),
+                  "Test accuracy by epoch", "epoch", "accuracy")
         written.append(acc_path)
     return written
 

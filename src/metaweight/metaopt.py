@@ -47,17 +47,8 @@ without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so its
 memory does not grow with the dataset; the training steps, at most one
 block each, keep `nnet.forward` and its cache.
 
-Values are checked once, where they enter: settings in `TrainConfig` and
-`BaselineSpec`, data in `BiasedDataset`, nets in the `DenseNet` and `MWNet`
-constructors, hand-built batches in the `Batch` constructor, a fixed
-rule's weights where `train` receives them. Each stage output is checked
-where it is made: the step coefficients (finite, and nonnegative when
-normalized), grad_theta, and each new parameter vector, which
-`DenseNet.with_params` binds onto the already-checked layers (shape and
-finiteness). Inside the loop nothing is checked or coerced again: the
-kernels take the float64 arrays the loop built as they are, the nets keep
-the layers they were built with, and `Batch.from_dataset` gathers sorted
-rows from a checked dataset.
+Values are checked as `nnet`'s module docstring sets out: once, where
+they enter, and never again inside the loop.
 """
 
 from __future__ import annotations
@@ -556,7 +547,8 @@ def _check_meta_set(meta_set: BiasedDataset, train_set: BiasedDataset) -> list[s
 
 def _pick_tracked(train_set: BiasedDataset, seed: int, count: int = TRACKED_SAMPLES) -> np.ndarray:
     """Sample ids whose weights get traced per epoch: noisy ones when
-    available, otherwise arbitrary samples."""
+    available, otherwise arbitrary samples. A baseline run on the same
+    training set and seed tracks the same ids as the learned run."""
     rng = rng_stream(seed, 200)
     pool = np.flatnonzero(train_set.corrupted)
     if pool.size == 0:
@@ -573,7 +565,6 @@ def train(
     classifier_specs: Sequence[LayerSpec],
     mwnet_hidden: tuple[int, ...] = (100,),
     weight_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    tracked_ids: np.ndarray | None = None,
     config_echo: dict | None = None,
 ) -> tuple[TrainState, RunReport]:
     """Run T iterations of the bilevel loop and assemble the run report.
@@ -601,9 +592,7 @@ def train(
     # The state holds the only references, so each net is freed once replaced.
     del classifier, mwnet
 
-    if tracked_ids is None:
-        tracked_ids = _pick_tracked(train_set, config.seed)
-    tracked_ids = np.asarray(tracked_ids, dtype=np.int64)
+    tracked_ids = _pick_tracked(train_set, config.seed)
     tracked_batch = Batch.from_dataset(train_set, tracked_ids)
 
     def weigh(theta: MWNet, losses: np.ndarray) -> np.ndarray:
@@ -747,7 +736,7 @@ def _final_report(
         curve_weights=weigh(state.theta, grid),
         dist_ids=np.arange(train_set.n, dtype=np.int64),
         dist_weights=weigh(state.theta, final_losses),
-        dist_corrupted=train_set.corrupted.copy(),
+        dist_corrupted=train_set.corrupted,
         tracked_ids=tracked_ids,
         tracked_weight_history=tracked_matrix,
         config_echo=echo,

@@ -45,22 +45,28 @@ al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 cache, for passes over a whole dataset or grid; its memory is
 O(ROW_BLOCK * width) whatever the number of rows.
 
-Values are checked once, where they enter. The `DenseNet` constructor
-checks the layer chain and the parameter vector; `DenseNet.with_params`,
-the one way a new vector is bound onto a built net, checks that vector's
-shape and finiteness against the layers already checked; `outputs`
-coerces its input to a float64 matrix. The kernels (`forward`,
-`lookahead_forward`, `layer_deltas`, `lookahead_deltas`,
-`weighted_gradient`, `gradient_gram`, `per_sample_gradients`,
-`softmax_cross_entropy`, `sgd_step`) take float64 2-D arrays (1-D
-vectors for `sgd_step`) as they are, without coercing them: the training
-loop builds every array they see, from datasets checked when they were
-built. They check argument shapes and step settings, not array values,
-and do not check their outputs for finiteness; the training loop checks
-each stage output it acts on (the step coefficients, the meta-gradient,
-and each new parameter vector through `with_params`). Reductions use
-numpy's fixed summation order, so identical inputs give bit-identical
-results across runs.
+Values are checked once, where they enter the package, and each stage
+output where it is made. Settings are checked in `metaopt.TrainConfig`
+and `metaopt.BaselineSpec`, data in `biasgen.BiasedDataset` and
+`biasgen.load_dataset`, hand-built batches in the `metaopt.Batch`
+constructor, a fixed rule's weights where `metaopt.train` receives them,
+and a weighting net's shape in the `weightnet.MWNet` constructor. The
+`DenseNet` constructor checks the layer chain and the parameter vector;
+`DenseNet.with_params`, the one way a new vector is bound onto a built
+net, checks that vector's shape and finiteness against the layers
+already checked; `outputs` coerces its input to a float64 matrix. The
+kernels (`forward`, `lookahead_forward`, `layer_deltas`,
+`lookahead_deltas`, `weighted_gradient`, `gradient_gram`,
+`per_sample_gradients`, `softmax_cross_entropy`, `sgd_step`) take float64
+2-D arrays (1-D vectors for `sgd_step`) as they are, without coercing
+them: the training loop builds every array they see, from datasets
+checked when they were built. They check argument shapes and step
+settings, not array values, and do not check their outputs for
+finiteness; the training loop checks each stage output it acts on (the
+step coefficients, the meta-gradient, and each new parameter vector
+through `with_params`), and nothing is checked again inside the loop.
+Reductions use numpy's fixed summation order, so identical inputs give
+bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -187,15 +193,14 @@ def init_net(specs: Sequence[LayerSpec], seed: int) -> DenseNet:
     Weight std is sqrt(2/input_dim) for ReLU layers (He) and
     sqrt(1/input_dim) otherwise; deterministic in (specs, seed).
     """
-    specs = _check_chain(specs)
+    # The constructor checks the layer chain on a zero vector; the weights
+    # are then drawn into its views in place (finite by construction).
+    net = DenseNet(specs, np.zeros(sum(spec.param_count for spec in specs)))
     rng = np.random.Generator(np.random.Philox(seed))
-    chunks = []
-    for spec in specs:
+    for spec, (w, _) in zip(net.layers, net.layer_params()):
         scale = np.sqrt(2.0 / spec.input_dim) if spec.activation == RELU else np.sqrt(1.0 / spec.input_dim)
-        w = rng.normal(0.0, scale, size=(spec.input_dim, spec.output_dim))
-        chunks.append(w.ravel())
-        chunks.append(np.zeros(spec.output_dim))
-    return DenseNet(specs, np.concatenate(chunks))
+        w[...] = rng.normal(0.0, scale, size=w.shape)
+    return net
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
-COLORS = ("#1f6fb2", "#d95f02", "#1b9e77")
+COLOR = "#1f6fb2"
 
 
 def _fmt(v: float) -> str:
@@ -37,17 +37,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return ticks
 
 
-def line_plot(
-    series: list[tuple[str, np.ndarray, np.ndarray]],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-) -> str:
-    """Render named (x, y) series to an SVG document string."""
-    if not series:
-        raise ValueError("need at least one series")
-    xs = np.concatenate([np.asarray(x, dtype=np.float64) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, dtype=np.float64) for _, _, y in series])
+def line_plot(series: tuple[str, np.ndarray, np.ndarray], title: str, xlabel: str, ylabel: str) -> str:
+    """Render one named (x, y) series to an SVG document string."""
+    name, xs, ys = series
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError(f"series {name!r} must be two equal-length vectors")
     if xs.size == 0:
         raise ValueError("empty series")
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -105,18 +101,12 @@ def line_plot(
         f'font-size="13" transform="rotate(-90 18 {MARGIN_T + plot_h // 2})">{ylabel}</text>'
     )
 
-    for k, (name, x, y) in enumerate(series):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError(f"series {name!r} must be two equal-length vectors")
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
-        color = COLORS[k % len(COLORS)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 16 * k}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{name}</text>'
-        )
+    pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{COLOR}" stroke-width="1.5"/>')
+    parts.append(
+        f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="12" fill="{COLOR}">{name}</text>'
+    )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -4,23 +4,19 @@ Architecture is 1 -> hidden (ReLU, possibly several layers) -> 1 with a
 sigmoid head, so every weight lands in (0, 1). `normalize` rescales a
 weight vector to sum to one and maps an all-zero vector to all zeros.
 
-The meta update consumes the exact per-input parameter Jacobian
-d(weight_i)/d(theta). The training loop runs the net's forward pass once
-per Theta, through `mw_forward_cache`, and builds that Jacobian from the
-virtual step's cache with `nnet.per_sample_gradients(mwnet.net, cache,
-ones)`. `mw_jacobian` does both steps from the losses alone; the tests
-use it as the reference.
+`mw_jacobian` gives the exact per-input parameter Jacobian
+d(weight_i)/d(theta) that the meta update consumes; the tests use it as
+the reference.
 
-The `MWNet` constructor checks the 1-in, 1-out sigmoid-head shape;
-`MWNet.with_theta` binds a new vector onto that checked shape. The loss
-vector is checked where it enters, in `mw_forward`, `mw_forward_cache`
-and `mw_jacobian`.
+Values are checked as `nnet`'s module docstring sets out; a loss vector
+is checked where it enters (`mw_forward`, `mw_forward_cache`,
+`mw_jacobian`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,18 +118,6 @@ def normalize(weights: np.ndarray) -> np.ndarray:
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be finite and nonnegative")
     return weights / normalizer(weights)
-
-
-def probe_curve(mwnet: MWNet, lo: float, hi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the loss->weight mapping on an even grid over [lo, hi]."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    if not np.isfinite(hi - lo):
-        raise ValueError(f"hi - lo must be finite, got {lo} and {hi}")
-    grid = np.linspace(lo, hi, steps)
-    return grid, mw_forward(mwnet, grid)
 
 
 def save_mwnet(mwnet: MWNet, path) -> None:

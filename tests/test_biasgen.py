@@ -46,22 +46,23 @@ def test_dataset_invariants_enforced():
     feats = np.zeros((4, 2))
     labels = np.array([0, 1, 2, 0])
     with pytest.raises(ValueError):
-        BiasedDataset(feats, labels, labels, np.array([True, False, False, False]), 3)
-    with pytest.raises(ValueError):
-        BiasedDataset(feats, np.array([0, 1, 3, 0]), labels, np.zeros(4, bool), 3)
+        BiasedDataset(feats, np.array([0, 1, 3, 0]), labels, 3)
     for bad in (np.nan, np.inf, -np.inf):
         feats[2, 1] = bad
         with pytest.raises(ValueError, match="^non-finite feature values$"):
-            BiasedDataset(feats, labels, labels, np.zeros(4, bool), 3)
+            BiasedDataset(feats, labels, labels, 3)
 
 
 def test_dataset_fields_are_read_only_views():
     feats = np.zeros((4, 2))
     labels = np.array([0, 1, 2, 0])
-    ds = BiasedDataset(feats, labels, labels, np.zeros(4, bool), 3)
-    for arr in (ds.features, ds.observed_labels, ds.true_labels, ds.corrupted):
+    ds = BiasedDataset(feats, labels, labels, 3)
+    for arr in (ds.features, ds.observed_labels, ds.true_labels):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+    # the flags are computed from the labels, so a write cannot reach them
+    ds.corrupted[0] = True
+    assert not ds.corrupted.any()
     # the caller's arrays stay writable, and the dataset sees their writes
     feats[0, 0] = 5.0
     assert ds.features[0, 0] == 5.0 and np.shares_memory(ds.features, feats)
@@ -263,6 +264,11 @@ def test_load_dataset_rejects_malformed(tmp_path):
     path.write_text("1,2,3\n0.0,0.0,0,0\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+    # a corrupted flag must agree with the record's labels
+    for record in ("1.5,0.5,1,1,1", "1.5,0.5,1,2,0"):
+        path.write_text(f"2,2,3\n0.0,0.0,0,0,0\n{record}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: record 1 has corrupted flag "):
+            load_dataset(path)
     for cell in ("nan", "inf", "-Infinity"):
         path.write_text(f"2,2,3\n0.0,0.0,0,0,0\n1.5,{cell},1,1,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: record 1 has a non-finite feature$"):

@@ -17,7 +17,7 @@ import pytest
 
 from metaweight import cli, harness
 from metaweight.biasgen import load_dataset
-from metaweight.weightnet import init_mwnet, probe_curve, save_mwnet
+from metaweight.weightnet import init_mwnet, mw_forward, save_mwnet
 
 
 def run_cli(*args):
@@ -322,6 +322,37 @@ def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
     assert not out.exists()
 
 
+def test_train_rejects_a_flag_that_disagrees_with_the_labels(tmp_path):
+    # A record's corrupted flag must be set exactly where its observed and
+    # true labels differ; the error names the file and the record.
+    data = tmp_path / "data.csv"
+    assert run_main("gen-data", "--config", write_config(tmp_path / "gen.json", base_doc()), "--out", data).returncode == 0
+    lines = data.read_text().splitlines()
+    *features, observed, true, flag = lines[5].split(",")
+    assert observed == true and flag == "0"
+    lines[5] = ",".join(features + [observed, true, "1"])
+    data.write_text("\n".join(lines) + "\n")
+    doc = base_doc()
+    doc["dataset"] = {"kind": "file", "path": str(data)}
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {data}: record 4 has corrupted flag 1 with observed label {observed} and true label {true}\n"
+    )
+    assert not out.exists()
+
+
+def test_train_dataset_key_of_the_other_kind_is_config_error(tmp_path):
+    doc = base_doc()
+    doc["dataset"] = {"kind": "file", "path": str(tmp_path / "data.csv"), "classes": 7, "radius": -3}
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "mixed.json", doc), "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: unknown key(s) ['classes', 'radius'] in dataset\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- probe
 
 
@@ -336,7 +367,8 @@ def test_probe_round_trips_the_curve(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "loss,weight"
     assert len(lines) == 3  # header + exactly the two endpoints
-    grid, weights = probe_curve(mwnet, 0.0, 10.0, 2)
+    grid = np.linspace(0.0, 10.0, 2)
+    weights = mw_forward(mwnet, grid)
     for line, l, w in zip(lines[1:], grid, weights):
         got_l, got_w = map(float, line.split(","))
         assert got_l == l and got_w == w

@@ -50,6 +50,14 @@ def test_unknown_keys_are_rejected_by_name():
     doc["dataset"]["classs"] = 3
     with pytest.raises(ConfigError, match="classs"):
         parse_config(doc)
+    # Each dataset kind takes only its own keys.
+    doc = minimal_doc()
+    doc["dataset"]["test_fraction"] = 0.5
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['test_fraction'\] in dataset$"):
+        parse_config(doc)
+    doc["dataset"] = {"kind": "file", "path": "x.csv", "classes": 7, "radius": -3}
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['classes', 'radius'\] in dataset$"):
+        parse_config(doc)
     # A removed key fails like a typo.
     doc = minimal_doc()
     doc["optim"]["tau"] = 1e-8

@@ -73,7 +73,7 @@ def make_sets(seed=0, per_class=10):
 def test_evaluate_perfect_classifier():
     labels = np.array([0, 0, 1, 1, 2, 2])
     features = np.eye(3)[labels]
-    ds = BiasedDataset(features, labels, labels, np.zeros(6, dtype=bool), 3)
+    ds = BiasedDataset(features, labels, labels, 3)
     # One identity layer reading out 10 * feature: argmax equals the label.
     net = DenseNet((LayerSpec(3, 3, "identity"),), np.concatenate([10.0 * np.eye(3).ravel(), np.zeros(3)]))
     accuracy, confusion = evaluate(net, ds)
@@ -83,7 +83,7 @@ def test_evaluate_perfect_classifier():
 
 def test_evaluate_constant_classifier_scores_class_share():
     labels = np.array([0, 1, 1, 2, 2, 2])
-    ds = BiasedDataset(np.random.default_rng(0).normal(size=(6, 2)), labels, labels, np.zeros(6, dtype=bool), 3)
+    ds = BiasedDataset(np.random.default_rng(0).normal(size=(6, 2)), labels, labels, 3)
     # Zero weights, bias favoring class 2: every prediction is class 2.
     params = np.concatenate([np.zeros(6), np.array([0.0, 0.0, 1.0])])
     net = DenseNet((LayerSpec(2, 3, "identity"),), params)
@@ -96,7 +96,7 @@ def test_evaluate_constant_classifier_scores_class_share():
 def test_evaluate_uses_true_labels():
     labels = np.array([0, 0, 1, 1, 2, 2])
     observed = np.array([1, 0, 1, 2, 2, 0])
-    ds = BiasedDataset(np.eye(3)[labels], observed, labels, observed != labels, 3)
+    ds = BiasedDataset(np.eye(3)[labels], observed, labels, 3)
     net = DenseNet((LayerSpec(3, 3, "identity"),), np.concatenate([10.0 * np.eye(3).ravel(), np.zeros(3)]))
     accuracy, _ = evaluate(net, ds)
     assert accuracy == 1.0  # predictions match the true labels, not the noisy ones
@@ -380,6 +380,18 @@ def test_baseline_echo_names_the_configs_weighting_net(tmp_path):
     save_experiment(result, tmp_path)
     with open(tmp_path / "baseline_uniform" / "config.json", encoding="utf-8") as fh:
         assert json.load(fh)["mwnet_hidden"] == [7]
+
+
+def test_baselines_track_the_learned_runs_samples():
+    # run_experiment does not hand a baseline its learned run's tracked ids:
+    # both pick them from the same training set and seed.
+    doc = tiny_doc(seeds=[0, 1], bias={"noise": {"kind": "uniform", "rate": 0.4}},
+                   baselines=[{"kind": "uniform"}, {"kind": "step"}])
+    result = run_experiment(parse_config(doc))
+    for k, learned in enumerate(result.reports):
+        assert learned.tracked_ids.size > 0 and learned.dist_corrupted[learned.tracked_ids].all()
+        for kind, reps in result.baseline_reports.items():
+            assert np.array_equal(reps[k].tracked_ids, learned.tracked_ids), (k, kind)
 
 
 def test_summarize_reports_clean_noisy_gap(tmp_path):

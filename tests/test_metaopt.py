@@ -48,7 +48,7 @@ from metaweight.nnet import (
     softmax_cross_entropy,
     weighted_gradient,
 )
-from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian, normalize as normalize_weights, probe_curve
+from metaweight.weightnet import init_mwnet, mw_forward, mw_jacobian, normalize as normalize_weights
 
 
 def rel_err(a, b):
@@ -593,8 +593,9 @@ def test_train_keeps_one_activation_of_the_training_set():
 
 
 def test_full_set_passes_run_in_row_blocks(monkeypatch):
-    # evaluate, the final report and probe_curve run every network pass in
-    # blocks of at most ROW_BLOCK + 1 rows, none of them a single row.
+    # evaluate, the final report and mw_forward over a probe grid run every
+    # network pass in blocks of at most ROW_BLOCK + 1 rows, none of them a
+    # single row.
     block = 16
     monkeypatch.setattr(nnet, "ROW_BLOCK", block)
     train_set, meta_set, test_set = make_toy_sets(5, per_class=13)
@@ -622,7 +623,7 @@ def test_full_set_passes_run_in_row_blocks(monkeypatch):
     monkeypatch.setattr(metaopt, "evaluate", during("evaluate", metaopt.evaluate))
     monkeypatch.setattr(metaopt, "_final_report", during("final report", metaopt._final_report))
     state, report = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    during("probe", probe_curve)(state.theta, 0.0, 5.0, 2 * block + 1)
+    during("probe", mw_forward)(state.theta, np.linspace(0.0, 5.0, 2 * block + 1))
     # one epoch's evaluation; the final test pass, training losses, weight
     # curve and per-sample weights; the probe grid
     assert rows["evaluate"] == [16, 2]
@@ -1130,9 +1131,10 @@ def test_train_beta_zero_equals_frozen_weighting_fn():
     assert np.array_equal(s_frozen.theta.theta, theta0.theta)
     s_fn, r_fn = train(train_set, meta_set, test_set, config,
                        classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
-                       weight_fn=lambda losses: mw_forward(theta0, losses),
-                       tracked_ids=r_frozen.tracked_ids)
+                       weight_fn=lambda losses: mw_forward(theta0, losses))
     assert np.array_equal(s_fn.w.params, s_frozen.w.params)
+    assert np.array_equal(r_fn.tracked_ids, r_frozen.tracked_ids)
+    assert np.array_equal(r_fn.tracked_weight_history, r_frozen.tracked_weight_history)
     assert np.array_equal(r_fn.accuracy_history, r_frozen.accuracy_history)
     assert np.array_equal(r_fn.train_loss_history, r_frozen.train_loss_history)
     assert np.array_equal(r_fn.dist_weights, r_frozen.dist_weights)

@@ -122,6 +122,23 @@ def test_init_deterministic_and_scaled():
         assert np.all(bias == 0.0)
 
 
+def test_init_net_checks_the_layer_chain_once(monkeypatch):
+    checked = []
+
+    def spy(specs):
+        checked.append(tuple(specs))
+        return real(specs)
+
+    real = nnet._check_chain
+    monkeypatch.setattr(nnet, "_check_chain", spy)
+    specs = (LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity"))
+    assert init_net(specs, seed=1).layers == specs
+    assert checked == [specs]
+    for bad in ((), (LayerSpec(2, 3), LayerSpec(4, 1))):
+        with pytest.raises(ValueError, match="at least one layer|adjacent layer dims mismatch"):
+            init_net(bad, seed=1)
+
+
 def test_layer_validation():
     with pytest.raises(ValueError):
         LayerSpec(0, 3)

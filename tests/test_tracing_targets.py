@@ -1,10 +1,12 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by
-name and times classifier updates by their sgd_step calls; these checks
-keep the package's side of that contract."""
+name and times classifier updates by their sgd_step calls, and its
+workloads (bench/workloads.py) drive the package through its public
+names; these checks keep the package's side of that contract."""
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import numpy as np
 
@@ -13,7 +15,9 @@ from metaweight.metaopt import TrainConfig
 
 from test_metaopt import SMALL_LAYERS, make_toy_sets
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TRACING = os.path.join(ROOT, "bench", "tracing.py")
+WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 
 
 def load_tracing():
@@ -64,3 +68,31 @@ def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
     assert names.count("metaopt.train_step") == 0
     ((T, best),) = tracing.update_times(tracer.spans)
     assert T == config.T and best > 0
+
+
+def test_the_benchmark_workloads_run_on_the_package(tmp_path, monkeypatch):
+    # The `wide` and `shipped` workloads at their small sizes, in this
+    # process: a renamed attribute or constructor argument that they use
+    # (state.theta.theta, result.summary["monotonicity"], the biasgen
+    # dataset builders) fails here instead of in a benchmark run.
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())  # workloads.py imports it by this name
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up as it loads
+    spec.loader.exec_module(workloads)
+
+    wide = workloads.Wide(ROOT, 1, str(tmp_path), small=True)
+    res = wide.run_pass()
+    assert res.runs == {"run": 1} and res.iters == wide.config.T
+    assert res.failed == 0, res.problems
+    assert len(res.final_accs) == 1 and res.digest
+
+    shipped = workloads.Shipped(ROOT, 1, str(tmp_path), small=True)
+    res = shipped.run_pass()
+    # One operation per config (one seed at small size), each a learned run
+    # plus the uniform baseline. A small run may miss the accuracy or
+    # Spearman checks, but none may raise: every operation records its
+    # accuracy, which an exception skips.
+    assert sorted(res.runs) == sorted(f"{name}/seed_{cfg.seeds[0]}" for name, cfg in shipped.configs.items())
+    assert set(res.runs.values()) == {2}
+    assert len(res.final_accs) == len(res.runs), res.problems

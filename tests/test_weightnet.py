@@ -12,8 +12,8 @@ from metaweight.weightnet import (
     load_mwnet,
     mw_forward,
     mw_jacobian,
+    mw_forward_cache,
     normalize,
-    probe_curve,
     save_mwnet,
 )
 
@@ -101,33 +101,32 @@ def test_normalize_scale_invariant_direction():
     assert np.allclose(normalize(raw), normalize(10.0 * raw))
 
 
-def test_probe_curve_grid():
+def test_mw_forward_over_a_grid():
+    # The probe grid: weights in (0, 1) equal to one forward pass over it.
+    # The grid's bad-range cases are the probe command's config errors
+    # (test_cli::test_probe_bad_range_is_config_error).
     mwnet = init_mwnet((5,), 1)
-    grid, weights = probe_curve(mwnet, 0.0, 4.0, 9)
-    assert np.allclose(grid, np.linspace(0.0, 4.0, 9))
-    assert np.allclose(weights, mw_forward(mwnet, grid))
-    with pytest.raises(ValueError):
-        probe_curve(mwnet, 0.0, 4.0, 1)
-    with pytest.raises(ValueError):
-        probe_curve(mwnet, 4.0, 4.0, 10)
-    # both ends finite, their difference not: linspace would give nan rows
-    with pytest.raises(ValueError, match="hi - lo must be finite"):
-        probe_curve(mwnet, -1e308, 1e308, 5)
+    grid = np.linspace(0.0, 4.0, 9)
+    weights = mw_forward(mwnet, grid)
+    assert weights.shape == grid.shape
+    assert np.all((weights > 0) & (weights < 1))
+    assert np.array_equal(weights, mw_forward_cache(mwnet, grid)[0])
 
 
-def test_probe_curve_memory_does_not_grow_with_the_grid():
+def test_mw_forward_memory_does_not_grow_with_the_grid():
     # The weighting net runs in row blocks: the grid and the weights column
     # (1.53 MiB each at 200,000 points) dominate, where a one-pass forward
     # also held a 200,000 x 100 hidden layer (160 MiB).
     mwnet = init_mwnet((100,), 3)
     tracemalloc.start()
     try:
-        grid, weights = probe_curve(mwnet, 0.0, 10.0, 200_000)
+        grid = np.linspace(0.0, 10.0, 200_000)
+        weights = mw_forward(mwnet, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert weights.shape == grid.shape == (200_000,)
-    assert peak < 4 * 2**20, f"probe_curve peaked at {peak / 2**20:.2f} MiB"
+    assert peak < 4 * 2**20, f"mw_forward peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_save_load_round_trip(tmp_path):
