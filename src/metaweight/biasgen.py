@@ -14,6 +14,7 @@ never share state.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,9 +257,20 @@ def save_dataset(dataset: BiasedDataset, path) -> None:
             )
 
 
+def _integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where} has a non-integer field {text!r}") from None
+
+
 def load_dataset(path) -> BiasedDataset:
-    """Read a `save_dataset` file. Each record's corrupted flag must agree
-    with its labels (set exactly where observed != true)."""
+    """Read a `save_dataset` file. The header must hold integers N >= 0,
+    d >= 1 and c >= 2; each record's features must be finite, its labels
+    integers in [0, c), and its corrupted flag set exactly where observed
+    != true. A fault names the file and the header or the record (records
+    count from 0 after the header). Arrays are built from the records
+    read, not sized from the header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -267,30 +279,36 @@ def load_dataset(path) -> BiasedDataset:
             raise ValueError(f"{path}: empty dataset file") from None
         if len(header) != 3:
             raise ValueError(f"{path}: header must be 'N,d,c', got {header}")
-        n, d, c = (int(v) for v in header)
-        features = np.empty((n, d))
-        observed = np.empty(n, dtype=np.int64)
-        true = np.empty(n, dtype=np.int64)
-        seen = 0
-        for row in reader:
-            if seen >= n:
+        n, d, c = (_integer(v, f"{path}: header") for v in header)
+        if n < 0 or d < 1 or c < 2:
+            raise ValueError(f"{path}: header needs N >= 0, d >= 1 and c >= 2, got N={n}, d={d}, c={c}")
+        features, observed, true = [], [], []
+        for k, row in enumerate(reader):
+            where = f"{path}: record {k}"
+            if k >= n:
                 raise ValueError(f"{path}: more than {n} sample records")
             if len(row) != d + 3:
-                raise ValueError(f"{path}: record {seen} has {len(row)} fields, expected {d + 3}")
-            features[seen] = [float(v) for v in row[:d]]
-            if not np.isfinite(features[seen]).all():
-                raise ValueError(f"{path}: record {seen} has a non-finite feature")
-            observed[seen] = int(row[d])
-            true[seen] = int(row[d + 1])
-            if bool(int(row[d + 2])) != (observed[seen] != true[seen]):
+                raise ValueError(f"{where} has {len(row)} fields, expected {d + 3}")
+            try:
+                values = [float(v) for v in row[:d]]
+            except ValueError:
+                raise ValueError(f"{where} has a non-numeric feature") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where} has a non-finite feature")
+            obs, tru, flag = (_integer(v, where) for v in row[d:])
+            for label in (obs, tru):
+                if not 0 <= label < c:
+                    raise ValueError(f"{where} has label {label} outside [0, {c})")
+            if bool(flag) != (obs != tru):
                 raise ValueError(
-                    f"{path}: record {seen} has corrupted flag {row[d + 2]} with observed label "
-                    f"{observed[seen]} and true label {true[seen]}"
+                    f"{where} has corrupted flag {row[d + 2]} with observed label {obs} and true label {tru}"
                 )
-            seen += 1
-        if seen != n:
-            raise ValueError(f"{path}: expected {n} sample records, found {seen}")
-    return BiasedDataset(features, observed, true, c)
+            features.append(values)
+            observed.append(obs)
+            true.append(tru)
+        if len(features) != n:
+            raise ValueError(f"{path}: expected {n} sample records, found {len(features)}")
+    return BiasedDataset(np.array(features, dtype=np.float64).reshape(n, d), observed, true, c)
 
 
 def circle_means(c: int, radius: float = 2.0) -> np.ndarray:

@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from metaweight.biasgen import FLIP, NoiseSpec, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
@@ -53,6 +55,10 @@ _GAUSSIAN_KEYS = {
     "radius": (0, False), "spread": (0, False), "test_per_class": (1, True),
 }
 _FILE_KEYS = ("path", "test_fraction")
+# NumPy sizes an array's bytes in a signed pointer-sized integer, so no
+# dataset can hold more float64 features than this allows.
+_FLOAT64_BYTES = np.dtype(np.float64).itemsize
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
         })
         if dataset.dim != 2:
             raise ConfigError("dataset.dim must be 2 for gaussians on a circle of class means")
+        for key, size in (("per_class", dataset.per_class), ("test_per_class", dataset.test_per_class)):
+            if dataset.classes * size * dataset.dim * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"dataset.classes={dataset.classes} times dataset.{key}={size} rows of "
+                    f"{dataset.dim} float64 features exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"
+                )
     elif kind == "file":
         _require_keys(ds_block, {"kind", *_FILE_KEYS}, set(), "dataset")
-        if not ds_block.get("path"):
-            raise ConfigError("dataset.path required when dataset.kind is 'file'")
+        path = ds_block.get("path")
+        if not path or not isinstance(path, str):
+            raise ConfigError("dataset.path must be a non-empty string when dataset.kind is 'file'")
         dataset = DatasetBlock(
             kind=kind,
-            path=str(ds_block["path"]),
+            path=path,
             test_fraction=_number(ds_block, "test_fraction", "dataset", DatasetBlock.test_fraction, lo=0.0),
         )
         if not 0.0 < dataset.test_fraction < 1.0:
@@ -167,6 +180,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _number(pair, "multiplier", f"optim.lr_schedule[{k}]")
         if it >= T:
             raise ConfigError(f"optim.lr_schedule[{k}] at iteration {it} is not below optim.T={T}, so it never applies")
+    # TrainConfig's checks name its classifier_* fields, not these keys
+    momentum = _number(optim_block, "momentum", "optim", TrainConfig.classifier_momentum, lo=0)
+    if not momentum < 1:
+        raise ConfigError("optim.momentum must be below 1")
+    weight_decay = _number(optim_block, "weight_decay", "optim", TrainConfig.classifier_weight_decay, lo=0)
     normalize = optim_block.get("normalize", TrainConfig.normalize)
     if not isinstance(normalize, bool):
         raise ConfigError("optim.normalize must be a boolean")
@@ -178,8 +196,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             m=_number(optim_block, "m", "optim", integer=True),
             T=T,
             normalize=normalize,
-            classifier_momentum=_number(optim_block, "momentum", "optim", TrainConfig.classifier_momentum),
-            classifier_weight_decay=_number(optim_block, "weight_decay", "optim", TrainConfig.classifier_weight_decay),
+            classifier_momentum=momentum,
+            classifier_weight_decay=weight_decay,
             lr_schedule=schedule,
         )
     except ValueError as exc:
@@ -192,7 +210,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if doc.get("output") is not None:
         output = doc["output"]
         _require_keys(output, {"dir", "plots"}, set(), "output")
-        out_dir = str(output.get("dir", out_dir))
+        out_dir = output.get("dir", out_dir)
+        if not isinstance(out_dir, str):
+            raise ConfigError("output.dir must be a string")
         plots = output.get("plots", plots)
         if not isinstance(plots, bool):
             raise ConfigError("output.plots must be a boolean")
@@ -205,8 +225,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
 
+    entries = doc.get("baselines")
+    if entries is None:
+        entries = []
+    if not isinstance(entries, list):
+        raise ConfigError("baselines must be a list of baseline objects")
     baselines = []
-    for k, entry in enumerate(doc.get("baselines") or []):
+    for k, entry in enumerate(entries):
         context = f"baselines[{k}]"
         _require_keys(entry, {"kind", "gamma", "lam"}, {"kind"}, context)
         gamma = _number(entry, "gamma", context, BaselineSpec.gamma)

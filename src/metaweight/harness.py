@@ -36,7 +36,7 @@ from metaweight.biasgen import (
     rng_stream,
     split_meta,
 )
-from metaweight.config import DatasetBlock, ExperimentConfig
+from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig
 from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, _stage, train
 from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
@@ -79,8 +79,14 @@ class ExperimentResult:
 
 
 def _gaussians(ds: DatasetBlock, per_class: int, seed: int) -> BiasedDataset:
-    means = circle_means(ds.classes, ds.radius)
-    return gen_gaussians(GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, per_class), seed)
+    """A config's mixture drawn for one seed. The spec's checks passed at
+    parse time, so what the data check can still reject is features that
+    overflow float64, from the config's radius and spread."""
+    spec = GaussianMixtureSpec(ds.classes, ds.dim, circle_means(ds.classes, ds.radius), ds.spread, per_class)
+    try:
+        return gen_gaussians(spec, seed)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.radius={ds.radius} and dataset.spread={ds.spread} give {exc}") from exc
 
 
 def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:

@@ -122,8 +122,10 @@ class TrainConfig:
         # fixed rule; tests use it (baselines bring their own fixed rule)
         if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("batch sizes must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not 0.0 <= self.classifier_momentum < 1.0:
@@ -183,7 +185,8 @@ class Batch:
         """The rows `indices` of a dataset, in sorted order. The dataset's
         arrays were checked when it was built, so the batch is built from
         them without the constructor's checks."""
-        indices = np.sort(np.asarray(indices, dtype=np.int64))
+        indices = np.array(indices, dtype=np.int64)  # a copy, sorted in place (np.sort without its wrapper)
+        indices.sort()
         if indices.size == 0:
             raise ValueError("empty batch")
         batch = object.__new__(cls)
@@ -404,7 +407,9 @@ def meta_gradient_direct(
         meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
         meta_losses, dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)
         meta_deltas = lookahead_deltas(state.w, cache.forward_cache, steps, meta_fcache, dmeta)
-        mean_G_per_j = gradient_gram(grams, meta_deltas, cache.deltas).mean(axis=0)
+        # np.add.reduce(x) / count is ndarray.mean's arithmetic without its
+        # Python wrapper, as np.dot is matmul's (see nnet's module docstring)
+        mean_G_per_j = np.add.reduce(gradient_gram(grams, meta_deltas, cache.deltas), axis=0) / meta_batch.size
         jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
 
         n = train_batch.size
@@ -412,19 +417,19 @@ def meta_gradient_direct(
             # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
             # twice where denom^2 is below the normal range
             denom = weightnet.normalizer(cache.raw_weights)
-            coupled = float(mean_G_per_j @ cache.raw_weights)
+            coupled = float(np.dot(mean_G_per_j, cache.raw_weights))
             coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
-            grad_theta = (-alpha * (mean_G_per_j / denom - coupled)) @ jac
+            grad_theta = np.dot(-alpha * (mean_G_per_j / denom - coupled), jac)
         else:
-            grad_theta = -(alpha / n) * (mean_G_per_j @ jac)
+            grad_theta = -(alpha / n) * np.dot(mean_G_per_j, jac)
 
         if not np.isfinite(grad_theta).all():
             raise ValueError("non-finite meta-gradient")
     return MetaGradientReport(
         grad_theta=grad_theta,
         mean_G_per_j=mean_G_per_j,
-        weighted_loss=float(cache.coeffs @ cache.losses),
-        meta_loss=float(meta_losses.mean()),
+        weighted_loss=float(np.dot(cache.coeffs, cache.losses)),
+        meta_loss=float(np.add.reduce(meta_losses) / meta_losses.size),
         virtual=cache,
     )
 
@@ -624,7 +629,7 @@ def train(
                 meta_batch = Batch.from_dataset(meta_set, sample_batch(meta_set, config.m, rng_meta))
                 state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
                 epoch_losses.append(report.weighted_loss)
-                epoch_norms.append(math.sqrt(report.grad_theta @ report.grad_theta))
+                epoch_norms.append(math.sqrt(np.dot(report.grad_theta, report.grad_theta)))
                 # Its virtual-step cache holds the previous classifier and the
                 # batch's activations and deltas; nothing reads them again.
                 del report
@@ -640,7 +645,7 @@ def train(
                     state, fcache, deltas, raw, alpha,
                     config.classifier_momentum, config.classifier_weight_decay, config.normalize,
                 )
-                epoch_losses.append(float(coeffs @ losses))
+                epoch_losses.append(float(np.dot(coeffs, losses)))
                 epoch_norms.append(0.0)
             if not raw.any():
                 zero_weight_iters.append(t + 1)

@@ -41,6 +41,17 @@ pre-activation in place and its backward pass masks on act > 0, equal to
 preact > 0 for every float (as in in-place activated layers, Rota Bulo et
 al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 
+Products go through `np.dot`, not `@` or `np.matmul`. On the shipped
+tiny models a step is dozens of small products, so per-call cost sets its
+speed, and `np.dot` costs up to about 1 us less per call. Where the inner
+dimension is 1, `matmul` takes a slow path, 3 to 7 times `np.dot`'s time;
+the weighting net's scalar input gives two such products per meta step
+(x @ W_1 forward, delta_2 @ W_2^T back). Both forms give the same bits on
+every operand the kernels pass (tests/test_nnet.py). The one exception is
+`weighted_gradient`'s weight block, which keeps `np.matmul(..., out=)` to
+write straight into the flat gradient: at the wide shape (256x64 @
+64x256) `np.dot` with `out=` is about 20% slower.
+
 `outputs` runs the forward pass ROW_BLOCK rows at a time and keeps no
 cache, for passes over a whole dataset or grid; its memory is
 O(ROW_BLOCK * width) whatever the number of rows.
@@ -72,6 +83,7 @@ bit-identical results across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,7 +114,7 @@ class LayerSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
 
-    @property
+    @cached_property  # read several times per training step; a stored value is cheaper than a call
     def param_count(self) -> int:
         return self.input_dim * self.output_dim + self.output_dim
 
@@ -239,7 +251,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     _check_batch(net, batch)
     acts = [batch]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
-        z = acts[-1] @ w
+        z = np.dot(acts[-1], w)
         z += b
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(acts)
@@ -285,7 +297,7 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
         delta = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = delta @ views[k][0].T
+            delta = np.dot(delta, views[k][0].T)
     return deltas
 
 
@@ -297,7 +309,7 @@ def weighted_gradient(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarra
     for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
         nw = spec.input_dim * spec.output_dim
         np.matmul(a_prev.T, coeffs[:, None] * delta, out=grad[off:off + nw].reshape(spec.input_dim, spec.output_dim))
-        grad[off + nw:off + spec.param_count] = coeffs @ delta
+        grad[off + nw:off + spec.param_count] = np.dot(coeffs, delta)
         off += spec.param_count
     return grad
 
@@ -313,11 +325,11 @@ def lookahead_forward(
     _check_batch(net, batch)
     acts, grams = [batch], []
     for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
-        gram = acts[-1] @ a_prev.T
+        gram = np.dot(acts[-1], a_prev.T)
         gram += 1.0
-        z = acts[-1] @ w
+        z = np.dot(acts[-1], w)
         z += b
-        z -= gram @ step
+        z -= np.dot(gram, step)
         grams.append(gram)
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(acts), grams
@@ -335,7 +347,7 @@ def lookahead_deltas(
         delta = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = delta @ views[k][0].T - (delta @ steps[k].T) @ cache.acts[k]
+            delta = np.dot(delta, views[k][0].T) - np.dot(np.dot(delta, steps[k].T), cache.acts[k])
     return deltas
 
 
@@ -344,9 +356,9 @@ def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b:
     between two batches' per-sample gradients, sum_k K_k * (da_k db_k^T),
     from the per-layer Gram matrices K_k = a_a,k a_b,k^T + 1 (as returned
     by `lookahead_forward`) and each batch's per-layer deltas."""
-    total = grams[0] * (deltas_a[0] @ deltas_b[0].T)
+    total = grams[0] * np.dot(deltas_a[0], deltas_b[0].T)
     for gram, da, db in zip(grams[1:], deltas_a[1:], deltas_b[1:]):
-        total += gram * (da @ db.T)
+        total += gram * np.dot(da, db.T)
     return total
 
 

@@ -5,8 +5,10 @@ sigmoid head, so every weight lands in (0, 1). `normalize` rescales a
 weight vector to sum to one and maps an all-zero vector to all zeros.
 
 `mw_jacobian` gives the exact per-input parameter Jacobian
-d(weight_i)/d(theta) that the meta update consumes; the tests use it as
-the reference.
+d(weight_i)/d(theta), and the tests use it as the reference. The meta
+step builds the same Jacobian with `nnet.per_sample_gradients` on the
+cache of the virtual step's weighting-net pass, so it runs no second
+forward pass.
 
 Values are checked as `nnet`'s module docstring sets out; a loss vector
 is checked where it enters (`mw_forward`, `mw_forward_cache`,

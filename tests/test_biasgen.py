@@ -273,3 +273,23 @@ def test_load_dataset_rejects_malformed(tmp_path):
         path.write_text(f"2,2,3\n0.0,0.0,0,0,0\n1.5,{cell},1,1,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: record 1 has a non-finite feature$"):
             load_dataset(path)
+
+
+# Header and label faults, each as a file and the message that must follow
+# "<path>: "; sample records count from 0 after the header.
+LOAD_FAULTS = {
+    "negative N": ("-1,2,3\n", "header needs N >= 0, d >= 1 and c >= 2, got N=-1, d=2, c=3"),
+    "one class": ("2,2,1\n0.0,0.0,0,0,0\n", "header needs N >= 0, d >= 1 and c >= 2, got N=2, d=2, c=1"),
+    "no features": ("2,0,3\n0,0,0\n1,1,0\n", "header needs N >= 0, d >= 1 and c >= 2, got N=2, d=0, c=3"),
+    "label past c": ("2,2,3\n0.0,0.0,0,0,0\n1.0,1.0,5,5,0\n", "record 1 has label 5 outside [0, 3)"),
+    "label not an integer": ("2,2,3\n0.0,0.0,x,0,1\n1.0,1.0,1,1,0\n", "record 0 has a non-integer field 'x'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOAD_FAULTS))
+def test_load_dataset_names_the_file_and_record_of_a_header_or_label_fault(tmp_path, fault):
+    text, message = LOAD_FAULTS[fault]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset(path)

@@ -19,6 +19,8 @@ from metaweight import cli, harness
 from metaweight.biasgen import load_dataset
 from metaweight.weightnet import init_mwnet, mw_forward, save_mwnet
 
+from test_biasgen import LOAD_FAULTS
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -307,6 +309,17 @@ def test_train_zero_meta_gradient_is_reported(tmp_path):
     assert f"run warning: {warnings[0]}\n" in shown.stdout
 
 
+def test_a_spread_that_overflows_float64_is_a_config_error(tmp_path):
+    doc = base_doc()
+    doc["dataset"]["spread"] = 1e308
+    cfg = write_config(tmp_path / "wide_spread.json", doc)
+    expected = "config error: dataset.radius=2.0 and dataset.spread=1e+308 give non-finite feature values\n"
+    for command, out in (("train", tmp_path / "r"), ("gen-data", tmp_path / "d.csv")):
+        proc = run_main(command, "--config", cfg, "--out", out)
+        assert (proc.returncode, proc.stderr) == (1, expected), command
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
     data = tmp_path / "data.csv"
     assert run_main("gen-data", "--config", write_config(tmp_path / "gen.json", base_doc()), "--out", data).returncode == 0
@@ -320,6 +333,18 @@ def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"error: {data}: record 3 has a non-finite feature\n"
     assert not out.exists()
+
+
+def test_train_exits_2_naming_the_file_on_a_header_or_label_fault(tmp_path):
+    for fault, (text, message) in sorted(LOAD_FAULTS.items()):
+        data = tmp_path / f"{fault.replace(' ', '_')}.csv"
+        data.write_text(text)
+        doc = base_doc()
+        doc["dataset"] = {"kind": "file", "path": str(data)}
+        out = tmp_path / "r"
+        proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {data}: {message}\n"), fault
+        assert not out.exists()
 
 
 def test_train_rejects_a_flag_that_disagrees_with_the_labels(tmp_path):

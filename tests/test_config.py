@@ -249,6 +249,47 @@ def test_gaussian_set_sizes_are_checked_at_parse_time():
     assert parse_config(doc).optim.n == 10000
 
 
+def test_sizes_past_numpy_arrays_are_config_errors_naming_the_key():
+    # 1e308 samples fit no NumPy array; they used to fail in NumPy itself.
+    for key in ("classes", "per_class", "test_per_class"):
+        doc = minimal_doc()
+        doc["dataset"][key] = 1e308
+        with pytest.raises(ConfigError, match=r"^dataset\.classes=\d+ times dataset\.(test_)?per_class=\d+ rows of "
+                           r"2 float64 features exceed NumPy's largest array"):
+            parse_config(doc)
+
+
+def test_optim_messages_name_the_config_key():
+    for key, value, message in (
+        ("n", 0, r"^optim: n must be >= 1$"),
+        ("m", -1, r"^optim: m must be >= 1$"),
+        ("momentum", -1, r"^optim\.momentum must be >= 0$"),
+        ("momentum", 1, r"^optim\.momentum must be below 1$"),
+        ("weight_decay", -1, r"^optim\.weight_decay must be >= 0$"),
+    ):
+        doc = minimal_doc()
+        doc["optim"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+
+def test_string_and_list_values_are_typed():
+    for value in (0, True, {}, [], None):
+        doc = minimal_doc()
+        doc["output"] = {"dir": value}
+        with pytest.raises(ConfigError, match=r"^output\.dir must be a string$"):
+            parse_config(doc)
+        doc = minimal_doc()
+        doc["dataset"] = {"kind": "file", "path": value}
+        with pytest.raises(ConfigError, match=r"^dataset\.path must be a non-empty string"):
+            parse_config(doc)
+    for value in (-1, 1e308, True, "uniform", {}):
+        doc = minimal_doc()
+        doc["baselines"] = value
+        with pytest.raises(ConfigError, match=r"^baselines must be a list of baseline objects$"):
+            parse_config(doc)
+
+
 def test_file_dataset_block():
     doc = minimal_doc()
     doc["dataset"] = {"kind": "file", "path": "data.csv", "test_fraction": 0.25}

@@ -266,6 +266,57 @@ def test_outputs_rejects_bad_input(small_net):
         outputs(small_net, np.zeros((2 * nnet.ROW_BLOCK + 3, 2)))
 
 
+# The products of a bilevel step, by classifier: layers, n, m. The
+# weighting net (1-100-1) runs at the same n, with the two inner-dimension-1
+# products its scalar input brings: x @ W_1 forward and delta_2 @ W_2^T back.
+DOT_SHAPES = {
+    "2-64-3": (SHIPPED_SHAPES["2-64-3"], 32, 30),
+    "2-16-3": (SHIPPED_SHAPES["2-16-3"], 32, 16),
+    "256-256-10": ((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 64, 32),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DOT_SHAPES))
+def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, shape):
+    # The kernels compute their products with np.dot, for its lower
+    # per-call cost (module docstring); here every operand pair a bilevel
+    # step and a classifier step pass to it, transposed views as passed,
+    # gives the bits of a @ b. Checked with OpenBLAS 0.3.31 (x86-64
+    # SkylakeX kernels), as the ROW_BLOCK tests are.
+    from metaweight import metaopt
+    from metaweight.weightnet import init_mwnet
+
+    specs, n, m = DOT_SHAPES[shape]
+    rng = np.random.Generator(np.random.Philox(47))
+    d, c = specs[0].input_dim, specs[-1].output_dim
+    theta = init_mwnet((100,), 2)
+    state = metaopt.TrainState(init_net(specs, 1), theta.with_theta(theta.theta + 0.3 * rng.normal(size=301)),
+                               np.zeros(sum(s.param_count for s in specs)))
+    train_batch = metaopt.Batch(np.arange(n), rng.normal(0.0, 2.0, size=(n, d)), rng.integers(0, c, size=n))
+    meta_batch = metaopt.Batch(np.arange(m), rng.normal(0.0, 2.0, size=(m, d)), rng.integers(0, c, size=m))
+    operands, real_dot = [], np.dot
+
+    def spy(a, b):
+        operands.append((a, b))
+        return real_dot(a, b)
+
+    monkeypatch.setattr(np, "dot", spy)
+    for normalize in (False, True):
+        report = metaopt.meta_gradient_direct(state, train_batch, meta_batch, 0.1, normalize)
+        virtual = report.virtual
+        metaopt.update_classifier(state, virtual.forward_cache, virtual.deltas, virtual.raw_weights, 0.1)
+    monkeypatch.undo()
+
+    for a, b in operands:
+        assert np.array_equal(np.dot(a, b), a @ b), (a.shape, b.shape, b.flags.c_contiguous)
+    shapes = [(a.shape, b.shape) for a, b in operands]
+    # x @ W_1 and delta_2 @ W_2^T of the weighting net, once each per meta step
+    assert shapes.count(((n, 1), (1, 100))) == 4
+    assert any(not b.flags.c_contiguous for _, b in operands)  # transposed views
+    assert ((m, n), (n, specs[0].output_dim)) in shapes  # a lookahead K_k @ S_k
+    assert ((n,), (n, 301)) in shapes  # the meta-gradient's mean_G_per_j @ jac
+
+
 def test_relu_backward_masks_on_the_output_exactly_as_on_the_preactivation():
     tiny = np.nextafter(0.0, 1.0)
     edge = np.array([0.0, tiny, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e308, np.inf, np.nan])
