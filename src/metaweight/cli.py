@@ -73,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="compare analytic and finite-difference meta-gradients")
     p.add_argument("--instances", type=int, default=20, help="number of random instances")
     p.add_argument("--seed", type=int, default=0, help="base seed for the instances")
-    p.add_argument(
-        "--corrupt-sign",
-        action="store_true",
-        help="negate the analytic gradient first (self-test; must fail)",
-    )
 
     p = sub.add_parser("report", help="render SVG plots and a text summary for a report directory")
     p.add_argument("dir", help="report directory containing metrics.csv")
@@ -173,8 +168,6 @@ def cmd_gradcheck(args) -> int:
     cases.append((derive_seed(args.seed, args.instances), 0.0, False))
     for case_seed, alpha, normalize in cases:
         analytic, fd = _gradcheck_instance(case_seed, alpha, normalize)
-        if args.corrupt_sign:
-            analytic = -analytic
         err = float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(fd)))
         worst = max(worst, err)
         if err > GRADCHECK_TOLERANCE:

@@ -94,7 +94,10 @@ def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
     ds = cfg.dataset
     if ds.kind == "gaussians":
         return _gaussians(ds, ds.per_class, derive_seed(seed, 11))
-    return load_dataset(ds.path)
+    try:
+        return load_dataset(ds.path)
+    except OSError as exc:
+        raise ValueError(f"dataset.path={ds.path} cannot be read: {exc.strerror}") from exc
 
 
 def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> BiasedDataset:
@@ -109,7 +112,10 @@ def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> Bi
 
 def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, BiasedDataset, BiasedDataset]:
     """Generate or load data, carve the meta set from the clean pool,
-    then inject imbalance and/or noise into the remaining training data."""
+    then inject imbalance and/or noise into the remaining training data.
+    A loaded file's set sizes are known only here, so the sizes that the
+    config asks of them are checked here, naming the config key (a
+    gaussians config's were checked when it was parsed)."""
     ds = cfg.dataset
     pool = _pool(cfg, seed)
     if ds.kind == "gaussians":
@@ -117,13 +123,22 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
     else:
         n_test = max(1, int(round(pool.n * ds.test_fraction)))
         if n_test >= pool.n:
-            raise ValueError("test fraction leaves no training data")
+            raise ValueError(f"dataset.test_fraction={ds.test_fraction} leaves no training data")
         order = rng_stream(seed, 15).permutation(pool.n)
         test_set = pool.subset(np.sort(order[:n_test]))
         pool = pool.subset(np.sort(order[n_test:]))
 
-    meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
-    return _inject_bias(cfg, train_set, seed), meta_set, test_set
+    try:
+        meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
+    except ValueError as exc:
+        raise ValueError(f"meta.per_class={cfg.meta_per_class}: {exc}") from exc
+    train_set = _inject_bias(cfg, train_set, seed)
+    n, m = cfg.optim.n, cfg.optim.m
+    if n > train_set.n:
+        raise ValueError(f"optim.n={n} is above the training-set size {train_set.n}")
+    if m > meta_set.n:
+        raise ValueError(f"optim.m={m} is above the meta-set size {meta_set.n} (classes times meta.per_class)")
+    return train_set, meta_set, test_set
 
 
 def generate_biased(cfg: ExperimentConfig, seed: int) -> BiasedDataset:

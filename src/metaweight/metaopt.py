@@ -30,9 +30,8 @@ meta batch runs forward and backward at w_hat through them
 matrices K_k = a_meta,k a_k^T + 1. The inner products g_meta . g_j are
 then the column means of sum_k K_k * (delta_meta,k delta_k^T)
 (`nnet.gradient_gram`), so neither w_hat nor g_meta is ever formed; the
-extra work is O(n * m * width). w_hat is computed only on demand
-(`VirtualCache.w_hat`), and `meta_gradient_fd` keeps the explicit w_hat
-path as the independent oracle. The deltas do not depend on Theta, so
+extra work is O(n * m * width). Only `meta_gradient_fd`, the independent
+oracle, builds w_hat as a vector. The deltas do not depend on Theta, so
 the virtual step's backward pass is reused by step 3, the one
 param_count-sized reduction of an iteration.
 
@@ -196,26 +195,19 @@ class Batch:
 
 @dataclass
 class VirtualCache:
-    """One virtual step, kept as the factors of w_hat and reused by the
-    meta step and the actual update: the classifier w and step size alpha,
-    the training batch's forward pass, its per-layer deltas
-    (`nnet.layer_deltas`), losses, raw weights and step coefficients, and
-    the weighting net's forward pass at Theta that gave the raw weights."""
+    """One virtual step from w, kept as the factors of w_hat and reused by
+    the meta step and the actual update: the training batch's forward pass
+    at w, its per-layer deltas (`nnet.layer_deltas`), losses, raw weights
+    and step coefficients, and the weighting net's forward pass at Theta
+    that gave the raw weights. w_hat = w - alpha * sum_i coeffs[i] * g_i
+    is never formed."""
 
-    net: DenseNet
-    alpha: float
     losses: np.ndarray
     forward_cache: ForwardCache
     deltas: list[np.ndarray]
     raw_weights: np.ndarray
     coeffs: np.ndarray
     mw_cache: ForwardCache
-
-    @property
-    def w_hat(self) -> np.ndarray:
-        """The virtual parameters w - alpha * sum_i coeff_i g_i, built on
-        demand; the training loop never needs them."""
-        return self.net.params - self.alpha * weighted_gradient(self.net, self.forward_cache, self.deltas, self.coeffs)
 
 
 @dataclass
@@ -370,14 +362,15 @@ def virtual_update(
 ) -> VirtualCache:
     """One plain SGD step on the weighted loss, kept as a function of
     Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
-    (`VirtualCache.w_hat` builds the vector). No momentum, no weight
-    decay; those belong to the actual update."""
+    and never formed (see `VirtualCache`); `alpha` is checked here and
+    applied by the meta step. No momentum, no weight decay; those belong
+    to the actual update."""
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw, mw_cache = mw_forward_cache(state.theta, losses)
     coeffs = _coefficients(raw, normalize)
-    return VirtualCache(state.w, alpha, losses, fcache, deltas, raw, coeffs, mw_cache)
+    return VirtualCache(losses, fcache, deltas, raw, coeffs, mw_cache)
 
 
 def meta_gradient_direct(
@@ -501,22 +494,22 @@ def train_step(
     train_batch: Batch,
     meta_batch: Batch,
     config: TrainConfig,
-    alpha: float | None = None,
+    alpha: float,
 ) -> tuple[TrainState, MetaGradientReport, np.ndarray]:
-    """One full iteration: virtual step, Theta update, classifier update.
-    Returns the new state, the meta-gradient report and the raw weights
-    the classifier step applied.
+    """One full iteration: virtual step, Theta update, classifier update,
+    each under its stage name. Returns the new state, the meta-gradient
+    report and the raw weights the classifier step applied.
 
-    `alpha` overrides config.alpha so the driver can apply its schedule.
+    `alpha` is the classifier step size of this iteration: config.alpha
+    under the driver's schedule.
     """
     if train_batch.size != config.n:
         raise ValueError(f"train batch size {train_batch.size} != config.n {config.n}")
     if meta_batch.size != config.m:
         raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
-    if alpha is None:
-        alpha = config.alpha
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
-    state = update_theta(state, report.grad_theta, config.beta)
+    with _stage("theta update"):
+        state = update_theta(state, report.grad_theta, config.beta)
     raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
     state, _ = update_classifier(
         state, report.virtual.forward_cache, report.virtual.deltas, raw, alpha,
@@ -627,11 +620,11 @@ def train(
 
             if weight_fn is None:
                 meta_batch = Batch.from_dataset(meta_set, sample_batch(meta_set, config.m, rng_meta))
-                state, report, raw = train_step(state, train_batch, meta_batch, config, alpha=alpha)
+                state, report, raw = train_step(state, train_batch, meta_batch, config, alpha)
                 epoch_losses.append(report.weighted_loss)
                 epoch_norms.append(math.sqrt(np.dot(report.grad_theta, report.grad_theta)))
-                # Its virtual-step cache holds the previous classifier and the
-                # batch's activations and deltas; nothing reads them again.
+                # Its virtual-step cache holds the batch's activations and
+                # deltas; nothing reads them again.
                 del report
                 # With all-zero weights the gradient is 0 too; that case is
                 # the all-zero-weights warning's.
@@ -671,10 +664,7 @@ def train(
     notes.extend(_stall_notes(zero_grad_iters, config.T))
     notes.extend(_divergence_notes(history["meta_loss"], meta_set.c))
     echo = asdict(config)
-    echo["classifier_layers"] = [
-        {"input_dim": s.input_dim, "output_dim": s.output_dim, "activation": s.activation}
-        for s in classifier_specs
-    ]
+    echo["classifier_layers"] = [asdict(spec) for spec in classifier_specs]
     echo["mwnet_hidden"] = list(mwnet_hidden)
     echo["lr_schedule"] = [list(entry) for entry in config.lr_schedule]
     if config_echo:

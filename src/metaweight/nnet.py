@@ -43,14 +43,13 @@ al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 
 Products go through `np.dot`, not `@` or `np.matmul`. On the shipped
 tiny models a step is dozens of small products, so per-call cost sets its
-speed, and `np.dot` costs up to about 1 us less per call. Where the inner
-dimension is 1, `matmul` takes a slow path, 3 to 7 times `np.dot`'s time;
-the weighting net's scalar input gives two such products per meta step
-(x @ W_1 forward, delta_2 @ W_2^T back). Both forms give the same bits on
-every operand the kernels pass (tests/test_nnet.py). The one exception is
-`weighted_gradient`'s weight block, which keeps `np.matmul(..., out=)` to
-write straight into the flat gradient: at the wide shape (256x64 @
-64x256) `np.dot` with `out=` is about 20% slower.
+speed, and `np.dot` costs less per call. Where the inner dimension is 1,
+`matmul` takes a slow path; the weighting net's scalar input gives two
+such products per meta step (x @ W_1 forward, delta_2 @ W_2^T back). Both
+forms give the same bits on every operand the kernels pass
+(tests/test_nnet.py). The one exception is `weighted_gradient`'s weight
+block, which keeps `np.matmul(..., out=)` to write straight into the flat
+gradient, where `np.dot` with `out=` is slower at the wide shapes.
 
 `outputs` runs the forward pass ROW_BLOCK rows at a time and keeps no
 cache, for passes over a whole dataset or grid; its memory is
@@ -410,9 +409,11 @@ def sgd_step(
     lr: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
-    state: np.ndarray | None = None,
+    *,
+    state: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v'.
+    """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v',
+    with `state` the velocity v.
 
     Evaluated left to right into the two returned arrays, with no other
     param-sized temporary."""
@@ -424,9 +425,7 @@ def sgd_step(
         raise ValueError("weight_decay must be >= 0")
     if grad.shape != params.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
-    if state is None:
-        state = np.zeros_like(params)
-    elif state.shape != params.shape:
+    if state.shape != params.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs state {state.shape}")
     velocity = np.multiply(momentum, state)
     velocity += grad

@@ -12,13 +12,13 @@ forward pass.
 
 Values are checked as `nnet`'s module docstring sets out; a loss vector
 is checked where it enters (`mw_forward`, `mw_forward_cache`,
-`mw_jacobian`).
+`mw_jacobian`), and a saved net's document where `load_mwnet` reads it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -123,22 +123,40 @@ def normalize(weights: np.ndarray) -> np.ndarray:
 
 
 def save_mwnet(mwnet: MWNet, path) -> None:
-    payload = {
-        "layers": [
-            {"input_dim": s.input_dim, "output_dim": s.output_dim, "activation": s.activation}
-            for s in mwnet.net.layers
-        ],
-        "params": mwnet.net.params.tolist(),
-    }
+    payload = {"layers": [asdict(spec) for spec in mwnet.net.layers], "params": mwnet.net.params.tolist()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def load_mwnet(path) -> MWNet:
+    """Read a weighting net in `save_mwnet`'s format. A file that is not
+    JSON of that shape, or whose net fails the `DenseNet` or `MWNet`
+    checks, raises ValueError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    specs = tuple(
-        LayerSpec(d["input_dim"], d["output_dim"], d["activation"]) for d in payload["layers"]
-    )
-    return MWNet(DenseNet(specs, np.array(payload["params"], dtype=np.float64)))
+        try:
+            return _parse_mwnet(json.load(fh))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float64
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_mwnet(payload) -> MWNet:
+    if not isinstance(payload, dict) or sorted(payload) != ["layers", "params"]:
+        raise ValueError("need a JSON object with exactly the keys 'layers' and 'params'")
+    layers, params = payload["layers"], payload["params"]
+    if not isinstance(layers, list):
+        raise ValueError("layers must be a list")
+    keys = sorted(f.name for f in fields(LayerSpec))
+    specs = []
+    for k, record in enumerate(layers):
+        if not isinstance(record, dict) or sorted(record) != keys:
+            raise ValueError(f"layers[{k}] must be an object with exactly the keys {keys}")
+        if type(record["input_dim"]) is not int or type(record["output_dim"]) is not int:
+            raise ValueError(f"layers[{k}] dims must be integers")
+        try:
+            specs.append(LayerSpec(**record))
+        except ValueError as exc:
+            raise ValueError(f"layers[{k}]: {exc}") from exc
+    if not isinstance(params, list) or not all(type(v) in (int, float) for v in params):
+        raise ValueError("params must be a list of numbers")
+    return MWNet(DenseNet(specs, np.array(params, dtype=np.float64)))

@@ -3,6 +3,7 @@ starts `python -m metaweight` in a subprocess; the rest call `cli.main` in
 this process (`run_main`), which skips the interpreter start-up."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 
 from metaweight import cli, harness
 from metaweight.biasgen import load_dataset
+from metaweight.metaopt import meta_gradient_direct
 from metaweight.weightnet import init_mwnet, mw_forward, save_mwnet
 
 from test_biasgen import LOAD_FAULTS
@@ -226,9 +228,11 @@ def test_train_missing_config_file_is_config_error(tmp_path):
     assert "config error" in proc.stderr
 
 
+NOISE40 = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "noise40.json")
+
+
 def huge_alpha_noise40(baselines):
-    config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    with open(os.path.join(config_dir, "noise40.json"), encoding="utf-8") as fh:
+    with open(NOISE40, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["optim"]["alpha"] = 1e6
     doc["baselines"] = baselines
@@ -242,9 +246,22 @@ def test_train_numeric_failure_names_iteration_and_stage(tmp_path):
     cfg = write_config(tmp_path / "huge_alpha.json", huge_alpha_noise40([{"kind": "uniform"}]))
     proc = run_main("train", "--config", cfg, "--out", tmp_path / "r", "--seed", 1)
     assert proc.returncode == 2
-    stages = "virtual step|meta step|classifier step|epoch evaluation"
+    stages = "virtual step|meta step|theta update|classifier step|epoch evaluation"
     pattern = rf"error: uniform baseline, seed 1, iteration \d+ of 600, ({stages}): [^\n]+\n"
     assert re.fullmatch(pattern, proc.stderr), proc.stderr
+
+
+def test_train_theta_update_failure_names_its_stage(tmp_path):
+    # A weighting-net step size that overflows Theta fails in the Theta
+    # update, and the error names that stage.
+    doc = huge_alpha_noise40([])
+    doc["optim"].update(alpha=10, beta=1e308, T=20, lr_schedule=[])
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "theta.json", doc), "--out", out, "--seed", 1)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: seed 1, iteration 1 of 20, theta update: non-finite parameter entries\n"
+    )
+    assert not out.exists()
 
 
 def test_train_weight_collapse_is_reported(tmp_path):
@@ -368,6 +385,41 @@ def test_train_rejects_a_flag_that_disagrees_with_the_labels(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def noise40_data(tmp_path_factory):
+    """configs/noise40.json's data for seed 1, written by gen-data (210
+    samples, which a file dataset splits into 42 test, 30 meta and 138
+    training samples)."""
+    data = tmp_path_factory.mktemp("noise40") / "noise40.csv"
+    assert run_main("gen-data", "--config", NOISE40, "--out", data, "--seed", 1).returncode == 0
+    return data
+
+
+# config key -> (value, the error it gives on noise40_data)
+FILE_FAULTS = {
+    "dataset.path": ("absent.csv", "dataset.path=absent.csv cannot be read: No such file or directory"),
+    "optim.n": (10000, "optim.n=10000 is above the training-set size 138"),
+    "optim.m": (10000, "optim.m=10000 is above the meta-set size 30 (classes times meta.per_class)"),
+    "meta.per_class": (1000, "meta.per_class=1000: class 0 has only 40 clean samples, need 1000"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FILE_FAULTS))
+def test_a_file_dataset_fault_names_its_key(noise40_data, tmp_path, monkeypatch, key):
+    # A file's set sizes are known only once it loads, so these faults are
+    # runtime errors (exit 2), named by the config key.
+    value, message = FILE_FAULTS[key]
+    with open(NOISE40, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["dataset"] = {"kind": "file", "path": str(noise40_data)}
+    block, name = key.split(".")
+    doc[block][name] = value
+    monkeypatch.chdir(tmp_path)
+    proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", "r", "--seed", 1)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_dataset_key_of_the_other_kind_is_config_error(tmp_path):
     doc = base_doc()
     doc["dataset"] = {"kind": "file", "path": str(tmp_path / "data.csv"), "classes": 7, "radius": -3}
@@ -427,6 +479,32 @@ def test_probe_bad_range_is_config_error(tmp_path):
     assert not out.exists()
 
 
+NOT_AN_MWNET = "need a JSON object with exactly the keys 'layers' and 'params'"
+# fault -> (the saved document with the fault, the error it gives)
+MODEL_FAULTS = {
+    "layer without activation": (
+        lambda doc: {**doc, "layers": [{"input_dim": 1, "output_dim": 5}] + doc["layers"][1:]},
+        "layers[0] must be an object with exactly the keys ['activation', 'input_dim', 'output_dim']",
+    ),
+    "no params": (lambda doc: {"layers": doc["layers"]}, NOT_AN_MWNET),
+    "a list": (lambda doc: [doc], NOT_AN_MWNET),
+    "text param": (lambda doc: {**doc, "params": ["x"] + doc["params"][1:]}, "params must be a list of numbers"),
+    "param past float64": (lambda doc: {**doc, "params": [10**400] + doc["params"][1:]}, "int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FAULTS))
+def test_probe_on_a_malformed_model_names_the_file(tmp_path, fault):
+    edit, message = MODEL_FAULTS[fault]
+    model = tmp_path / "mwnet.json"
+    save_mwnet(init_mwnet((5,), 3), model)
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    out = tmp_path / "c.csv"
+    proc = run_main("probe", "--model", model, "--out", out)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {model}: {message}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -437,8 +515,14 @@ def test_gradcheck_passes(tmp_path):
     assert "max relative error" in proc.stdout
 
 
-def test_gradcheck_corrupted_sign_fails(tmp_path):
-    proc = run_main("gradcheck", "--instances", 3, "--corrupt-sign")
+def test_gradcheck_corrupted_sign_fails(monkeypatch):
+    # An analytic gradient with its sign flipped must fail the check.
+    def negated(*args, **kwargs):
+        report = meta_gradient_direct(*args, **kwargs)
+        return dataclasses.replace(report, grad_theta=-report.grad_theta)
+
+    monkeypatch.setattr(cli, "meta_gradient_direct", negated)
+    proc = run_main("gradcheck", "--instances", 3)
     assert proc.returncode == 3
     assert proc.stdout.startswith("FAIL")
 
@@ -505,6 +589,9 @@ def test_unknown_flag_exits_one(cfg_path):
     assert proc.returncode == 1
     proc = run_main("trian")
     assert proc.returncode == 1
+    proc = run_main("gradcheck", "--corrupt-sign")
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --corrupt-sign" in proc.stderr
     proc = run_main()
     assert proc.returncode == 1
 

@@ -2,7 +2,9 @@
 at any depth, set to an edge value or removed, run in-process through
 `cli.main`. Whatever the draw, the command exits 0, 1 (a config error that
 names the key) or 2 (a runtime error that names the seed, iteration and
-stage), and no exception escapes.
+stage), and no exception escapes. A variant runs noise40 on its own data
+read as a `file` dataset; there a runtime error may instead name the drawn
+key, since a file's set sizes are known only once it loads.
 
 Caps, so that every draw is cheap and allocates little:
 - `optim.T` is 6, with the shipped `lr_schedule` scaled into it, and the
@@ -11,6 +13,7 @@ Caps, so that every draw is cheap and allocates little:
 - The dataset sizes stay at the shipped ones unless the drawn key is one
   of them. The only large value drawn is 1e308, which is beyond any array
   NumPy can make, so no draw can ask for a large but allocatable one.
+- The file variant's data is written once per test run, not per draw.
 """
 
 import copy
@@ -22,7 +25,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_cli import run_main
+from test_cli import noise40_data, run_main  # noqa: F401 (a fixture)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("noise40", "imbalance20", "clean")
@@ -51,32 +54,29 @@ def key_paths(node, prefix=()):
         yield from key_paths(value, prefix + (key,))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_one_edge_value_in_a_shipped_config_fails_cleanly(data):
-    name = data.draw(st.sampled_from(SHIPPED), label="config")
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = capped_doc(name, os.path.join(tmp, "report"))
-        path = data.draw(st.sampled_from(sorted(key_paths(doc), key=repr)), label="key")
-        values = [v for v in EDGE_VALUES if not (path == ("optim", "T") and v == 1e308)]
-        value = data.draw(st.sampled_from(values), label="value")
-        holder = doc
-        for key in path[:-1]:
-            holder = holder[key]
-        if value == REMOVED:
-            del holder[path[-1]]
-        else:
-            holder[path[-1]] = copy.deepcopy(value)
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        # a drawn output.dir is relative to the working directory
-        cwd = os.getcwd()
-        os.chdir(tmp)
-        try:
-            proc = run_main("train", "--config", config)
-        finally:
-            os.chdir(cwd)
+def train_with_one_edge_value(data, doc: dict, tmp: str):
+    """Draw one key path of `doc` and an edge value, put it in, and run
+    `train` on the result from `tmp`; returns the path and the outcome."""
+    path = data.draw(st.sampled_from(sorted(key_paths(doc), key=repr)), label="key")
+    values = [v for v in EDGE_VALUES if not (path == ("optim", "T") and v == 1e308)]
+    value = data.draw(st.sampled_from(values), label="value")
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if value == REMOVED:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = copy.deepcopy(value)
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    # a drawn output.dir is relative to the working directory
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        proc = run_main("train", "--config", config)
+    finally:
+        os.chdir(cwd)
 
     assert proc.returncode in (0, 1, 2), proc
     if proc.returncode == 0:
@@ -85,5 +85,26 @@ def test_one_edge_value_in_a_shipped_config_fails_cleanly(data):
         # the innermost named key on the path (list indices name no key)
         named = [key for key in path if isinstance(key, str)][-1]
         assert re.search(rf"\b{re.escape(named)}\b", proc.stderr), proc.stderr
-    else:
+    return path, proc
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_one_edge_value_in_a_shipped_config_fails_cleanly(data):
+    name = data.draw(st.sampled_from(SHIPPED), label="config")
+    with tempfile.TemporaryDirectory() as tmp:
+        _, proc = train_with_one_edge_value(data, capped_doc(name, os.path.join(tmp, "report")), tmp)
+    if proc.returncode == 2:
         assert STAGE_PREFIX.match(proc.stderr), proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_edge_value_in_a_file_dataset_config_fails_cleanly(noise40_data, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = capped_doc("noise40", os.path.join(tmp, "report"))
+        doc["dataset"] = {"kind": "file", "path": str(noise40_data), "test_fraction": 0.2}
+        path, proc = train_with_one_edge_value(data, doc, tmp)
+    if proc.returncode == 2:
+        dotted = ".".join(key for key in path if isinstance(key, str))
+        assert STAGE_PREFIX.match(proc.stderr) or re.search(rf"\b{re.escape(dotted)}\b", proc.stderr), proc.stderr

@@ -468,7 +468,7 @@ def test_fd_gradient_on_quadratic():
 def test_sgd_step_plain():
     params = np.array([1.0, 2.0])
     grad = np.array([0.5, -1.0])
-    new, vel = sgd_step(params, grad, lr=0.1)
+    new, vel = sgd_step(params, grad, lr=0.1, state=np.zeros(2))
     assert np.allclose(new, params - 0.1 * grad)
     assert np.allclose(vel, grad)
 
@@ -479,7 +479,7 @@ def test_sgd_step_momentum_weight_decay_closed_form():
     g2 = np.array([-0.1, 0.3])
     lr, mom, wd = 0.05, 0.9, 0.01
 
-    p1, v1 = sgd_step(params, g1, lr, momentum=mom, weight_decay=wd)
+    p1, v1 = sgd_step(params, g1, lr, momentum=mom, weight_decay=wd, state=np.zeros(2))
     v1_exp = g1 + wd * params
     assert np.allclose(v1, v1_exp, atol=1e-15)
     assert np.allclose(p1, params - lr * v1_exp, atol=1e-15)
@@ -491,25 +491,27 @@ def test_sgd_step_momentum_weight_decay_closed_form():
 
 
 def test_sgd_step_validation():
-    p = np.zeros(3)
+    p, v = np.zeros(3), np.zeros(3)
     with pytest.raises(ValueError):
-        sgd_step(p, np.zeros(3), lr=-0.1)
+        sgd_step(p, np.zeros(3), lr=-0.1, state=v)
     with pytest.raises(ValueError):
-        sgd_step(p, np.zeros(3), lr=0.1, momentum=1.0)
+        sgd_step(p, np.zeros(3), lr=0.1, momentum=1.0, state=v)
     with pytest.raises(ValueError):
-        sgd_step(p, np.zeros(3), lr=0.1, weight_decay=-0.1)
+        sgd_step(p, np.zeros(3), lr=0.1, weight_decay=-0.1, state=v)
     with pytest.raises(ValueError):
-        sgd_step(p, np.zeros(2), lr=0.1)
+        sgd_step(p, np.zeros(2), lr=0.1, state=v)
+    with pytest.raises(ValueError, match="state"):
+        sgd_step(p, np.zeros(3), lr=0.1, state=np.zeros(2))
     with pytest.raises(ValueError, match="^lr"):
-        sgd_step(p, np.zeros(3), lr=float("nan"))
+        sgd_step(p, np.zeros(3), lr=float("nan"), state=v)
     with pytest.raises(ValueError, match="^momentum"):
-        sgd_step(p, np.zeros(3), lr=0.1, momentum=float("nan"))
+        sgd_step(p, np.zeros(3), lr=0.1, momentum=float("nan"), state=v)
     with pytest.raises(ValueError, match="^weight_decay"):
-        sgd_step(p, np.zeros(3), lr=0.1, weight_decay=float("nan"))
+        sgd_step(p, np.zeros(3), lr=0.1, weight_decay=float("nan"), state=v)
     with pytest.raises(ValueError, match="^eps"):
         fd_gradient(lambda q: 0.0, p, eps=float("nan"))
     # lr=0 is a legal degenerate step: parameters stay put, velocity updates.
-    new, vel = sgd_step(p, np.ones(3), lr=0.0, momentum=0.9)
+    new, vel = sgd_step(p, np.ones(3), lr=0.0, momentum=0.9, state=v)
     assert np.array_equal(new, p)
     assert np.array_equal(vel, np.ones(3))
 
