@@ -158,6 +158,38 @@ def longtail_counts(c: int, base_count: int, factor: float) -> np.ndarray:
     return counts
 
 
+# Above this many classes an emptied class is reported without the counts.
+_LISTED_CLASSES = 100
+
+
+def _longtail_total(c: int, base_count: int, factor: float) -> int:
+    """`int(longtail_counts(c, base_count, factor).sum())` without a list
+    of c counts: the counts never rise with the class index, so the sum
+    walks the runs of equal counts, each found by a galloping search. The
+    work grows with the number of runs, at most min(c, base_count + 1)."""
+    if not factor >= 1:
+        raise ValueError("imbalance factor must be >= 1")
+    mu = factor ** (-1.0 / (c - 1))
+    count = lambda i: round(base_count * mu**i)  # longtail_counts' expression
+    if count(c - 1) < 1:
+        if c <= _LISTED_CLASSES:
+            longtail_counts(c, base_count, factor)  # raises, listing the counts
+        raise ValueError(f"imbalance factor {factor} empties a class (class {c - 1} of {c} keeps none)")
+    total, start = 0, 0
+    while start < c:
+        value, last, step = count(start), start, 1
+        # count(last) == value; grow the step until it leaves the run
+        while last + step < c and count(last + step) == value:
+            last, step = last + step, 2 * step
+        end = min(last + step, c)
+        while end - last > 1:  # count(end) < value, or end == c
+            mid = (last + end) // 2
+            last, end = (mid, end) if count(mid) == value else (last, mid)
+        total += value * (end - start)
+        start = end
+    return total
+
+
 def apply_longtail(dataset: BiasedDataset, factor: float, seed: int) -> BiasedDataset:
     """Subsample a balanced dataset's classes exponentially: class 0 keeps
     all of its samples, class c-1 about 1/factor of them."""
@@ -270,44 +302,51 @@ def load_dataset(path) -> BiasedDataset:
     integers in [0, c), and its corrupted flag set exactly where observed
     != true. A fault names the file and the header or the record (records
     count from 0 after the header). Arrays are built from the records
-    read, not sized from the header."""
+    read, not sized from the header. A file that is not UTF-8 text is a
+    fault named the same way."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset file") from None
-        if len(header) != 3:
-            raise ValueError(f"{path}: header must be 'N,d,c', got {header}")
-        n, d, c = (_integer(v, f"{path}: header") for v in header)
-        if n < 0 or d < 1 or c < 2:
-            raise ValueError(f"{path}: header needs N >= 0, d >= 1 and c >= 2, got N={n}, d={d}, c={c}")
-        features, observed, true = [], [], []
-        for k, row in enumerate(reader):
-            where = f"{path}: record {k}"
-            if k >= n:
-                raise ValueError(f"{path}: more than {n} sample records")
-            if len(row) != d + 3:
-                raise ValueError(f"{where} has {len(row)} fields, expected {d + 3}")
-            try:
-                values = [float(v) for v in row[:d]]
-            except ValueError:
-                raise ValueError(f"{where} has a non-numeric feature") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{where} has a non-finite feature")
-            obs, tru, flag = (_integer(v, where) for v in row[d:])
-            for label in (obs, tru):
-                if not 0 <= label < c:
-                    raise ValueError(f"{where} has label {label} outside [0, {c})")
-            if bool(flag) != (obs != tru):
-                raise ValueError(
-                    f"{where} has corrupted flag {row[d + 2]} with observed label {obs} and true label {tru}"
-                )
-            features.append(values)
-            observed.append(obs)
-            true.append(tru)
-        if len(features) != n:
-            raise ValueError(f"{path}: expected {n} sample records, found {len(features)}")
+            return _read_dataset(csv.reader(fh), path)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_dataset(reader, path) -> BiasedDataset:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty dataset file") from None
+    if len(header) != 3:
+        raise ValueError(f"{path}: header must be 'N,d,c', got {header}")
+    n, d, c = (_integer(v, f"{path}: header") for v in header)
+    if n < 0 or d < 1 or c < 2:
+        raise ValueError(f"{path}: header needs N >= 0, d >= 1 and c >= 2, got N={n}, d={d}, c={c}")
+    features, observed, true = [], [], []
+    for k, row in enumerate(reader):
+        where = f"{path}: record {k}"
+        if k >= n:
+            raise ValueError(f"{path}: more than {n} sample records")
+        if len(row) != d + 3:
+            raise ValueError(f"{where} has {len(row)} fields, expected {d + 3}")
+        try:
+            values = [float(v) for v in row[:d]]
+        except ValueError:
+            raise ValueError(f"{where} has a non-numeric feature") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where} has a non-finite feature")
+        obs, tru, flag = (_integer(v, where) for v in row[d:])
+        for label in (obs, tru):
+            if not 0 <= label < c:
+                raise ValueError(f"{where} has label {label} outside [0, {c})")
+        if bool(flag) != (obs != tru):
+            raise ValueError(
+                f"{where} has corrupted flag {row[d + 2]} with observed label {obs} and true label {tru}"
+            )
+        features.append(values)
+        observed.append(obs)
+        true.append(tru)
+    if len(features) != n:
+        raise ValueError(f"{path}: expected {n} sample records, found {len(features)}")
     return BiasedDataset(np.array(features, dtype=np.float64).reshape(n, d), observed, true, c)
 
 

@@ -111,6 +111,12 @@ def cmd_train(args) -> int:
     save_experiment(result, out_dir, plots=cfg.plots)
     acc = result.summary["final_accuracy"]
     print(f"final accuracy {acc['mean']:.4f} +- {acc['std']:.4f} over seeds {list(result.seeds)}")
+    for k, seed in enumerate(result.seeds):
+        for warning in result.reports[k].warnings:
+            print(f"run warning: seed {seed}: {warning}")
+        for kind, reports in result.baseline_reports.items():
+            for warning in reports[k].warnings:
+                print(f"run warning: seed {seed}, {kind} baseline: {warning}")
     print(f"report written to {out_dir}")
     return 0
 

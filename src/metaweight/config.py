@@ -2,6 +2,9 @@
 
 Unknown keys anywhere in the document are errors, so a typoed
 hyperparameter fails loudly instead of silently training with defaults.
+Every block is read one way: `_require_keys` (or `_optional`, for a block
+that may be absent or null) checks its keys, `_numbers` reads its numbers
+against a bounds table, and `_typed` its strings and booleans.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight.biasgen import FLIP, NoiseSpec, longtail_counts
+from metaweight.biasgen import FLIP, NoiseSpec, _longtail_total
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
 
@@ -31,30 +34,71 @@ def _require_keys(block: dict, allowed: set[str], required: set[str], context: s
         raise ConfigError(f"missing required key(s) {sorted(missing)} in {context}")
 
 
-def _number(block: dict, key: str, context: str, default=None, lo=None, integer=False):
-    if key not in block:
-        return default
-    value = block[key]
+def _optional(doc: dict, key: str, context: str, allowed: set[str], required: set[str] = frozenset()) -> dict:
+    """doc[key] checked by `_require_keys`, or {} when it is absent or null."""
+    block = doc.get(key)
+    if block is None:
+        return {}
+    _require_keys(block, allowed, required, context)
+    return block
+
+
+def _number(value, name: str, lo, integer: bool, hi):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number")
+        raise ConfigError(f"{name} must be a number")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{context}.{key} must be finite")
+        raise ConfigError(f"{name} must be finite")
     if integer:
         if int(value) != value:
-            raise ConfigError(f"{context}.{key} must be an integer")
+            raise ConfigError(f"{name} must be an integer")
         value = int(value)
     if lo is not None and value < lo:
-        raise ConfigError(f"{context}.{key} must be >= {lo}")
+        raise ConfigError(f"{name} must be >= {lo}")
+    if hi is not None and not value < hi:
+        raise ConfigError(f"{name} must be below {hi}")
     return value
 
 
-# The keys each dataset kind takes besides "kind"; the other kind's keys
-# are unknown keys. A gaussians key maps to (lower bound, integer?).
+def _numbers(block: dict, context: str, table: dict) -> dict:
+    """The block's values of the table's keys, each checked against its
+    (lower bound, integer?, exclusive upper bound). Absent keys are left
+    out, so the dataclass the values feed supplies its defaults."""
+    return {key: _number(block[key], f"{context}.{key}", *bounds) for key, bounds in table.items() if key in block}
+
+
+def _typed(block: dict, key: str, context: str, default):
+    """block[key], or the default when absent: a string or a boolean, as the default is."""
+    value = block.get(key, default)
+    if not isinstance(value, type(default)):
+        raise ConfigError(f"{context}.{key} must be {'a boolean' if isinstance(default, bool) else 'a string'}")
+    return value
+
+
+def _int_tuple(value, context: str, lo: int) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value or not all(type(v) is int and v >= lo for v in value):
+        raise ConfigError(f"{context} must be a non-empty list of {'positive' if lo else 'non-negative'} integers")
+    return tuple(value)
+
+
+# Bounds tables: key -> (lower bound, integer?, exclusive upper bound). A
+# bound of None leaves the check to the dataclass the value feeds, whose
+# message names its own field.
+_REAL, _WHOLE = (None, False, None), (None, True, None)
+# The keys each dataset kind takes besides "kind" (and a file's "path");
+# the other kind's keys are unknown keys.
 _GAUSSIAN_KEYS = {
-    "classes": (2, True), "dim": (1, True), "per_class": (1, True),
-    "radius": (0, False), "spread": (0, False), "test_per_class": (1, True),
+    "classes": (2, True, None), "dim": (1, True, None), "per_class": (1, True, None),
+    "radius": (0, False, None), "spread": (0, False, None), "test_per_class": (1, True, None),
 }
-_FILE_KEYS = ("path", "test_fraction")
+_FILE_KEYS = {"test_fraction": (0.0, False, None)}
+_OPTIM_KEYS = {
+    "alpha": _REAL, "beta": _REAL, "n": _WHOLE, "m": _WHOLE, "T": _WHOLE,
+    "momentum": (0, False, 1), "weight_decay": (0, False, None),
+}
+# TrainConfig's names for the optim keys it calls otherwise
+_OPTIM_FIELDS = {"momentum": "classifier_momentum", "weight_decay": "classifier_weight_decay"}
+_SCHEDULE_PAIR = {"iteration": _WHOLE, "multiplier": _REAL}
+_BASELINE_KEYS = {"gamma": _REAL, "lam": _REAL}
 # NumPy sizes an array's bytes in a signed pointer-sized integer, so no
 # dataset can hold more float64 features than this allows.
 _FLOAT64_BYTES = np.dtype(np.float64).itemsize
@@ -91,153 +135,52 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    _require_keys(
-        doc,
-        {"dataset", "bias", "meta", "model", "optim", "output", "seeds", "baselines"},
-        {"dataset", "meta", "optim", "seeds"},
-        "config",
-    )
+    blocks = {"dataset", "bias", "meta", "model", "optim", "output", "seeds", "baselines"}
+    _require_keys(doc, blocks, {"dataset", "meta", "optim", "seeds"}, "config")
+    dataset = _dataset(doc["dataset"])
 
-    ds_block = doc["dataset"]
-    _require_keys(ds_block, {"kind", *_GAUSSIAN_KEYS, *_FILE_KEYS}, {"kind"}, "dataset")
-    kind = ds_block["kind"]
-    if kind == "gaussians":
-        _require_keys(ds_block, {"kind", *_GAUSSIAN_KEYS}, set(), "dataset")
-        dataset = DatasetBlock(kind, **{
-            key: _number(ds_block, key, "dataset", lo=lo, integer=integer)
-            for key, (lo, integer) in _GAUSSIAN_KEYS.items() if key in ds_block
-        })
-        if dataset.dim != 2:
-            raise ConfigError("dataset.dim must be 2 for gaussians on a circle of class means")
-        for key, size in (("per_class", dataset.per_class), ("test_per_class", dataset.test_per_class)):
-            if dataset.classes * size * dataset.dim * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
-                raise ConfigError(
-                    f"dataset.classes={dataset.classes} times dataset.{key}={size} rows of "
-                    f"{dataset.dim} float64 features exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"
-                )
-    elif kind == "file":
-        _require_keys(ds_block, {"kind", *_FILE_KEYS}, set(), "dataset")
-        path = ds_block.get("path")
-        if not path or not isinstance(path, str):
-            raise ConfigError("dataset.path must be a non-empty string when dataset.kind is 'file'")
-        dataset = DatasetBlock(
-            kind=kind,
-            path=path,
-            test_fraction=_number(ds_block, "test_fraction", "dataset", DatasetBlock.test_fraction, lo=0.0),
-        )
-        if not 0.0 < dataset.test_fraction < 1.0:
-            raise ConfigError("dataset.test_fraction must be in (0, 1)")
-    else:
-        raise ConfigError(f"dataset.kind must be 'gaussians' or 'file', got {kind!r}")
-
-    imbalance_factor = None
+    bias = _optional(doc, "bias", "bias", {"imbalance", "noise"})
+    imbalance = _optional(bias, "imbalance", "bias.imbalance", {"factor"}, {"factor"})
+    imbalance_factor = _numbers(imbalance, "bias.imbalance", {"factor": (1, False, None)}).get("factor")
     noise = None
-    if doc.get("bias") is not None:
-        bias = doc["bias"]
-        _require_keys(bias, {"imbalance", "noise"}, set(), "bias")
-        if bias.get("imbalance") is not None:
-            imb = bias["imbalance"]
-            _require_keys(imb, {"factor"}, {"factor"}, "bias.imbalance")
-            imbalance_factor = _number(imb, "factor", "bias.imbalance", lo=1)
-        if bias.get("noise") is not None:
-            nz = bias["noise"]
-            _require_keys(nz, {"kind", "rate"}, {"kind", "rate"}, "bias.noise")
-            rate = _number(nz, "rate", "bias.noise")
-            try:
-                noise = NoiseSpec(kind=nz["kind"], rate=rate)
-            except ValueError as exc:
-                raise ConfigError(f"bias.noise: {exc}") from exc
-
-    if noise is not None and noise.kind == FLIP and kind == "gaussians" and dataset.classes < 3:
+    noise_block = _optional(bias, "noise", "bias.noise", {"kind", "rate"}, {"kind", "rate"})
+    if noise_block:
+        rate = _numbers(noise_block, "bias.noise", {"rate": _REAL})["rate"]
+        try:
+            noise = NoiseSpec(kind=noise_block["kind"], rate=rate)
+        except ValueError as exc:
+            raise ConfigError(f"bias.noise: {exc}") from exc
+    if noise is not None and noise.kind == FLIP and dataset.kind == "gaussians" and dataset.classes < 3:
         raise ConfigError("flip noise needs at least 3 classes")
 
     meta = doc["meta"]
     _require_keys(meta, {"per_class"}, {"per_class"}, "meta")
-    meta_per_class = _number(meta, "per_class", "meta", lo=1, integer=True)
+    meta_per_class = _numbers(meta, "meta", {"per_class": (1, True, None)})["per_class"]
 
-    hidden = {}
-    if doc.get("model") is not None:
-        model = doc["model"]
-        _require_keys(model, {"classifier_hidden", "mwnet_hidden"}, set(), "model")
-        hidden = {key: _int_tuple(value, f"model.{key}") for key, value in model.items()}
+    model = _optional(doc, "model", "model", {"classifier_hidden", "mwnet_hidden"})
+    hidden = {key: _int_tuple(value, f"model.{key}", 1) for key, value in model.items()}
 
-    optim_block = doc["optim"]
-    _require_keys(
-        optim_block,
-        {"alpha", "beta", "n", "m", "T", "normalize", "momentum", "weight_decay", "lr_schedule"},
-        {"alpha", "beta", "n", "m", "T"},
-        "optim",
-    )
-    schedule = optim_block.get("lr_schedule", [])
-    if not isinstance(schedule, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in schedule
-    ):
-        raise ConfigError("optim.lr_schedule must be a list of [iteration, multiplier] pairs")
-    T = _number(optim_block, "T", "optim", integer=True)
-    for k, (it, mult) in enumerate(schedule):
-        pair = {"iteration": it, "multiplier": mult}
-        it = _number(pair, "iteration", f"optim.lr_schedule[{k}]", integer=True)
-        _number(pair, "multiplier", f"optim.lr_schedule[{k}]")
-        if it >= T:
-            raise ConfigError(f"optim.lr_schedule[{k}] at iteration {it} is not below optim.T={T}, so it never applies")
-    # TrainConfig's checks name its classifier_* fields, not these keys
-    momentum = _number(optim_block, "momentum", "optim", TrainConfig.classifier_momentum, lo=0)
-    if not momentum < 1:
-        raise ConfigError("optim.momentum must be below 1")
-    weight_decay = _number(optim_block, "weight_decay", "optim", TrainConfig.classifier_weight_decay, lo=0)
-    normalize = optim_block.get("normalize", TrainConfig.normalize)
-    if not isinstance(normalize, bool):
-        raise ConfigError("optim.normalize must be a boolean")
-    try:
-        optim = TrainConfig(
-            alpha=_number(optim_block, "alpha", "optim"),
-            beta=_number(optim_block, "beta", "optim"),
-            n=_number(optim_block, "n", "optim", integer=True),
-            m=_number(optim_block, "m", "optim", integer=True),
-            T=T,
-            normalize=normalize,
-            classifier_momentum=momentum,
-            classifier_weight_decay=weight_decay,
-            lr_schedule=schedule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optim: {exc}") from exc
-
-    if kind == "gaussians":
+    optim = _optim(doc["optim"])
+    if dataset.kind == "gaussians":
         _check_sizes(dataset, meta_per_class, imbalance_factor, optim)
 
-    out_dir, plots = ExperimentConfig.out_dir, ExperimentConfig.plots
-    if doc.get("output") is not None:
-        output = doc["output"]
-        _require_keys(output, {"dir", "plots"}, set(), "output")
-        out_dir = output.get("dir", out_dir)
-        if not isinstance(out_dir, str):
-            raise ConfigError("output.dir must be a string")
-        plots = output.get("plots", plots)
-        if not isinstance(plots, bool):
-            raise ConfigError("output.plots must be a boolean")
-
-    seeds = doc["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
-    ):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    output = _optional(doc, "output", "output", {"dir", "plots"})
+    out_dir = _typed(output, "dir", "output", ExperimentConfig.out_dir)
+    plots = _typed(output, "plots", "output", ExperimentConfig.plots)
+    seeds = _int_tuple(doc["seeds"], "seeds", 0)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
 
-    entries = doc.get("baselines")
-    if entries is None:
-        entries = []
+    entries = [] if doc.get("baselines") is None else doc["baselines"]
     if not isinstance(entries, list):
         raise ConfigError("baselines must be a list of baseline objects")
     baselines = []
     for k, entry in enumerate(entries):
         context = f"baselines[{k}]"
-        _require_keys(entry, {"kind", "gamma", "lam"}, {"kind"}, context)
-        gamma = _number(entry, "gamma", context, BaselineSpec.gamma)
-        lam = _number(entry, "lam", context, BaselineSpec.lam)
+        _require_keys(entry, {"kind", *_BASELINE_KEYS}, {"kind"}, context)
+        numbers = _numbers(entry, context, _BASELINE_KEYS)
         try:
-            baselines.append(BaselineSpec(kind=entry["kind"], gamma=gamma, lam=lam))
+            baselines.append(BaselineSpec(kind=entry["kind"], **numbers))
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
 
@@ -245,7 +188,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dataset=dataset,
         meta_per_class=meta_per_class,
         optim=optim,
-        seeds=tuple(seeds),
+        seeds=seeds,
         imbalance_factor=imbalance_factor,
         noise=noise,
         **hidden,
@@ -254,6 +197,53 @@ def parse_config(doc: dict) -> ExperimentConfig:
         baselines=tuple(baselines),
         raw=doc,
     )
+
+
+def _dataset(block) -> DatasetBlock:
+    _require_keys(block, {"kind", "path", *_GAUSSIAN_KEYS, *_FILE_KEYS}, {"kind"}, "dataset")
+    kind = block["kind"]
+    if kind == "gaussians":
+        _require_keys(block, {"kind", *_GAUSSIAN_KEYS}, set(), "dataset")
+        dataset = DatasetBlock(kind, **_numbers(block, "dataset", _GAUSSIAN_KEYS))
+        if dataset.dim != 2:
+            raise ConfigError("dataset.dim must be 2 for gaussians on a circle of class means")
+        for key in ("per_class", "test_per_class"):
+            size = getattr(dataset, key)
+            if dataset.classes * size * dataset.dim * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"dataset.classes={dataset.classes} times dataset.{key}={size} rows of "
+                    f"{dataset.dim} float64 features exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"
+                )
+        return dataset
+    if kind == "file":
+        _require_keys(block, {"kind", "path", *_FILE_KEYS}, set(), "dataset")
+        path = block.get("path")
+        if not path or not isinstance(path, str):
+            raise ConfigError("dataset.path must be a non-empty string when dataset.kind is 'file'")
+        dataset = DatasetBlock(kind, path=path, **_numbers(block, "dataset", _FILE_KEYS))
+        if not 0.0 < dataset.test_fraction < 1.0:
+            raise ConfigError("dataset.test_fraction must be in (0, 1)")
+        return dataset
+    raise ConfigError(f"dataset.kind must be 'gaussians' or 'file', got {kind!r}")
+
+
+def _optim(block) -> TrainConfig:
+    _require_keys(block, {*_OPTIM_KEYS, "normalize", "lr_schedule"}, {"alpha", "beta", "n", "m", "T"}, "optim")
+    schedule = block.get("lr_schedule", [])
+    if not isinstance(schedule, list) or not all(isinstance(e, list) and len(e) == 2 for e in schedule):
+        raise ConfigError("optim.lr_schedule must be a list of [iteration, multiplier] pairs")
+    numbers = _numbers(block, "optim", _OPTIM_KEYS)
+    for k, pair in enumerate(schedule):
+        context = f"optim.lr_schedule[{k}]"
+        it = _numbers(dict(zip(_SCHEDULE_PAIR, pair)), context, _SCHEDULE_PAIR)["iteration"]
+        if it >= numbers["T"]:
+            raise ConfigError(f"{context} at iteration {it} is not below optim.T={numbers['T']}, so it never applies")
+    normalize = _typed(block, "normalize", "optim", TrainConfig.normalize)
+    fields = {_OPTIM_FIELDS.get(key, key): value for key, value in numbers.items()}
+    try:
+        return TrainConfig(**fields, normalize=normalize, lr_schedule=schedule)
+    except ValueError as exc:
+        raise ConfigError(f"optim: {exc}") from exc
 
 
 def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | None, optim: TrainConfig) -> None:
@@ -267,26 +257,21 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
             f"so a class cannot fill the meta set"
         )
     base = dataset.per_class - meta_per_class
-    if factor is None or base == 0:
-        train_n = dataset.classes * base
-    else:
+    train_n = dataset.classes * base
+    if factor is not None and base > 0:
         try:
-            train_n = int(longtail_counts(dataset.classes, base, factor).sum())
+            train_n = _longtail_total(dataset.classes, base, factor)
         except ValueError as exc:
             raise ConfigError(f"bias.imbalance.factor: {exc}") from exc
+    _check_batches(optim, train_n, dataset.classes * meta_per_class, ConfigError)
+
+
+def _check_batches(optim: TrainConfig, train_n: int, meta_n: int, error: type[ValueError]) -> None:
+    """Reject a batch size above the set it is drawn from, as `error`."""
     if optim.n > train_n:
-        raise ConfigError(f"optim.n={optim.n} is above the training-set size {train_n}")
-    meta_n = dataset.classes * meta_per_class
+        raise error(f"optim.n={optim.n} is above the training-set size {train_n}")
     if optim.m > meta_n:
-        raise ConfigError(f"optim.m={optim.m} is above the meta-set size {meta_n} (classes times meta.per_class)")
-
-
-def _int_tuple(value, context: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in value
-    ):
-        raise ConfigError(f"{context} must be a non-empty list of positive integers")
-    return tuple(value)
+        raise error(f"optim.m={optim.m} is above the meta-set size {meta_n} (classes times meta.per_class)")
 
 
 def load_config(path) -> ExperimentConfig:

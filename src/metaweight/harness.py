@@ -36,7 +36,7 @@ from metaweight.biasgen import (
     rng_stream,
     split_meta,
 )
-from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig
+from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_batches
 from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, _stage, train
 from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
@@ -78,13 +78,17 @@ class ExperimentResult:
     summary: dict
 
 
-def _gaussians(ds: DatasetBlock, per_class: int, seed: int) -> BiasedDataset:
-    """A config's mixture drawn for one seed. The spec's checks passed at
-    parse time, so what the data check can still reject is features that
-    overflow float64, from the config's radius and spread."""
-    spec = GaussianMixtureSpec(ds.classes, ds.dim, circle_means(ds.classes, ds.radius), ds.spread, per_class)
+def _gaussians(ds: DatasetBlock, key: str, seed: int) -> BiasedDataset:
+    """A config's mixture drawn for one seed, `key`'s count per class. The
+    spec's checks passed at parse time; what can still fail is memory for
+    the sizes, or features that overflow float64 from radius and spread."""
+    size = getattr(ds, key)
     try:
-        return gen_gaussians(spec, seed)
+        means = circle_means(ds.classes, ds.radius)
+        return gen_gaussians(GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, size), seed)
+    except MemoryError as exc:
+        sizes = f"dataset.classes={ds.classes} times dataset.{key}={size} samples"
+        raise ValueError(f"{sizes} do not fit in memory: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"dataset.radius={ds.radius} and dataset.spread={ds.spread} give {exc}") from exc
 
@@ -93,7 +97,7 @@ def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
     """The unbiased data: generated from the config's mixture, or loaded."""
     ds = cfg.dataset
     if ds.kind == "gaussians":
-        return _gaussians(ds, ds.per_class, derive_seed(seed, 11))
+        return _gaussians(ds, "per_class", derive_seed(seed, 11))
     try:
         return load_dataset(ds.path)
     except OSError as exc:
@@ -119,7 +123,7 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
     ds = cfg.dataset
     pool = _pool(cfg, seed)
     if ds.kind == "gaussians":
-        test_set = _gaussians(ds, ds.test_per_class, derive_seed(seed, 15))
+        test_set = _gaussians(ds, "test_per_class", derive_seed(seed, 15))
     else:
         n_test = max(1, int(round(pool.n * ds.test_fraction)))
         if n_test >= pool.n:
@@ -133,11 +137,7 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
     except ValueError as exc:
         raise ValueError(f"meta.per_class={cfg.meta_per_class}: {exc}") from exc
     train_set = _inject_bias(cfg, train_set, seed)
-    n, m = cfg.optim.n, cfg.optim.m
-    if n > train_set.n:
-        raise ValueError(f"optim.n={n} is above the training-set size {train_set.n}")
-    if m > meta_set.n:
-        raise ValueError(f"optim.m={m} is above the meta-set size {meta_set.n} (classes times meta.per_class)")
+    _check_batches(cfg.optim, train_set.n, meta_set.n, ValueError)
     return train_set, meta_set, test_set
 
 

@@ -354,19 +354,11 @@ class _stage:
             raise ValueError(f"{self.name}: {exc}") from exc
 
 
-def virtual_update(
-    state: TrainState,
-    batch: Batch,
-    alpha: float,
-    normalize: bool = False,
-) -> VirtualCache:
+def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
     """One plain SGD step on the weighted loss, kept as a function of
     Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
-    and never formed (see `VirtualCache`); `alpha` is checked here and
-    applied by the meta step. No momentum, no weight decay; those belong
-    to the actual update."""
-    if not alpha >= 0:
-        raise ValueError("alpha must be >= 0")
+    and never formed (see `VirtualCache`); the meta step applies alpha.
+    No momentum, no weight decay; those belong to the actual update."""
     losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw, mw_cache = mw_forward_cache(state.theta, losses)
     coeffs = _coefficients(raw, normalize)
@@ -392,8 +384,10 @@ def meta_gradient_direct(
     of the two batches (see the module docstring); the weighting net's
     Jacobian comes from the virtual step's forward pass at Theta.
     """
+    if not alpha >= 0:
+        raise ValueError("alpha must be >= 0")
     with _stage("virtual step"):
-        cache = virtual_update(state, train_batch, alpha, normalize)
+        cache = virtual_update(state, train_batch, normalize)
     with _stage("meta step"):
         scale = (alpha * cache.coeffs)[:, None]
         steps = [scale * delta for delta in cache.deltas]

@@ -9,6 +9,7 @@ from metaweight.biasgen import (
     BiasedDataset,
     GaussianMixtureSpec,
     NoiseSpec,
+    _longtail_total,
     apply_flip_noise,
     apply_longtail,
     apply_uniform_noise,
@@ -114,6 +115,31 @@ def test_longtail_counts_formula():
         longtail_counts(3, 0, 2.0)
     with pytest.raises(ValueError, match="factor must be >= 1"):
         longtail_counts(3, 10, 0.5)
+
+
+def test_longtail_total_matches_the_counts():
+    # The list-free total equals the counts' sum on a few hundred random
+    # cases, and fails as they do where a class is emptied; up to 100
+    # classes the message is the same, counts included.
+    rng = np.random.default_rng(17)
+    emptied = 0
+    for _ in range(300):
+        c = int(np.exp(rng.uniform(np.log(2), np.log(10**4))))
+        base = int(np.exp(rng.uniform(0, np.log(10**4))))
+        factor = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, np.log(1e6))))
+        try:
+            expected = int(longtail_counts(c, base, factor).sum())
+        except ValueError as exc:
+            emptied += 1
+            message = re.escape(str(exc)) if c <= 100 else rf"imbalance factor {re.escape(str(factor))} empties a class"
+            with pytest.raises(ValueError, match=rf"^{message}"):
+                _longtail_total(c, base, factor)
+            continue
+        assert _longtail_total(c, base, factor) == expected, (c, base, factor)
+    assert 30 < emptied < 270
+    assert _longtail_total(10, 5000, 100.0) == int(longtail_counts(10, 5000, 100.0).sum())
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        _longtail_total(3, 10, 0.5)
 
 
 def test_apply_longtail_end_to_end():
@@ -273,6 +299,11 @@ def test_load_dataset_rejects_malformed(tmp_path):
         path.write_text(f"2,2,3\n0.0,0.0,0,0,0\n1.5,{cell},1,1,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: record 1 has a non-finite feature$"):
             load_dataset(path)
+    # a file that is not UTF-8 text is named like any other fault
+    path.write_bytes(b"1,2,3\n0.0,\xff0.0,0,0,0\n")
+    undecodable = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {undecodable}')}$"):
+        load_dataset(path)
 
 
 # Header and label faults, each as a file and the message that must follow

@@ -321,9 +321,28 @@ def test_train_zero_meta_gradient_is_reported(tmp_path):
         "zero meta-gradient: the meta-gradient was exactly zero with nonzero weights in 19 of 20 iterations, "
         "5 or more in a row first from iteration 2, so the weighting net stopped learning"
     ]
+    assert proc.stdout.splitlines()[1:] == [f"run warning: seed 1: {warnings[0]}", f"report written to {out}"]
     shown = run_main("report", out)
     assert shown.returncode == 0, shown.stderr
     assert f"run warning: {warnings[0]}\n" in shown.stdout
+
+
+def test_train_prints_the_run_warnings_of_each_run(tmp_path):
+    # The weighting net zeroes every weight while the uniform baseline
+    # diverges; train prints each run's warnings, the baseline's named.
+    doc = huge_alpha_noise40([{"kind": "uniform"}])
+    doc["optim"].update(alpha=30, beta=1e300, T=20, lr_schedule=[])
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "warn.json", doc), "--out", out, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    learned = json.load(open(out / "config.json"))["run_warnings"]
+    baseline = json.load(open(out / "baseline_uniform" / "config.json"))["run_warnings"]
+    assert [w.split(":")[0] for w in learned + baseline] == ["all-zero weights", "diverging meta loss"]
+    assert proc.stdout.splitlines()[1:] == [
+        f"run warning: seed 1: {learned[0]}",
+        f"run warning: seed 1, uniform baseline: {baseline[0]}",
+        f"report written to {out}",
+    ]
 
 
 def test_a_spread_that_overflows_float64_is_a_config_error(tmp_path):
@@ -349,6 +368,38 @@ def test_train_rejects_a_non_finite_feature_before_training(tmp_path):
     proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {data}: record 3 has a non-finite feature\n"
+    assert not out.exists()
+
+
+def test_train_on_a_file_that_is_not_utf8_names_the_file(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"1,2,3\n0.0,\xff0.0,0,0,0\n")
+    doc = base_doc()
+    doc["dataset"] = {"kind": "file", "path": str(data)}
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", out)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: {data}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named", [("classes", 10**15, "per_class"), ("test_per_class", 10**17, "test_per_class")]
+)
+def test_train_on_sizes_past_memory_names_the_keys(tmp_path, key, value, named):
+    # Sizes that fit NumPy's largest array but no memory pass parsing; the
+    # draw of the pool or of the test set fails before it allocates, and
+    # the error names the class count and the per-class key (exit 2).
+    with open(NOISE40, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["dataset"][key] = value
+    doc["optim"].update(T=20, lr_schedule=[])
+    out = tmp_path / "r"
+    proc = run_main("train", "--config", write_config(tmp_path / "huge.json", doc), "--out", out, "--seed", 1)
+    sizes = rf"dataset\.classes={doc['dataset']['classes']} times dataset\.{named}={doc['dataset'][named]} samples"
+    assert proc.returncode == 2
+    assert re.fullmatch(rf"error: {sizes} do not fit in memory: .+\n", proc.stderr), proc.stderr
     assert not out.exists()
 
 

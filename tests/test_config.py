@@ -3,6 +3,8 @@
 import copy
 import json
 import re
+import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -260,17 +262,46 @@ def test_sizes_past_numpy_arrays_are_config_errors_naming_the_key():
 
 
 def test_optim_messages_name_the_config_key():
+    # A value the reader rejects is named by its key once; TrainConfig's
+    # own checks are prefixed with the block.
     for key, value, message in (
-        ("n", 0, r"^optim: n must be >= 1$"),
-        ("m", -1, r"^optim: m must be >= 1$"),
-        ("momentum", -1, r"^optim\.momentum must be >= 0$"),
-        ("momentum", 1, r"^optim\.momentum must be below 1$"),
-        ("weight_decay", -1, r"^optim\.weight_decay must be >= 0$"),
+        ("n", 0, r"optim: n must be >= 1"),
+        ("m", -1, r"optim: m must be >= 1"),
+        ("momentum", -1, r"optim\.momentum must be >= 0"),
+        ("momentum", 1, r"optim\.momentum must be below 1"),
+        ("weight_decay", -1, r"optim\.weight_decay must be >= 0"),
+        *((key, "text", rf"optim\.{key} must be a number") for key in ("alpha", "beta", "n", "m")),
+        *((key, 1.5, rf"optim\.{key} must be an integer") for key in ("n", "m")),
     ):
         doc = minimal_doc()
         doc["optim"][key] = value
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as raised:
             parse_config(doc)
+        assert re.fullmatch(message, str(raised.value)), str(raised.value)
+
+
+def test_a_huge_class_count_under_imbalance_parses_at_once():
+    # The training-set size under a long tail is summed without a list of
+    # per-class counts, so 10**15 classes cost neither time nor memory. An
+    # interval timer turns a parse that does not finish into a failure.
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "imbalance20.json").read_text())
+    doc["dataset"]["classes"] = 10**15
+
+    def too_slow(signum, frame):
+        raise TimeoutError("parse_config took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    tracemalloc.start()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        cfg = parse_config(doc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert cfg.dataset.classes == 10**15
+    assert peak < 1 << 20
 
 
 def test_string_and_list_values_are_typed():

@@ -142,7 +142,7 @@ def test_weighted_loss_compositional_oracle():
 def test_virtual_update_zero_weights_is_identity():
     state, batch, _ = make_instance(1)
     state = TrainState(state.w, zero_weight_theta(), state.velocity)
-    cache = virtual_update(state, batch, alpha=0.5)
+    cache = virtual_update(state, batch)
     assert np.array_equal(virtual_params(state, cache, 0.5), state.w.params)
     assert np.all(cache.raw_weights == 0.0)
     assert np.all(cache.coeffs == 0.0)
@@ -152,13 +152,13 @@ def test_virtual_update_half_weights_is_half_step():
     state, batch, _ = make_instance(2)
     flat = TrainState(state.w, state.theta.with_theta(np.zeros_like(state.theta.theta)), state.velocity)
     alpha = 0.2
-    w_hat = virtual_params(flat, virtual_update(flat, batch, alpha), alpha)
+    w_hat = virtual_params(flat, virtual_update(flat, batch), alpha)
     _, grads = per_sample_losses_grads(state.w, batch)
     still = np.zeros_like(state.w.params)
     expected, _ = sgd_step(state.w.params, grads.mean(axis=0), 0.5 * alpha, state=still)
     assert rel_err(w_hat, expected) < 1e-13
     # Normalized flat weights are exactly 1/n: a full-rate mean-loss step.
-    w_hat_n = virtual_params(flat, virtual_update(flat, batch, alpha, normalize=True), alpha)
+    w_hat_n = virtual_params(flat, virtual_update(flat, batch, normalize=True), alpha)
     expected_n, _ = sgd_step(state.w.params, grads.mean(axis=0), alpha, state=still)
     assert rel_err(w_hat_n, expected_n) < 1e-13
 
@@ -166,7 +166,7 @@ def test_virtual_update_half_weights_is_half_step():
 def test_virtual_update_per_sample_oracle():
     state, batch, _ = make_instance(3)
     alpha = 0.1
-    cache = virtual_update(state, batch, alpha)
+    cache = virtual_update(state, batch)
     w_hat = virtual_params(state, cache, alpha)
     losses, grads = per_sample_losses_grads(state.w, batch)
     raw = mw_forward(state.theta, losses)
@@ -182,13 +182,13 @@ def test_virtual_update_per_sample_oracle():
     assert np.array_equal(cache.raw_weights, raw)
 
 
-def test_virtual_update_rejects_negative_alpha():
-    state, batch, _ = make_instance(4)
-    with pytest.raises(ValueError):
-        virtual_update(state, batch, alpha=-0.1)
-
-
 # ---------------------------------------------------------------- meta-gradient
+
+
+def test_meta_gradient_rejects_negative_alpha():
+    state, batch, meta_batch = make_instance(4)
+    with pytest.raises(ValueError, match=r"^alpha must be >= 0$"):
+        meta_gradient_direct(state, batch, meta_batch, alpha=-0.1)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -666,7 +666,7 @@ def test_update_theta_closed_forms():
 def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
-    cache = virtual_update(state, batch, alpha)
+    cache = virtual_update(state, batch)
     new_state, coeffs = update_classifier(state, cache.forward_cache, cache.deltas, cache.raw_weights, alpha)
     assert np.array_equal(new_state.w.params, virtual_params(state, cache, alpha))
     assert np.array_equal(coeffs, cache.coeffs)
@@ -705,7 +705,7 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     # The pass of a virtual step taken under a different Theta (the deltas
     # depend on w only, not on Theta), with the weights recomputed under
     # the new Theta, gives the same step.
-    cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch, alpha)
+    cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch)
     cached, _ = update_classifier(
         state, cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses), alpha, momentum=mom, weight_decay=wd
     )
@@ -788,9 +788,9 @@ def test_train_config_validation():
             TrainConfig(**{field: nan})
     with pytest.raises(ValueError, match="lr_schedule"):
         TrainConfig(lr_schedule=((5, nan),))
-    state, tb, _ = make_instance(41)
+    state, tb, mb = make_instance(41)
     with pytest.raises(ValueError, match="alpha"):
-        virtual_update(state, tb, alpha=nan)
+        meta_gradient_direct(state, tb, mb, alpha=nan)
     with pytest.raises(ValueError, match="beta"):
         update_theta(state, np.zeros_like(state.theta.theta), beta=nan)
 
