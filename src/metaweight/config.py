@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight.biasgen import FLIP, NoiseSpec, _longtail_total
+from metaweight.biasgen import FLIP, NoiseSpec, _longtail_floor, _longtail_total
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
 
@@ -236,7 +236,7 @@ def _optim(block) -> TrainConfig:
     for k, pair in enumerate(schedule):
         context = f"optim.lr_schedule[{k}]"
         it = _numbers(dict(zip(_SCHEDULE_PAIR, pair)), context, _SCHEDULE_PAIR)["iteration"]
-        if it >= numbers["T"]:
+        if it >= numbers["T"] >= 1:  # a T below 1 is TrainConfig's to name
             raise ConfigError(f"{context} at iteration {it} is not below optim.T={numbers['T']}, so it never applies")
     normalize = _typed(block, "normalize", "optim", TrainConfig.normalize)
     fields = {_OPTIM_FIELDS.get(key, key): value for key, value in numbers.items()}
@@ -250,7 +250,10 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
     """Reject batch sizes that no run could draw. A gaussians dataset's
     sizes are known here: the meta set takes meta.per_class clean samples
     of each class from the pool, and the training set is the rest, after
-    long-tail subsampling. (File datasets are checked when `train` runs.)"""
+    long-tail subsampling. (File datasets are checked when `train` runs.)
+    A long tail's exact size is summed only when optim.n is above its
+    constant-time lower bound: the sum takes time in the number of classes,
+    and a batch that fits below the bound needs no exact size."""
     if meta_per_class > dataset.per_class:
         raise ConfigError(
             f"meta.per_class={meta_per_class} is above dataset.per_class={dataset.per_class}, "
@@ -260,7 +263,9 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
     train_n = dataset.classes * base
     if factor is not None and base > 0:
         try:
-            train_n = _longtail_total(dataset.classes, base, factor)
+            train_n = _longtail_floor(dataset.classes, base, factor)
+            if optim.n > train_n:
+                train_n = _longtail_total(dataset.classes, base, factor)
         except ValueError as exc:
             raise ConfigError(f"bias.imbalance.factor: {exc}") from exc
     _check_batches(optim, train_n, dataset.classes * meta_per_class, ConfigError)

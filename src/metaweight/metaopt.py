@@ -67,6 +67,7 @@ from metaweight.nnet import (
     DenseNet,
     ForwardCache,
     LayerSpec,
+    dot,
     forward,
     gradient_gram,
     init_net,
@@ -197,16 +198,17 @@ class Batch:
 class VirtualCache:
     """One virtual step from w, kept as the factors of w_hat and reused by
     the meta step and the actual update: the training batch's forward pass
-    at w, its per-layer deltas (`nnet.layer_deltas`), losses, raw weights
-    and step coefficients, and the weighting net's forward pass at Theta
-    that gave the raw weights. w_hat = w - alpha * sum_i coeffs[i] * g_i
-    is never formed."""
+    at w, its per-layer deltas (`nnet.layer_deltas`), losses, raw weights,
+    step coefficients coeffs = raw_weights / denom with their denominator,
+    and the weighting net's forward pass at Theta that gave the raw weights.
+    w_hat = w - alpha * sum_i coeffs[i] * g_i is never formed."""
 
     losses: np.ndarray
     forward_cache: ForwardCache
     deltas: list[np.ndarray]
     raw_weights: np.ndarray
     coeffs: np.ndarray
+    denom: float
     mw_cache: ForwardCache
 
 
@@ -221,7 +223,6 @@ class MetaGradientReport:
     grad_theta: np.ndarray
     mean_G_per_j: np.ndarray
     weighted_loss: float
-    meta_loss: float
     virtual: VirtualCache
 
 
@@ -330,13 +331,17 @@ def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCach
     return losses, cache, layer_deltas(net, cache, dlogits)
 
 
-def _coefficients(raw: np.ndarray, normalize: bool) -> np.ndarray:
+def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
+    """The step coefficients raw / denom and denom: `weightnet.normalizer`
+    under normalization (the coefficients are `weightnet.normalize(raw)`),
+    else the batch size."""
     if normalize:
-        return weightnet.normalize(raw)
+        denom = weightnet.normalizer(raw)
+        return raw / denom, denom
     coeffs = raw / raw.size
     if not np.isfinite(coeffs).all():
         raise ValueError("non-finite sample weights")
-    return coeffs
+    return coeffs, raw.size
 
 
 class _stage:
@@ -361,8 +366,8 @@ def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> 
     No momentum, no weight decay; those belong to the actual update."""
     losses, fcache, deltas = _losses_deltas(state.w, batch)
     raw, mw_cache = mw_forward_cache(state.theta, losses)
-    coeffs = _coefficients(raw, normalize)
-    return VirtualCache(losses, fcache, deltas, raw, coeffs, mw_cache)
+    coeffs, denom = _coefficients(raw, normalize)
+    return VirtualCache(losses, fcache, deltas, raw, coeffs, denom, mw_cache)
 
 
 def meta_gradient_direct(
@@ -392,10 +397,10 @@ def meta_gradient_direct(
         scale = (alpha * cache.coeffs)[:, None]
         steps = [scale * delta for delta in cache.deltas]
         meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
-        meta_losses, dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)
+        dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)[1]
         meta_deltas = lookahead_deltas(state.w, cache.forward_cache, steps, meta_fcache, dmeta)
         # np.add.reduce(x) / count is ndarray.mean's arithmetic without its
-        # Python wrapper, as np.dot is matmul's (see nnet's module docstring)
+        # Python wrapper (see nnet's module docstring)
         mean_G_per_j = np.add.reduce(gradient_gram(grams, meta_deltas, cache.deltas), axis=0) / meta_batch.size
         jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
 
@@ -403,20 +408,19 @@ def meta_gradient_direct(
         if normalize:
             # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
             # twice where denom^2 is below the normal range
-            denom = weightnet.normalizer(cache.raw_weights)
-            coupled = float(np.dot(mean_G_per_j, cache.raw_weights))
+            denom = cache.denom
+            coupled = float(dot(mean_G_per_j, cache.raw_weights))
             coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
-            grad_theta = np.dot(-alpha * (mean_G_per_j / denom - coupled), jac)
+            grad_theta = dot(-alpha * (mean_G_per_j / denom - coupled), jac)
         else:
-            grad_theta = -(alpha / n) * np.dot(mean_G_per_j, jac)
+            grad_theta = -(alpha / n) * dot(mean_G_per_j, jac)
 
         if not np.isfinite(grad_theta).all():
             raise ValueError("non-finite meta-gradient")
     return MetaGradientReport(
         grad_theta=grad_theta,
         mean_G_per_j=mean_G_per_j,
-        weighted_loss=float(np.dot(cache.coeffs, cache.losses)),
-        meta_loss=float(np.add.reduce(meta_losses) / meta_losses.size),
+        weighted_loss=float(dot(cache.coeffs, cache.losses)),
         virtual=cache,
     )
 
@@ -438,7 +442,7 @@ def meta_gradient_fd(
     def mean_meta_loss(theta_params: np.ndarray) -> float:
         mw = state.theta.with_theta(theta_params)
         raw = mw_forward(mw, losses)
-        coeffs = _coefficients(raw, normalize)
+        coeffs = _coefficients(raw, normalize)[0]
         w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
         return float(_losses(state.w.with_params(w_hat), meta_batch.features, meta_batch.labels).mean())
 
@@ -473,7 +477,7 @@ def update_classifier(
     virtual step's pass serves a step under the updated Theta.
     """
     with _stage("classifier step"):
-        coeffs = _coefficients(raw, normalize)
+        coeffs = _coefficients(raw, normalize)[0]
         grad = weighted_gradient(state.w, forward_cache, deltas, coeffs)
         new_params, new_velocity = sgd_step(
             state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
@@ -549,6 +553,18 @@ def _pick_tracked(train_set: BiasedDataset, seed: int, count: int = TRACKED_SAMP
     return np.sort(rng.choice(pool, size=take, replace=False))
 
 
+def _batches(dataset: BiasedDataset, size: int, rng: np.random.Generator) -> Callable[[], Batch]:
+    """A function returning the next mini-batch of `size` samples drawn by
+    `rng`. A batch the size of the set is the whole set in sorted order
+    whatever the draw, so it is built once and returned every time, and
+    `rng` is never drawn; each stream feeds only its own set's batches, so
+    no other draw changes."""
+    if size == dataset.n:
+        whole = Batch.from_dataset(dataset, np.arange(dataset.n))
+        return lambda: whole
+    return lambda: Batch.from_dataset(dataset, sample_batch(dataset, size, rng))
+
+
 def train(
     train_set: BiasedDataset,
     meta_set: BiasedDataset,
@@ -569,6 +585,11 @@ def train(
     meta set larger than the train set, classifier steps whose weights
     were all zero, a meta-gradient that stayed exactly zero, and epochs
     whose meta loss shows the run diverging.
+
+    Each iteration draws a training batch of config.n samples and, in a
+    learned run, a meta batch of config.m. A batch as large as its set is
+    the whole set on every draw, so it is built once and not drawn
+    (`_batches`).
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -595,8 +616,8 @@ def train(
             raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
         return raw
 
-    rng_train = rng_stream(config.seed, 100)
-    rng_meta = rng_stream(config.seed, 101)
+    draw_train = _batches(train_set, config.n, rng_stream(config.seed, 100))
+    draw_meta = _batches(meta_set, config.m, rng_stream(config.seed, 101))
     schedule = sorted(config.lr_schedule)
     iters_per_epoch = -(-train_set.n // config.n)
 
@@ -610,13 +631,12 @@ def train(
             for it, mult in schedule:
                 if it == t:
                     alpha *= mult
-            train_batch = Batch.from_dataset(train_set, sample_batch(train_set, config.n, rng_train))
+            train_batch = draw_train()
 
             if weight_fn is None:
-                meta_batch = Batch.from_dataset(meta_set, sample_batch(meta_set, config.m, rng_meta))
-                state, report, raw = train_step(state, train_batch, meta_batch, config, alpha)
+                state, report, raw = train_step(state, train_batch, draw_meta(), config, alpha)
                 epoch_losses.append(report.weighted_loss)
-                epoch_norms.append(math.sqrt(np.dot(report.grad_theta, report.grad_theta)))
+                epoch_norms.append(math.sqrt(dot(report.grad_theta, report.grad_theta)))
                 # Its virtual-step cache holds the batch's activations and
                 # deltas; nothing reads them again.
                 del report
@@ -632,7 +652,7 @@ def train(
                     state, fcache, deltas, raw, alpha,
                     config.classifier_momentum, config.classifier_weight_decay, config.normalize,
                 )
-                epoch_losses.append(float(np.dot(coeffs, losses)))
+                epoch_losses.append(float(dot(coeffs, losses)))
                 epoch_norms.append(0.0)
             if not raw.any():
                 zero_weight_iters.append(t + 1)

@@ -41,15 +41,21 @@ pre-activation in place and its backward pass masks on act > 0, equal to
 preact > 0 for every float (as in in-place activated layers, Rota Bulo et
 al., arXiv:1712.02616); sigmoid's derivative reads only its output.
 
-Products go through `np.dot`, not `@` or `np.matmul`. On the shipped
-tiny models a step is dozens of small products, so per-call cost sets its
-speed, and `np.dot` costs less per call. Where the inner dimension is 1,
-`matmul` takes a slow path; the weighting net's scalar input gives two
-such products per meta step (x @ W_1 forward, delta_2 @ W_2^T back). Both
-forms give the same bits on every operand the kernels pass
+Products go through `dot = np.ndarray.dot`, not `@` or `np.matmul`, and
+row reductions through `ufunc.reduce` (`np.add.reduce`,
+`np.maximum.reduce`), not the `sum` and `max` methods. On the shipped
+tiny models a step is about a hundred small NumPy calls, so per-call cost
+sets its speed. `ndarray.dot` is `np.dot`'s C routine without its
+`__array_function__` dispatch, and `ufunc.reduce` is what the methods
+call after their Python-level argument handling, so both give the bits of
+the forms they replace; `dot`'s first operand must be an ndarray, as
+every array the kernels take is. Where the inner dimension is 1, `matmul`
+takes a slow path; the weighting net's scalar input gives two such
+products per meta step (x @ W_1 forward, delta_2 @ W_2^T back). `dot` and
+`@` give the same bits on every operand the kernels pass
 (tests/test_nnet.py). The one exception is `weighted_gradient`'s weight
 block, which keeps `np.matmul(..., out=)` to write straight into the flat
-gradient, where `np.dot` with `out=` is slower at the wide shapes.
+gradient, where `dot` with `out=` is slower at the wide shapes.
 
 `outputs` runs the forward pass ROW_BLOCK rows at a time and keeps no
 cache, for passes over a whole dataset or grid; its memory is
@@ -97,6 +103,8 @@ RELU = "relu"
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
+
+dot = np.ndarray.dot  # np.dot without its dispatch (module docstring)
 
 
 @dataclass(frozen=True)
@@ -220,9 +228,11 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, 0.0, out=z)
     if kind == SIGMOID:
         # exp(-|z|) <= 1 cannot overflow; for each sign of z this is the same
-        # arithmetic as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), so the bits match
+        # arithmetic as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), so the bits
+        # match. A NaN fails z >= 0 and keeps e/d, which is NaN.
         e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+        d = 1.0 + e
+        return np.divide(1.0, d, out=e / d, where=z >= 0)
     return z
 
 
@@ -250,7 +260,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     _check_batch(net, batch)
     acts = [batch]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
-        z = np.dot(acts[-1], w)
+        z = dot(acts[-1], w)
         z += b
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(acts)
@@ -296,7 +306,7 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
         delta = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = np.dot(delta, views[k][0].T)
+            delta = dot(delta, views[k][0].T)
     return deltas
 
 
@@ -308,7 +318,7 @@ def weighted_gradient(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarra
     for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
         nw = spec.input_dim * spec.output_dim
         np.matmul(a_prev.T, coeffs[:, None] * delta, out=grad[off:off + nw].reshape(spec.input_dim, spec.output_dim))
-        grad[off + nw:off + spec.param_count] = np.dot(coeffs, delta)
+        grad[off + nw:off + spec.param_count] = dot(coeffs, delta)
         off += spec.param_count
     return grad
 
@@ -324,11 +334,11 @@ def lookahead_forward(
     _check_batch(net, batch)
     acts, grams = [batch], []
     for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
-        gram = np.dot(acts[-1], a_prev.T)
+        gram = dot(acts[-1], a_prev.T)
         gram += 1.0
-        z = np.dot(acts[-1], w)
+        z = dot(acts[-1], w)
         z += b
-        z -= np.dot(gram, step)
+        z -= dot(gram, step)
         grams.append(gram)
         acts.append(_activate(z, spec.activation))
     return acts[-1], ForwardCache(acts), grams
@@ -346,7 +356,7 @@ def lookahead_deltas(
         delta = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation)
         deltas[k] = delta
         if k > 0:
-            delta = np.dot(delta, views[k][0].T) - np.dot(np.dot(delta, steps[k].T), cache.acts[k])
+            delta = dot(delta, views[k][0].T) - dot(dot(delta, steps[k].T), cache.acts[k])
     return deltas
 
 
@@ -355,9 +365,9 @@ def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b:
     between two batches' per-sample gradients, sum_k K_k * (da_k db_k^T),
     from the per-layer Gram matrices K_k = a_a,k a_b,k^T + 1 (as returned
     by `lookahead_forward`) and each batch's per-layer deltas."""
-    total = grams[0] * np.dot(deltas_a[0], deltas_b[0].T)
+    total = grams[0] * dot(deltas_a[0], deltas_b[0].T)
     for gram, da, db in zip(grams[1:], deltas_a[1:], deltas_b[1:]):
-        total += gram * np.dot(da, db.T)
+        total += gram * dot(da, db.T)
     return total
 
 
@@ -442,12 +452,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     (batch, classes) = softmax(logits) - onehot(labels). Labels must lie
     in [0, classes); they are checked where datasets are built, not here.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1)[:, None]
     expz = np.exp(shifted)
-    norm = expz.sum(axis=1, keepdims=True)
+    norm = np.add.reduce(expz, axis=1)
     # each sample's label entry, as one index into the raveled (batch, classes) arrays
     at_label = np.arange(0, shifted.size, shifted.shape[1]) + labels
-    losses = np.log(norm[:, 0]) - shifted.ravel()[at_label]
-    grad = np.divide(expz, norm, out=expz)  # softmax, turned into the gradient in place
+    losses = np.log(norm) - shifted.ravel()[at_label]
+    grad = np.divide(expz, norm[:, None], out=expz)  # softmax, turned into the gradient in place
     grad.ravel()[at_label] -= 1.0
     return losses, grad

@@ -106,10 +106,13 @@ def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def normalizer(weights: np.ndarray) -> float:
-    """The denominator of `normalize`: the sum of the weights, or 1 when
-    every weight is 0. Any positive stand-in gives the same zeros, and the
-    meta step's Jacobian rows are then 0 too (a sigmoid head outputs 0 only
+    """The denominator of `normalize`: the sum of a float64 vector of
+    finite, nonnegative weights (anything else raises), or 1 when every
+    weight is 0. Any positive stand-in gives the same zeros, and the meta
+    step's Jacobian rows are then 0 too (a sigmoid head outputs 0 only
     where it is saturated), so the choice never reaches an output."""
+    if (weights < 0).any() or not np.isfinite(weights).all():
+        raise ValueError("weights must be finite and nonnegative")
     total = float(weights.sum())
     return total if total > 0.0 else 1.0
 
@@ -117,8 +120,6 @@ def normalizer(weights: np.ndarray) -> float:
 def normalize(weights: np.ndarray) -> np.ndarray:
     """Rescale a float64 vector of nonnegative weights to sum to 1; an
     all-zero vector maps to all zeros."""
-    if (weights < 0).any() or not np.isfinite(weights).all():
-        raise ValueError("weights must be finite and nonnegative")
     return weights / normalizer(weights)
 
 

@@ -7,8 +7,10 @@ import signal
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from metaweight.biasgen import _longtail_total
 from metaweight.config import ConfigError, load_config, parse_config
 
 
@@ -263,10 +265,13 @@ def test_sizes_past_numpy_arrays_are_config_errors_naming_the_key():
 
 def test_optim_messages_name_the_config_key():
     # A value the reader rejects is named by its key once; TrainConfig's
-    # own checks are prefixed with the block.
+    # own checks are prefixed with the block. A valid schedule is present,
+    # so a T below 1 must be named as such, not blamed on the schedule.
     for key, value, message in (
         ("n", 0, r"optim: n must be >= 1"),
         ("m", -1, r"optim: m must be >= 1"),
+        ("T", 0, r"optim: T must be >= 1"),
+        ("T", -1, r"optim: T must be >= 1"),
         ("momentum", -1, r"optim\.momentum must be >= 0"),
         ("momentum", 1, r"optim\.momentum must be below 1"),
         ("weight_decay", -1, r"optim\.weight_decay must be >= 0"),
@@ -274,6 +279,7 @@ def test_optim_messages_name_the_config_key():
         *((key, 1.5, rf"optim\.{key} must be an integer") for key in ("n", "m")),
     ):
         doc = minimal_doc()
+        doc["optim"]["lr_schedule"] = [[5, 0.1]]
         doc["optim"][key] = value
         with pytest.raises(ConfigError) as raised:
             parse_config(doc)
@@ -282,26 +288,64 @@ def test_optim_messages_name_the_config_key():
 
 def test_a_huge_class_count_under_imbalance_parses_at_once():
     # The training-set size under a long tail is summed without a list of
-    # per-class counts, so 10**15 classes cost neither time nor memory. An
+    # per-class counts, and only where its constant-time lower bound does
+    # not settle the batch check, so neither size costs time or memory. An
     # interval timer turns a parse that does not finish into a failure.
-    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "imbalance20.json").read_text())
-    doc["dataset"]["classes"] = 10**15
+    # 759e6 classes of 759e6 samples are the largest square size whose
+    # features fit NumPy's largest array; that long tail has about 5e8 runs
+    # of equal counts, which a walk over them would take minutes to sum.
+    base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "imbalance20.json").read_text())
+    for classes, per_class in ((10**15, 210), (759_000_000, 759_000_000)):
+        doc = copy.deepcopy(base)
+        doc["dataset"].update(classes=classes, per_class=per_class)
 
-    def too_slow(signum, frame):
-        raise TimeoutError("parse_config took more than 1 s")
+        def too_slow(signum, frame):
+            raise TimeoutError("parse_config took more than 1 s")
 
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    tracemalloc.start()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        cfg = parse_config(doc)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert cfg.dataset.classes == 10**15
-    assert peak < 1 << 20
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        tracemalloc.start()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            cfg = parse_config(doc)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert cfg.dataset.classes == classes
+        assert peak < 1 << 20
+
+
+def test_long_tail_batch_check_matches_the_exact_size():
+    # Where the lower bound settles the check, the outcome and message are
+    # those of a check against the exact size, on a few hundred random
+    # small long tails with batch sizes around both the size and the bound.
+    rng = np.random.default_rng(23)
+    outcomes = {"fits": 0, "too big": 0, "emptied": 0}
+    for _ in range(400):
+        c = int(rng.integers(2, 300))
+        base = int(np.exp(rng.uniform(0, np.log(3000))))
+        factor = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, np.log(1e3))))
+        doc = minimal_doc()
+        doc["dataset"].update(classes=c, per_class=base + 2)
+        doc["bias"] = {"imbalance": {"factor": factor}}
+        try:
+            total = _longtail_total(c, base, factor)
+        except ValueError as exc:
+            expected = f"bias.imbalance.factor: {exc}"
+            n = int(rng.integers(1, 50))
+        else:
+            n = max(1, total + int(rng.integers(-c, c + 1)))
+            expected = f"optim.n={n} is above the training-set size {total}" if n > total else None
+        doc["optim"]["n"] = n
+        try:
+            parse_config(doc)
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+        assert message == expected, (c, base, factor, n)
+        outcomes["fits" if expected is None else "emptied" if "empties" in expected else "too big"] += 1
+    assert min(outcomes.values()) > 60, outcomes
 
 
 def test_string_and_list_values_are_typed():

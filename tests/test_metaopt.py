@@ -21,6 +21,8 @@ from metaweight.biasgen import (
     circle_means,
     derive_seed,
     gen_gaussians,
+    rng_stream,
+    sample_batch,
     split_meta,
 )
 from metaweight import metaopt, nnet
@@ -223,10 +225,9 @@ def test_meta_gradient_report_pieces_consistent():
     # mean_G_per_j is the meta-sample mean of the meta/train gradient inner
     # products G_ij at (w_hat, w), built here from per-sample rows.
     w_hat = state.w.with_params(virtual_params(state, report.virtual, alpha))
-    meta_losses, meta_grads = per_sample_losses_grads(w_hat, mb)
+    _, meta_grads = per_sample_losses_grads(w_hat, mb)
     G = meta_grads @ grads.T
     assert rel_err(report.mean_G_per_j, G.mean(axis=0)) < 1e-14
-    assert report.meta_loss == pytest.approx(meta_losses.mean(), rel=1e-14)
 
     # grad_theta == -(alpha/(n*m)) * sum_j (sum_i G_ij) * dV(L_j)/dTheta.
     _, jac = mw_jacobian(state.theta, losses)
@@ -991,6 +992,51 @@ def test_train_is_deterministic():
     for name in ("accuracy_history", "train_loss_history", "meta_loss_history", "grad_norm_history",
                  "curve_weights", "dist_weights", "tracked_weight_history"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
+
+
+def test_a_draw_of_every_sample_is_the_whole_set_batch():
+    # The premise of `train`'s whole-set batches: whatever the stream, a
+    # draw of all of a set's samples, sorted by Batch.from_dataset, is the
+    # set in index order, field by field and layout for layout.
+    for seed in range(6):
+        for dataset in make_toy_sets(seed)[:2]:
+            whole = Batch.from_dataset(dataset, np.arange(dataset.n))
+            for stream in range(20):
+                drawn = Batch.from_dataset(dataset, sample_batch(dataset, dataset.n, rng_stream(seed, stream)))
+                for name in ("ids", "features", "labels"):
+                    a, b = getattr(drawn, name), getattr(whole, name)
+                    assert a.dtype == b.dtype and a.flags.c_contiguous == b.flags.c_contiguous, name
+                    assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("whole", ["neither", "meta", "both"])
+def test_a_batch_the_size_of_its_set_is_never_drawn(monkeypatch, whole):
+    # A learned iteration draws a training and a meta batch; one the size
+    # of its set is built once and never drawn, and the run is bit for bit
+    # the run that draws every batch.
+    train_set, meta_set, test_set = make_toy_sets(4)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=train_set.n if whole == "both" else 10,
+                         m=4 if whole == "neither" else meta_set.n, T=5, seed=3)
+    draws, drawn = [], metaopt.sample_batch
+
+    def spy(dataset, size, rng):
+        draws.append(dataset)
+        return drawn(dataset, size, rng)
+
+    monkeypatch.setattr(metaopt, "sample_batch", spy)
+    run = lambda: train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    state, report = run()
+    per_iteration = {"neither": [train_set, meta_set], "meta": [train_set], "both": []}[whole]
+    assert draws == per_iteration * config.T
+
+    monkeypatch.setattr(metaopt, "_batches", lambda dataset, size, rng: lambda: Batch.from_dataset(
+        dataset, drawn(dataset, size, rng)))
+    every_state, every_report = run()
+    assert np.array_equal(state.w.params, every_state.w.params)
+    assert np.array_equal(state.theta.theta, every_state.theta.theta)
+    for name in ("accuracy_history", "train_loss_history", "meta_loss_history", "grad_norm_history",
+                 "curve_weights", "dist_weights", "tracked_weight_history"):
+        assert np.array_equal(getattr(report, name), getattr(every_report, name)), name
 
 
 def test_train_releases_stale_state_before_the_final_pass(monkeypatch):

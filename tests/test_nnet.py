@@ -192,6 +192,42 @@ def test_sigmoid_is_bit_identical_to_the_masked_form():
     assert np.array_equal(got.view(np.uint64), masked_sigmoid(z).view(np.uint64))
 
 
+def test_sigmoid_keeps_the_bits_of_the_where_form():
+    # `_activate` divides under a mask instead of building np.where's
+    # numerator; the bits, NaN's included, stay those of the where form.
+    edge = np.array([0.0, 5e-324, 1e-300, 1.0, 709.0, 745.0, 1e308, np.inf])
+    z = np.concatenate([edge, -edge, [np.nan]]).reshape(-1, 1)
+    e = np.exp(-np.abs(z))
+    where_form = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    assert np.array_equal(_activate(z.copy(), "sigmoid").view(np.uint64), where_form.view(np.uint64))
+
+
+def keepdims_softmax_cross_entropy(logits, labels):
+    """`softmax_cross_entropy` with the reductions as the max and sum
+    methods with keepdims, the oracle for nnet's ufunc.reduce form."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    norm = expz.sum(axis=1, keepdims=True)
+    at_label = np.arange(0, shifted.size, shifted.shape[1]) + labels
+    losses = np.log(norm[:, 0]) - shifted.ravel()[at_label]
+    grad = expz / norm
+    grad.ravel()[at_label] -= 1.0
+    return losses, grad
+
+
+@pytest.mark.parametrize("rows, classes", [(32, 3), (30, 3), (16, 3), (64, 10)])
+def test_softmax_cross_entropy_keeps_the_bits_of_the_keepdims_form(rows, classes):
+    rng = np.random.Generator(np.random.Philox(31))
+    labels = rng.integers(0, classes, size=rows)
+    tied = np.repeat(rng.choice([-1.0, 0.0, 2.5], size=(rows, 1)), classes, axis=1)
+    tied[::3, 0] = -0.0
+    huge = rng.choice([-1e300, 1e300, 0.0, -0.0, 1.0], size=(rows, classes))
+    for logits in (rng.normal(0.0, 5.0, size=(rows, classes)), tied, huge):
+        got, want = softmax_cross_entropy(logits, labels), keepdims_softmax_cross_entropy(logits, labels)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_forward_cache_holds_one_array_per_layer(small_net):
     rng = np.random.Generator(np.random.Philox(31))
     x = rng.normal(size=(6, 3))
@@ -278,11 +314,11 @@ DOT_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(DOT_SHAPES))
 def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, shape):
-    # The kernels compute their products with np.dot, for its lower
-    # per-call cost (module docstring); here every operand pair a bilevel
-    # step and a classifier step pass to it, transposed views as passed,
-    # gives the bits of a @ b. Checked with OpenBLAS 0.3.31 (x86-64
-    # SkylakeX kernels), as the ROW_BLOCK tests are.
+    # The kernels compute their products with `dot` (np.ndarray.dot), for
+    # its lower per-call cost (module docstring); here every operand pair a
+    # bilevel step and a classifier step pass to it, transposed views as
+    # passed, gives the bits of a @ b and of np.dot. Checked with OpenBLAS
+    # 0.3.31 (x86-64 SkylakeX kernels), as the ROW_BLOCK tests are.
     from metaweight import metaopt
     from metaweight.weightnet import init_mwnet
 
@@ -294,13 +330,14 @@ def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, sh
                                np.zeros(sum(s.param_count for s in specs)))
     train_batch = metaopt.Batch(np.arange(n), rng.normal(0.0, 2.0, size=(n, d)), rng.integers(0, c, size=n))
     meta_batch = metaopt.Batch(np.arange(m), rng.normal(0.0, 2.0, size=(m, d)), rng.integers(0, c, size=m))
-    operands, real_dot = [], np.dot
+    operands, real_dot = [], nnet.dot
 
     def spy(a, b):
         operands.append((a, b))
         return real_dot(a, b)
 
-    monkeypatch.setattr(np, "dot", spy)
+    monkeypatch.setattr(nnet, "dot", spy)
+    monkeypatch.setattr(metaopt, "dot", spy)
     for normalize in (False, True):
         report = metaopt.meta_gradient_direct(state, train_batch, meta_batch, 0.1, normalize)
         virtual = report.virtual
@@ -308,7 +345,8 @@ def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, sh
     monkeypatch.undo()
 
     for a, b in operands:
-        assert np.array_equal(np.dot(a, b), a @ b), (a.shape, b.shape, b.flags.c_contiguous)
+        assert np.array_equal(nnet.dot(a, b), a @ b), (a.shape, b.shape, b.flags.c_contiguous)
+        assert np.array_equal(nnet.dot(a, b), np.dot(a, b)), (a.shape, b.shape, b.flags.c_contiguous)
     shapes = [(a.shape, b.shape) for a, b in operands]
     # x @ W_1 and delta_2 @ W_2^T of the weighting net, once each per meta step
     assert shapes.count(((n, 1), (1, 100))) == 4

@@ -37,21 +37,25 @@ def test_every_traced_name_resolves_on_its_module():
 
 
 def test_one_sgd_step_per_bilevel_update_under_the_tracer():
+    # Also with a meta batch the size of the meta set, which is built once
+    # and not drawn: the clock still sees one sgd_step per update.
     tracing = load_tracing()
     train_set, meta_set, test_set = make_toy_sets(3)
-    config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=4, seed=1)
-    with tracing.Tracer() as tracer:
-        metaopt.train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    names = [span.name for span in tracer.spans]
-    assert names.count("metaopt.train_step") == config.T
-    assert names.count("nnet.sgd_step") == config.T
-    steps = [s for s in tracer.spans if s.name == "metaopt.train_step"]
-    clocks = [s for s in tracer.spans if s.name == "nnet.sgd_step"]
-    assert all(any(st.start_ns <= c.start_ns and c.end_ns <= st.end_ns for st in steps) for c in clocks)
-    # The weighting net's Jacobian is the one per-sample matrix of an update.
-    assert names.count("nnet.per_sample_gradients") == config.T
-    assert [T for T, best in tracing.update_times(tracer.spans)] == [config.T]
-    assert all(np.isfinite(best) and best > 0 for _, best in tracing.update_times(tracer.spans))
+    for m, draws_per_update in ((4, 2), (meta_set.n, 1)):
+        config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=m, T=4, seed=1)
+        with tracing.Tracer() as tracer:
+            metaopt.train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+        names = [span.name for span in tracer.spans]
+        assert names.count("metaopt.train_step") == config.T
+        assert names.count("nnet.sgd_step") == config.T
+        assert names.count("biasgen.sample_batch") == draws_per_update * config.T
+        steps = [s for s in tracer.spans if s.name == "metaopt.train_step"]
+        clocks = [s for s in tracer.spans if s.name == "nnet.sgd_step"]
+        assert all(any(st.start_ns <= c.start_ns and c.end_ns <= st.end_ns for st in steps) for c in clocks)
+        # The weighting net's Jacobian is the one per-sample matrix of an update.
+        assert names.count("nnet.per_sample_gradients") == config.T
+        assert [T for T, best in tracing.update_times(tracer.spans)] == [config.T]
+        assert all(np.isfinite(best) and best > 0 for _, best in tracing.update_times(tracer.spans))
 
 
 def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
