@@ -71,7 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200, help="number of grid points")
 
     p = sub.add_parser("gradcheck", help="compare analytic and finite-difference meta-gradients")
-    p.add_argument("--instances", type=int, default=20, help="number of random instances")
+    p.add_argument(
+        "--instances",
+        type=int,
+        default=20,
+        help="number N of random instances; one more instance with a zero step is checked after them, "
+        "so the summary counts N + 1",
+    )
     p.add_argument("--seed", type=int, default=0, help="base seed for the instances")
 
     p = sub.add_parser("report", help="render SVG plots and a text summary for a report directory")

@@ -161,7 +161,8 @@ def _mean_std(values: list[float]) -> dict:
 
 
 def summarize(seeds, reports: list[RunReport], baseline_reports: dict[str, list[RunReport]]) -> dict:
-    """Aggregate per-seed reports into the summary dict saved as summary.json."""
+    """Aggregate per-seed reports into the summary dict saved as summary.json,
+    each run's warnings included (empty lists for a healthy run)."""
     scores, degenerate, gaps = [], [], []
     for rep in reports:
         rho, flag = metrics.monotonicity_score(rep.curve_losses, rep.curve_weights)
@@ -174,8 +175,12 @@ def summarize(seeds, reports: list[RunReport], baseline_reports: dict[str, list[
         "final_accuracy": _mean_std([rep.final_accuracy for rep in reports]),
         "monotonicity": {"per_seed": scores, "degenerate": degenerate},
         "clean_noisy_weight_gap": {"per_seed": gaps},
+        "run_warnings": {"per_seed": [list(rep.warnings) for rep in reports]},
         "baselines": {
-            kind: {"final_accuracy": _mean_std([rep.final_accuracy for rep in reps])}
+            kind: {
+                "final_accuracy": _mean_std([rep.final_accuracy for rep in reps]),
+                "run_warnings": {"per_seed": [list(rep.warnings) for rep in reps]},
+            }
             for kind, reps in baseline_reports.items()
         },
     }

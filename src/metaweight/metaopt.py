@@ -19,7 +19,8 @@ independent meta mini-batch:
    quotient rule replaces the simple per-sample factor.
 3. Actual step: the classifier redoes the weighted step from w with the
    weights recomputed under the new Theta, this time with the configured
-   momentum and weight decay.
+   momentum and weight decay. It overwrites the classifier's parameter
+   vector and its velocity in place (`nnet.sgd_step`).
 
 No step builds a per-sample gradient row, and the meta step builds no
 vector of param_count length at all. One backward pass on the training
@@ -144,8 +145,12 @@ class TrainState:
     """Classifier, weighting net and momentum buffer at one iteration.
 
     `velocity` is a float64 vector shaped like `w.params`; `nnet.sgd_step`
-    checks that shape at every classifier step. `theta` is None in a run
-    with a fixed weighting rule."""
+    checks that shape at every classifier step. Each classifier step
+    (`update_classifier`) overwrites `w.params` and `velocity` in place, so
+    a state shares them with the states it was made from; copy them to
+    keep an earlier iteration's values. `theta` is replaced, not
+    overwritten, at each weighting-net step, and is None in a run with a
+    fixed weighting rule."""
 
     w: DenseNet
     theta: MWNet | None
@@ -471,20 +476,25 @@ def update_classifier(
 ) -> tuple[TrainState, np.ndarray]:
     """The classifier's SGD step from w on the per-sample gradients of one
     backward pass at w (its forward cache and `nnet.layer_deltas`),
-    weighted by `raw`; returns the new state and the coefficients applied.
+    weighted by `raw`; returns `state` and the coefficients applied.
     Momentum and weight decay apply here and only here; zero both for the
     bare one-step form. The deltas depend on w only, not on Theta, so the
     virtual step's pass serves a step under the updated Theta.
+
+    The step overwrites `state.w.params` and `state.velocity` in place
+    (`nnet.sgd_step`); the net's (W, b) views read the updated vector, so
+    no net is built. A caller that needs w or the velocity from before the
+    step copies them first.
     """
     with _stage("classifier step"):
         coeffs = _coefficients(raw, normalize)[0]
         grad = weighted_gradient(state.w, forward_cache, deltas, coeffs)
-        new_params, new_velocity = sgd_step(
+        params, _ = sgd_step(
             state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
         )
-        # with_params holds sgd_step's fresh output without a copy and
-        # rejects a non-finite vector.
-        return TrainState(state.w.with_params(new_params), state.theta, new_velocity), coeffs
+        if not np.isfinite(params).all():
+            raise ValueError("non-finite parameter entries")
+        return state, coeffs
 
 
 def train_step(
@@ -602,7 +612,8 @@ def train(
     classifier = init_net(classifier_specs, derive_seed(config.seed, 1))
     mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2)) if weight_fn is None else None
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
-    # The state holds the only references, so each net is freed once replaced.
+    # The state holds the only references, so each weighting net is freed
+    # once replaced; the classifier is updated in place and never replaced.
     del classifier, mwnet
 
     tracked_ids = _pick_tracked(train_set, config.seed)

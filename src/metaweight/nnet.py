@@ -76,11 +76,16 @@ kernels (`forward`, `lookahead_forward`, `layer_deltas`,
 `per_sample_gradients`, `softmax_cross_entropy`, `sgd_step`) take float64
 2-D arrays (1-D vectors for `sgd_step`) as they are, without coercing
 them: the training loop builds every array they see, from datasets
-checked when they were built. They check argument shapes and step
-settings, not array values, and do not check their outputs for
-finiteness; the training loop checks each stage output it acts on (the
-step coefficients, the meta-gradient, and each new parameter vector
-through `with_params`), and nothing is checked again inside the loop.
+checked when they were built. All but `sgd_step` leave their inputs
+unchanged; `sgd_step` overwrites the parameter vector and the velocity
+it is given (and uses the gradient as scratch), so the classifier step
+updates the net's own vector, which its (W, b) views keep reading. The
+kernels check argument shapes and step settings, not array values, and
+do not check their outputs for finiteness; the training loop checks each
+stage output it acts on (the step coefficients, the meta-gradient, each
+new weighting-net vector through `with_params`, and the classifier's
+updated vector in `metaopt.update_classifier`), and nothing is checked
+again inside the loop.
 Reductions use numpy's fixed summation order, so identical inputs give
 bit-identical results across runs.
 """
@@ -141,7 +146,9 @@ class DenseNet:
     """Layer specs plus one flat parameter vector (see module docstring for layout).
 
     Frozen: the per-layer (W, b) views into `params` are built once, at
-    construction, and stay bound to that vector.
+    construction, and stay bound to that vector. The vector's entries are
+    not frozen: the classifier step (`sgd_step`) overwrites them, so a
+    training run keeps one classifier net and updates it in place.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -187,7 +194,10 @@ class DenseNet:
         """This net's layers with the parameter vector `params`, held as
         given (a float64 array is not copied, so pass one nothing else will
         write to). The layer chain was checked when this net was built, so
-        only the new vector's shape and finiteness are checked."""
+        only the new vector's shape and finiteness are checked. The training
+        loop binds each new weighting-net vector this way; the classifier's
+        vector is overwritten by its step and never rebound, so a caller
+        that keeps an earlier classifier binds a copy of its vector."""
         net = object.__new__(DenseNet)
         object.__setattr__(net, "layers", self.layers)
         net._bind(np.asarray(params, dtype=np.float64), self.params.size)
@@ -425,8 +435,13 @@ def sgd_step(
     """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v',
     with `state` the velocity v.
 
-    Evaluated left to right into the two returned arrays, with no other
-    param-sized temporary."""
+    Updates in place, as `torch.optim.SGD` does its parameters and momentum
+    buffer: `state` becomes v' and `params` becomes params', and those two
+    arrays are returned as (params, state). `grad` is the only scratch and
+    is overwritten, so the step allocates no param-sized array. A caller
+    that needs an earlier parameter vector or velocity copies it first.
+    Evaluated left to right; the weight-decay product is taken even at
+    weight_decay 0, for its signed zeros."""
     if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
@@ -437,12 +452,13 @@ def sgd_step(
         raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
     if state.shape != params.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs state {state.shape}")
-    velocity = np.multiply(momentum, state)
-    velocity += grad
-    new_params = np.multiply(weight_decay, params)
-    velocity += new_params
-    np.multiply(lr, velocity, out=new_params)
-    return np.subtract(params, new_params, out=new_params), velocity
+    state *= momentum
+    state += grad
+    np.multiply(weight_decay, params, out=grad)
+    state += grad
+    np.multiply(lr, state, out=grad)
+    params -= grad
+    return params, state
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

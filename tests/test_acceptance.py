@@ -124,6 +124,12 @@ def test_shipped_configs_record_no_run_warnings(noise_runs, imbalance_runs, clea
     for result, _ in (noise_runs, imbalance_runs, clean_runs):
         for report in result.reports + [r for reps in result.baseline_reports.values() for r in reps]:
             assert report.warnings == []
+        # summary.json carries each run's warnings: one empty list per seed.
+        none = {"per_seed": [[] for _ in result.seeds]}
+        assert result.summary["run_warnings"] == none
+        assert result.baseline_reports and all(
+            result.summary["baselines"][kind]["run_warnings"] == none for kind in result.baseline_reports
+        )
 
 
 def test_criterion_3_imbalance_curve_rises(imbalance_runs):

@@ -322,6 +322,8 @@ def test_train_zero_meta_gradient_is_reported(tmp_path):
         "5 or more in a row first from iteration 2, so the weighting net stopped learning"
     ]
     assert proc.stdout.splitlines()[1:] == [f"run warning: seed 1: {warnings[0]}", f"report written to {out}"]
+    summary = json.load(open(out / "summary.json"))
+    assert summary["run_warnings"] == {"per_seed": [warnings]} and summary["baselines"] == {}
     shown = run_main("report", out)
     assert shown.returncode == 0, shown.stderr
     assert f"run warning: {warnings[0]}\n" in shown.stdout
@@ -338,6 +340,9 @@ def test_train_prints_the_run_warnings_of_each_run(tmp_path):
     learned = json.load(open(out / "config.json"))["run_warnings"]
     baseline = json.load(open(out / "baseline_uniform" / "config.json"))["run_warnings"]
     assert [w.split(":")[0] for w in learned + baseline] == ["all-zero weights", "diverging meta loss"]
+    summary = json.load(open(out / "summary.json"))
+    assert summary["run_warnings"] == {"per_seed": [learned]}
+    assert summary["baselines"]["uniform"]["run_warnings"] == {"per_seed": [baseline]}
     assert proc.stdout.splitlines()[1:] == [
         f"run warning: seed 1: {learned[0]}",
         f"run warning: seed 1, uniform baseline: {baseline[0]}",
@@ -576,6 +581,17 @@ def test_gradcheck_corrupted_sign_fails(monkeypatch):
     proc = run_main("gradcheck", "--instances", 3)
     assert proc.returncode == 3
     assert proc.stdout.startswith("FAIL")
+
+
+def test_gradcheck_help_counts_the_zero_step_instance():
+    # The summary counts the zero-step instance checked after the N random
+    # ones, and the help says so.
+    proc = run_main("gradcheck", "--help")
+    assert proc.returncode == 0
+    assert "one more instance with a zero step is checked after them, so the summary counts N + 1" in " ".join(
+        proc.stdout.split()
+    )
+    assert run_main("gradcheck", "--instances", 1).stdout.startswith("PASS: 2 instances,")
 
 
 def test_gradcheck_rejects_bad_instance_count():

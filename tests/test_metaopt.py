@@ -90,6 +90,12 @@ def virtual_params(state, cache, alpha):
     return state.w.params - alpha * weighted_gradient(state.w, cache.forward_cache, cache.deltas, cache.coeffs)
 
 
+def copied(state):
+    """`state` with its own copies of the classifier's parameter vector and
+    velocity, which a classifier step overwrites in place."""
+    return TrainState(state.w.with_params(state.w.params.copy()), state.theta, state.velocity.copy())
+
+
 def per_sample_losses_grads(net, batch):
     out, cache = forward(net, batch.features)
     losses, dlogits = softmax_cross_entropy(out, batch.labels)
@@ -156,12 +162,13 @@ def test_virtual_update_half_weights_is_half_step():
     alpha = 0.2
     w_hat = virtual_params(flat, virtual_update(flat, batch), alpha)
     _, grads = per_sample_losses_grads(state.w, batch)
+    # sgd_step overwrites its parameters and velocity: each call gets copies.
     still = np.zeros_like(state.w.params)
-    expected, _ = sgd_step(state.w.params, grads.mean(axis=0), 0.5 * alpha, state=still)
+    expected, _ = sgd_step(state.w.params.copy(), grads.mean(axis=0), 0.5 * alpha, state=still.copy())
     assert rel_err(w_hat, expected) < 1e-13
     # Normalized flat weights are exactly 1/n: a full-rate mean-loss step.
     w_hat_n = virtual_params(flat, virtual_update(flat, batch, normalize=True), alpha)
-    expected_n, _ = sgd_step(state.w.params, grads.mean(axis=0), alpha, state=still)
+    expected_n, _ = sgd_step(state.w.params.copy(), grads.mean(axis=0), alpha, state=still.copy())
     assert rel_err(w_hat_n, expected_n) < 1e-13
 
 
@@ -530,7 +537,11 @@ def bilevel_instances(draw):
 @given(bilevel_instances())
 def test_train_step_matches_per_sample_oracle(instance):
     state, tb, mb, config, alpha = instance
+    # The step overwrites the classifier's vector and velocity; every
+    # expectation below is taken from a copy made before it.
+    before = copied(state)
     new_state, report, _ = train_step(state, tb, mb, config, alpha=alpha)
+    state = before
 
     def coefficients(theta):
         raw = mw_forward(theta, losses)
@@ -553,8 +564,8 @@ def test_train_step_matches_per_sample_oracle(instance):
 
     new_coeffs = coefficients(new_state.theta)
     expected, expected_velocity = sgd_step(
-        w, new_coeffs @ grads, alpha, momentum=config.classifier_momentum,
-        weight_decay=config.classifier_weight_decay, state=velocity,
+        w.copy(), new_coeffs @ grads, alpha, momentum=config.classifier_momentum,
+        weight_decay=config.classifier_weight_decay, state=velocity.copy(),
     )
     velocity_scale = np.linalg.norm(velocity) + row_scale(new_coeffs, grads) + np.linalg.norm(w)
     assert close(new_state.velocity, expected_velocity, velocity_scale)
@@ -581,6 +592,29 @@ def test_train_step_memory_is_per_layer():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"train_step peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_classifier_step_allocates_one_parameter_sized_array():
+    # The step overwrites the net's vector and the velocity in place; the
+    # one param-sized array it allocates is the weighted gradient, which
+    # sgd_step uses as its scratch: 1.36 P floats at peak with the batch
+    # temporaries. Returning a fresh velocity and vector took 3.13 P.
+    rng = np.random.Generator(np.random.Philox(43))
+    classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
+    state = TrainState(classifier, None, np.zeros_like(classifier.params))
+    batch = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
+    _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+    raw = rng.uniform(size=64)
+    params, velocity = state.w.params, state.velocity
+    tracemalloc.start()
+    try:
+        new_state, _ = update_classifier(state, fcache, deltas, raw, 0.1, momentum=0.9, weight_decay=5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_bytes = params.nbytes
+    assert peak < 1.5 * param_bytes, f"classifier step peaked at {peak / param_bytes:.2f} parameter vectors"
+    assert new_state.w.params is params and new_state.velocity is velocity
 
 
 def test_train_keeps_one_activation_of_the_training_set():
@@ -668,8 +702,9 @@ def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
     cache = virtual_update(state, batch)
+    expected = virtual_params(state, cache, alpha)  # before the step overwrites w
     new_state, coeffs = update_classifier(state, cache.forward_cache, cache.deltas, cache.raw_weights, alpha)
-    assert np.array_equal(new_state.w.params, virtual_params(state, cache, alpha))
+    assert np.array_equal(new_state.w.params, expected)
     assert np.array_equal(coeffs, cache.coeffs)
 
 
@@ -678,8 +713,9 @@ def test_update_classifier_zero_weights_is_identity():
     state = TrainState(state.w, zero_weight_theta(seed=1), state.velocity)
     losses, fcache, deltas = metaopt._losses_deltas(state.w, batch)
     raw = mw_forward(state.theta, losses)
+    before = state.w.params.copy()
     new_state, coeffs = update_classifier(state, fcache, deltas, raw, alpha=0.3)
-    assert np.array_equal(new_state.w.params, state.w.params)
+    assert np.array_equal(new_state.w.params, before)
     assert np.all(raw == 0.0)
     assert np.all(coeffs == 0.0)
 
@@ -694,9 +730,11 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     mom, wd, alpha = 0.9, 5e-4, 0.1
     _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
     raw = mw_forward(shifted, losses)
-    new_state, _ = update_classifier(state, fcache, deltas, raw, alpha, momentum=mom, weight_decay=wd)
+    # Each step below overwrites the vectors it is given, so each gets copies.
+    new_state, _ = update_classifier(copied(state), fcache, deltas, raw, alpha, momentum=mom, weight_decay=wd)
     expected, expected_vel = sgd_step(
-        state.w.params, (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd, state=state.velocity
+        state.w.params.copy(), (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd,
+        state=state.velocity.copy(),
     )
     # The per-layer reduction sums in another order than the oracle's
     # row-weighted sum, so agreement is to rounding, not bitwise.
@@ -708,7 +746,8 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     # the new Theta, gives the same step.
     cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch)
     cached, _ = update_classifier(
-        state, cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses), alpha, momentum=mom, weight_decay=wd
+        copied(state), cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses), alpha, momentum=mom,
+        weight_decay=wd,
     )
     assert np.array_equal(cached.w.params, new_state.w.params)
     assert np.array_equal(cached.velocity, new_state.velocity)
@@ -720,8 +759,10 @@ def test_update_classifier_recomputes_weights_under_new_theta():
 def test_train_step_composes_the_three_updates():
     state, tb, mb = make_instance(37)
     config = TrainConfig(alpha=0.1, beta=0.05, n=8, m=4, T=1, classifier_momentum=0.9, classifier_weight_decay=1e-3)
+    before = copied(state)
     new_state, report, raw = train_step(state, tb, mb, config, config.alpha)
 
+    state = before
     manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize)
     s1 = update_theta(state, manual.grad_theta, config.beta)
     s1_raw = mw_forward(s1.theta, manual.virtual.losses)
@@ -755,10 +796,11 @@ def test_train_step_beta_zero_freezes_theta():
 def test_train_step_alpha_zero_is_stationary():
     state, tb, mb = make_instance(39)
     config = TrainConfig(alpha=0.1, beta=0.5, n=8, m=4, T=1)
+    before = copied(state)
     new_state, report, _ = train_step(state, tb, mb, config, alpha=0.0)
     assert np.all(report.grad_theta == 0.0)
-    assert np.array_equal(virtual_params(state, report.virtual, 0.0), state.w.params)
-    assert np.array_equal(new_state.w.params, state.w.params)
+    assert np.array_equal(virtual_params(before, report.virtual, 0.0), before.w.params)
+    assert np.array_equal(new_state.w.params, before.w.params)
     assert np.array_equal(new_state.theta.theta, state.theta.theta)
 
 
@@ -804,10 +846,9 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     meta-step Jacobian equal bit for bit to mw_jacobian's. The meta step
     runs no weighted-gradient reduction and builds no net, so it builds no
     param_count-length vector: the one weighted_gradient belongs to the
-    classifier step. The two new nets, Theta' and the new classifier, are
-    each bound once through with_params, no net goes through the
-    constructor, and the new classifier takes sgd_step's output without a
-    copy."""
+    classifier step. The one new net, Theta', is bound once through
+    with_params, and no net goes through the constructor: the classifier
+    step updates the net it was given, whose vector is sgd_step's output."""
     from metaweight import nnet, weightnet
 
     state, tb, mb = make_instance(42)
@@ -866,9 +907,9 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert calls["forward"] == [state.w.layers, state.theta.net.layers, state.theta.net.layers]
     assert calls["lookahead"] == 1
     assert len(calls["sgd_step"]) == 1
-    assert new_state.w.params is calls["sgd_step"][0][0]
+    assert new_state.w is state.w and new_state.w.params is calls["sgd_step"][0][0]
     assert calls["weighted"] == ["update"]
-    assert calls["nets"] == [("update", "with_params", state.theta.net.layers), ("update", "with_params", state.w.layers)]
+    assert calls["nets"] == [("update", "with_params", state.theta.net.layers)]
     monkeypatch.undo()
     weights, jac = mw_jacobian(state.theta, report.virtual.losses)
     assert len(calls["jacobians"]) == 1
@@ -1041,17 +1082,19 @@ def test_a_batch_the_size_of_its_set_is_never_drawn(monkeypatch, whole):
 
 def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     # The final pass over the whole training set is a run's memory peak.
-    # Neither the initial classifier nor the last step's report (whose
-    # virtual-step cache holds the batch's activations and deltas) may
-    # still be reachable when it starts.
+    # The last step's report (whose virtual-step cache holds the batch's
+    # activations and deltas) may not still be reachable when it starts.
+    # The classifier is updated in place, so the net init_net built, with
+    # the vector it allocated, is the live one: no second classifier vector
+    # is ever made.
     train_set, meta_set, test_set = make_toy_sets(5)
     config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=4, seed=7)
-    refs, alive = {}, []
+    refs, alive, initial = {}, [], []
     init_net_fn, train_step_fn, final_report_fn = metaopt.init_net, metaopt.train_step, metaopt._final_report
 
     def spy_init_net(*args):
         net = init_net_fn(*args)
-        refs["initial classifier"] = weakref.ref(net)
+        initial.append(net)
         return net
 
     def spy_train_step(*args, **kwargs):
@@ -1068,9 +1111,10 @@ def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     monkeypatch.setattr(metaopt, "init_net", spy_init_net)
     monkeypatch.setattr(metaopt, "train_step", spy_train_step)
     monkeypatch.setattr(metaopt, "_final_report", spy_final_report)
-    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    assert sorted(refs) == ["initial classifier", "last report", "last virtual cache"]
+    state, _ = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+    assert sorted(refs) == ["last report", "last virtual cache"]
     assert alive == []
+    assert len(initial) == 1 and state.w is initial[0] and state.w.params is initial[0].params
 
 
 def test_train_epoch_accounting_and_report_shapes():

@@ -506,7 +506,7 @@ def test_fd_gradient_on_quadratic():
 def test_sgd_step_plain():
     params = np.array([1.0, 2.0])
     grad = np.array([0.5, -1.0])
-    new, vel = sgd_step(params, grad, lr=0.1, state=np.zeros(2))
+    new, vel = sgd_step(params.copy(), grad.copy(), lr=0.1, state=np.zeros(2))
     assert np.allclose(new, params - 0.1 * grad)
     assert np.allclose(vel, grad)
 
@@ -517,15 +517,44 @@ def test_sgd_step_momentum_weight_decay_closed_form():
     g2 = np.array([-0.1, 0.3])
     lr, mom, wd = 0.05, 0.9, 0.01
 
-    p1, v1 = sgd_step(params, g1, lr, momentum=mom, weight_decay=wd, state=np.zeros(2))
+    # sgd_step overwrites its inputs: each call gets copies.
+    p1, v1 = sgd_step(params.copy(), g1.copy(), lr, momentum=mom, weight_decay=wd, state=np.zeros(2))
     v1_exp = g1 + wd * params
     assert np.allclose(v1, v1_exp, atol=1e-15)
     assert np.allclose(p1, params - lr * v1_exp, atol=1e-15)
 
-    p2, v2 = sgd_step(p1, g2, lr, momentum=mom, weight_decay=wd, state=v1)
+    p2, v2 = sgd_step(p1.copy(), g2.copy(), lr, momentum=mom, weight_decay=wd, state=v1.copy())
     v2_exp = mom * v1_exp + g2 + wd * p1
     assert np.allclose(v2, v2_exp, atol=1e-15)
     assert np.allclose(p2, p1 - lr * v2_exp, atol=1e-15)
+
+
+def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
+    # The step overwrites the parameters and the velocity and returns those
+    # arrays; their bits are those of the step that returned new arrays,
+    # params - lr * ((momentum * v + g) + weight_decay * params) evaluated
+    # left to right, signed zeros and subnormals included. The weight-decay
+    # product at weight_decay 0 turns a -0 velocity entry into +0.
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.2250738585072014e-308, 1.0, -2.5])
+    p_edge, g_edge, v_edge = (a.ravel() for a in np.meshgrid(edge, edge, edge, indexing="ij"))
+    rng = np.random.Generator(np.random.Philox(53))
+    params0, grad0, vel0 = (np.concatenate([e, rng.standard_normal(200)]) for e in (p_edge, g_edge, v_edge))
+    bits = lambda a: a.view(np.uint64)
+    for lr in (0.0, 0.1, 1e-300):
+        for momentum in (0.0, 0.9):
+            for weight_decay in (0.0, 5e-4):
+                velocity = (momentum * vel0 + grad0) + weight_decay * params0
+                expected = params0 - lr * velocity
+                params, grad, state = params0.copy(), grad0.copy(), vel0.copy()
+                out_params, out_state = sgd_step(params, grad, lr, momentum, weight_decay, state=state)
+                assert out_params is params and out_state is state
+                assert np.array_equal(bits(out_state), bits(velocity)), (lr, momentum, weight_decay)
+                assert np.array_equal(bits(out_params), bits(expected)), (lr, momentum, weight_decay)
+    # The weight-decay product's signed zero is in the result.
+    zero = np.array([-0.0])
+    _, state = sgd_step(np.array([1.0]), zero.copy(), 0.1, 0.9, 0.0, state=zero.copy())
+    assert not np.signbit(state[0])
 
 
 def test_sgd_step_validation():
@@ -550,7 +579,7 @@ def test_sgd_step_validation():
         fd_gradient(lambda q: 0.0, p, eps=float("nan"))
     # lr=0 is a legal degenerate step: parameters stay put, velocity updates.
     new, vel = sgd_step(p, np.ones(3), lr=0.0, momentum=0.9, state=v)
-    assert np.array_equal(new, p)
+    assert np.array_equal(new, np.zeros(3))
     assert np.array_equal(vel, np.ones(3))
 
 
