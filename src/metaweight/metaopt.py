@@ -85,6 +85,8 @@ from metaweight.weightnet import MWNet, init_mwnet, mw_forward, mw_forward_cache
 
 WEIGHT_CURVE_POINTS = 200
 TRACKED_SAMPLES = 10
+# The weight curve's grid ends at this percentile of the final training
+# losses, taken by `_percentile` because np.percentile imports numpy.ma.
 CURVE_PERCENTILE = 99.0
 # An epoch's meta loss above this many times ln(c), the loss of a uniform
 # guess, marks a diverging run. The shipped configs stay below 3 times
@@ -728,6 +730,26 @@ def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:
     ]
 
 
+def _percentile(values: np.ndarray, percent: float) -> float:
+    """`float(np.percentile(values, percent))` for a 1-D float64 array, bit
+    for bit: NumPy's default ("linear") method, NaN when any value is NaN.
+    The kth list and the two-sided lerp are NumPy's own, so equal values of
+    either sign (0.0 and -0.0) land where NumPy's partition puts them."""
+    n = values.size
+    virtual = (n - 1) * (percent / 100)
+    # at or past the last index NumPy reads the last value on both sides,
+    # with the interpolation weight measured from index -1
+    lo = math.floor(virtual) if virtual < n - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
+    g = virtual - lo
+    part = np.partition(values, sorted({0, -1, lo, hi}))
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    a, b = float(part[lo]), float(part[hi])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def _final_report(
     state: TrainState, weigh: Callable[[MWNet, np.ndarray], np.ndarray], train_set: BiasedDataset,
     test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
@@ -741,7 +763,7 @@ def _final_report(
 
     final_losses = _losses(state.w, train_set.features, train_set.observed_labels)
 
-    hi = max(float(np.percentile(final_losses, CURVE_PERCENTILE)), 1e-6)
+    hi = max(_percentile(final_losses, CURVE_PERCENTILE), 1e-6)
     grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)
 
     tracked_matrix = np.array(history["tracked"]) if history["tracked"] else np.empty((0, tracked_ids.size))

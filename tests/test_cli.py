@@ -663,8 +663,19 @@ def test_unknown_flag_exits_one(cfg_path):
     assert proc.returncode == 1
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, metaweight.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
+    # Nor does a training run load numpy.ma, which np.percentile (through
+    # np.unique) would import for the weight curve's range.
+    argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "run"), "--baseline", "uniform"]
+    code = (
+        "import sys, metaweight.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "print(loaded())\n"
+        f"assert metaweight.cli.main({argv!r}) == 0\n"
+        "print(loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
