@@ -19,8 +19,8 @@ independent meta mini-batch:
    quotient rule replaces the simple per-sample factor.
 3. Actual step: the classifier redoes the weighted step from w with the
    weights recomputed under the new Theta, this time with the configured
-   momentum and weight decay. It overwrites the classifier's parameter
-   vector and its velocity in place (`nnet.sgd_step`).
+   momentum and weight decay. It updates the velocity in place and writes
+   the new parameters into its gradient's buffer (`nnet.sgd_step`).
 
 No step builds a per-sample gradient row, and the meta step builds no
 vector of param_count length at all. One backward pass on the training
@@ -144,19 +144,20 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Classifier, weighting net and momentum buffer at one iteration.
+    """Classifier, weighting net, momentum buffer and spare classifier.
 
-    `velocity` is a float64 vector shaped like `w.params`; `nnet.sgd_step`
-    checks that shape at every classifier step. Each classifier step
-    (`update_classifier`) overwrites `w.params` and `velocity` in place, so
-    a state shares them with the states it was made from; copy them to
-    keep an earlier iteration's values. `theta` is replaced, not
-    overwritten, at each weighting-net step, and is None in a run with a
-    fixed weighting rule."""
+    Each classifier step (`update_classifier`) updates `velocity`, a
+    float64 vector shaped like `w.params`, in place, and writes the new
+    parameters into the vector of `spare`, a net of `w`'s layers (built at
+    the first step if None); the new state's `w` is the spare and its
+    `spare` the old `w`, so a run keeps two classifier vectors, and a
+    caller that keeps a state across two steps copies its `w.params`.
+    `theta` is replaced at each weighting-net step; None for a fixed rule."""
 
     w: DenseNet
     theta: MWNet | None
     velocity: np.ndarray
+    spare: DenseNet | None = None
 
 
 @dataclass
@@ -463,7 +464,7 @@ def update_theta(state: TrainState, grad_theta: np.ndarray, beta: float) -> Trai
     if grad_theta.shape != state.theta.theta.shape:
         raise ValueError("grad_theta shape mismatch")
     theta = state.theta.with_theta(state.theta.theta - beta * grad_theta)
-    return TrainState(state.w, theta, state.velocity)
+    return TrainState(state.w, theta, state.velocity, state.spare)
 
 
 def update_classifier(
@@ -478,25 +479,26 @@ def update_classifier(
 ) -> tuple[TrainState, np.ndarray]:
     """The classifier's SGD step from w on the per-sample gradients of one
     backward pass at w (its forward cache and `nnet.layer_deltas`),
-    weighted by `raw`; returns `state` and the coefficients applied.
+    weighted by `raw`; returns the new state and the coefficients applied.
     Momentum and weight decay apply here and only here; zero both for the
     bare one-step form. The deltas depend on w only, not on Theta, so the
     virtual step's pass serves a step under the updated Theta.
 
-    The step overwrites `state.w.params` and `state.velocity` in place
-    (`nnet.sgd_step`); the net's (W, b) views read the updated vector, so
-    no net is built. A caller that needs w or the velocity from before the
-    step copies them first.
+    The gradient goes into the spare's vector, which `nnet.sgd_step`
+    overwrites with the new parameters while it updates `state.velocity`
+    in place; `state.w.params` is left unchanged. The new state's `w` is
+    the spare and its `spare` is `state.w` (see `TrainState`).
     """
     with _stage("classifier step"):
         coeffs = _coefficients(raw, normalize)[0]
-        grad = weighted_gradient(state.w, forward_cache, deltas, coeffs)
+        spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
+        grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
         params, _ = sgd_step(
             state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
         )
         if not np.isfinite(params).all():
             raise ValueError("non-finite parameter entries")
-        return state, coeffs
+        return TrainState(spare, state.theta, state.velocity, state.w), coeffs
 
 
 def train_step(
@@ -615,7 +617,7 @@ def train(
     mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2)) if weight_fn is None else None
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
     # The state holds the only references, so each weighting net is freed
-    # once replaced; the classifier is updated in place and never replaced.
+    # once replaced, and the two classifier nets trade places each step.
     del classifier, mwnet
 
     tracked_ids = _pick_tracked(train_set, config.seed)
@@ -696,6 +698,8 @@ def train(
     echo["lr_schedule"] = [list(entry) for entry in config.lr_schedule]
     if config_echo:
         echo.update(config_echo)
+    # The final pass needs one classifier vector; the spare's is freed here.
+    state = TrainState(state.w, state.theta, state.velocity)
     return state, _final_report(state, weigh, train_set, test_set, tracked_ids, history, echo, notes)
 
 

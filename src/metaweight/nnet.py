@@ -77,15 +77,16 @@ kernels (`forward`, `lookahead_forward`, `layer_deltas`,
 2-D arrays (1-D vectors for `sgd_step`) as they are, without coercing
 them: the training loop builds every array they see, from datasets
 checked when they were built. All but `sgd_step` leave their inputs
-unchanged; `sgd_step` overwrites the parameter vector and the velocity
-it is given (and uses the gradient as scratch), so the classifier step
-updates the net's own vector, which its (W, b) views keep reading. The
-kernels check argument shapes and step settings, not array values, and
-do not check their outputs for finiteness; the training loop checks each
-stage output it acts on (the step coefficients, the meta-gradient, each
-new weighting-net vector through `with_params`, and the classifier's
-updated vector in `metaopt.update_classifier`), and nothing is checked
-again inside the loop.
+unchanged, apart from `weighted_gradient`'s `out`; `sgd_step` updates the
+velocity in place and writes the new parameter vector into the
+gradient's buffer, so a run keeps two classifier nets and steps each
+into the other's vector (`metaopt.TrainState`). The kernels check
+argument shapes and step settings, not array values, and do not check
+their outputs for finiteness; the training loop checks each stage output
+it acts on (the step coefficients, the meta-gradient, each new
+weighting-net vector through `with_params`, and the classifier's new
+vector in `metaopt.update_classifier`), and nothing is checked again
+inside the loop.
 Reductions use numpy's fixed summation order, so identical inputs give
 bit-identical results across runs.
 """
@@ -147,8 +148,8 @@ class DenseNet:
 
     Frozen: the per-layer (W, b) views into `params` are built once, at
     construction, and stay bound to that vector. The vector's entries are
-    not frozen: the classifier step (`sgd_step`) overwrites them, so a
-    training run keeps one classifier net and updates it in place.
+    not frozen: a classifier step (`sgd_step`) writes the new parameters
+    into the vector of a second net of the same layers, its spare.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -195,9 +196,9 @@ class DenseNet:
         given (a float64 array is not copied, so pass one nothing else will
         write to). The layer chain was checked when this net was built, so
         only the new vector's shape and finiteness are checked. The training
-        loop binds each new weighting-net vector this way; the classifier's
-        vector is overwritten by its step and never rebound, so a caller
-        that keeps an earlier classifier binds a copy of its vector."""
+        loop binds each new weighting-net vector this way, and the
+        classifier's spare once per run; classifier steps write into the
+        two classifier vectors without rebinding them."""
         net = object.__new__(DenseNet)
         object.__setattr__(net, "layers", self.layers)
         net._bind(np.asarray(params, dtype=np.float64), self.params.size)
@@ -320,10 +321,15 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
     return deltas
 
 
-def weighted_gradient(net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
+def weighted_gradient(
+    net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The flat vector sum_i coeffs[i] * d(loss_i)/d(params), built layer
-    by layer from `layer_deltas` output without per-sample rows."""
-    grad = np.empty(net.param_count)
+    by layer from `layer_deltas` output without per-sample rows, into
+    `out` (a contiguous float64 vector) when given."""
+    grad = np.empty(net.param_count) if out is None else out
+    if grad.shape != (net.param_count,):
+        raise ValueError(f"out must have shape ({net.param_count},), got {grad.shape}")
     off = 0
     for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
         nw = spec.input_dim * spec.output_dim
@@ -435,13 +441,11 @@ def sgd_step(
     """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v',
     with `state` the velocity v.
 
-    Updates in place, as `torch.optim.SGD` does its parameters and momentum
-    buffer: `state` becomes v' and `params` becomes params', and those two
-    arrays are returned as (params, state). `grad` is the only scratch and
-    is overwritten, so the step allocates no param-sized array. A caller
-    that needs an earlier parameter vector or velocity copies it first.
-    Evaluated left to right; the weight-decay product is taken even at
-    weight_decay 0, for its signed zeros."""
+    `state` becomes v' in place, as `torch.optim.SGD` updates its momentum
+    buffer; params' is written into `grad`'s buffer, and (grad, state) is
+    returned. `params` is left unchanged, and the step allocates no
+    param-sized array. Evaluated left to right; the weight-decay product
+    is taken even at weight_decay 0, for its signed zeros."""
     if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
@@ -457,8 +461,7 @@ def sgd_step(
     np.multiply(weight_decay, params, out=grad)
     state += grad
     np.multiply(lr, state, out=grad)
-    params -= grad
-    return params, state
+    return np.subtract(params, grad, out=grad), state
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

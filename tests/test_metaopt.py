@@ -93,7 +93,8 @@ def virtual_params(state, cache, alpha):
 
 def copied(state):
     """`state` with its own copies of the classifier's parameter vector and
-    velocity, which a classifier step overwrites in place."""
+    velocity: a classifier step updates the velocity in place, and the step
+    after it writes into the vector the state held."""
     return TrainState(state.w.with_params(state.w.params.copy()), state.theta, state.velocity.copy())
 
 
@@ -163,7 +164,7 @@ def test_virtual_update_half_weights_is_half_step():
     alpha = 0.2
     w_hat = virtual_params(flat, virtual_update(flat, batch), alpha)
     _, grads = per_sample_losses_grads(state.w, batch)
-    # sgd_step overwrites its parameters and velocity: each call gets copies.
+    # sgd_step overwrites its gradient and velocity: each call gets its own.
     still = np.zeros_like(state.w.params)
     expected, _ = sgd_step(state.w.params.copy(), grads.mean(axis=0), 0.5 * alpha, state=still.copy())
     assert rel_err(w_hat, expected) < 1e-13
@@ -538,8 +539,8 @@ def bilevel_instances(draw):
 @given(bilevel_instances())
 def test_train_step_matches_per_sample_oracle(instance):
     state, tb, mb, config, alpha = instance
-    # The step overwrites the classifier's vector and velocity; every
-    # expectation below is taken from a copy made before it.
+    # The step updates the velocity in place; every expectation below is
+    # taken from a copy made before it.
     before = copied(state)
     new_state, report, _ = train_step(state, tb, mb, config, alpha=alpha)
     state = before
@@ -596,26 +597,35 @@ def test_train_step_memory_is_per_layer():
 
 
 def test_classifier_step_allocates_one_parameter_sized_array():
-    # The step overwrites the net's vector and the velocity in place; the
-    # one param-sized array it allocates is the weighted gradient, which
-    # sgd_step uses as its scratch: 1.36 P floats at peak with the batch
-    # temporaries. Returning a fresh velocity and vector took 3.13 P.
+    # The step updates the velocity in place and writes the new vector into
+    # the spare net's, which first holds the weighted gradient. A state
+    # without a spare gets one at its first step, the one param-sized array
+    # that step allocates: 1.36 P floats at peak with the batch
+    # temporaries. Returning a fresh velocity and vector took 3.13 P. A
+    # later step reuses the spare and allocates no param-sized array.
     rng = np.random.Generator(np.random.Philox(43))
     classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
     state = TrainState(classifier, None, np.zeros_like(classifier.params))
     batch = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
-    _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
     raw = rng.uniform(size=64)
     params, velocity = state.w.params, state.velocity
-    tracemalloc.start()
-    try:
-        new_state, _ = update_classifier(state, fcache, deltas, raw, 0.1, momentum=0.9, weight_decay=5e-4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     param_bytes = params.nbytes
+
+    def traced_step(state):
+        _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+        tracemalloc.start()
+        try:
+            new_state, _ = update_classifier(state, fcache, deltas, raw, 0.1, momentum=0.9, weight_decay=5e-4)
+            return new_state, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first, peak = traced_step(state)
     assert peak < 1.5 * param_bytes, f"classifier step peaked at {peak / param_bytes:.2f} parameter vectors"
-    assert new_state.w.params is params and new_state.velocity is velocity
+    assert first.spare is state.w and first.w.params is not params and first.velocity is velocity
+    second, peak = traced_step(first)
+    assert peak < param_bytes, f"a later classifier step peaked at {peak / param_bytes:.2f} parameter vectors"
+    assert second.w is state.w and second.spare is first.w and second.velocity is velocity
 
 
 def test_train_keeps_one_activation_of_the_training_set():
@@ -737,7 +747,7 @@ def test_update_classifier_degenerates_to_virtual_step():
     state, batch, _ = make_instance(31)
     alpha = 0.1
     cache = virtual_update(state, batch)
-    expected = virtual_params(state, cache, alpha)  # before the step overwrites w
+    expected = virtual_params(state, cache, alpha)  # at w, before the step
     new_state, coeffs = update_classifier(state, cache.forward_cache, cache.deltas, cache.raw_weights, alpha)
     assert np.array_equal(new_state.w.params, expected)
     assert np.array_equal(coeffs, cache.coeffs)
@@ -765,7 +775,7 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     mom, wd, alpha = 0.9, 5e-4, 0.1
     _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
     raw = mw_forward(shifted, losses)
-    # Each step below overwrites the vectors it is given, so each gets copies.
+    # Each step below updates the velocity it is given, so each gets copies.
     new_state, _ = update_classifier(copied(state), fcache, deltas, raw, alpha, momentum=mom, weight_decay=wd)
     expected, expected_vel = sgd_step(
         state.w.params.copy(), (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd,
@@ -883,10 +893,13 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     param_count-length vector: the one weighted_gradient belongs to the
     classifier step. The one new net, Theta', is bound once through
     with_params, and no net goes through the constructor: the classifier
-    step updates the net it was given, whose vector is sgd_step's output."""
+    step's new net is the state's spare, bound to the vector sgd_step
+    returned, and the old net becomes the spare."""
     from metaweight import nnet, weightnet
 
     state, tb, mb = make_instance(42)
+    # A run's state carries the spare that its first classifier step built.
+    state.spare = state.w.with_params(np.zeros_like(state.w.params))
     config = TrainConfig(n=tb.size, m=mb.size, T=1, beta=0.5, normalize=normalize)
     calls = {"forward": [], "lookahead": 0, "sgd_step": [], "jacobians": [], "weighted": [], "nets": []}
     stage = ["update"]
@@ -907,9 +920,9 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
         calls["jacobians"].append(per_sample_gradients(net, cache, upstream))
         return calls["jacobians"][-1]
 
-    def staged_weighted_gradient(*args):
+    def staged_weighted_gradient(*args, **kwargs):
         calls["weighted"].append(stage[0])
-        return weighted_gradient(*args)
+        return weighted_gradient(*args, **kwargs)
 
     with_params, post_init = DenseNet.with_params, DenseNet.__post_init__
 
@@ -942,7 +955,8 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert calls["forward"] == [state.w.layers, state.theta.net.layers, state.theta.net.layers]
     assert calls["lookahead"] == 1
     assert len(calls["sgd_step"]) == 1
-    assert new_state.w is state.w and new_state.w.params is calls["sgd_step"][0][0]
+    assert new_state.w is state.spare and new_state.w.params is calls["sgd_step"][0][0]
+    assert new_state.spare is state.w
     assert calls["weighted"] == ["update"]
     assert calls["nets"] == [("update", "with_params", state.theta.net.layers)]
     monkeypatch.undo()
@@ -1118,19 +1132,18 @@ def test_a_batch_the_size_of_its_set_is_never_drawn(monkeypatch, whole):
 def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     # The final pass over the whole training set is a run's memory peak.
     # The last step's report (whose virtual-step cache holds the batch's
-    # activations and deltas) may not still be reachable when it starts.
-    # The classifier is updated in place, so the net init_net built, with
-    # the vector it allocated, is the live one: no second classifier vector
-    # is ever made.
+    # activations and deltas) may not still be reachable when it starts,
+    # nor the spare classifier net: of the two classifier vectors a run
+    # alternates between, only the final one is alive, after an odd or an
+    # even number of steps.
     train_set, meta_set, test_set = make_toy_sets(5)
-    config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=4, seed=7)
-    refs, alive, initial = {}, [], []
-    init_net_fn, train_step_fn, final_report_fn = metaopt.init_net, metaopt.train_step, metaopt._final_report
+    update_fn, train_step_fn, final_report_fn = metaopt.update_classifier, metaopt.train_step, metaopt._final_report
+    refs, vectors, alive = {}, [], []
 
-    def spy_init_net(*args):
-        net = init_net_fn(*args)
-        initial.append(net)
-        return net
+    def spy_update_classifier(*args, **kwargs):
+        state, coeffs = update_fn(*args, **kwargs)
+        vectors.extend(weakref.ref(net.params) for net in (state.w, state.spare))
+        return state, coeffs
 
     def spy_train_step(*args, **kwargs):
         state, report, raw = train_step_fn(*args, **kwargs)
@@ -1138,18 +1151,78 @@ def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
         refs["last virtual cache"] = weakref.ref(report.virtual)
         return state, report, raw
 
-    def spy_final_report(*args):
+    def spy_final_report(state, *args):
         gc.collect()
-        alive.extend(name for name, ref in refs.items() if ref() is not None)
-        return final_report_fn(*args)
+        stale = [name for name, ref in refs.items() if ref() is not None]
+        live = {id(vector) for vector in (ref() for ref in vectors) if vector is not None}
+        alive.append((stale, live == {id(state.w.params)}, state.spare))
+        return final_report_fn(state, *args)
 
-    monkeypatch.setattr(metaopt, "init_net", spy_init_net)
+    monkeypatch.setattr(metaopt, "update_classifier", spy_update_classifier)
     monkeypatch.setattr(metaopt, "train_step", spy_train_step)
     monkeypatch.setattr(metaopt, "_final_report", spy_final_report)
-    state, _ = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-    assert sorted(refs) == ["last report", "last virtual cache"]
-    assert alive == []
-    assert len(initial) == 1 and state.w is initial[0] and state.w.params is initial[0].params
+    for T in (3, 4):
+        for store in (refs, vectors, alive):
+            store.clear()
+        config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=T, seed=7)
+        state, _ = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
+        assert sorted(refs) == ["last report", "last virtual cache"]
+        assert len(vectors) == 2 * T
+        assert alive == [([], True, None)], T
+        assert state.spare is None
+
+
+@pytest.mark.parametrize("fixed_rule", [False, True])
+def test_an_odd_run_alternates_two_classifier_vectors(monkeypatch, fixed_rule):
+    """Over an odd number of steps, learned or fixed-rule, the classifier
+    alternates between exactly two vectors, and no sgd_step writes into
+    the vector its own step's forward pass read. The final classifier and
+    velocity have the bits of the same run stepped in fresh arrays,
+    params - lr * ((momentum * v + g) + weight_decay * params)."""
+    train_set, meta_set, test_set = make_toy_sets(5)
+    config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=7, seed=7, classifier_momentum=0.9,
+                         classifier_weight_decay=1e-3)
+    assert config.T % 2 == 1
+    weight_fn = metaopt.BaselineSpec("ramp").weight_fn() if fixed_rule else None
+    run = lambda: train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
+                        weight_fn=weight_fn)
+    read, written = [], []
+
+    def spy_forward(net, batch):
+        read.append(net.params)
+        return forward(net, batch)
+
+    def spy_sgd_step(params, grad, *args, **kwargs):
+        before = params.copy()
+        new_params, velocity = sgd_step(params, grad, *args, **kwargs)
+        assert params is read[-1] and new_params is grad and np.array_equal(params, before)
+        written.append(new_params)
+        return new_params, velocity
+
+    monkeypatch.setattr(metaopt, "forward", spy_forward)
+    monkeypatch.setattr(metaopt, "sgd_step", spy_sgd_step)
+    state, _ = run()
+    assert len(read) == len(written) == config.T
+    assert all(w is not r for r, w in zip(read, written))
+    vectors = [read[0]] + written
+    assert len({id(v) for v in vectors}) == 2
+    assert all(vectors[t] is vectors[t - 2] for t in range(2, len(vectors)))
+    assert all(r is v for r, v in zip(read, vectors))
+    assert state.w.params is written[-1] and state.w.params is not read[0]
+
+    def fresh_step(params, grad, lr, momentum=0.0, weight_decay=0.0, *, state):
+        velocity = (momentum * state + grad) + weight_decay * params
+        new_params = params - lr * velocity
+        # the fresh arrays' values, in the buffers the classifier step reads
+        grad[...], state[...] = new_params, velocity
+        return grad, state
+
+    monkeypatch.setattr(metaopt, "forward", forward)
+    monkeypatch.setattr(metaopt, "sgd_step", fresh_step)
+    oracle, _ = run()
+    bits = lambda a: a.view(np.uint64)
+    assert np.array_equal(bits(state.w.params), bits(oracle.w.params))
+    assert np.array_equal(bits(state.velocity), bits(oracle.velocity))
 
 
 def test_train_epoch_accounting_and_report_shapes():

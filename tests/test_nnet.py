@@ -530,8 +530,9 @@ def test_sgd_step_momentum_weight_decay_closed_form():
 
 
 def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
-    # The step overwrites the parameters and the velocity and returns those
-    # arrays; their bits are those of the step that returned new arrays,
+    # The step overwrites the velocity, writes the new parameters into the
+    # gradient's buffer and returns those two arrays, leaving the parameters
+    # unchanged; their bits are those of the step that returned new arrays,
     # params - lr * ((momentum * v + g) + weight_decay * params) evaluated
     # left to right, signed zeros and subnormals included. The weight-decay
     # product at weight_decay 0 turns a -0 velocity entry into +0.
@@ -548,7 +549,8 @@ def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
                 expected = params0 - lr * velocity
                 params, grad, state = params0.copy(), grad0.copy(), vel0.copy()
                 out_params, out_state = sgd_step(params, grad, lr, momentum, weight_decay, state=state)
-                assert out_params is params and out_state is state
+                assert out_params is grad and out_state is state
+                assert np.array_equal(bits(params), bits(params0)), (lr, momentum, weight_decay)
                 assert np.array_equal(bits(out_state), bits(velocity)), (lr, momentum, weight_decay)
                 assert np.array_equal(bits(out_params), bits(expected)), (lr, momentum, weight_decay)
     # The weight-decay product's signed zero is in the result.
