@@ -148,14 +148,11 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
 
 
 def longtail_counts(c: int, base_count: int, factor: float) -> np.ndarray:
-    """Per-class keep counts round(base_count * mu^i), mu = factor^(-1/(c-1))."""
-    if not factor >= 1:
-        raise ValueError("imbalance factor must be >= 1")
-    mu = factor ** (-1.0 / (c - 1))
-    counts = np.array([round(base_count * mu**i) for i in range(c)], dtype=np.int64)
-    if counts.min() < 1:
-        raise ValueError(f"imbalance factor {factor} empties a class (counts {counts.tolist()})")
-    return counts
+    """Per-class keep counts round(base_count * mu^i), mu = factor^(-1/(c-1)),
+    after `_longtail_ratio`'s checks. The counts never rise with the class
+    index, so every class keeps a sample and the total is at least c."""
+    mu = _longtail_ratio(c, base_count, factor)
+    return np.array([round(base_count * mu**i) for i in range(c)], dtype=np.int64)
 
 
 # Above this many classes an emptied class is reported without the counts.
@@ -163,52 +160,17 @@ _LISTED_CLASSES = 100
 
 
 def _longtail_ratio(c: int, base_count: int, factor: float) -> float:
-    """`longtail_counts`' ratio mu, after its checks, without a list of c
-    counts: the last count is the smallest."""
+    """The ratio mu, in constant time, after checking that the factor is
+    at least 1 and that the last count, the smallest, is at least 1."""
     if not factor >= 1:
         raise ValueError("imbalance factor must be >= 1")
     mu = factor ** (-1.0 / (c - 1))
     if round(base_count * mu ** (c - 1)) < 1:
+        where = f"class {c - 1} of {c} keeps none"
         if c <= _LISTED_CLASSES:
-            longtail_counts(c, base_count, factor)  # raises, listing the counts
-        raise ValueError(f"imbalance factor {factor} empties a class (class {c - 1} of {c} keeps none)")
+            where = f"counts {[round(base_count * mu**i) for i in range(c)]}"
+        raise ValueError(f"imbalance factor {factor} empties a class ({where})")
     return mu
-
-
-def _longtail_floor(c: int, base_count: int, factor: float) -> float:
-    """A lower bound on `_longtail_total`, in constant time, with its
-    checks. Every class keeps a sample, so the total is at least c. Each
-    count is within 1/2 of its term base_count * mu**i, and the terms sum
-    to the geometric sum base_count * (1 - mu**c) / (1 - mu) within a few
-    roundings each (1e-9 of it covers them), so the total is at least that
-    sum less c/2."""
-    mu = _longtail_ratio(c, base_count, factor)
-    # -expm1(c log mu) is 1 - mu**c without the cancellation where mu is near 1
-    geometric = base_count * c if mu == 1.0 else base_count * -math.expm1(c * math.log(mu)) / (1.0 - mu)
-    return max(c, geometric * (1.0 - 1e-9) - c / 2)
-
-
-def _longtail_total(c: int, base_count: int, factor: float) -> int:
-    """`int(longtail_counts(c, base_count, factor).sum())` without a list
-    of c counts: the counts never rise with the class index, so the sum
-    walks the runs of equal counts, each found by a galloping search. The
-    work grows with the number of runs, at most min(c, base_count + 1);
-    `_longtail_floor` bounds the total in constant time."""
-    mu = _longtail_ratio(c, base_count, factor)
-    count = lambda i: round(base_count * mu**i)  # longtail_counts' expression
-    total, start = 0, 0
-    while start < c:
-        value, last, step = count(start), start, 1
-        # count(last) == value; grow the step until it leaves the run
-        while last + step < c and count(last + step) == value:
-            last, step = last + step, 2 * step
-        end = min(last + step, c)
-        while end - last > 1:  # count(end) < value, or end == c
-            mid = (last + end) // 2
-            last, end = (mid, end) if count(mid) == value else (last, mid)
-        total += value * (end - start)
-        start = end
-    return total
 
 
 def apply_longtail(dataset: BiasedDataset, factor: float, seed: int) -> BiasedDataset:

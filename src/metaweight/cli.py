@@ -113,7 +113,10 @@ def cmd_train(args) -> int:
     out_dir = args.out if args.out is not None else cfg.out_dir
     if not out_dir:
         raise ConfigError("no output directory: set output.dir in the config or pass --out")
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except MemoryError as exc:  # the data's sizes are named where it is drawn; what remains is the nets
+        raise ValueError(f"nets of model.classifier_hidden and model.mwnet_hidden do not fit in memory: {exc}") from exc
     save_experiment(result, out_dir, plots=cfg.plots)
     acc = result.summary["final_accuracy"]
     print(f"final accuracy {acc['mean']:.4f} +- {acc['std']:.4f} over seeds {list(result.seeds)}")
@@ -134,8 +137,11 @@ def cmd_probe(args) -> int:
     if not args.max - args.min < math.inf:
         raise ConfigError(f"--max minus --min must be finite, got --min {args.min} and --max {args.max}")
     mwnet = load_mwnet(args.model)
-    grid = np.linspace(args.min, args.max, args.steps)
-    weights = mw_forward(mwnet, grid)
+    try:
+        grid = np.linspace(args.min, args.max, args.steps)
+        weights = mw_forward(mwnet, grid)
+    except MemoryError as exc:
+        raise ValueError(f"--steps={args.steps} curve points do not fit in memory: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("loss,weight\n")
         for l, w in zip(grid, weights):
@@ -227,7 +233,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

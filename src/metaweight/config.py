@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight.biasgen import FLIP, NoiseSpec, _longtail_floor, _longtail_total
+from metaweight.biasgen import FLIP, NoiseSpec, _longtail_ratio, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
 
@@ -250,10 +250,10 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
     """Reject batch sizes that no run could draw. A gaussians dataset's
     sizes are known here: the meta set takes meta.per_class clean samples
     of each class from the pool, and the training set is the rest, after
-    long-tail subsampling. (File datasets are checked when `train` runs.)
-    A long tail's exact size is summed only when optim.n is above its
-    constant-time lower bound: the sum takes time in the number of classes,
-    and a batch that fits below the bound needs no exact size."""
+    long-tail subsampling (a file dataset's, once `_build_datasets` loads
+    it). A long tail keeps a sample of every class, checked in constant
+    time, so a batch of at most dataset.classes fits; only a larger
+    optim.n takes the exact size, in time linear in the classes."""
     if meta_per_class > dataset.per_class:
         raise ConfigError(
             f"meta.per_class={meta_per_class} is above dataset.per_class={dataset.per_class}, "
@@ -263,9 +263,9 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
     train_n = dataset.classes * base
     if factor is not None and base > 0:
         try:
-            train_n = _longtail_floor(dataset.classes, base, factor)
-            if optim.n > train_n:
-                train_n = _longtail_total(dataset.classes, base, factor)
+            _longtail_ratio(dataset.classes, base, factor)
+            if optim.n > dataset.classes:
+                train_n = int(longtail_counts(dataset.classes, base, factor).sum())
         except ValueError as exc:
             raise ConfigError(f"bias.imbalance.factor: {exc}") from exc
     _check_batches(optim, train_n, dataset.classes * meta_per_class, ConfigError)

@@ -9,7 +9,7 @@ from metaweight.biasgen import (
     BiasedDataset,
     GaussianMixtureSpec,
     NoiseSpec,
-    _longtail_total,
+    _longtail_ratio,
     apply_flip_noise,
     apply_longtail,
     apply_uniform_noise,
@@ -117,29 +117,36 @@ def test_longtail_counts_formula():
         longtail_counts(3, 10, 0.5)
 
 
-def test_longtail_total_matches_the_counts():
-    # The list-free total equals the counts' sum on a few hundred random
-    # cases, and fails as they do where a class is emptied; up to 100
-    # classes the message is the same, counts included.
-    rng = np.random.default_rng(17)
+def test_longtail_counts_never_rise_so_the_last_class_decides_emptying():
+    # The counts, computed here from the formula, never rise with the
+    # class index, so the constant-time check of the last count raises
+    # exactly when the list would hold a zero; up to 100 classes its
+    # message lists the counts. Factors are exactly 1, near 1 and huge.
+    rng = np.random.default_rng(29)
     emptied = 0
-    for _ in range(300):
+    for k in range(300):
         c = int(np.exp(rng.uniform(np.log(2), np.log(10**4))))
-        base = int(np.exp(rng.uniform(0, np.log(10**4))))
-        factor = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, np.log(1e6))))
-        try:
-            expected = int(longtail_counts(c, base, factor).sum())
-        except ValueError as exc:
-            emptied += 1
-            message = re.escape(str(exc)) if c <= 100 else rf"imbalance factor {re.escape(str(factor))} empties a class"
-            with pytest.raises(ValueError, match=rf"^{message}"):
-                _longtail_total(c, base, factor)
+        base = int(np.exp(rng.uniform(0, np.log(10**4)))) - 1
+        factor = (
+            1.0, 1.0 + float(np.exp(rng.uniform(np.log(1e-15), np.log(1e-3)))),
+            float(np.exp(rng.uniform(0, np.log(1e300)))), float(np.exp(rng.uniform(0, np.log(1e6)))),
+        )[k % 4]
+        mu = factor ** (-1.0 / (c - 1))
+        counts = [round(base * mu**i) for i in range(c)]
+        assert all(a >= b for a, b in zip(counts, counts[1:])), (c, base, factor)
+        if min(counts) >= 1:
+            assert _longtail_ratio(c, base, factor) == mu
+            assert longtail_counts(c, base, factor).tolist() == counts
             continue
-        assert _longtail_total(c, base, factor) == expected, (c, base, factor)
+        emptied += 1
+        where = f"counts {counts}" if c <= 100 else f"class {c - 1} of {c} keeps none"
+        for check in (_longtail_ratio, longtail_counts):
+            with pytest.raises(ValueError) as raised:
+                check(c, base, factor)
+            assert str(raised.value) == f"imbalance factor {factor} empties a class ({where})"
     assert 30 < emptied < 270
-    assert _longtail_total(10, 5000, 100.0) == int(longtail_counts(10, 5000, 100.0).sum())
     with pytest.raises(ValueError, match="factor must be >= 1"):
-        _longtail_total(3, 10, 0.5)
+        _longtail_ratio(3, 10, 0.5)
 
 
 def test_apply_longtail_end_to_end():

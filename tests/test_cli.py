@@ -390,19 +390,31 @@ def test_train_on_a_file_that_is_not_utf8_names_the_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value, named", [("classes", 10**15, "per_class"), ("test_per_class", 10**17, "test_per_class")]
+    "key, value, named",
+    [
+        ("classes", 10**15, "per_class"),
+        ("test_per_class", 10**17, "test_per_class"),
+        ("classifier_hidden", 10**12, None),
+        ("mwnet_hidden", 10**12, None),
+    ],
 )
 def test_train_on_sizes_past_memory_names_the_keys(tmp_path, key, value, named):
     # Sizes that fit NumPy's largest array but no memory pass parsing; the
-    # draw of the pool or of the test set fails before it allocates, and
-    # the error names the class count and the per-class key (exit 2).
+    # draw of the pool or of the test set, or the build of a net one layer
+    # `value` wide, fails before it allocates, and the error names the
+    # sizes' keys: the class count and the per-class key, or the model
+    # widths (exit 2).
     with open(NOISE40, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["dataset"][key] = value
+    if named is None:
+        doc["model"][key] = [value]
+        sizes = r"nets of model\.classifier_hidden and model\.mwnet_hidden"
+    else:
+        doc["dataset"][key] = value
+        sizes = rf"dataset\.classes={doc['dataset']['classes']} times dataset\.{named}={doc['dataset'][named]} samples"
     doc["optim"].update(T=20, lr_schedule=[])
     out = tmp_path / "r"
     proc = run_main("train", "--config", write_config(tmp_path / "huge.json", doc), "--out", out, "--seed", 1)
-    sizes = rf"dataset\.classes={doc['dataset']['classes']} times dataset\.{named}={doc['dataset'][named]} samples"
     assert proc.returncode == 2
     assert re.fullmatch(rf"error: {sizes} do not fit in memory: .+\n", proc.stderr), proc.stderr
     assert not out.exists()
@@ -532,6 +544,16 @@ def test_probe_bad_range_is_config_error(tmp_path):
         proc = run_main("probe", "--model", model, "--out", out, *flags)
         assert proc.returncode == 1, flags
         assert message in proc.stderr and "config error: --" in proc.stderr
+    assert not out.exists()
+
+
+def test_probe_on_more_steps_than_memory_names_the_flag(tmp_path):
+    model = tmp_path / "mwnet.json"
+    save_mwnet(init_mwnet((5,), 3), model)
+    out = tmp_path / "c.csv"
+    proc = run_main("probe", "--model", model, "--out", out, "--steps", 10**15)
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: --steps=1000000000000000 curve points do not fit in memory: .+\n", proc.stderr)
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaweight.biasgen import _longtail_total
+from metaweight.biasgen import longtail_counts
 from metaweight.config import ConfigError, load_config, parse_config
 
 
@@ -317,12 +317,13 @@ def test_a_huge_class_count_under_imbalance_parses_at_once():
 
 
 def test_long_tail_batch_check_matches_the_exact_size():
-    # Where the lower bound settles the check, the outcome and message are
-    # those of a check against the exact size, on a few hundred random
-    # small long tails with batch sizes around both the size and the bound.
+    # The outcome and message are those of a check against the exact size,
+    # on a few hundred random small long tails with batch sizes around the
+    # class count (where the sum is skipped) and around the size.
     rng = np.random.default_rng(23)
     outcomes = {"fits": 0, "too big": 0, "emptied": 0}
-    for _ in range(400):
+    branches = {"sum skipped": 0, "exact sum": 0}
+    for _ in range(600):
         c = int(rng.integers(2, 300))
         base = int(np.exp(rng.uniform(0, np.log(3000))))
         factor = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, np.log(1e3))))
@@ -330,13 +331,14 @@ def test_long_tail_batch_check_matches_the_exact_size():
         doc["dataset"].update(classes=c, per_class=base + 2)
         doc["bias"] = {"imbalance": {"factor": factor}}
         try:
-            total = _longtail_total(c, base, factor)
+            total = int(longtail_counts(c, base, factor).sum())
         except ValueError as exc:
             expected = f"bias.imbalance.factor: {exc}"
             n = int(rng.integers(1, 50))
         else:
-            n = max(1, total + int(rng.integers(-c, c + 1)))
+            n = max(1, (c if rng.random() < 0.5 else total) + int(rng.integers(-c, c + 1)))
             expected = f"optim.n={n} is above the training-set size {total}" if n > total else None
+            branches["sum skipped" if n <= c else "exact sum"] += 1
         doc["optim"]["n"] = n
         try:
             parse_config(doc)
@@ -346,6 +348,7 @@ def test_long_tail_batch_check_matches_the_exact_size():
         assert message == expected, (c, base, factor, n)
         outcomes["fits" if expected is None else "emptied" if "empties" in expected else "too big"] += 1
     assert min(outcomes.values()) > 60, outcomes
+    assert min(branches.values()) > 60, branches
 
 
 def test_string_and_list_values_are_typed():
