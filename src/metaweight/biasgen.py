@@ -132,7 +132,8 @@ class BiasedDataset:
 
 
 def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
-    """Draw per_class_count samples around each class mean; labels clean."""
+    """Draw per_class_count samples around each class mean, labels clean, in
+    place: the draws and roundings of `means[k] + scale * rng.normal(...)`."""
     rng = rng_stream(seed, 0)
     n = spec.c * spec.per_class_count
     features = np.empty((n, spec.d))
@@ -140,9 +141,10 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
     for k in range(spec.c):
         lo = k * spec.per_class_count
         hi = lo + spec.per_class_count
-        features[lo:hi] = spec.means[k] + spec.covariance_scale * rng.normal(
-            size=(spec.per_class_count, spec.d)
-        )
+        block = features[lo:hi]
+        rng.standard_normal(out=block)
+        block *= spec.covariance_scale
+        np.add(spec.means[k], block, out=block)
         labels[lo:hi] = k
     return BiasedDataset(features, labels, labels, spec.c)
 

@@ -43,9 +43,9 @@ runs the second pass, at the updated Theta'.
 
 Every pass over a whole dataset or grid (epoch evaluation and meta loss,
 the tracked samples, the final report's losses, weights and curve) runs
-without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so its
-memory does not grow with the dataset; the training steps, at most one
-block each, keep `nnet.forward` and its cache.
+without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so it
+holds one block's activations whatever the dataset's size; each training
+step runs `nnet.forward` on its whole batch and keeps the cache.
 
 Values are checked as `nnet`'s module docstring sets out: once, where
 they enter, and never again inside the loop.
@@ -761,8 +761,7 @@ def _final_report(
     """The run report: per-epoch histories plus the final classifier's
     confusion matrix, per-sample weights and weight curve. The final passes
     read the training set in place (its ids are already in `Batch` order)
-    and run both nets in row blocks (`nnet.outputs`), so they hold
-    O(ROW_BLOCK * width) activations whatever the set's size."""
+    and run both nets one row block at a time (`nnet.outputs`)."""
     _, final_confusion = evaluate(state.w, test_set)
 
     final_losses = _losses(state.w, train_set.features, train_set.observed_labels)

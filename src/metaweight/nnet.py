@@ -57,9 +57,9 @@ products per meta step (x @ W_1 forward, delta_2 @ W_2^T back). `dot` and
 block, which keeps `np.matmul(..., out=)` to write straight into the flat
 gradient, where `dot` with `out=` is slower at the wide shapes.
 
-`outputs` runs the forward pass ROW_BLOCK rows at a time and keeps no
-cache, for passes over a whole dataset or grid; its memory is
-O(ROW_BLOCK * width) whatever the number of rows.
+`outputs` runs the forward pass ROW_BLOCK rows at a time without a cache,
+for passes over a whole dataset or grid: O(ROW_BLOCK * width) memory,
+which at the benchmarked widths fits in the memory a training step frees.
 
 Values are checked once, where they enter the package, and each stage
 output where it is made. Settings are checked in `metaopt.TrainConfig`
@@ -103,7 +103,10 @@ import numpy as np
 # on a row where the BLAS kernels' row tiles start: with OpenBLAS (x86-64
 # SkylakeX kernels) each block's rows then equal the rows of the one-pass
 # product bit for bit on the shipped layer shapes (2-64-3, 2-16-3, 1-100-1).
-ROW_BLOCK = 256
+# 64 rows, so that a block's activations at the widest benchmarked layer
+# (256 units, 128 KiB) fit in the chunks a training step frees and a
+# full-set pass does not grow the heap.
+ROW_BLOCK = 64
 
 RELU = "relu"
 SIGMOID = "sigmoid"
@@ -279,9 +282,9 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 
 def outputs(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     """`forward`'s outputs without its cache, computed ROW_BLOCK rows at a
-    time into one (batch_size, output_dim) array, so a pass over a whole
-    dataset or grid holds O(ROW_BLOCK * width) activations, not
-    O(batch_size * width).
+    time into one (batch_size, output_dim) array: a pass over a whole set
+    holds one block's activations, not O(batch_size * width), and at the
+    benchmarked widths a block fits in the memory a training step frees.
 
     A 1-row tail joins the block before it: NumPy runs a 1-row product as a
     matrix-vector product, whose rows differ in the last bits from the

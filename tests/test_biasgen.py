@@ -1,9 +1,12 @@
 """Bias-generator checks: exact counts, binomial concentration, purity."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metaweight.biasgen import (
     BiasedDataset,
@@ -99,6 +102,61 @@ def test_gen_gaussians_zero_spread_collapses_to_means():
     for k in range(3):
         rows = ds.features[ds.true_labels == k]
         assert np.allclose(rows, means[k])
+
+
+@st.composite
+def mixture_specs(draw):
+    """A spec and a seed: 2-8 classes of 1-40 samples, spread 0 to 1e3, and
+    means on a circle of radius 0 (with -0.0 coordinates) or 2, or random
+    (1-64 dims) with zero, -0.0 and negative entries."""
+    c = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["radius 0", "radius 2", "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        means = rng.normal(scale=draw(st.sampled_from([1.0, 1e3])), size=(c, draw(st.integers(1, 64))))
+        means[rng.random(means.shape) < 0.25] = 0.0
+        means[rng.random(means.shape) < 0.25] = -0.0
+    else:
+        means = circle_means(c, 0.0 if kind == "radius 0" else 2.0)
+    spread = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    spec = GaussianMixtureSpec(c, means.shape[1], means, spread, draw(st.integers(1, 40)))
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mixture_specs())
+@example((GaussianMixtureSpec(3, 2, circle_means(3, 0.0), 0.0, 40), 5))
+def test_gen_gaussians_draws_the_bits_of_the_scaled_normal_expression(drawn):
+    # gen_gaussians draws each class block in place; every entry, signed
+    # zeros included, must equal the expression it replaced, evaluated on
+    # the same stream class by class.
+    spec, seed = drawn
+    rng = rng_stream(seed, 0)
+    expected = np.concatenate([
+        spec.means[k] + spec.covariance_scale * rng.normal(size=(spec.per_class_count, spec.d))
+        for k in range(spec.c)
+    ])
+    ds = gen_gaussians(spec, seed)
+    assert ds.features.tobytes() == expected.tobytes()
+    assert ds.true_labels.tolist() == np.repeat(np.arange(spec.c), spec.per_class_count).tolist()
+
+
+def test_gen_gaussians_builds_the_wide_pool_without_class_sized_temporaries():
+    # The benchmark's wide pool, 10 classes x 200 x 256. Besides the feature
+    # matrix the build holds only its labels and the finiteness check's
+    # boolean mask (1/8 of a matrix): about 1.13 matrices. Drawing each class
+    # through `means[k] + scale * rng.normal(...)` peaks near 1.22. A first
+    # small draw imports numpy.random, which is not the build's memory.
+    gen_gaussians(GaussianMixtureSpec(2, 1, np.zeros((2, 1)), 1.0, 1), 0)
+    means = np.zeros((10, 256))
+    means[np.arange(10), np.arange(10)] = 16.0
+    tracemalloc.start()
+    try:
+        pool = gen_gaussians(GaussianMixtureSpec(10, 256, means, 1.0, 200), 7)
+        matrices = tracemalloc.get_traced_memory()[1] / pool.features.nbytes
+    finally:
+        tracemalloc.stop()
+    assert matrices < 1.17, matrices
 
 
 def test_longtail_counts_formula():

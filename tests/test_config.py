@@ -287,13 +287,14 @@ def test_optim_messages_name_the_config_key():
 
 
 def test_a_huge_class_count_under_imbalance_parses_at_once():
-    # The training-set size under a long tail is summed without a list of
-    # per-class counts, and only where its constant-time lower bound does
-    # not settle the batch check, so neither size costs time or memory. An
-    # interval timer turns a parse that does not finish into a failure.
-    # 759e6 classes of 759e6 samples are the largest square size whose
-    # features fit NumPy's largest array; that long tail has about 5e8 runs
-    # of equal counts, which a walk over them would take minutes to sum.
+    # Under a long tail the parse checks in constant time that the last,
+    # smallest class keeps a sample, and sums the per-class counts only when
+    # optim.n exceeds dataset.classes; every class keeps a sample, so a batch
+    # of at most dataset.classes rows always fits. Here optim.n is 32, so
+    # neither size is summed and neither costs time or memory. An interval
+    # timer turns a parse that does not finish into a failure. 759e6 classes
+    # of 759e6 samples are the largest square size whose features fit
+    # NumPy's largest array.
     base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "imbalance20.json").read_text())
     for classes, per_class in ((10**15, 210), (759_000_000, 759_000_000)):
         doc = copy.deepcopy(base)
