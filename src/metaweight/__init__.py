@@ -7,5 +7,25 @@ synthetically biased datasets (class imbalance, label noise) and run the
 experiment harness that checks the method's qualitative behavior.
 
 The public API is the modules (metaweight.config, metaweight.harness,
-...); the package root re-exports nothing.
+...); the package root re-exports nothing. It holds the package's one
+fault hook, `_stage`, and imports nothing, so every module can use it.
 """
+
+
+class _stage:
+    """Name a fault by where it happened: a ValueError or ArithmeticError
+    raised inside the block is raised again as `error`, its message after
+    `context` (which carries its own separator, as in "virtual step: "). A
+    callable context is called only when a fault passes."""
+
+    def __init__(self, context, error: type[ValueError] = ValueError):
+        self.context = context
+        self.error = error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, ArithmeticError)):
+            context = self.context if isinstance(self.context, str) else self.context()
+            raise self.error(f"{context}{exc}") from exc

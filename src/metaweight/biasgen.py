@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from metaweight import _stage
+
 UNIFORM = "uniform"
 FLIP = "flip"
 
@@ -289,28 +291,25 @@ def load_dataset(path) -> BiasedDataset:
     count from 0 after the header). Arrays are built from the records
     read, not sized from the header. A file that is not UTF-8 text is a
     fault named the same way."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return _read_dataset(csv.reader(fh), path)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8", newline="") as fh, _stage(f"{path}: "):
+        return _read_dataset(csv.reader(fh))
 
 
-def _read_dataset(reader, path) -> BiasedDataset:
+def _read_dataset(reader) -> BiasedDataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise ValueError(f"{path}: empty dataset file") from None
+        raise ValueError("empty dataset file") from None
     if len(header) != 3:
-        raise ValueError(f"{path}: header must be 'N,d,c', got {header}")
-    n, d, c = (_integer(v, f"{path}: header") for v in header)
+        raise ValueError(f"header must be 'N,d,c', got {header}")
+    n, d, c = (_integer(v, "header") for v in header)
     if n < 0 or d < 1 or c < 2:
-        raise ValueError(f"{path}: header needs N >= 0, d >= 1 and c >= 2, got N={n}, d={d}, c={c}")
+        raise ValueError(f"header needs N >= 0, d >= 1 and c >= 2, got N={n}, d={d}, c={c}")
     features, observed, true = [], [], []
     for k, row in enumerate(reader):
-        where = f"{path}: record {k}"
+        where = f"record {k}"
         if k >= n:
-            raise ValueError(f"{path}: more than {n} sample records")
+            raise ValueError(f"more than {n} sample records")
         if len(row) != d + 3:
             raise ValueError(f"{where} has {len(row)} fields, expected {d + 3}")
         try:
@@ -331,7 +330,7 @@ def _read_dataset(reader, path) -> BiasedDataset:
         observed.append(obs)
         true.append(tru)
     if len(features) != n:
-        raise ValueError(f"{path}: expected {n} sample records, found {len(features)}")
+        raise ValueError(f"expected {n} sample records, found {len(features)}")
     return BiasedDataset(np.array(features, dtype=np.float64).reshape(n, d), observed, true, c)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from metaweight import _stage
 from metaweight.biasgen import FLIP, NoiseSpec, _longtail_ratio, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
 
@@ -46,7 +47,11 @@ def _optional(doc: dict, key: str, context: str, allowed: set[str], required: se
 def _number(value, name: str, lo, integer: bool, hi):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past float64: whole keys take it, real ones cannot
+        finite = integer
+    if not finite:
         raise ConfigError(f"{name} must be finite")
     if integer:
         if int(value) != value:
@@ -146,10 +151,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     noise_block = _optional(bias, "noise", "bias.noise", {"kind", "rate"}, {"kind", "rate"})
     if noise_block:
         rate = _numbers(noise_block, "bias.noise", {"rate": _REAL})["rate"]
-        try:
+        with _stage("bias.noise: ", ConfigError):
             noise = NoiseSpec(kind=noise_block["kind"], rate=rate)
-        except ValueError as exc:
-            raise ConfigError(f"bias.noise: {exc}") from exc
     if noise is not None and noise.kind == FLIP and dataset.kind == "gaussians" and dataset.classes < 3:
         raise ConfigError("flip noise needs at least 3 classes")
 
@@ -159,10 +162,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     model = _optional(doc, "model", "model", {"classifier_hidden", "mwnet_hidden"})
     hidden = {key: _int_tuple(value, f"model.{key}", 1) for key, value in model.items()}
+    _check_net("mwnet_hidden", hidden.get("mwnet_hidden", ExperimentConfig.mwnet_hidden), 1, 1)
 
     optim = _optim(doc["optim"])
     if dataset.kind == "gaussians":
         _check_sizes(dataset, meta_per_class, imbalance_factor, optim)
+        widths = hidden.get("classifier_hidden", ExperimentConfig.classifier_hidden)
+        _check_net("classifier_hidden", widths, dataset.dim, dataset.classes)
 
     output = _optional(doc, "output", "output", {"dir", "plots"})
     out_dir = _typed(output, "dir", "output", ExperimentConfig.out_dir)
@@ -179,10 +185,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         context = f"baselines[{k}]"
         _require_keys(entry, {"kind", *_BASELINE_KEYS}, {"kind"}, context)
         numbers = _numbers(entry, context, _BASELINE_KEYS)
-        try:
+        with _stage(f"{context}: ", ConfigError):
             baselines.append(BaselineSpec(kind=entry["kind"], **numbers))
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
 
     return ExperimentConfig(
         dataset=dataset,
@@ -240,10 +244,8 @@ def _optim(block) -> TrainConfig:
             raise ConfigError(f"{context} at iteration {it} is not below optim.T={numbers['T']}, so it never applies")
     normalize = _typed(block, "normalize", "optim", TrainConfig.normalize)
     fields = {_OPTIM_FIELDS.get(key, key): value for key, value in numbers.items()}
-    try:
+    with _stage("optim: ", ConfigError):
         return TrainConfig(**fields, normalize=normalize, lr_schedule=schedule)
-    except ValueError as exc:
-        raise ConfigError(f"optim: {exc}") from exc
 
 
 def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | None, optim: TrainConfig) -> None:
@@ -262,13 +264,23 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
     base = dataset.per_class - meta_per_class
     train_n = dataset.classes * base
     if factor is not None and base > 0:
-        try:
+        with _stage("bias.imbalance.factor: ", ConfigError):
             _longtail_ratio(dataset.classes, base, factor)
             if optim.n > dataset.classes:
                 train_n = int(longtail_counts(dataset.classes, base, factor).sum())
-        except ValueError as exc:
-            raise ConfigError(f"bias.imbalance.factor: {exc}") from exc
     _check_batches(optim, train_n, dataset.classes * meta_per_class, ConfigError)
+
+
+def _check_net(key: str, hidden: tuple[int, ...], d: int, c: int) -> None:
+    """Reject hidden widths that give a net from d inputs to c outputs a
+    float64 parameter vector past NumPy's largest array, naming model.<key>
+    (a file dataset's classifier once `_build_datasets` loads it)."""
+    dims = (d, *hidden, c)
+    if sum(a * b + b for a, b in zip(dims, dims[1:])) * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"model.{key}={list(hidden)} gives a {d}-input, {c}-output net whose float64 parameters "
+            f"exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"
+        )
 
 
 def _check_batches(optim: TrainConfig, train_n: int, meta_n: int, error: type[ValueError]) -> None:

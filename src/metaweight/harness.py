@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from metaweight import metrics
+from metaweight import _stage, metrics
 from metaweight.biasgen import (
     UNIFORM,
     BiasedDataset,
@@ -36,8 +36,8 @@ from metaweight.biasgen import (
     rng_stream,
     split_meta,
 )
-from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_batches
-from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, _stage, train
+from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_batches, _check_net
+from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, train
 from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
 from metaweight.weightnet import MWNet, save_mwnet
@@ -57,12 +57,10 @@ def run_baseline(
     keyword arguments go to `train` as they are."""
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
-    try:
+    with _stage(f"{baseline.kind} baseline, "):
         _, report = train(
             train_set, meta_set, test_set, config, weight_fn=baseline.weight_fn(), config_echo=echo, **train_kwargs
         )
-    except ValueError as exc:
-        raise ValueError(f"{baseline.kind} baseline, {exc}") from exc
     return report
 
 
@@ -84,13 +82,12 @@ def _gaussians(ds: DatasetBlock, key: str, seed: int) -> BiasedDataset:
     the sizes, or features that overflow float64 from radius and spread."""
     size = getattr(ds, key)
     try:
-        means = circle_means(ds.classes, ds.radius)
-        return gen_gaussians(GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, size), seed)
+        with _stage(f"dataset.radius={ds.radius} and dataset.spread={ds.spread} give ", ConfigError):
+            means = circle_means(ds.classes, ds.radius)
+            return gen_gaussians(GaussianMixtureSpec(ds.classes, ds.dim, means, ds.spread, size), seed)
     except MemoryError as exc:
         sizes = f"dataset.classes={ds.classes} times dataset.{key}={size} samples"
         raise ValueError(f"{sizes} do not fit in memory: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"dataset.radius={ds.radius} and dataset.spread={ds.spread} give {exc}") from exc
 
 
 def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
@@ -125,6 +122,7 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
     if ds.kind == "gaussians":
         test_set = _gaussians(ds, "test_per_class", derive_seed(seed, 15))
     else:
+        _check_net("classifier_hidden", cfg.classifier_hidden, pool.d, pool.c)
         n_test = max(1, int(round(pool.n * ds.test_fraction)))
         if n_test >= pool.n:
             raise ValueError(f"dataset.test_fraction={ds.test_fraction} leaves no training data")
@@ -132,10 +130,8 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
         test_set = pool.subset(np.sort(order[:n_test]))
         pool = pool.subset(np.sort(order[n_test:]))
 
-    try:
+    with _stage(f"meta.per_class={cfg.meta_per_class}: "):
         meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
-    except ValueError as exc:
-        raise ValueError(f"meta.per_class={cfg.meta_per_class}: {exc}") from exc
     train_set = _inject_bias(cfg, train_set, seed)
     _check_batches(cfg.optim, train_set.n, meta_set.n, ValueError)
     return train_set, meta_set, test_set
@@ -323,7 +319,7 @@ def load_report(report_dir) -> RunReport:
     for name, index, columns in _COLUMN_FILES:
         if not any(field in _STORED for _, field, _ in columns):
             continue
-        with _stage(join(name)):
+        with _stage(f"{join(name)}: "):
             header, rows = _read_csv(join(name))
             expected = _header(index, columns)
             if header != expected:
@@ -331,7 +327,7 @@ def load_report(report_dir) -> RunReport:
             for k, (_, field, cell) in enumerate(columns, start=bool(index)):
                 kwargs[field] = np.array([cell.read(row[k]) for row in rows], dtype=cell.dtype)
     for name, (index, _), prefix, labels, field, cell in _MATRIX_FILES:
-        with _stage(join(name)):
+        with _stage(f"{join(name)}: "):
             header, rows = _read_csv(join(name))
             if header[:1] != [index] or not all(h.startswith(prefix) for h in header[1:]):
                 raise ValueError(f"header {header} is not {index}, {prefix}<k>, ...")
@@ -342,7 +338,7 @@ def load_report(report_dir) -> RunReport:
     points = kwargs["curve_losses"].size
     if points < MIN_CURVE_POINTS:
         raise ValueError(f"{join('weight_curve.csv')}: need at least {MIN_CURVE_POINTS} curve points, got {points}")
-    with _stage(join("config.json")), open(join("config.json"), "r", encoding="utf-8") as fh:
+    with _stage(f"{join('config.json')}: "), open(join("config.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     warnings = payload.pop("run_warnings", [])
     return RunReport(config_echo=payload, warnings=warnings, **kwargs)

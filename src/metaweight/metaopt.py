@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from metaweight import weightnet
+from metaweight import _stage, weightnet
 from metaweight.biasgen import BiasedDataset, derive_seed, rng_stream, sample_batch
 from metaweight.metrics import confusion_matrix, stability_from_history
 from metaweight.nnet import (
@@ -352,21 +352,6 @@ def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
     return coeffs, raw.size
 
 
-class _stage:
-    """Prefix a numeric failure inside the block with where it happened: the
-    loop stage it hit, or the report file being read."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (ValueError, ArithmeticError)):
-            raise ValueError(f"{self.name}: {exc}") from exc
-
-
 def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
     """One plain SGD step on the weighted loss, kept as a function of
     Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
@@ -399,9 +384,9 @@ def meta_gradient_direct(
     """
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
-    with _stage("virtual step"):
+    with _stage("virtual step: "):
         cache = virtual_update(state, train_batch, normalize)
-    with _stage("meta step"):
+    with _stage("meta step: "):
         scale = (alpha * cache.coeffs)[:, None]
         steps = [scale * delta for delta in cache.deltas]
         meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
@@ -489,7 +474,7 @@ def update_classifier(
     in place; `state.w.params` is left unchanged. The new state's `w` is
     the spare and its `spare` is `state.w` (see `TrainState`).
     """
-    with _stage("classifier step"):
+    with _stage("classifier step: "):
         coeffs = _coefficients(raw, normalize)[0]
         spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
         grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
@@ -520,7 +505,7 @@ def train_step(
     if meta_batch.size != config.m:
         raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
-    with _stage("theta update"):
+    with _stage("theta update: "):
         state = update_theta(state, report.grad_theta, config.beta)
     raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
     state, _ = update_classifier(
@@ -641,8 +626,9 @@ def train(
     epoch_losses, epoch_norms = [], []
     zero_weight_iters, zero_grad_iters = [], []
 
-    for t in range(config.T):
-        try:
+    # The iteration's context is formatted only when a fault passes.
+    with _stage(lambda: f"seed {config.seed}, iteration {t + 1} of {config.T}, "):
+        for t in range(config.T):
             for it, mult in schedule:
                 if it == t:
                     alpha *= mult
@@ -660,7 +646,7 @@ def train(
                 if epoch_norms[-1] == 0.0 and raw.any():
                     zero_grad_iters.append(t + 1)
             else:
-                with _stage("classifier step"):
+                with _stage("classifier step: "):
                     losses, fcache, deltas = _losses_deltas(state.w, train_batch)
                     raw = weigh(state.theta, losses)
                 state, coeffs = update_classifier(
@@ -673,7 +659,7 @@ def train(
                 zero_weight_iters.append(t + 1)
 
             if (t + 1) % iters_per_epoch == 0:
-                with _stage("epoch evaluation"):
+                with _stage("epoch evaluation: "):
                     history["accuracy"].append(evaluate(state.w, test_set)[0])
                     history["train_loss"].append(float(np.mean(epoch_losses)))
                     history["grad_norm"].append(float(np.mean(epoch_norms)))
@@ -682,8 +668,6 @@ def train(
                     losses = _losses(state.w, tracked_batch.features, tracked_batch.labels)
                     history["tracked"].append(weigh(state.theta, losses))
                 epoch_losses, epoch_norms = [], []
-        except ValueError as exc:
-            raise ValueError(f"seed {config.seed}, iteration {t + 1} of {config.T}, {exc}") from exc
 
     if zero_weight_iters:
         notes.append(

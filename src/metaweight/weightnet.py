@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from metaweight import _stage
 from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, outputs, per_sample_gradients
 
 INIT_SCALE = 0.1
@@ -134,11 +135,8 @@ def load_mwnet(path) -> MWNet:
     """Read a weighting net in `save_mwnet`'s format. A file that is not
     JSON of that shape, or whose net fails the `DenseNet` or `MWNet`
     checks, raises ValueError naming the file and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _parse_mwnet(json.load(fh))
-        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float64
-            raise ValueError(f"{path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh, _stage(f"{path}: "):
+        return _parse_mwnet(json.load(fh))
 
 
 def _parse_mwnet(payload) -> MWNet:
@@ -154,10 +152,8 @@ def _parse_mwnet(payload) -> MWNet:
             raise ValueError(f"layers[{k}] must be an object with exactly the keys {keys}")
         if type(record["input_dim"]) is not int or type(record["output_dim"]) is not int:
             raise ValueError(f"layers[{k}] dims must be integers")
-        try:
+        with _stage(f"layers[{k}]: "):
             specs.append(LayerSpec(**record))
-        except ValueError as exc:
-            raise ValueError(f"layers[{k}]: {exc}") from exc
     if not isinstance(params, list) or not all(type(v) in (int, float) for v in params):
         raise ValueError("params must be a list of numbers")
     return MWNet(DenseNet(specs, np.array(params, dtype=np.float64)))

@@ -263,6 +263,50 @@ def test_sizes_past_numpy_arrays_are_config_errors_naming_the_key():
             parse_config(doc)
 
 
+# Every real-valued key: its name in messages, and where it sits in a
+# document that has every block that holds one.
+REAL_KEYS = {
+    "dataset.radius": ("dataset", "radius"),
+    "dataset.spread": ("dataset", "spread"),
+    "dataset.test_fraction": ("dataset", "test_fraction"),
+    "bias.imbalance.factor": ("bias", "imbalance", "factor"),
+    "bias.noise.rate": ("bias", "noise", "rate"),
+    "optim.alpha": ("optim", "alpha"),
+    "optim.beta": ("optim", "beta"),
+    "optim.momentum": ("optim", "momentum"),
+    "optim.weight_decay": ("optim", "weight_decay"),
+    "optim.lr_schedule[0].multiplier": ("optim", "lr_schedule", 0, 1),
+    "baselines[0].gamma": ("baselines", 0, "gamma"),
+    "baselines[0].lam": ("baselines", 0, "lam"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_KEYS))
+def test_an_integer_past_float64_in_a_real_key_is_not_finite(name):
+    # JSON integers have no size limit; one that no float64 holds is named
+    # by its key when the document is parsed, as 1e400 read as inf is.
+    doc = minimal_doc()
+    doc["bias"] = {"imbalance": {"factor": 2}, "noise": {"kind": "uniform", "rate": 0.4}}
+    doc["optim"]["lr_schedule"] = [[5, 0.1]]
+    doc["baselines"] = [{"kind": "ramp", "gamma": 1.0, "lam": 1.0}]
+    if name == "dataset.test_fraction":
+        doc["dataset"] = {"kind": "file", "path": "data.csv"}
+    *path, key = REAL_KEYS[name]
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    holder[key] = 10**400
+    with pytest.raises(ConfigError) as raised:
+        parse_config(doc)
+    assert str(raised.value) == f"{name} must be finite"
+
+
+def test_a_whole_key_takes_an_integer_past_float64():
+    doc = minimal_doc()
+    doc["optim"]["T"] = 10**400
+    assert parse_config(doc).optim.T == 10**400
+
+
 def test_optim_messages_name_the_config_key():
     # A value the reader rejects is named by its key once; TrainConfig's
     # own checks are prefixed with the block. A valid schedule is present,

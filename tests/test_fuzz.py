@@ -12,11 +12,12 @@ Caps, so that every draw is cheap and allocates little:
   run has one seed.
 - The dataset sizes stay at the shipped ones unless the drawn key is one
   of them. The only large values drawn are 1e308, beyond any array NumPy
-  can make, and the integer 10**15, within NumPy's limit but past any
-  memory: as a dataset size or model width its first array cannot be
-  allocated, so no draw can ask for a large but allocatable one.
-  `optim.T` is never set to either: that config is valid and would train
-  for that many iterations.
+  can make, the integer 10**15, within NumPy's limit but past any memory
+  (as a dataset size or model width its first array cannot be allocated,
+  so no draw can ask for a large but allocatable one), and the integer
+  10**400, which no float64 holds and no array's size reaches.
+  `optim.T` is never set to any of them: that config is valid and would
+  train for that many iterations.
 - The file variant's data is written once per test run, not per draw.
 """
 
@@ -35,7 +36,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("noise40", "imbalance20", "clean")
 T_CAP = 6
 REMOVED = "removed"
-HUGE = (1e308, 10**15)
+HUGE = (1e308, 10**15, 10**400)
 EDGE_VALUES = (0, -1, *HUGE, "text", True, None, {}, [], REMOVED)
 STAGE_PREFIX = re.compile(r"error: (\w+ baseline, )?seed \d+, iteration \d+ of \d+, [a-z ]+: ")
 

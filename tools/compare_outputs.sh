@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Compare what the CLI writes and prints in this working tree against a git ref.
+#
+#   tools/compare_outputs.sh <git-ref>
+#
+# The ref's src/ and configs/ are exported with `git archive` into a
+# temporary directory, and the working tree's are copied next to them, so
+# nothing is written into the repository or its git metadata. Both trees
+# run the same commands from their own directory, with the same relative
+# output paths: `train` on the clean, noise40 and imbalance20 configs (all
+# seeds, baselines and plots), `gen-data --seed 1` on noise40 and
+# imbalance20, `report` on a copy of noise40's seed_1, `probe --steps 1000`
+# on its weighting net, `gradcheck --instances 4`, and every failing input
+# of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
+# codes are then diffed. Each difference is printed; the exit status is 1
+# if there is any, else 0. The temporary directory is removed on exit.
+set -euo pipefail
+
+ref=${1:?usage: tools/compare_outputs.sh <git-ref>}
+repo=$(git rev-parse --show-toplevel)
+git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" >/dev/null || { echo "not a commit: $ref" >&2; exit 2; }
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+export PYTHONDONTWRITEBYTECODE=1
+
+mkdir -p "$tmp/ref" "$tmp/work"
+git -C "$repo" archive "$ref" src configs | tar -x -C "$tmp/ref"
+cp -r "$repo/src" "$repo/configs" "$tmp/work/"
+
+# run NAME ARGS...: one command in the current tree; its stdout, stderr and
+# exit code go to logs/NAME.{out,err,code}.
+run() {
+    local name=$1 code
+    shift
+    PYTHONPATH=src python3 -m metaweight "$@" >"logs/$name.out" 2>"logs/$name.err" && code=0 || code=$?
+    echo "$code" >"logs/$name.code"
+}
+
+for side in ref work; do
+    echo "running the commands in the $side tree" >&2
+    cd "$tmp/$side"
+    mkdir -p logs out
+    for cfg in clean noise40 imbalance20; do
+        run "train_$cfg" train --config "configs/$cfg.json" --out "out/$cfg"
+    done
+    for cfg in noise40 imbalance20; do
+        run "gen_data_$cfg" gen-data --config "configs/$cfg.json" --out "out/$cfg.csv" --seed 1
+    done
+    if [ -d out/noise40/seed_1 ]; then
+        cp -r out/noise40/seed_1 out/report
+        run report report out/report
+        run probe probe --model out/noise40/seed_1/mwnet.json --out out/probe.csv --steps 1000
+    fi
+    run gradcheck gradcheck --instances 4
+    # The failing inputs are written by this working tree's test module.
+    PYTHONPATH="$repo/src" python3 "$repo/tests/test_fault_messages.py" faults >logs/fault_cases.txt
+    while IFS=$'\t' read -r -a fields; do
+        run "fault_${fields[0]// /_}" "${fields[@]:1}"
+    done <logs/fault_cases.txt
+done
+
+status=0
+for dir in out faults logs; do
+    diff -r "$tmp/ref/$dir" "$tmp/work/$dir" || status=1
+done
+if [ "$status" -eq 0 ]; then
+    files=$(find "$tmp/work/out" "$tmp/work/faults" -type f | wc -l)
+    echo "identical: $files files and $(ls "$tmp/work/logs" | wc -l) logs" >&2
+fi
+exit "$status"
