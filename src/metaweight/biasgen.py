@@ -292,7 +292,11 @@ def load_dataset(path) -> BiasedDataset:
     read, not sized from the header. A file that is not UTF-8 text is a
     fault named the same way."""
     with open(path, "r", encoding="utf-8", newline="") as fh, _stage(f"{path}: "):
-        return _read_dataset(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            return _read_dataset(reader)
+        except csv.Error as exc:  # a field past the csv module's limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
 def _read_dataset(reader) -> BiasedDataset:

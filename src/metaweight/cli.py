@@ -27,7 +27,7 @@ from metaweight.metaopt import (
     meta_gradient_fd,
 )
 from metaweight.metrics import monotonicity_score
-from metaweight.nnet import LayerSpec, init_net
+from metaweight.nnet import init_net, mlp
 from metaweight.weightnet import init_mwnet, load_mwnet, mw_forward
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -153,7 +153,7 @@ def cmd_probe(args) -> int:
 def _gradcheck_instance(seed: int, alpha: float, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
     """One random small instance; returns (analytic, finite-difference)."""
     rng = np.random.Generator(np.random.Philox(seed))
-    classifier = init_net([LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity")], derive_seed(seed, 1))
+    classifier = init_net(mlp((2, 8, 3), "identity"), derive_seed(seed, 1))
     mwnet = init_mwnet((5,), derive_seed(seed, 2))
     # Perturb Theta away from the near-flat init so the Jacobian has texture.
     mwnet = mwnet.with_theta(mwnet.theta + 0.3 * rng.normal(size=mwnet.param_count))

@@ -18,6 +18,7 @@ import numpy as np
 from metaweight import _stage
 from metaweight.biasgen import FLIP, NoiseSpec, _longtail_ratio, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
+from metaweight.nnet import mlp
 
 
 class ConfigError(ValueError):
@@ -272,11 +273,10 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
 
 
 def _check_net(key: str, hidden: tuple[int, ...], d: int, c: int) -> None:
-    """Reject hidden widths that give a net from d inputs to c outputs a
-    float64 parameter vector past NumPy's largest array, naming model.<key>
-    (a file dataset's classifier once `_build_datasets` loads it)."""
-    dims = (d, *hidden, c)
-    if sum(a * b + b for a, b in zip(dims, dims[1:])) * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+    """Reject hidden widths that give a d-input, c-output net (of any head)
+    float64 parameters past NumPy's largest array, naming model.<key> (a
+    file dataset's classifier once `_build_datasets` loads it)."""
+    if sum(spec.param_count for spec in mlp((d, *hidden, c), "identity")) * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
         raise ConfigError(
             f"model.{key}={list(hidden)} gives a {d}-input, {c}-output net whose float64 parameters "
             f"exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"

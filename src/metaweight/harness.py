@@ -38,7 +38,7 @@ from metaweight.biasgen import (
 )
 from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_batches, _check_net
 from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, train
-from metaweight.nnet import LayerSpec, forward  # noqa: F401 (unused; bench/test_bench.py traces it here)
+from metaweight.nnet import forward, mlp  # noqa: F401 (forward unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
 from metaweight.weightnet import MWNet, save_mwnet
 
@@ -144,13 +144,6 @@ def generate_biased(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
     return _inject_bias(cfg, _pool(cfg, seed), seed)
 
 
-def _classifier_specs(cfg: ExperimentConfig, d: int, c: int) -> tuple[LayerSpec, ...]:
-    dims = (d,) + cfg.classifier_hidden
-    specs = [LayerSpec(dims[i], dims[i + 1], "relu") for i in range(len(cfg.classifier_hidden))]
-    specs.append(LayerSpec(dims[-1], c, "identity"))
-    return tuple(specs)
-
-
 def _mean_std(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     return {"per_seed": values, "mean": float(arr.mean()), "std": float(arr.std())}
@@ -190,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     baseline_reports: dict[str, list[RunReport]] = {b.kind: [] for b in cfg.baselines}
     for seed in cfg.seeds:
         train_set, meta_set, test_set = _build_datasets(cfg, seed)
-        specs = _classifier_specs(cfg, train_set.d, train_set.c)
+        specs = mlp((train_set.d, *cfg.classifier_hidden, train_set.c), "identity")
         optim = replace(cfg.optim, seed=seed)
         echo = {"experiment": cfg.raw, "run_seed": seed}
         state, report = train(
@@ -270,7 +263,11 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh)) or [[]]
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader) or [[]]
+        except csv.Error as exc:  # a field past the csv module's limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     for k, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise ValueError(f"line {k} has {len(row)} fields, the header {len(rows[0])}")

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings as _warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -532,12 +531,9 @@ def _check_meta_set(meta_set: BiasedDataset, train_set: BiasedDataset) -> list[s
     counts = meta_set.class_counts
     if np.any(counts != counts[0]):
         raise ValueError(f"meta set must be class-balanced, got counts {counts.tolist()}")
-    notes = []
     if meta_set.n > train_set.n:
-        msg = f"meta set ({meta_set.n}) larger than train set ({train_set.n}); expected M << N"
-        _warnings.warn(msg)
-        notes.append(msg)
-    return notes
+        return [f"meta set ({meta_set.n}) larger than train set ({train_set.n}); expected M << N"]
+    return []
 
 
 def _pick_tracked(train_set: BiasedDataset, seed: int, count: int = TRACKED_SAMPLES) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense feed-forward networks with manual forward/backward passes.
 
-Everything here is plain float64 numpy. A network is a list of layer
-specs plus one flat parameter vector; the flattening order is part of
+Everything here is plain float64 numpy. A network is a chain of layer
+specs (`mlp` builds every chain the package runs) plus one flat parameter
+vector; the flattening order, walked by `_layer_views` alone, is part of
 the contract shared by every gradient in the package:
 
     for each layer k:  W_k.ravel() (C order, shape (input_dim, output_dim)),
@@ -135,6 +136,25 @@ class LayerSpec:
         return self.input_dim * self.output_dim + self.output_dim
 
 
+def mlp(widths: Sequence[int], head: str) -> tuple[LayerSpec, ...]:
+    """ReLU layers through `widths` (input, hidden..., output), with `head` the last layer's activation."""
+    acts = [RELU] * (len(widths) - 2) + [head]
+    return tuple(LayerSpec(a, b, act) for a, b, act in zip(widths, widths[1:], acts))
+
+
+def _layer_views(layers: Sequence[LayerSpec], flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each layer's (W, b) views of a flat vector, or of each row of a matrix (W: rows x input_dim x output_dim)."""
+    views, off = [], 0
+    for spec in layers:
+        mid, end = off + spec.input_dim * spec.output_dim, off + spec.param_count
+        if flat.ndim == 1:  # plain slices, the cheapest: `with_params` walks once per learned iteration
+            views.append((flat[off:mid].reshape(spec.input_dim, spec.output_dim), flat[mid:end]))
+        else:
+            views.append((flat[:, off:mid].reshape(len(flat), spec.input_dim, spec.output_dim), flat[:, mid:end]))
+        off = end
+    return tuple(views)
+
+
 def _check_chain(specs: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
     specs = tuple(specs)
     if not specs:
@@ -169,14 +189,8 @@ class DenseNet:
             raise ValueError(f"params must have shape ({expected},), got {params.shape}")
         if not np.isfinite(params).all():
             raise ValueError("non-finite parameter entries")
-        views, off = [], 0
-        for spec in self.layers:
-            nw = spec.input_dim * spec.output_dim
-            views.append((params[off:off + nw].reshape(spec.input_dim, spec.output_dim),
-                          params[off + nw:off + spec.param_count]))
-            off += spec.param_count
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_views", tuple(views))
+        object.__setattr__(self, "_views", _layer_views(self.layers, params))
 
     @property
     def param_count(self) -> int:
@@ -333,12 +347,9 @@ def weighted_gradient(
     grad = np.empty(net.param_count) if out is None else out
     if grad.shape != (net.param_count,):
         raise ValueError(f"out must have shape ({net.param_count},), got {grad.shape}")
-    off = 0
-    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
-        nw = spec.input_dim * spec.output_dim
-        np.matmul(a_prev.T, coeffs[:, None] * delta, out=grad[off:off + nw].reshape(spec.input_dim, spec.output_dim))
-        grad[off + nw:off + spec.param_count] = dot(coeffs, delta)
-        off += spec.param_count
+    for (w, b), a_prev, delta in zip(_layer_views(net.layers, grad), cache.acts, deltas):
+        np.matmul(a_prev.T, coeffs[:, None] * delta, out=w)
+        b[...] = dot(coeffs, delta)
     return grad
 
 
@@ -400,16 +411,10 @@ def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarra
     `gradient_gram` instead.
     """
     deltas = layer_deltas(net, cache, upstream)
-    bsz = cache.batch_size
-    grads = np.empty((bsz, net.param_count))
-    off = 0
-    for spec, a_prev, delta in zip(net.layers, cache.acts, deltas):
-        nw = spec.input_dim * spec.output_dim
-        # dL_i/dW = a_prev_i (outer) delta_i, C-order ravel matches the layout
-        block = grads[:, off:off + nw].reshape(bsz, spec.input_dim, spec.output_dim)
-        np.multiply(a_prev[:, :, None], delta[:, None, :], out=block)
-        grads[:, off + nw:off + spec.param_count] = delta
-        off += spec.param_count
+    grads = np.empty((cache.batch_size, net.param_count))
+    for (w, b), a_prev, delta in zip(_layer_views(net.layers, grads), cache.acts, deltas):
+        np.multiply(a_prev[:, :, None], delta[:, None, :], out=w)  # dL_i/dW = a_prev_i (outer) delta_i
+        b[...] = delta
     return grads
 
 

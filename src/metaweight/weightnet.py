@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from metaweight import _stage
-from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, outputs, per_sample_gradients
+from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, mlp, outputs, per_sample_gradients
 
 INIT_SCALE = 0.1
 
@@ -69,10 +69,7 @@ def init_mwnet(hidden: tuple[int, ...] = (100,), seed: int = 0) -> MWNet:
     """
     if not hidden or any(h < 1 for h in hidden):
         raise ValueError("hidden layer sizes must be positive")
-    dims = (1,) + tuple(hidden)
-    specs = [LayerSpec(dims[i], dims[i + 1], "relu") for i in range(len(hidden))]
-    specs.append(LayerSpec(dims[-1], 1, "sigmoid"))
-    net = init_net(specs, seed)
+    net = init_net(mlp((1, *hidden, 1), "sigmoid"), seed)
     return MWNet(net.with_params(net.params * INIT_SCALE))
 
 

@@ -112,6 +112,18 @@ FAULTS = {
         "error: {root}/report/metrics.csv: header ['step', 'accuracy'] is not "
         "['epoch', 'train_loss', 'meta_loss', 'test_accuracy', 'meta_grad_norm']\n",
     ),
+    # A field past the csv module's 131072-character limit, in a data file
+    # and in a report file.
+    "data field past csv limit": (
+        {"config.json": on_file(), "data.csv": TINY_DATA.replace("0.0,", "0." + "0" * 200000 + ",", 1)},
+        TRAIN, 2, "error: {root}/data.csv: line 2: field larger than field limit (131072)\n",
+    ),
+    "report field past csv limit": (
+        {"report/metrics.csv": "epoch,train_loss,meta_loss,test_accuracy,meta_grad_norm\n0,0.5,0.5,0.5,0.\n"
+         "1,0.5,0.5,0.5,0." + "0" * 200000 + "\n"},
+        ["report", "{root}/report"], 2,
+        "error: {root}/report/metrics.csv: line 3: field larger than field limit (131072)\n",
+    ),
 }
 
 # Inputs past a limit, named by key when the config is parsed (a file
@@ -173,6 +185,15 @@ def check(root, case):
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_every_fault_message_is_pinned(tmp_path, name):
     check(tmp_path, FAULTS[name])
+
+
+def test_a_meta_set_larger_than_the_train_set_is_warned_once_on_stdout(tmp_path):
+    # 6 samples: 3 go to the meta set, 1 to the test set, 2 are left to train.
+    files = {"config.json": on_file(meta={"per_class": 1}, optim={"n": 2, "m": 3, "T": 3, "lr_schedule": []}),
+             "data.csv": TINY_DATA}
+    proc = run_main(*write_input(tmp_path, files, TRAIN))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("meta set (3) larger than train set (2); expected M << N") == 2  # run and baseline
 
 
 @pytest.mark.parametrize("name", sorted(PAST_LIMIT_FAULTS))

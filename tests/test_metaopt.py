@@ -9,6 +9,7 @@ sign semantics).
 import gc
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -1281,7 +1282,9 @@ def test_train_warns_when_meta_outnumbers_train():
     meta, rest = split_meta(pool, 8, 4)  # meta 24, train 12
     test_set = gen_gaussians(GaussianMixtureSpec(3, 2, circle_means(3), 0.6, 4), 5)
     config = TrainConfig(alpha=0.1, beta=0.01, n=6, m=6, T=2, seed=0)
-    with pytest.warns(UserWarning, match="larger than train"):
+    # The run warning is the one report: no Python warning repeats it on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, report = train(rest, meta, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
     assert any("larger than train" in w for w in report.warnings)
 

@@ -23,6 +23,7 @@ from metaweight.nnet import (
     layer_deltas,
     lookahead_deltas,
     lookahead_forward,
+    mlp,
     outputs,
     per_sample_gradients,
     sgd_step,
@@ -251,6 +252,44 @@ SHIPPED_SHAPES = {
     "2-16-3": (LayerSpec(2, 16, "relu"), LayerSpec(16, 3, "identity")),
     "1-100-1": (LayerSpec(1, 100, "relu"), LayerSpec(100, 1, "sigmoid")),
 }
+# Those, gradcheck's classifier, a deeper chain and one with no hidden layer,
+# with the activation of each head.
+CHAINS = {
+    **SHIPPED_SHAPES,
+    "2-8-3": (LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity")),
+    "3-5-4-2": (LayerSpec(3, 5, "relu"), LayerSpec(5, 4, "relu"), LayerSpec(4, 2, "identity")),
+    "5-2": (LayerSpec(5, 2, "sigmoid"),),
+}
+HEADS = {"2-64-3": "identity", "2-16-3": "identity", "1-100-1": "sigmoid", "2-8-3": "identity",
+         "3-5-4-2": "identity", "5-2": "sigmoid"}
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_mlp_builds_relu_layers_through_the_widths_then_the_head(shape):
+    assert mlp(tuple(int(w) for w in shape.split("-")), HEADS[shape]) == CHAINS[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_layer_views_are_views_that_write_through_to_the_vector_and_the_matrix_rows(shape):
+    # Each (W, b) of a net's vector and of each row of its
+    # per_sample_gradients matrix is written through with its own values;
+    # the vector and the rows must then hold them in the documented order
+    # (W_k C-order, then b_k). A copy would drop the write.
+    layers = CHAINS[shape]
+    rng = np.random.Generator(np.random.Philox(53))
+    net = init_net(layers, 53)
+    _, cache = forward(net, rng.normal(size=(4, net.input_dim)))
+    grads = per_sample_gradients(net, cache, rng.normal(size=(4, net.output_dim)))
+    for flat, views in ((net.params, net.layer_params()), (grads, nnet._layer_views(layers, grads))):
+        expected = []
+        for spec, (w, b) in zip(layers, views):
+            assert w.shape == flat.shape[:-1] + (spec.input_dim, spec.output_dim)
+            assert b.shape == flat.shape[:-1] + (spec.output_dim,)
+            assert w.base is not None and np.shares_memory(w, flat) and np.shares_memory(b, flat)
+            w[...] = rng.normal(size=w.shape)
+            b[...] = rng.normal(size=b.shape)
+            expected += [w.reshape(*flat.shape[:-1], -1).copy(), b.copy()]
+        assert np.array_equal(flat, np.concatenate(expected, axis=-1))
 
 
 def blocked_sizes(n, block):

@@ -12,8 +12,10 @@
 # imbalance20, `report` on a copy of noise40's seed_1, `probe --steps 1000`
 # on its weighting net, `gradcheck --instances 4`, and every failing input
 # of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
-# codes are then diffed. Each difference is printed; the exit status is 1
-# if there is any, else 0. The temporary directory is removed on exit.
+# codes are then diffed. Each difference is printed, then each tree's line
+# count of src/metaweight/*.py (as `wc -l` totals it); the exit status is 1
+# if there is any difference, else 0. The temporary directory is removed on
+# exit.
 set -euo pipefail
 
 ref=${1:?usage: tools/compare_outputs.sh <git-ref>}
@@ -62,6 +64,9 @@ done
 status=0
 for dir in out faults logs; do
     diff -r "$tmp/ref/$dir" "$tmp/work/$dir" || status=1
+done
+for side in ref work; do
+    echo "$side: $(cat "$tmp/$side"/src/metaweight/*.py | wc -l) lines in src/metaweight/*.py" >&2
 done
 if [ "$status" -eq 0 ]; then
     files=$(find "$tmp/work/out" "$tmp/work/faults" -type f | wc -l)
