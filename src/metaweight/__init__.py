@@ -8,8 +8,11 @@ experiment harness that checks the method's qualitative behavior.
 
 The public API is the modules (metaweight.config, metaweight.harness,
 ...); the package root re-exports nothing. It holds the package's one
-fault hook, `_stage`, and imports nothing, so every module can use it.
+fault hook, `_stage`, and its one CSV dialect, `_write_csv` and
+`_csv_rows`; it imports no package module, so every module can use them.
 """
+
+import csv
 
 
 class _stage:
@@ -29,3 +32,22 @@ class _stage:
         if isinstance(exc, (ValueError, ArithmeticError)):
             context = self.context if isinstance(self.context, str) else self.context()
             raise self.error(f"{context}{exc}") from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header record, then `rows`: UTF-8 with "\\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _csv_rows(path):
+    """Yield a UTF-8 CSV file's records one at a time. A record the csv
+    module rejects (a field past its limit) is a ValueError naming its line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None

@@ -13,13 +13,12 @@ never share state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from metaweight import _stage
+from metaweight import _csv_rows, _stage, _write_csv
 
 UNIFORM = "uniform"
 FLIP = "flip"
@@ -265,15 +264,9 @@ def sample_batch(dataset: BiasedDataset, size: int, rng: np.random.Generator) ->
 def save_dataset(dataset: BiasedDataset, path) -> None:
     """CSV with one header record (N, d, c) then per-sample records
     (features..., observed, true, corrupted)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([dataset.n, dataset.d, dataset.c])
-        corrupted = dataset.corrupted
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.features[i]]
-                + [int(dataset.observed_labels[i]), int(dataset.true_labels[i]), int(corrupted[i])]
-            )
+    records = zip(dataset.features, dataset.observed_labels, dataset.true_labels, dataset.corrupted)
+    _write_csv(path, [dataset.n, dataset.d, dataset.c],
+               ([repr(float(v)) for v in x] + [int(obs), int(tru), int(flag)] for x, obs, tru, flag in records))
 
 
 def _integer(text: str, where: str) -> int:
@@ -291,12 +284,8 @@ def load_dataset(path) -> BiasedDataset:
     count from 0 after the header). Arrays are built from the records
     read, not sized from the header. A file that is not UTF-8 text is a
     fault named the same way."""
-    with open(path, "r", encoding="utf-8", newline="") as fh, _stage(f"{path}: "):
-        reader = csv.reader(fh)
-        try:
-            return _read_dataset(reader)
-        except csv.Error as exc:  # a field past the csv module's limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    with _stage(f"{path}: "):
+        return _read_dataset(_csv_rows(path))
 
 
 def _read_dataset(reader) -> BiasedDataset:

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from metaweight import _write_csv
 from metaweight.biasgen import derive_seed, save_dataset
 from metaweight.config import ConfigError, load_config
 from metaweight.harness import generate_biased, load_report, render_plots, run_experiment, save_experiment
@@ -142,10 +143,7 @@ def cmd_probe(args) -> int:
         weights = mw_forward(mwnet, grid)
     except MemoryError as exc:
         raise ValueError(f"--steps={args.steps} curve points do not fit in memory: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("loss,weight\n")
-        for l, w in zip(grid, weights):
-            fh.write(f"{repr(float(l))},{repr(float(w))}\n")
+    _write_csv(args.out, ["loss", "weight"], ([repr(float(l)), repr(float(w))] for l, w in zip(grid, weights)))
     print(f"wrote {args.steps} curve points to {args.out}")
     return 0
 

@@ -13,7 +13,6 @@ so a load/save round trip is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from metaweight import _stage, metrics
+from metaweight import _csv_rows, _stage, _write_csv, metrics
 from metaweight.biasgen import (
     UNIFORM,
     BiasedDataset,
@@ -58,9 +57,7 @@ def run_baseline(
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
     with _stage(f"{baseline.kind} baseline, "):
-        _, report = train(
-            train_set, meta_set, test_set, config, weight_fn=baseline.weight_fn(), config_echo=echo, **train_kwargs
-        )
+        _, report = train(train_set, meta_set, test_set, config, weight_fn=baseline, config_echo=echo, **train_kwargs)
     return report
 
 
@@ -254,20 +251,8 @@ _STORED = {f.name for f in fields(RunReport)}
 MIN_CURVE_POINTS = 10
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader) or [[]]
-        except csv.Error as exc:  # a field past the csv module's limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    rows = list(_csv_rows(path)) or [[]]
     for k, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise ValueError(f"line {k} has {len(row)} fields, the header {len(rows[0])}")
@@ -337,7 +322,11 @@ def load_report(report_dir) -> RunReport:
         raise ValueError(f"{join('weight_curve.csv')}: need at least {MIN_CURVE_POINTS} curve points, got {points}")
     with _stage(f"{join('config.json')}: "), open(join("config.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    warnings = payload.pop("run_warnings", [])
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        warnings = payload.pop("run_warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise ValueError(f"run_warnings must be a list of strings, got {warnings!r}")
     return RunReport(config_echo=payload, warnings=warnings, **kwargs)
 
 

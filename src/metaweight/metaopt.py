@@ -290,7 +290,8 @@ BASELINE_KINDS = ("uniform", "ramp", "step")
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """A fixed loss -> weight rule standing in for the learned net.
+    """A fixed loss -> weight rule standing in for the learned net; called
+    on a batch's losses, it returns their weights.
 
     uniform: weight 1. ramp: (loss / max loss in the batch)^gamma,
     clipped to [0, 1]. step: 1 below the threshold lam, 0 above.
@@ -308,20 +309,16 @@ class BaselineSpec:
         if self.kind == "step" and not self.lam > 0:
             raise ValueError("step threshold lam must be > 0")
 
-    def weight_fn(self):
+    def __call__(self, losses) -> np.ndarray:
+        losses = np.asarray(losses, dtype=np.float64)
         if self.kind == "uniform":
-            return lambda losses: np.ones_like(np.asarray(losses, dtype=np.float64))
+            return np.ones_like(losses)
         if self.kind == "ramp":
-
-            def ramp(losses):
-                losses = np.asarray(losses, dtype=np.float64)
-                top = losses.max()
-                if top <= 0.0:
-                    return np.ones_like(losses)
-                return np.clip((losses / top) ** self.gamma, 0.0, 1.0)
-
-            return ramp
-        return lambda losses: (np.asarray(losses, dtype=np.float64) < self.lam).astype(np.float64)
+            top = losses.max()
+            if top <= 0.0:
+                return np.ones_like(losses)
+            return np.clip((losses / top) ** self.gamma, 0.0, 1.0)
+        return (losses < self.lam).astype(np.float64)
 
 
 def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

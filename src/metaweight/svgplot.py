@@ -33,6 +33,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     v = start
     while v <= hi + 1e-12 * step:
         ticks.append(float(v))
+        if v + step == v:  # a step below the float spacing at v never moves it
+            break
         v += step
     return ticks
 

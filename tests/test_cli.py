@@ -527,6 +527,20 @@ def test_probe_round_trips_the_curve(tmp_path):
     assert np.all(np.abs(values - 0.5) < 0.2)
 
 
+def test_probe_over_the_curves_range_reproduces_weight_curve_csv(trained, tmp_path):
+    # The report tables and the probe table are written in one CSV dialect.
+    dirs, _ = trained
+    curve = os.path.join(dirs[0], "weight_curve.csv")
+    with open(curve, "rb") as fh:
+        expected = fh.read()
+    top = expected.decode("utf-8").splitlines()[-1].split(",")[0]
+    out = tmp_path / "curve.csv"
+    model = os.path.join(dirs[0], "mwnet.json")
+    proc = run_main("probe", "--model", model, "--out", out, "--min", "0.0", "--max", top, "--steps", 200)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected
+
+
 def test_probe_bad_range_is_config_error(tmp_path):
     mwnet = init_mwnet((5,), 3)
     model = tmp_path / "mwnet.json"
@@ -662,6 +676,29 @@ def test_report_on_a_short_curve_names_the_file(trained, tmp_path):
     proc = run_main("report", tmp_path / "run")
     assert proc.returncode == 2
     assert re.fullmatch(r"error: .*weight_curve\.csv: need at least 10 curve points, got 5\n", proc.stderr)
+
+
+def test_ticks_end_where_the_step_is_below_the_float_spacing():
+    # In a subprocess, so that a loop that never ends fails the test instead of stalling the suite.
+    code = "from metaweight.svgplot import _ticks; print(_ticks(1e16, 1e16 + 4))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[1e+16]\n"), proc.stderr
+
+
+def test_report_on_accuracies_past_the_float_spacing_exits_0(trained, tmp_path):
+    # 1e16 + 2k: tick steps of 1 or less no longer move a float this large.
+    dirs, _ = trained
+    shutil.copytree(dirs[0], tmp_path / "run")
+    metrics = tmp_path / "run" / "metrics.csv"
+    header, *rows = [line.split(",") for line in metrics.read_text().splitlines()]
+    assert header[3] == "test_accuracy"
+    rows = [row[:3] + [repr(1e16 + 2 * k)] + row[4:] for k, row in enumerate(rows)]
+    metrics.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+    proc = subprocess.run([sys.executable, "-m", "metaweight", "report", str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "run" / "accuracy.svg", encoding="utf-8") as fh:
+        assert 'font-size="11">1e+16</text>' in fh.read()
 
 
 def test_report_on_missing_directory_is_runtime_error(tmp_path):

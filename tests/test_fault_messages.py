@@ -29,6 +29,15 @@ MWNET = {
     "params": [0.1, -0.2, 0.0, 0.1, 0.3, -0.1, 0.0],
 }
 
+# A report directory whose CSV files load: one epoch, ten curve points.
+REPORT_CSVS = {
+    "report/metrics.csv": "epoch,train_loss,meta_loss,test_accuracy,meta_grad_norm\n1,0.5,0.5,0.5,0.1\n",
+    "report/weight_curve.csv": "loss,weight\n" + "".join(f"{k}.0,0.5\n" for k in range(10)),
+    "report/weight_dist.csv": "sample_id,weight,corrupted\n0,0.5,0\n1,0.5,1\n",
+    "report/tracked_weights.csv": "epoch,id_0\n1,0.5\n",
+    "report/confusion.csv": "true,pred_0,pred_1\n0,1,0\n1,0,1\n",
+}
+
 
 def noise40(**edits):
     """configs/noise40.json, each keyword a block whose keys it updates (a
@@ -111,6 +120,19 @@ FAULTS = {
         ["report", "{root}/report"], 2,
         "error: {root}/report/metrics.csv: header ['step', 'accuracy'] is not "
         "['epoch', 'train_loss', 'meta_loss', 'test_accuracy', 'meta_grad_norm']\n",
+    ),
+    "report config not an object": (
+        {**REPORT_CSVS, "report/config.json": "[1, 2]\n"},
+        ["report", "{root}/report"], 2, "error: {root}/report/config.json: expected a JSON object, got list\n",
+    ),
+    "report config a string": (
+        {**REPORT_CSVS, "report/config.json": '"text"\n'},
+        ["report", "{root}/report"], 2, "error: {root}/report/config.json: expected a JSON object, got str\n",
+    ),
+    "report warnings not a list": (
+        {**REPORT_CSVS, "report/config.json": '{"run_warnings": 5}\n'},
+        ["report", "{root}/report"], 2,
+        "error: {root}/report/config.json: run_warnings must be a list of strings, got 5\n",
     ),
     # A field past the csv module's 131072-character limit, in a data file
     # and in a report file.

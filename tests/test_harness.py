@@ -157,14 +157,14 @@ def test_baseline_spec_validation():
 
 def test_baseline_weight_rules():
     losses = np.array([0.0, 1.0, 2.0, 4.0])
-    assert np.array_equal(BaselineSpec("uniform").weight_fn()(losses), np.ones(4))
+    assert np.array_equal(BaselineSpec("uniform")(losses), np.ones(4))
 
-    ramp = BaselineSpec("ramp", gamma=2.0).weight_fn()
+    ramp = BaselineSpec("ramp", gamma=2.0)
     assert np.allclose(ramp(losses), (losses / 4.0) ** 2, atol=1e-15)
     assert np.array_equal(ramp(np.zeros(3)), np.ones(3))  # degenerate all-zero batch
-    assert np.array_equal(BaselineSpec("ramp", gamma=0.0).weight_fn()(losses), np.ones(4))
+    assert np.array_equal(BaselineSpec("ramp", gamma=0.0)(losses), np.ones(4))
 
-    step = BaselineSpec("step", lam=2.0).weight_fn()
+    step = BaselineSpec("step", lam=2.0)
     assert np.array_equal(step(losses), [1.0, 1.0, 0.0, 0.0])  # strict threshold
 
 

@@ -1012,7 +1012,7 @@ def test_fixed_rule_step_does_the_promised_work(monkeypatch):
     monkeypatch.setattr(metaopt, "update_classifier", staged_update)
     monkeypatch.setattr(metaopt, "_final_report", uncounted_report)
     train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
-          weight_fn=BaselineSpec("ramp").weight_fn())
+          weight_fn=BaselineSpec("ramp"))
 
     T = config.T
     assert calls["forward"] == ["classifier"] * T
@@ -1057,7 +1057,7 @@ def test_an_iteration_rechecks_nothing_checked_before(monkeypatch, fixed_rule):
     monkeypatch.setattr(nnet, "_check_chain", spy("_check_chain", nnet._check_chain))
     for cls in (DenseNet, weightnet.MWNet, Batch):
         monkeypatch.setattr(cls, "__post_init__", spy(f"{cls.__name__}.__post_init__", cls.__post_init__))
-    weight_fn = metaopt.BaselineSpec("uniform").weight_fn() if fixed_rule else None
+    weight_fn = metaopt.BaselineSpec("uniform") if fixed_rule else None
     train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
           weight_fn=weight_fn)
 
@@ -1184,7 +1184,7 @@ def test_an_odd_run_alternates_two_classifier_vectors(monkeypatch, fixed_rule):
     config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=7, seed=7, classifier_momentum=0.9,
                          classifier_weight_decay=1e-3)
     assert config.T % 2 == 1
-    weight_fn = metaopt.BaselineSpec("ramp").weight_fn() if fixed_rule else None
+    weight_fn = metaopt.BaselineSpec("ramp") if fixed_rule else None
     run = lambda: train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
                         weight_fn=weight_fn)
     read, written = [], []

@@ -66,7 +66,7 @@ def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
     config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=4, seed=1)
     with tracing.Tracer() as tracer:
         metaopt.train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
-                      weight_fn=metaopt.BaselineSpec("uniform").weight_fn())
+                      weight_fn=metaopt.BaselineSpec("uniform"))
     names = [span.name for span in tracer.spans]
     assert names.count("nnet.sgd_step") == config.T
     assert names.count("metaopt.train_step") == 0

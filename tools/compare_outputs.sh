@@ -12,7 +12,9 @@
 # imbalance20, `report` on a copy of noise40's seed_1, `probe --steps 1000`
 # on its weighting net, `gradcheck --instances 4`, and every failing input
 # of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
-# codes are then diffed. Each difference is printed, then each tree's line
+# codes are then diffed. Each command is stopped after 300 s and then logs
+# exit code 124, so a hang in either tree shows up as a difference instead
+# of stalling the script. Each difference is printed, then each tree's line
 # count of src/metaweight/*.py (as `wc -l` totals it); the exit status is 1
 # if there is any difference, else 0. The temporary directory is removed on
 # exit.
@@ -29,12 +31,12 @@ mkdir -p "$tmp/ref" "$tmp/work"
 git -C "$repo" archive "$ref" src configs | tar -x -C "$tmp/ref"
 cp -r "$repo/src" "$repo/configs" "$tmp/work/"
 
-# run NAME ARGS...: one command in the current tree; its stdout, stderr and
-# exit code go to logs/NAME.{out,err,code}.
+# run NAME ARGS...: one command in the current tree, stopped after 300 s;
+# its stdout, stderr and exit code go to logs/NAME.{out,err,code}.
 run() {
     local name=$1 code
     shift
-    PYTHONPATH=src python3 -m metaweight "$@" >"logs/$name.out" 2>"logs/$name.err" && code=0 || code=$?
+    PYTHONPATH=src timeout 300 python3 -m metaweight "$@" >"logs/$name.out" 2>"logs/$name.err" && code=0 || code=$?
     echo "$code" >"logs/$name.code"
 }
 
