@@ -51,9 +51,9 @@ def run_baseline(
     config_echo: dict | None = None,
     **train_kwargs,
 ) -> RunReport:
-    """The training loop with the weighting net replaced by a fixed rule;
-    beta is ignored and recorded meta-gradient norms are zero. Other
-    keyword arguments go to `train` as they are."""
+    """`train` with `baseline` as the run's fixed weighting rule: the same
+    iterations without the meta step, so no weighting net, no meta batch,
+    and zero meta-gradient norms. Other keyword arguments go to `train`."""
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
     with _stage(f"{baseline.kind} baseline, "):

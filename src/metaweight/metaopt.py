@@ -1,7 +1,7 @@
 """The bilevel training loop: weighted loss, virtual step, meta-gradient.
 
-One iteration does three things with a shared training mini-batch and an
-independent meta mini-batch:
+One iteration (`train_step`) does three things with a shared training
+mini-batch and an independent meta mini-batch (a fixed rule skips step 2):
 
 1. Virtual step: w_hat(Theta) = w - alpha * sum_i coeff_i * d L_i/d w,
    a plain SGD step whose coefficients coeff_i come from the weighting
@@ -151,10 +151,11 @@ class TrainState:
     the first step if None); the new state's `w` is the spare and its
     `spare` the old `w`, so a run keeps two classifier vectors, and a
     caller that keeps a state across two steps copies its `w.params`.
-    `theta` is replaced at each weighting-net step; None for a fixed rule."""
+    `theta` is the run's weighting (see `weights`): the weighting net,
+    replaced at each Theta update, or a fixed rule, which no step changes."""
 
     w: DenseNet
-    theta: MWNet | None
+    theta: MWNet | Callable[[np.ndarray], np.ndarray]
     velocity: np.ndarray
     spare: DenseNet | None = None
 
@@ -207,7 +208,7 @@ class VirtualCache:
     the meta step and the actual update: the training batch's forward pass
     at w, its per-layer deltas (`nnet.layer_deltas`), losses, raw weights,
     step coefficients coeffs = raw_weights / denom with their denominator,
-    and the weighting net's forward pass at Theta that gave the raw weights.
+    and the weighting net's pass at Theta that gave them (None for a rule).
     w_hat = w - alpha * sum_i coeffs[i] * g_i is never formed."""
 
     losses: np.ndarray
@@ -216,7 +217,7 @@ class VirtualCache:
     raw_weights: np.ndarray
     coeffs: np.ndarray
     denom: float
-    mw_cache: ForwardCache
+    mw_cache: ForwardCache | None
 
 
 @dataclass
@@ -224,13 +225,17 @@ class MetaGradientReport:
     """The analytic meta-gradient and the pieces it is assembled from.
 
     mean_G_per_j[j] is the inner product between the mean meta gradient at
-    w_hat and training sample j's gradient at w.
+    w_hat and training sample j's gradient at w. A fixed rule takes no meta
+    step: its grad_theta is empty (a rule has no parameters), mean_G_per_j None.
     """
 
     grad_theta: np.ndarray
-    mean_G_per_j: np.ndarray
-    weighted_loss: float
+    mean_G_per_j: np.ndarray | None
     virtual: VirtualCache
+
+    @property
+    def weighted_loss(self) -> float:
+        return float(dot(self.virtual.coeffs, self.virtual.losses))
 
 
 @dataclass
@@ -321,18 +326,22 @@ class BaselineSpec:
         return (losses < self.lam).astype(np.float64)
 
 
+def weights(theta: MWNet | Callable[[np.ndarray], np.ndarray], losses: np.ndarray, cache: bool = False):
+    """`losses` weighted by a run's weighting net or fixed rule, the one place
+    that tells them apart: a rule's weights are checked here. With `cache`,
+    (weights, the net's ForwardCache of one pass or None for a rule)."""
+    if isinstance(theta, MWNet):
+        return mw_forward_cache(theta, losses) if cache else mw_forward(theta, losses)
+    raw = np.asarray(theta(losses), dtype=np.float64)
+    if raw.shape != losses.shape or (raw < 0).any() or not np.isfinite(raw).all():
+        raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
+    return (raw, None) if cache else raw
+
+
 def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample losses, from a forward pass in row blocks that keeps no
     cache (`nnet.outputs`)."""
     return softmax_cross_entropy(outputs(net, features), labels)[0]
-
-
-def _losses_deltas(net: DenseNet, batch: Batch) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
-    """Per-sample losses plus the forward cache and per-layer deltas of
-    one backward pass."""
-    out, cache = forward(net, batch.features)
-    losses, dlogits = softmax_cross_entropy(out, batch.labels)
-    return losses, cache, layer_deltas(net, cache, dlogits)
 
 
 def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
@@ -349,12 +358,15 @@ def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
 
 
 def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
-    """One plain SGD step on the weighted loss, kept as a function of
-    Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held as its factors
-    and never formed (see `VirtualCache`); the meta step applies alpha.
-    No momentum, no weight decay; those belong to the actual update."""
-    losses, fcache, deltas = _losses_deltas(state.w, batch)
-    raw, mw_cache = mw_forward_cache(state.theta, losses)
+    """One plain SGD step on the loss weighted by the run's `weights`, kept
+    as a function of Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held
+    as its factors and never formed (see `VirtualCache`); the meta step
+    applies alpha. No momentum, no weight decay; those belong to the actual
+    update. Its backward pass is the only one on a training batch."""
+    out, fcache = forward(state.w, batch.features)
+    losses, dlogits = softmax_cross_entropy(out, batch.labels)
+    deltas = layer_deltas(state.w, fcache, dlogits)
+    raw, mw_cache = weights(state.theta, losses, cache=True)
     coeffs, denom = _coefficients(raw, normalize)
     return VirtualCache(losses, fcache, deltas, raw, coeffs, denom, mw_cache)
 
@@ -406,12 +418,7 @@ def meta_gradient_direct(
 
         if not np.isfinite(grad_theta).all():
             raise ValueError("non-finite meta-gradient")
-    return MetaGradientReport(
-        grad_theta=grad_theta,
-        mean_G_per_j=mean_G_per_j,
-        weighted_loss=float(dot(cache.coeffs, cache.losses)),
-        virtual=cache,
-    )
+    return MetaGradientReport(grad_theta=grad_theta, mean_G_per_j=mean_G_per_j, virtual=cache)
 
 
 def meta_gradient_fd(
@@ -426,13 +433,12 @@ def meta_gradient_fd(
     Theta coordinate, rebuild w_hat(Theta), re-evaluate the meta loss."""
     from metaweight.nnet import fd_gradient
 
-    losses, fcache, deltas = _losses_deltas(state.w, train_batch)
+    cache = virtual_update(state, train_batch, normalize)
 
     def mean_meta_loss(theta_params: np.ndarray) -> float:
-        mw = state.theta.with_theta(theta_params)
-        raw = mw_forward(mw, losses)
+        raw = mw_forward(state.theta.with_theta(theta_params), cache.losses)
         coeffs = _coefficients(raw, normalize)[0]
-        w_hat = state.w.params - alpha * weighted_gradient(state.w, fcache, deltas, coeffs)
+        w_hat = state.w.params - alpha * weighted_gradient(state.w, cache.forward_cache, cache.deltas, coeffs)
         return float(_losses(state.w.with_params(w_hat), meta_batch.features, meta_batch.labels).mean())
 
     return fd_gradient(mean_meta_loss, state.theta.theta, eps)
@@ -452,18 +458,17 @@ def update_classifier(
     state: TrainState,
     forward_cache: ForwardCache,
     deltas: list[np.ndarray],
-    raw: np.ndarray,
+    coeffs: np.ndarray,
     alpha: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
-    normalize: bool = False,
-) -> tuple[TrainState, np.ndarray]:
+) -> TrainState:
     """The classifier's SGD step from w on the per-sample gradients of one
-    backward pass at w (its forward cache and `nnet.layer_deltas`),
-    weighted by `raw`; returns the new state and the coefficients applied.
-    Momentum and weight decay apply here and only here; zero both for the
-    bare one-step form. The deltas depend on w only, not on Theta, so the
-    virtual step's pass serves a step under the updated Theta.
+    backward pass at w (its forward cache and `nnet.layer_deltas`), each
+    scaled by its step coefficient (`_coefficients`); returns the new
+    state. Momentum and weight decay apply here and only here; zero both
+    for the bare one-step form. The deltas depend on w only, not on Theta,
+    so the virtual step's pass serves a step under the updated Theta.
 
     The gradient goes into the spare's vector, which `nnet.sgd_step`
     overwrites with the new parameters while it updates `state.velocity`
@@ -471,7 +476,6 @@ def update_classifier(
     the spare and its `spare` is `state.w` (see `TrainState`).
     """
     with _stage("classifier step: "):
-        coeffs = _coefficients(raw, normalize)[0]
         spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
         grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
         params, _ = sgd_step(
@@ -479,34 +483,41 @@ def update_classifier(
         )
         if not np.isfinite(params).all():
             raise ValueError("non-finite parameter entries")
-        return TrainState(spare, state.theta, state.velocity, state.w), coeffs
+        return TrainState(spare, state.theta, state.velocity, state.w)
 
 
 def train_step(
     state: TrainState,
     train_batch: Batch,
-    meta_batch: Batch,
+    meta_batch: Batch | None,
     config: TrainConfig,
     alpha: float,
 ) -> tuple[TrainState, MetaGradientReport, np.ndarray]:
-    """One full iteration: virtual step, Theta update, classifier update,
-    each under its stage name. Returns the new state, the meta-gradient
-    report and the raw weights the classifier step applied.
-
-    `alpha` is the classifier step size of this iteration: config.alpha
-    under the driver's schedule.
+    """One iteration of any run, each stage under its name: the virtual
+    step, for a weighting net the meta step and Theta update, and the
+    classifier step. Returns the new state, the meta-gradient report and
+    the raw weights the classifier step applied. A fixed rule has no meta
+    batch (None), and its virtual step runs as part of the classifier
+    step. `alpha` is config.alpha under the driver's schedule.
     """
     if train_batch.size != config.n:
         raise ValueError(f"train batch size {train_batch.size} != config.n {config.n}")
-    if meta_batch.size != config.m:
-        raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
-    report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
-    with _stage("theta update: "):
-        state = update_theta(state, report.grad_theta, config.beta)
-    raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
-    state, _ = update_classifier(
-        state, report.virtual.forward_cache, report.virtual.deltas, raw, alpha,
-        config.classifier_momentum, config.classifier_weight_decay, config.normalize,
+    if meta_batch is None:
+        with _stage("classifier step: "):
+            report = MetaGradientReport(np.zeros(0), None, virtual_update(state, train_batch, config.normalize))
+        raw, coeffs = report.virtual.raw_weights, report.virtual.coeffs
+    else:
+        if meta_batch.size != config.m:
+            raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
+        report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
+        with _stage("theta update: "):
+            state = update_theta(state, report.grad_theta, config.beta)
+        with _stage("classifier step: "):
+            raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
+            coeffs = _coefficients(raw, config.normalize)[0]
+    state = update_classifier(
+        state, report.virtual.forward_cache, report.virtual.deltas, coeffs, alpha,
+        config.classifier_momentum, config.classifier_weight_decay,
     )
     return state, report, raw
 
@@ -569,19 +580,18 @@ def train(
 ) -> tuple[TrainState, RunReport]:
     """Run T iterations of the bilevel loop and assemble the run report.
 
-    weight_fn replaces the weighting net with a fixed losses -> weights
-    map (baselines): each iteration is then the same `update_classifier`
-    step with the rule's weights and no meta step, Theta is never touched
-    and recorded meta-gradient norms are zero; no weighting net is built
-    and the returned state's `theta` is None. The report's warnings name a
-    meta set larger than the train set, classifier steps whose weights
-    were all zero, a meta-gradient that stayed exactly zero, and epochs
-    whose meta loss shows the run diverging.
+    Every iteration is one `train_step` on a training batch of config.n
+    samples and, in a learned run, a meta batch of config.m. A batch as
+    large as its set is the whole set on every draw, so it is built once
+    and not drawn (`_batches`).
 
-    Each iteration draws a training batch of config.n samples and, in a
-    learned run, a meta batch of config.m. A batch as large as its set is
-    the whole set on every draw, so it is built once and not drawn
-    (`_batches`).
+    weight_fn replaces the weighting net with a fixed losses -> weights
+    rule (baselines), which becomes the state's `theta`: no weighting net
+    is built and no meta batch drawn, so `train_step` takes no meta step,
+    and the recorded meta-gradient norms are zero. The report's warnings
+    name a meta set larger than the train set, classifier steps whose
+    weights were all zero, a weighting net's meta-gradient that stayed
+    exactly zero, and epochs whose meta loss shows the run diverging.
     """
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
@@ -592,25 +602,22 @@ def train(
         raise ValueError("test set is empty")
 
     classifier = init_net(classifier_specs, derive_seed(config.seed, 1))
-    mwnet = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2)) if weight_fn is None else None
-    state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
+    if weight_fn is None:
+        theta = init_mwnet(mwnet_hidden, derive_seed(config.seed, 2))
+        draw_meta = _batches(meta_set, config.m, rng_stream(config.seed, 101))
+        stall_iters = STALL_ITERS
+    else:
+        # A rule's meta-gradient is 0 by design: no run of T + 1 zeros stalls.
+        theta, draw_meta, stall_iters = weight_fn, lambda: None, config.T + 1
+    state = TrainState(w=classifier, theta=theta, velocity=np.zeros_like(classifier.params))
     # The state holds the only references, so each weighting net is freed
     # once replaced, and the two classifier nets trade places each step.
-    del classifier, mwnet
+    del classifier, theta
 
     tracked_ids = _pick_tracked(train_set, config.seed)
     tracked_batch = Batch.from_dataset(train_set, tracked_ids)
 
-    def weigh(theta: MWNet, losses: np.ndarray) -> np.ndarray:
-        if weight_fn is None:
-            return mw_forward(theta, losses)
-        raw = np.asarray(weight_fn(losses), dtype=np.float64)
-        if raw.shape != losses.shape or (raw < 0).any() or not np.isfinite(raw).all():
-            raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
-        return raw
-
     draw_train = _batches(train_set, config.n, rng_stream(config.seed, 100))
-    draw_meta = _batches(meta_set, config.m, rng_stream(config.seed, 101))
     schedule = sorted(config.lr_schedule)
     iters_per_epoch = -(-train_set.n // config.n)
 
@@ -625,31 +632,16 @@ def train(
             for it, mult in schedule:
                 if it == t:
                     alpha *= mult
-            train_batch = draw_train()
-
-            if weight_fn is None:
-                state, report, raw = train_step(state, train_batch, draw_meta(), config, alpha)
-                epoch_losses.append(report.weighted_loss)
-                epoch_norms.append(math.sqrt(dot(report.grad_theta, report.grad_theta)))
-                # Its virtual-step cache holds the batch's activations and
-                # deltas; nothing reads them again.
-                del report
-                # With all-zero weights the gradient is 0 too; that case is
-                # the all-zero-weights warning's.
-                if epoch_norms[-1] == 0.0 and raw.any():
-                    zero_grad_iters.append(t + 1)
-            else:
-                with _stage("classifier step: "):
-                    losses, fcache, deltas = _losses_deltas(state.w, train_batch)
-                    raw = weigh(state.theta, losses)
-                state, coeffs = update_classifier(
-                    state, fcache, deltas, raw, alpha,
-                    config.classifier_momentum, config.classifier_weight_decay, config.normalize,
-                )
-                epoch_losses.append(float(dot(coeffs, losses)))
-                epoch_norms.append(0.0)
+            state, report, raw = train_step(state, draw_train(), draw_meta(), config, alpha)
+            epoch_losses.append(report.weighted_loss)
+            epoch_norms.append(math.sqrt(dot(report.grad_theta, report.grad_theta)))
+            # Its virtual-step cache holds the batch's activations and
+            # deltas; nothing reads them again.
+            del report
             if not raw.any():
                 zero_weight_iters.append(t + 1)
+            elif epoch_norms[-1] == 0.0:  # all-zero weights zero the gradient too
+                zero_grad_iters.append(t + 1)
 
             if (t + 1) % iters_per_epoch == 0:
                 with _stage("epoch evaluation: "):
@@ -659,7 +651,7 @@ def train(
                     meta_losses = _losses(state.w, meta_set.features, meta_set.observed_labels)
                     history["meta_loss"].append(float(np.mean(meta_losses)))
                     losses = _losses(state.w, tracked_batch.features, tracked_batch.labels)
-                    history["tracked"].append(weigh(state.theta, losses))
+                    history["tracked"].append(weights(state.theta, losses))
                 epoch_losses, epoch_norms = [], []
 
     if zero_weight_iters:
@@ -667,7 +659,7 @@ def train(
             f"all-zero weights: every sample weight of the classifier step was zero in "
             f"{len(zero_weight_iters)} of {config.T} iterations, first in iteration {zero_weight_iters[0]}"
         )
-    notes.extend(_stall_notes(zero_grad_iters, config.T))
+    notes.extend(_stall_notes(zero_grad_iters, config.T, stall_iters))
     notes.extend(_divergence_notes(history["meta_loss"], meta_set.c))
     echo = asdict(config)
     echo["classifier_layers"] = [asdict(spec) for spec in classifier_specs]
@@ -677,21 +669,21 @@ def train(
         echo.update(config_echo)
     # The final pass needs one classifier vector; the spare's is freed here.
     state = TrainState(state.w, state.theta, state.velocity)
-    return state, _final_report(state, weigh, train_set, test_set, tracked_ids, history, echo, notes)
+    return state, _final_report(state, train_set, test_set, tracked_ids, history, echo, notes)
 
 
-def _stall_notes(zero_grad_iters: list[int], T: int) -> list[str]:
+def _stall_notes(zero_grad_iters: list[int], T: int, limit: int = STALL_ITERS) -> list[str]:
     """A run warning when the meta-gradient was exactly zero, with some
-    weight nonzero, in STALL_ITERS consecutive iterations: Theta then no
+    weight nonzero, in `limit` consecutive iterations: Theta then no
     longer moves and the run has become a fixed-rule run."""
     run = 0
     for k, t in enumerate(zero_grad_iters):
         run = run + 1 if k and t == zero_grad_iters[k - 1] + 1 else 1
-        if run == STALL_ITERS:
+        if run == limit:
             return [
                 f"zero meta-gradient: the meta-gradient was exactly zero with nonzero weights in "
-                f"{len(zero_grad_iters)} of {T} iterations, {STALL_ITERS} or more in a row first from iteration "
-                f"{t - STALL_ITERS + 1}, so the weighting net stopped learning"
+                f"{len(zero_grad_iters)} of {T} iterations, {limit} or more in a row first from iteration "
+                f"{t - limit + 1}, so the weighting net stopped learning"
             ]
     return []
 
@@ -732,8 +724,8 @@ def _percentile(values: np.ndarray, percent: float) -> float:
 
 
 def _final_report(
-    state: TrainState, weigh: Callable[[MWNet, np.ndarray], np.ndarray], train_set: BiasedDataset,
-    test_set: BiasedDataset, tracked_ids: np.ndarray, history: dict[str, list], echo: dict, notes: list[str],
+    state: TrainState, train_set: BiasedDataset, test_set: BiasedDataset, tracked_ids: np.ndarray,
+    history: dict[str, list], echo: dict, notes: list[str],
 ) -> RunReport:
     """The run report: per-epoch histories plus the final classifier's
     confusion matrix, per-sample weights and weight curve. The final passes
@@ -755,9 +747,9 @@ def _final_report(
         grad_norm_history=np.array(history["grad_norm"]),
         final_confusion=final_confusion,
         curve_losses=grid,
-        curve_weights=weigh(state.theta, grid),
+        curve_weights=weights(state.theta, grid),
         dist_ids=np.arange(train_set.n, dtype=np.int64),
-        dist_weights=weigh(state.theta, final_losses),
+        dist_weights=weights(state.theta, final_losses),
         dist_corrupted=train_set.corrupted,
         tracked_ids=tracked_ids,
         tracked_weight_history=tracked_matrix,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from metaweight import _stage
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 COLOR = "#1f6fb2"
@@ -20,8 +22,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw_step = (hi - lo) / max(count - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -40,7 +40,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def line_plot(series: tuple[str, np.ndarray, np.ndarray], title: str, xlabel: str, ylabel: str) -> str:
-    """Render one named (x, y) series to an SVG document string."""
+    """Render one named (x, y) series to an SVG document string; refuse
+    (ValueError) a series whose points do not all land at finite coordinates."""
     name, xs, ys = series
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -66,6 +67,10 @@ def line_plot(series: tuple[str, np.ndarray, np.ndarray], title: str, xlabel: st
 
     def py(v: float) -> float:
         return MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
+
+    points = [(px(a), py(b)) for a, b in zip(xs, ys)]
+    if not np.isfinite(points).all():
+        raise ValueError(f"series {name!r} has values that give non-finite plot coordinates")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -103,7 +108,7 @@ def line_plot(series: tuple[str, np.ndarray, np.ndarray], title: str, xlabel: st
         f'font-size="13" transform="rotate(-90 18 {MARGIN_T + plot_h // 2})">{ylabel}</text>'
     )
 
-    pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys))
+    pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in points)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="{COLOR}" stroke-width="1.5"/>')
     parts.append(
         f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end" '
@@ -115,5 +120,7 @@ def line_plot(series: tuple[str, np.ndarray, np.ndarray], title: str, xlabel: st
 
 
 def save_plot(path, series, title, xlabel, ylabel) -> None:
+    with _stage(f"{path}: "):
+        svg = line_plot(series, title, xlabel, ylabel)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line_plot(series, title, xlabel, ylabel))
+        fh.write(svg)

@@ -146,6 +146,18 @@ FAULTS = {
         ["report", "{root}/report"], 2,
         "error: {root}/report/metrics.csv: line 3: field larger than field limit (131072)\n",
     ),
+    # An accuracy that is not finite, or so large that the plot's range
+    # rounds to 0, puts no point of accuracy.svg at finite coordinates.
+    **{
+        f"report accuracy {value}": (
+            {**REPORT_CSVS, "report/config.json": "{}\n",
+             "report/metrics.csv": REPORT_CSVS["report/metrics.csv"].replace("0.5,0.1", f"{value},0.1")},
+            ["report", "{root}/report"], 2,
+            "error: {root}/report/accuracy.svg: series 'test accuracy' has values that give non-finite plot "
+            "coordinates\n",
+        )
+        for value in ("inf", "nan", "1.7e308")
+    },
 }
 
 # Inputs past a limit, named by key when the config is parsed (a file

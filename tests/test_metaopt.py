@@ -47,6 +47,7 @@ from metaweight.nnet import (
     LayerSpec,
     forward,
     init_net,
+    layer_deltas,
     per_sample_gradients,
     sgd_step,
     softmax_cross_entropy,
@@ -97,6 +98,14 @@ def copied(state):
     velocity: a classifier step updates the velocity in place, and the step
     after it writes into the vector the state held."""
     return TrainState(state.w.with_params(state.w.params.copy()), state.theta, state.velocity.copy())
+
+
+def losses_deltas(net, batch):
+    """Per-sample losses, forward cache and per-layer deltas of one backward
+    pass, as the virtual step takes them."""
+    out, cache = forward(net, batch.features)
+    losses, dlogits = softmax_cross_entropy(out, batch.labels)
+    return losses, cache, layer_deltas(net, cache, dlogits)
 
 
 def per_sample_losses_grads(net, batch):
@@ -608,15 +617,15 @@ def test_classifier_step_allocates_one_parameter_sized_array():
     classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
     state = TrainState(classifier, None, np.zeros_like(classifier.params))
     batch = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
-    raw = rng.uniform(size=64)
+    coeffs = rng.uniform(size=64) / 64
     params, velocity = state.w.params, state.velocity
     param_bytes = params.nbytes
 
     def traced_step(state):
-        _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+        _, fcache, deltas = losses_deltas(state.w, batch)
         tracemalloc.start()
         try:
-            new_state, _ = update_classifier(state, fcache, deltas, raw, 0.1, momentum=0.9, weight_decay=5e-4)
+            new_state = update_classifier(state, fcache, deltas, coeffs, 0.1, momentum=0.9, weight_decay=5e-4)
             return new_state, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,18 +758,18 @@ def test_update_classifier_degenerates_to_virtual_step():
     alpha = 0.1
     cache = virtual_update(state, batch)
     expected = virtual_params(state, cache, alpha)  # at w, before the step
-    new_state, coeffs = update_classifier(state, cache.forward_cache, cache.deltas, cache.raw_weights, alpha)
+    new_state = update_classifier(state, cache.forward_cache, cache.deltas, cache.coeffs, alpha)
     assert np.array_equal(new_state.w.params, expected)
-    assert np.array_equal(coeffs, cache.coeffs)
 
 
 def test_update_classifier_zero_weights_is_identity():
     state, batch, _ = make_instance(32)
     state = TrainState(state.w, zero_weight_theta(seed=1), state.velocity)
-    losses, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+    losses, fcache, deltas = losses_deltas(state.w, batch)
     raw = mw_forward(state.theta, losses)
     before = state.w.params.copy()
-    new_state, coeffs = update_classifier(state, fcache, deltas, raw, alpha=0.3)
+    coeffs = metaopt._coefficients(raw, False)[0]
+    new_state = update_classifier(state, fcache, deltas, coeffs, alpha=0.3)
     assert np.array_equal(new_state.w.params, before)
     assert np.all(raw == 0.0)
     assert np.all(coeffs == 0.0)
@@ -774,10 +783,10 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     state = TrainState(state.w, shifted, np.full_like(state.w.params, 0.01))
 
     mom, wd, alpha = 0.9, 5e-4, 0.1
-    _, fcache, deltas = metaopt._losses_deltas(state.w, batch)
+    _, fcache, deltas = losses_deltas(state.w, batch)
     raw = mw_forward(shifted, losses)
     # Each step below updates the velocity it is given, so each gets copies.
-    new_state, _ = update_classifier(copied(state), fcache, deltas, raw, alpha, momentum=mom, weight_decay=wd)
+    new_state = update_classifier(copied(state), fcache, deltas, raw / batch.size, alpha, momentum=mom, weight_decay=wd)
     expected, expected_vel = sgd_step(
         state.w.params.copy(), (raw / batch.size) @ grads, alpha, momentum=mom, weight_decay=wd,
         state=state.velocity.copy(),
@@ -791,9 +800,9 @@ def test_update_classifier_recomputes_weights_under_new_theta():
     # depend on w only, not on Theta), with the weights recomputed under
     # the new Theta, gives the same step.
     cache = virtual_update(TrainState(state.w, init_mwnet((5,), 0), state.velocity), batch)
-    cached, _ = update_classifier(
-        copied(state), cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses), alpha, momentum=mom,
-        weight_decay=wd,
+    cached = update_classifier(
+        copied(state), cache.forward_cache, cache.deltas, mw_forward(shifted, cache.losses) / batch.size, alpha,
+        momentum=mom, weight_decay=wd,
     )
     assert np.array_equal(cached.w.params, new_state.w.params)
     assert np.array_equal(cached.velocity, new_state.velocity)
@@ -812,11 +821,11 @@ def test_train_step_composes_the_three_updates():
     manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize)
     s1 = update_theta(state, manual.grad_theta, config.beta)
     s1_raw = mw_forward(s1.theta, manual.virtual.losses)
-    s2, _ = update_classifier(
+    s2 = update_classifier(
         s1,
         manual.virtual.forward_cache,
         manual.virtual.deltas,
-        s1_raw,
+        metaopt._coefficients(s1_raw, config.normalize)[0],
         config.alpha,
         momentum=config.classifier_momentum,
         weight_decay=config.classifier_weight_decay,
@@ -856,6 +865,33 @@ def test_train_step_validates_batch_sizes():
         train_step(state, tb, mb, TrainConfig(n=9, m=4, T=1), 0.1)
     with pytest.raises(ValueError):
         train_step(state, tb, mb, TrainConfig(n=8, m=3, T=1), 0.1)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("kind", metaopt.BASELINE_KINDS)
+def test_fixed_rule_train_step_is_the_classifier_step_on_the_rule_weights(kind, normalize):
+    # A fixed rule's iteration is the learned one without its meta step: the
+    # classifier step on the rule's weights of the batch's losses at w. The
+    # rule is the state's Theta, and no step changes it.
+    state, tb, _ = make_instance(41)
+    losses, fcache, deltas = losses_deltas(state.w, tb)
+    rule = metaopt.BaselineSpec(kind, gamma=2.0, lam=float(np.median(losses)))
+    raw = rule(losses)
+    assert kind == "uniform" or 0.0 < raw.sum() < raw.size
+    state = TrainState(state.w, rule, np.full_like(state.w.params, 0.01))
+    config = TrainConfig(alpha=0.1, beta=0.5, n=8, m=4, T=1, normalize=normalize, classifier_momentum=0.9,
+                         classifier_weight_decay=1e-3)
+    new_state, report, applied = train_step(copied(state), tb, None, config, config.alpha)
+    coeffs = metaopt._coefficients(raw, normalize)[0]
+    expected = update_classifier(copied(state), fcache, deltas, coeffs, config.alpha, config.classifier_momentum,
+                                 config.classifier_weight_decay)
+    assert np.array_equal(applied, raw)
+    assert np.array_equal(new_state.w.params, expected.w.params)
+    assert np.array_equal(new_state.velocity, expected.velocity)
+    assert new_state.theta is rule
+    assert report.grad_theta.size == 0 and report.mean_G_per_j is None
+    assert report.virtual.mw_cache is None
+    assert report.weighted_loss == float(nnet.dot(coeffs, losses))
 
 
 def test_train_config_validation():
@@ -1142,9 +1178,9 @@ def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     refs, vectors, alive = {}, [], []
 
     def spy_update_classifier(*args, **kwargs):
-        state, coeffs = update_fn(*args, **kwargs)
+        state = update_fn(*args, **kwargs)
         vectors.extend(weakref.ref(net.params) for net in (state.w, state.spare))
-        return state, coeffs
+        return state
 
     def spy_train_step(*args, **kwargs):
         state, report, raw = train_step_fn(*args, **kwargs)
@@ -1299,9 +1335,9 @@ def test_train_warns_when_weights_collapse(monkeypatch):
     config = TrainConfig(alpha=0.1, beta=0.3, n=10, m=4, T=9, seed=2, lr_schedule=((4, 1e5),))
     zero_steps = []
 
-    def spy(state, forward_cache, deltas, raw, *args, **kwargs):
-        zero_steps.append(not raw.any())
-        return update_classifier(state, forward_cache, deltas, raw, *args, **kwargs)
+    def spy(state, forward_cache, deltas, coeffs, *args, **kwargs):
+        zero_steps.append(not coeffs.any())
+        return update_classifier(state, forward_cache, deltas, coeffs, *args, **kwargs)
 
     monkeypatch.setattr(metaopt, "update_classifier", spy)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1360,10 +1396,10 @@ def test_train_beta_zero_equals_frozen_weighting_fn():
 def test_train_weight_fn_mode_skips_meta_machinery():
     train_set, meta_set, test_set = make_toy_sets(12)
     config = TrainConfig(alpha=0.1, beta=0.9, n=10, m=4, T=6, seed=2)
+    rule = lambda losses: np.ones_like(losses)
     state, report = train(train_set, meta_set, test_set, config,
-                          classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
-                          weight_fn=lambda losses: np.ones_like(losses))
-    assert state.theta is None
+                          classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,), weight_fn=rule)
+    assert state.theta is rule
     assert np.all(report.grad_norm_history == 0.0)
     assert np.all(report.dist_weights == 1.0)
     assert np.all(report.curve_weights == 1.0)

@@ -59,8 +59,9 @@ def test_one_sgd_step_per_bilevel_update_under_the_tracer():
 
 
 def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
-    # A baseline run has no train_step: its T classifier updates are timed
-    # by the same sgd_step spans, so they must reach the traced name.
+    # A baseline run's iterations are train_steps too, without a meta step:
+    # its T classifier updates are timed by the same sgd_step spans, each
+    # inside its iteration's train_step span.
     tracing = load_tracing()
     train_set, meta_set, test_set = make_toy_sets(3)
     config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=4, seed=1)
@@ -69,7 +70,11 @@ def test_the_clock_runs_for_fixed_rule_updates_under_the_tracer():
                       weight_fn=metaopt.BaselineSpec("uniform"))
     names = [span.name for span in tracer.spans]
     assert names.count("nnet.sgd_step") == config.T
-    assert names.count("metaopt.train_step") == 0
+    assert names.count("metaopt.train_step") == config.T
+    assert names.count("metaopt.meta_gradient_direct") == 0
+    steps = [s for s in tracer.spans if s.name == "metaopt.train_step"]
+    clocks = [s for s in tracer.spans if s.name == "nnet.sgd_step"]
+    assert all(any(st.start_ns <= c.start_ns and c.end_ns <= st.end_ns for st in steps) for c in clocks)
     ((T, best),) = tracing.update_times(tracer.spans)
     assert T == config.T and best > 0
 

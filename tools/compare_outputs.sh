@@ -8,10 +8,11 @@
 # nothing is written into the repository or its git metadata. Both trees
 # run the same commands from their own directory, with the same relative
 # output paths: `train` on the clean, noise40 and imbalance20 configs (all
-# seeds, baselines and plots), `gen-data --seed 1` on noise40 and
-# imbalance20, `report` on a copy of noise40's seed_1, `probe --steps 1000`
-# on its weighting net, `gradcheck --instances 4`, and every failing input
-# of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
+# seeds and plots, each config's baselines plus the ramp and step rules, so
+# every fixed rule runs with and without normalization), `gen-data --seed 1`
+# on noise40 and imbalance20, `report` on a copy of noise40's seed_1,
+# `probe --steps 1000` on its weighting net, `gradcheck --instances 4`, and
+# every failing input of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
 # codes are then diffed. Each command is stopped after 300 s and then logs
 # exit code 124, so a hang in either tree shows up as a difference instead
 # of stalling the script. Each difference is printed, then each tree's line
@@ -45,7 +46,7 @@ for side in ref work; do
     cd "$tmp/$side"
     mkdir -p logs out
     for cfg in clean noise40 imbalance20; do
-        run "train_$cfg" train --config "configs/$cfg.json" --out "out/$cfg"
+        run "train_$cfg" train --config "configs/$cfg.json" --out "out/$cfg" --baseline ramp --baseline step
     done
     for cfg in noise40 imbalance20; do
         run "gen_data_$cfg" gen-data --config "configs/$cfg.json" --out "out/$cfg.csv" --seed 1
