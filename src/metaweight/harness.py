@@ -216,6 +216,7 @@ class _Cell(NamedTuple):
 
 
 _FLOAT = _Cell(lambda v: repr(float(v)), float, np.float64)
+_WEIGHT = _Cell(_FLOAT.write, float, np.float64)  # a _FLOAT that load_report refuses unless finite and >= 0
 _INT = _Cell(int, int, np.int64)
 _FLAG = _Cell(int, lambda s: bool(int(s)), bool)
 
@@ -229,10 +230,10 @@ _COLUMN_FILES = (
         ("test_accuracy", "accuracy_history", _FLOAT),
         ("meta_grad_norm", "grad_norm_history", _FLOAT),
     )),
-    ("weight_curve.csv", None, (("loss", "curve_losses", _FLOAT), ("weight", "curve_weights", _FLOAT))),
+    ("weight_curve.csv", None, (("loss", "curve_losses", _FLOAT), ("weight", "curve_weights", _WEIGHT))),
     ("weight_dist.csv", None, (
         ("sample_id", "dist_ids", _INT),
-        ("weight", "dist_weights", _FLOAT),
+        ("weight", "dist_weights", _WEIGHT),
         ("corrupted", "dist_corrupted", _FLAG),
     )),
     ("stability.csv", ("epoch", 2), (
@@ -244,7 +245,7 @@ _COLUMN_FILES = (
 # of each column header, the RunReport field holding the column labels
 # (None: 0..columns-1), the matrix field and its cell.
 _MATRIX_FILES = (
-    ("tracked_weights.csv", ("epoch", 1), "id_", "tracked_ids", "tracked_weight_history", _FLOAT),
+    ("tracked_weights.csv", ("epoch", 1), "id_", "tracked_ids", "tracked_weight_history", _WEIGHT),
     ("confusion.csv", ("true", 0), "pred_", None, "final_confusion", _INT),
 )
 _STORED = {f.name for f in fields(RunReport)}
@@ -257,6 +258,14 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
         if len(row) != len(rows[0]):
             raise ValueError(f"line {k} has {len(row)} fields, the header {len(rows[0])}")
     return rows[0], rows[1:]
+
+
+def _check_weights(values: np.ndarray) -> None:
+    """Raise naming the line of the first weight that is NaN, infinite or
+    negative; row k of `values` is the file's line k + 2."""
+    bad = np.argwhere(~((values >= 0) & (values < np.inf)))
+    if bad.size:
+        raise ValueError(f"line {bad[0][0] + 2}: weight {float(values[tuple(bad[0])])!r} is not finite and nonnegative")
 
 
 def _header(index, columns) -> list[str]:
@@ -293,9 +302,10 @@ def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: b
 
 
 def load_report(report_dir) -> RunReport:
-    """Rebuild a RunReport from a report directory. A malformed file, or a
-    weight curve of fewer than MIN_CURVE_POINTS points, raises ValueError
-    naming the file."""
+    """Rebuild a RunReport from a report directory. A malformed file, a
+    weight that is NaN, infinite or negative, or a weight curve of fewer
+    than MIN_CURVE_POINTS points raises ValueError naming the file (and
+    the line of a weight)."""
     join = lambda name: os.path.join(report_dir, name)
     kwargs = {}
     for name, index, columns in _COLUMN_FILES:
@@ -308,6 +318,8 @@ def load_report(report_dir) -> RunReport:
                 raise ValueError(f"header {header} is not {expected}")
             for k, (_, field, cell) in enumerate(columns, start=bool(index)):
                 kwargs[field] = np.array([cell.read(row[k]) for row in rows], dtype=cell.dtype)
+                if cell is _WEIGHT:
+                    _check_weights(kwargs[field])
     for name, (index, _), prefix, labels, field, cell in _MATRIX_FILES:
         with _stage(f"{join(name)}: "):
             header, rows = _read_csv(join(name))
@@ -317,6 +329,8 @@ def load_report(report_dir) -> RunReport:
                 kwargs[labels] = np.array([int(h[len(prefix):]) for h in header[1:]], dtype=np.int64)
             matrix = [[cell.read(v) for v in row[1:]] for row in rows]
             kwargs[field] = np.array(matrix, dtype=cell.dtype).reshape(len(rows), len(header) - 1)
+            if cell is _WEIGHT:
+                _check_weights(kwargs[field])
     points = kwargs["curve_losses"].size
     if points < MIN_CURVE_POINTS:
         raise ValueError(f"{join('weight_curve.csv')}: need at least {MIN_CURVE_POINTS} curve points, got {points}")

@@ -327,15 +327,21 @@ class BaselineSpec:
 
 
 def weights(theta: MWNet | Callable[[np.ndarray], np.ndarray], losses: np.ndarray, cache: bool = False):
-    """`losses` weighted by a run's weighting net or fixed rule, the one place
-    that tells them apart: a rule's weights are checked here. With `cache`,
+    """`losses` weighted by a run's weighting net or fixed rule, and checked:
+    the one function that does either. Anything but one finite nonnegative
+    weight per sample raises, naming the kind of weighting. With `cache`,
     (weights, the net's ForwardCache of one pass or None for a rule)."""
     if isinstance(theta, MWNet):
-        return mw_forward_cache(theta, losses) if cache else mw_forward(theta, losses)
-    raw = np.asarray(theta(losses), dtype=np.float64)
-    if raw.shape != losses.shape or (raw < 0).any() or not np.isfinite(raw).all():
-        raise ValueError("weight_fn must return finite nonnegative weights, one per sample")
-    return (raw, None) if cache else raw
+        kind = "weighting net"
+        raw, mw_cache = mw_forward_cache(theta, losses) if cache else (mw_forward(theta, losses), None)
+    else:
+        kind, raw, mw_cache = "weight_fn", np.asarray(theta(losses), dtype=np.float64), None
+    # NaN fails >= 0; initial=0.0 passes an empty vector and changes no other outcome
+    if raw.shape != (len(losses),) or not (
+        np.minimum.reduce(raw, initial=0.0) >= 0 and np.maximum.reduce(raw, initial=0.0) < math.inf
+    ):
+        raise ValueError(f"{kind} must return finite nonnegative weights, one per sample")
+    return (raw, mw_cache) if cache else raw
 
 
 def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -346,15 +352,10 @@ def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarr
 
 def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
     """The step coefficients raw / denom and denom: `weightnet.normalizer`
-    under normalization (the coefficients are `weightnet.normalize(raw)`),
-    else the batch size."""
-    if normalize:
-        denom = weightnet.normalizer(raw)
-        return raw / denom, denom
-    coeffs = raw / raw.size
-    if not np.isfinite(coeffs).all():
-        raise ValueError("non-finite sample weights")
-    return coeffs, raw.size
+    under normalization, else the batch size. `raw` comes from `weights`,
+    which checked it."""
+    denom = weightnet.normalizer(raw) if normalize else raw.size
+    return raw / denom, denom
 
 
 def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
@@ -436,7 +437,7 @@ def meta_gradient_fd(
     cache = virtual_update(state, train_batch, normalize)
 
     def mean_meta_loss(theta_params: np.ndarray) -> float:
-        raw = mw_forward(state.theta.with_theta(theta_params), cache.losses)
+        raw = weights(state.theta.with_theta(theta_params), cache.losses)
         coeffs = _coefficients(raw, normalize)[0]
         w_hat = state.w.params - alpha * weighted_gradient(state.w, cache.forward_cache, cache.deltas, coeffs)
         return float(_losses(state.w.with_params(w_hat), meta_batch.features, meta_batch.labels).mean())
@@ -513,7 +514,7 @@ def train_step(
         with _stage("theta update: "):
             state = update_theta(state, report.grad_theta, config.beta)
         with _stage("classifier step: "):
-            raw = mw_forward_cache(state.theta, report.virtual.losses)[0]
+            raw = weights(state.theta, report.virtual.losses, cache=True)[0]  # one pass, as in the virtual step
             coeffs = _coefficients(raw, config.normalize)[0]
     state = update_classifier(
         state, report.virtual.forward_cache, report.virtual.deltas, coeffs, alpha,
@@ -669,7 +670,8 @@ def train(
         echo.update(config_echo)
     # The final pass needs one classifier vector; the spare's is freed here.
     state = TrainState(state.w, state.theta, state.velocity)
-    return state, _final_report(state, train_set, test_set, tracked_ids, history, echo, notes)
+    with _stage(f"seed {config.seed}, final report: "):
+        return state, _final_report(state, train_set, test_set, tracked_ids, history, echo, notes)
 
 
 def _stall_notes(zero_grad_iters: list[int], T: int, limit: int = STALL_ITERS) -> list[str]:

@@ -2,7 +2,8 @@
 
 Everything here is plain float64 numpy. A network is a chain of layer
 specs (`mlp` builds every chain the package runs) plus one flat parameter
-vector; the flattening order, walked by `_layer_views` alone, is part of
+vector; the flattening order, walked by `_layer_views` (and by
+`per_sample_gradients`, which joins each row's blocks in it), is part of
 the contract shared by every gradient in the package:
 
     for each layer k:  W_k.ravel() (C order, shape (input_dim, output_dim)),
@@ -66,13 +67,12 @@ Values are checked once, where they enter the package, and each stage
 output where it is made. Settings are checked in `metaopt.TrainConfig`
 and `metaopt.BaselineSpec`, data in `biasgen.BiasedDataset` and
 `biasgen.load_dataset`, hand-built batches in the `metaopt.Batch`
-constructor, a fixed rule's weights where `metaopt.train` receives them,
-and a weighting net's shape in the `weightnet.MWNet` constructor. The
-`DenseNet` constructor checks the layer chain and the parameter vector;
-`DenseNet.with_params`, the one way a new vector is bound onto a built
-net, checks that vector's shape and finiteness against the layers
-already checked; `outputs` coerces its input to a float64 matrix. The
-kernels (`forward`, `lookahead_forward`, `layer_deltas`,
+constructor, and a weighting net's shape in the `weightnet.MWNet`
+constructor. The `DenseNet` constructor checks the layer chain and the
+parameter vector; `DenseNet.with_params`, the one way a new vector is
+bound onto a built net, checks that vector's shape and finiteness against
+the layers already checked; `outputs` coerces its input to a float64
+matrix. The kernels (`forward`, `lookahead_forward`, `layer_deltas`,
 `lookahead_deltas`, `weighted_gradient`, `gradient_gram`,
 `per_sample_gradients`, `softmax_cross_entropy`, `sgd_step`) take float64
 2-D arrays (1-D vectors for `sgd_step`) as they are, without coercing
@@ -82,12 +82,11 @@ unchanged, apart from `weighted_gradient`'s `out`; `sgd_step` updates the
 velocity in place and writes the new parameter vector into the
 gradient's buffer, so a run keeps two classifier nets and steps each
 into the other's vector (`metaopt.TrainState`). The kernels check
-argument shapes and step settings, not array values, and do not check
-their outputs for finiteness; the training loop checks each stage output
-it acts on (the step coefficients, the meta-gradient, each new
-weighting-net vector through `with_params`, and the classifier's new
-vector in `metaopt.update_classifier`), and nothing is checked again
-inside the loop.
+argument shapes and step settings, not array values. The training loop
+checks each stage output it acts on once, where it is made: every weight
+vector, learned or fixed-rule, in `metaopt.weights`, the meta-gradient,
+each new weighting-net vector through `with_params`, and the
+classifier's new vector in `metaopt.update_classifier`.
 Reductions use numpy's fixed summation order, so identical inputs give
 bit-identical results across runs.
 """
@@ -143,14 +142,11 @@ def mlp(widths: Sequence[int], head: str) -> tuple[LayerSpec, ...]:
 
 
 def _layer_views(layers: Sequence[LayerSpec], flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Each layer's (W, b) views of a flat vector, or of each row of a matrix (W: rows x input_dim x output_dim)."""
+    """Each layer's (W, b) views of a flat vector."""
     views, off = [], 0
     for spec in layers:
         mid, end = off + spec.input_dim * spec.output_dim, off + spec.param_count
-        if flat.ndim == 1:  # plain slices, the cheapest: `with_params` walks once per learned iteration
-            views.append((flat[off:mid].reshape(spec.input_dim, spec.output_dim), flat[mid:end]))
-        else:
-            views.append((flat[:, off:mid].reshape(len(flat), spec.input_dim, spec.output_dim), flat[:, mid:end]))
+        views.append((flat[off:mid].reshape(spec.input_dim, spec.output_dim), flat[mid:end]))
         off = end
     return tuple(views)
 
@@ -406,16 +402,16 @@ def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarra
 
     `upstream` is the (batch_size, output_dim) matrix of per-sample loss
     gradients with respect to the network outputs. The mean of the rows
-    equals the gradient of the mean loss. Memory is batch_size *
-    param_count floats; the training loop uses `weighted_gradient` and
-    `gradient_gram` instead.
+    equals the gradient of the mean loss. Memory peaks at twice
+    batch_size * param_count floats (the blocks, then the rows); the
+    training loop uses `weighted_gradient` and `gradient_gram` instead.
     """
-    deltas = layer_deltas(net, cache, upstream)
-    grads = np.empty((cache.batch_size, net.param_count))
-    for (w, b), a_prev, delta in zip(_layer_views(net.layers, grads), cache.acts, deltas):
-        np.multiply(a_prev[:, :, None], delta[:, None, :], out=w)  # dL_i/dW = a_prev_i (outer) delta_i
-        b[...] = delta
-    return grads
+    blocks = []
+    for a_prev, delta in zip(cache.acts, layer_deltas(net, cache, upstream)):
+        # dL_i/dW = a_prev_i (outer) delta_i; each block is contiguous, and one copy joins them into rows
+        outer = a_prev[:, :, None] * delta[:, None, :]
+        blocks += [outer.reshape(len(delta), a_prev.shape[1] * delta.shape[1]), delta]
+    return np.concatenate(blocks, axis=1)
 
 
 def fd_gradient(loss_fn: Callable[[np.ndarray], float], params: np.ndarray, eps: float) -> np.ndarray:

@@ -10,9 +10,10 @@ step builds the same Jacobian with `nnet.per_sample_gradients` on the
 cache of the virtual step's weighting-net pass, so it runs no second
 forward pass.
 
-Values are checked as `nnet`'s module docstring sets out; a loss vector
-is checked where it enters (`mw_forward`, `mw_forward_cache`,
-`mw_jacobian`), and a saved net's document where `load_mwnet` reads it.
+Values are checked as `nnet`'s module docstring sets out; a loss vector's
+shape is checked where it enters (`mw_forward`, `mw_forward_cache`,
+`mw_jacobian`), the training loop's weights in `metaopt.weights`, and a
+saved net's document where `load_mwnet` reads it.
 """
 
 from __future__ import annotations
@@ -104,20 +105,20 @@ def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def normalizer(weights: np.ndarray) -> float:
-    """The denominator of `normalize`: the sum of a float64 vector of
-    finite, nonnegative weights (anything else raises), or 1 when every
-    weight is 0. Any positive stand-in gives the same zeros, and the meta
-    step's Jacobian rows are then 0 too (a sigmoid head outputs 0 only
-    where it is saturated), so the choice never reaches an output."""
-    if (weights < 0).any() or not np.isfinite(weights).all():
-        raise ValueError("weights must be finite and nonnegative")
+    """The denominator of `normalize`, unchecked (the loop's weights were
+    checked in `metaopt.weights`): the sum of the weights, or 1 when all
+    are 0. Any positive stand-in gives the same zeros, and the meta step's
+    Jacobian rows are then 0 too (a sigmoid head outputs 0 only where it
+    is saturated), so the choice never reaches an output."""
     total = float(weights.sum())
     return total if total > 0.0 else 1.0
 
 
 def normalize(weights: np.ndarray) -> np.ndarray:
-    """Rescale a float64 vector of nonnegative weights to sum to 1; an
-    all-zero vector maps to all zeros."""
+    """Rescale a float64 vector of weights to sum to 1; an all-zero vector
+    maps to all zeros. A negative or non-finite weight raises."""
+    if (weights < 0).any() or not np.isfinite(weights).all():
+        raise ValueError("weights must be finite and nonnegative")
     return weights / normalizer(weights)
 
 

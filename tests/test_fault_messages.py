@@ -158,6 +158,19 @@ FAULTS = {
         )
         for value in ("inf", "nan", "1.7e308")
     },
+    # A weight that is not finite and nonnegative, in a weight column.
+    **{
+        f"report {name}": (
+            {**REPORT_CSVS, "report/config.json": "{}\n", f"report/{file}": content},
+            ["report", "{root}/report"], 2,
+            f"error: {{root}}/report/{file}: line 2: weight {value} is not finite and nonnegative\n",
+        )
+        for name, file, content, value in (
+            ("weight nan", "weight_dist.csv", "sample_id,weight,corrupted\n0,nan,0\n1,0.5,1\n", "nan"),
+            ("weight negative", "weight_dist.csv", "sample_id,weight,corrupted\n0,-3,0\n1,0.5,1\n", "-3.0"),
+            ("tracked weight inf", "tracked_weights.csv", "epoch,id_0\n1,inf\n", "inf"),
+        )
+    },
 }
 
 # Inputs past a limit, named by key when the config is parsed (a file

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaweight.biasgen import (
+    BiasedDataset,
     GaussianMixtureSpec,
     apply_uniform_noise,
     circle_means,
@@ -1417,6 +1418,39 @@ def test_train_weight_fn_validation():
     with pytest.raises(ValueError, match=r"^seed 2, iteration 1 of 1, classifier step: weight_fn must"):
         train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS,
               weight_fn=lambda losses: np.full_like(losses, np.nan))
+
+
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("loss", [np.inf, np.nan])
+def test_weights_refuses_what_a_net_makes_of_a_non_finite_loss(loss, cache):
+    # A net's weights are checked as a rule's are, in the same words; an
+    # empty vector passes either check.
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=r"^weighting net must return finite nonnegative weights, one per sample$"
+    ):
+        metaopt.weights(init_mwnet(), np.array([loss, 1.0]), cache=cache)
+    for theta in (init_mwnet(), metaopt.BaselineSpec("uniform")):
+        assert metaopt.weights(theta, np.zeros(0)).shape == (0,)
+
+
+def test_a_run_whose_final_losses_are_not_finite_names_the_seed_and_the_final_report():
+    # One training sample overflows the trained classifier's logits to -inf
+    # and +inf, so its final loss is NaN, and so is the weight the net gives
+    # it. The sample is kept out of the one iteration's batch and out of the
+    # tracked samples, and the run ends before an epoch evaluation, so the
+    # loop itself never sees it.
+    train_set, meta_set, test_set = make_toy_sets(13)
+    config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=1, seed=2)
+    assert -(-train_set.n // config.n) > config.T
+    first = metaopt._batches(train_set, config.n, rng_stream(config.seed, 100))().ids
+    k = min(set(range(train_set.n)) - set(first) - set(metaopt._pick_tracked(train_set, config.seed)))
+    features = train_set.features.copy()
+    features[k] = [-1e308, 1e308]
+    train_set = BiasedDataset(features, train_set.observed_labels, train_set.true_labels, train_set.c)
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match=r"^seed 2, final report: weighting net must return finite nonnegative weights"
+    ):
+        train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS)
 
 
 def test_train_lr_schedule_scales_the_step():

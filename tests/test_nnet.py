@@ -271,25 +271,30 @@ def test_mlp_builds_relu_layers_through_the_widths_then_the_head(shape):
 
 @pytest.mark.parametrize("shape", sorted(CHAINS))
 def test_layer_views_are_views_that_write_through_to_the_vector_and_the_matrix_rows(shape):
-    # Each (W, b) of a net's vector and of each row of its
-    # per_sample_gradients matrix is written through with its own values;
-    # the vector and the rows must then hold them in the documented order
-    # (W_k C-order, then b_k). A copy would drop the write.
+    # Each (W, b) of a net's vector and of a row of its
+    # per_sample_gradients matrix (a flat vector too) is written through
+    # with its own values; the vector and the matrix must then hold them in
+    # the documented order (W_k C-order, then b_k). A copy would drop the
+    # write. The row's views first read that sample's gradient blocks.
     layers = CHAINS[shape]
     rng = np.random.Generator(np.random.Philox(53))
     net = init_net(layers, 53)
     _, cache = forward(net, rng.normal(size=(4, net.input_dim)))
-    grads = per_sample_gradients(net, cache, rng.normal(size=(4, net.output_dim)))
-    for flat, views in ((net.params, net.layer_params()), (grads, nnet._layer_views(layers, grads))):
+    upstream = rng.normal(size=(4, net.output_dim))
+    grads = per_sample_gradients(net, cache, upstream)
+    deltas = layer_deltas(net, cache, upstream)
+    for (w, b), a_prev, delta in zip(nnet._layer_views(layers, grads[2]), cache.acts, deltas):
+        assert np.array_equal(w, np.outer(a_prev[2], delta[2])) and np.array_equal(b, delta[2])
+    for flat, views in ((net.params, net.layer_params()), (grads[2], nnet._layer_views(layers, grads[2]))):
         expected = []
         for spec, (w, b) in zip(layers, views):
-            assert w.shape == flat.shape[:-1] + (spec.input_dim, spec.output_dim)
-            assert b.shape == flat.shape[:-1] + (spec.output_dim,)
+            assert w.shape == (spec.input_dim, spec.output_dim)
+            assert b.shape == (spec.output_dim,)
             assert w.base is not None and np.shares_memory(w, flat) and np.shares_memory(b, flat)
             w[...] = rng.normal(size=w.shape)
             b[...] = rng.normal(size=b.shape)
-            expected += [w.reshape(*flat.shape[:-1], -1).copy(), b.copy()]
-        assert np.array_equal(flat, np.concatenate(expected, axis=-1))
+            expected += [w.ravel().copy(), b.copy()]
+        assert np.array_equal(flat, np.concatenate(expected))
 
 
 def blocked_sizes(n, block):

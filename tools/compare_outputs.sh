@@ -16,9 +16,10 @@
 # codes are then diffed. Each command is stopped after 300 s and then logs
 # exit code 124, so a hang in either tree shows up as a difference instead
 # of stalling the script. Each difference is printed, then each tree's line
-# count of src/metaweight/*.py (as `wc -l` totals it); the exit status is 1
-# if there is any difference, else 0. The temporary directory is removed on
-# exit.
+# count of src/metaweight/*.py (as `wc -l` totals it) beside its code lines
+# and docstring lines (counted with `ast` and `tokenize`, see count_lines);
+# the exit status is 1 if there is any difference, else 0. The temporary
+# directory is removed on exit.
 set -euo pipefail
 
 ref=${1:?usage: tools/compare_outputs.sh <git-ref>}
@@ -68,8 +69,35 @@ status=0
 for dir in out faults logs; do
     diff -r "$tmp/ref/$dir" "$tmp/work/$dir" || status=1
 done
+# Code lines hold a token other than a comment, a line end or an indent
+# (tokenize); docstring lines are those of a module, class or function
+# docstring (ast), and are not code lines.
+count_lines() {
+    python3 - "$@" <<'PY'
+import ast, io, sys, tokenize
+
+blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+code = docs = 0
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    doc_lines = set()
+    for node in ast.walk(ast.parse(source)):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            doc_lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in blank:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    code += len(lines - doc_lines)
+    docs += len(doc_lines)
+print(f"{code} code lines and {docs} docstring lines")
+PY
+}
 for side in ref work; do
-    echo "$side: $(cat "$tmp/$side"/src/metaweight/*.py | wc -l) lines in src/metaweight/*.py" >&2
+    sources=("$tmp/$side"/src/metaweight/*.py)
+    echo "$side: $(cat "${sources[@]}" | wc -l) lines in src/metaweight/*.py, $(count_lines "${sources[@]}")" >&2
 done
 if [ "$status" -eq 0 ]; then
     files=$(find "$tmp/work/out" "$tmp/work/faults" -type f | wc -l)
