@@ -1,15 +1,10 @@
 """Online bilevel sample reweighting with a learned loss-to-weight network.
 
-The package trains a small classifier while simultaneously learning an
-MLP that maps each sample's training loss to a weight in [0, 1], guided
-by a small clean and balanced meta set. Companion modules generate
-synthetically biased datasets (class imbalance, label noise) and run the
-experiment harness that checks the method's qualitative behavior.
-
-The public API is the modules (metaweight.config, metaweight.harness,
-...); the package root re-exports nothing. It holds the package's one
-fault hook, `_stage`, and its one CSV dialect, `_write_csv` and
-`_csv_rows`; it imports no package module, so every module can use them.
+A small classifier trains while an MLP learns to map each sample's loss
+to a weight in [0, 1], guided by a small clean, balanced meta set. The
+package root re-exports nothing; it holds the one fault hook, `_stage`,
+and the one CSV dialect, `_write_csv` and `_csv_rows`, and imports no
+package module, so every module can use them.
 """
 
 import csv
@@ -43,8 +38,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _csv_rows(path):
-    """Yield a UTF-8 CSV file's records one at a time. A record the csv
-    module rejects (a field past its limit) is a ValueError naming its line."""
+    """Yield a UTF-8 CSV file's records; one the csv module rejects is a
+    ValueError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -1,14 +1,11 @@
-"""Synthetic dataset generation and training-bias injection.
+"""Synthetic datasets and training-bias injection.
 
-Two biases are on offer: long-tailed class imbalance (class i keeps
-base_count * mu^i samples with mu = factor^(-1/(c-1))) and label noise,
-either uniform (resample over all c classes with probability p, so the
-corrupted fraction concentrates at p*(c-1)/c) or flip (each class gets
-two fixed target classes, p/2 each, corrupted fraction p).
-
-Every generator is a pure function of (inputs, seed); RNG streams come
-from counter-based Philox generators so data, noise and batch sampling
-never share state.
+Two biases: long-tailed class imbalance (class i keeps base_count * mu^i
+samples, mu = factor^(-1/(c-1))) and label noise, either uniform (resample
+over all c classes with probability p, corrupting p*(c-1)/c in
+expectation) or flip (to one of two fixed targets per class, p/2 each,
+corrupting p). Every generator is a pure function of (inputs, seed) on
+its own Philox stream.
 """
 
 from __future__ import annotations
@@ -79,11 +76,8 @@ def _read_only(arr, dtype) -> np.ndarray:
 @dataclass
 class BiasedDataset:
     """Features plus observed and true labels; a sample is corrupted where
-    the two labels differ.
-
-    Features must be finite; this is the one place they are checked, so
-    the training loop runs its batches unchecked. The fields are read-only
-    views, so derived datasets share arrays without copies or aliasing writes."""
+    they differ. The one place features are checked finite. The fields are
+    read-only views, so derived datasets share arrays without aliasing writes."""
 
     features: np.ndarray
     observed_labels: np.ndarray
@@ -133,8 +127,8 @@ class BiasedDataset:
 
 
 def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
-    """Draw per_class_count samples around each class mean, labels clean, in
-    place: the draws and roundings of `means[k] + scale * rng.normal(...)`."""
+    """per_class_count clean samples around each class mean, drawn in place
+    with the bits of `means[k] + scale * rng.normal(...)`."""
     rng = rng_stream(seed, 0)
     n = spec.c * spec.per_class_count
     features = np.empty((n, spec.d))
@@ -151,9 +145,8 @@ def gen_gaussians(spec: GaussianMixtureSpec, seed: int) -> BiasedDataset:
 
 
 def longtail_counts(c: int, base_count: int, factor: float) -> np.ndarray:
-    """Per-class keep counts round(base_count * mu^i), mu = factor^(-1/(c-1)),
-    after `_longtail_ratio`'s checks. The counts never rise with the class
-    index, so every class keeps a sample and the total is at least c."""
+    """Per-class keep counts round(base_count * mu^i), never rising with i,
+    so every class keeps a sample."""
     mu = _longtail_ratio(c, base_count, factor)
     return np.array([round(base_count * mu**i) for i in range(c)], dtype=np.int64)
 
@@ -163,8 +156,7 @@ _LISTED_CLASSES = 100
 
 
 def _longtail_ratio(c: int, base_count: int, factor: float) -> float:
-    """The ratio mu, in constant time, after checking that the factor is
-    at least 1 and that the last count, the smallest, is at least 1."""
+    """mu, once the factor is at least 1 and the smallest count at least 1."""
     if not factor >= 1:
         raise ValueError("imbalance factor must be >= 1")
     mu = factor ** (-1.0 / (c - 1))
@@ -193,11 +185,7 @@ def apply_longtail(dataset: BiasedDataset, factor: float, seed: int) -> BiasedDa
 
 
 def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
-    """With probability p, resample a label uniformly over all c classes.
-
-    The resample may land on the true class, so the corrupted fraction
-    is p*(c-1)/c in expectation, not p.
-    """
+    """With probability p, resample a label uniformly, possibly to the true class."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise rate must be in [0, 1]")
     rng = rng_stream(seed, 2)
@@ -209,8 +197,7 @@ def apply_uniform_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDa
 
 def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDataset:
     """With probability p, flip a label to one of its class's two fixed
-    target classes (p/2 each). Targets are drawn once per dataset and
-    never equal the source class, so the corrupted fraction is p."""
+    other classes, drawn once per dataset."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise rate must be in [0, 1]")
     if dataset.c < 3:
@@ -228,12 +215,8 @@ def apply_flip_noise(dataset: BiasedDataset, p: float, seed: int) -> BiasedDatas
 
 
 def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[BiasedDataset, BiasedDataset]:
-    """Carve out a clean, exactly class-balanced meta set.
-
-    Picks per_class samples with observed == true from every class;
-    returns (meta_set, remainder), disjoint. per_class == 0 gives an
-    empty meta set (training rejects it later).
-    """
+    """(meta_set, remainder): per_class clean samples of every class, and
+    the rest; per_class 0 gives an empty meta set, which training refuses."""
     if per_class < 0:
         raise ValueError("per_class must be >= 0")
     rng = rng_stream(seed, 4)
@@ -254,8 +237,7 @@ def split_meta(dataset: BiasedDataset, per_class: int, seed: int) -> tuple[Biase
 
 
 def sample_batch(dataset: BiasedDataset, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of `size` distinct indices; the generator advances
-    in place."""
+    """`size` distinct indices drawn uniformly; `rng` advances in place."""
     if size < 1 or size > dataset.n:
         raise ValueError(f"batch size must be in [1, {dataset.n}], got {size}")
     return rng.choice(dataset.n, size=size, replace=False)
@@ -277,13 +259,10 @@ def _integer(text: str, where: str) -> int:
 
 
 def load_dataset(path) -> BiasedDataset:
-    """Read a `save_dataset` file. The header must hold integers N >= 0,
-    d >= 1 and c >= 2; each record's features must be finite, its labels
-    integers in [0, c), and its corrupted flag set exactly where observed
-    != true. A fault names the file and the header or the record (records
-    count from 0 after the header). Arrays are built from the records
-    read, not sized from the header. A file that is not UTF-8 text is a
-    fault named the same way."""
+    """Read a `save_dataset` file: a header of integers N >= 0, d >= 1 and
+    c >= 2, then records of finite features, labels in [0, c) and a flag
+    set exactly where observed != true. A fault names the file and the
+    header or the record (counted from 0)."""
     with _stage(f"{path}: "):
         return _read_dataset(_csv_rows(path))
 

@@ -1,9 +1,7 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, probe, gradcheck, report. Exit codes:
-0 success, 1 config error, 2 runtime/numeric error, 3 gradient-check
-failure. All behavior flows from the JSON config plus flags; there are
-no environment variables.
+Exit codes: 0 success, 1 config error, 2 runtime or numeric error, 3
+gradient-check failure. Behavior comes from the config and flags alone.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from metaweight import _write_csv
+from metaweight import _stage, _write_csv
 from metaweight.biasgen import derive_seed, save_dataset
 from metaweight.config import ConfigError, load_config
 from metaweight.harness import generate_biased, load_report, render_plots, run_experiment, save_experiment
@@ -26,10 +24,11 @@ from metaweight.metaopt import (
     TrainState,
     meta_gradient_direct,
     meta_gradient_fd,
+    weights,
 )
 from metaweight.metrics import monotonicity_score
 from metaweight.nnet import init_net, mlp
-from metaweight.weightnet import init_mwnet, load_mwnet, mw_forward
+from metaweight.weightnet import init_mwnet, load_mwnet
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -140,10 +139,11 @@ def cmd_probe(args) -> int:
     mwnet = load_mwnet(args.model)
     try:
         grid = np.linspace(args.min, args.max, args.steps)
-        weights = mw_forward(mwnet, grid)
+        with _stage(f"{args.model}: "):
+            curve = weights(mwnet, grid)
     except MemoryError as exc:
         raise ValueError(f"--steps={args.steps} curve points do not fit in memory: {exc}") from exc
-    _write_csv(args.out, ["loss", "weight"], ([repr(float(l)), repr(float(w))] for l, w in zip(grid, weights)))
+    _write_csv(args.out, ["loss", "weight"], ([repr(float(l)), repr(float(w))] for l, w in zip(grid, curve)))
     print(f"wrote {args.steps} curve points to {args.out}")
     return 0
 

@@ -1,10 +1,9 @@
 """Experiment configuration: one strict JSON document.
 
-Unknown keys anywhere in the document are errors, so a typoed
-hyperparameter fails loudly instead of silently training with defaults.
-Every block is read one way: `_require_keys` (or `_optional`, for a block
-that may be absent or null) checks its keys, `_numbers` reads its numbers
-against a bounds table, and `_typed` its strings and booleans.
+Unknown keys anywhere are errors, so a typo fails loudly instead of
+training with defaults. Each block is read one way: `_require_keys` (or
+`_optional`, for a block that may be absent or null) checks its keys,
+`_numbers` its numbers against a bounds table, `_typed` the rest.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ def _number(value, name: str, lo, integer: bool, hi):
 
 def _numbers(block: dict, context: str, table: dict) -> dict:
     """The block's values of the table's keys, each checked against its
-    (lower bound, integer?, exclusive upper bound). Absent keys are left
-    out, so the dataclass the values feed supplies its defaults."""
+    bounds; absent keys are left to the defaults of the dataclass fed."""
     return {key: _number(block[key], f"{context}.{key}", *bounds) for key, bounds in table.items() if key in block}
 
 
@@ -250,13 +248,9 @@ def _optim(block) -> TrainConfig:
 
 
 def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | None, optim: TrainConfig) -> None:
-    """Reject batch sizes that no run could draw. A gaussians dataset's
-    sizes are known here: the meta set takes meta.per_class clean samples
-    of each class from the pool, and the training set is the rest, after
-    long-tail subsampling (a file dataset's, once `_build_datasets` loads
-    it). A long tail keeps a sample of every class, checked in constant
-    time, so a batch of at most dataset.classes fits; only a larger
-    optim.n takes the exact size, in time linear in the classes."""
+    """Reject batch sizes that no run of a gaussians dataset could draw. A
+    long tail keeps a sample of every class, so only an optim.n above
+    dataset.classes needs the exact size, in time linear in the classes."""
     if meta_per_class > dataset.per_class:
         raise ConfigError(
             f"meta.per_class={meta_per_class} is above dataset.per_class={dataset.per_class}, "
@@ -273,9 +267,8 @@ def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | Non
 
 
 def _check_net(key: str, hidden: tuple[int, ...], d: int, c: int) -> None:
-    """Reject hidden widths that give a d-input, c-output net (of any head)
-    float64 parameters past NumPy's largest array, naming model.<key> (a
-    file dataset's classifier once `_build_datasets` loads it)."""
+    """Reject hidden widths that give a d-input, c-output net more float64
+    parameters than NumPy's largest array holds, naming model.<key>."""
     if sum(spec.param_count for spec in mlp((d, *hidden, c), "identity")) * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
         raise ConfigError(
             f"model.{key}={list(hidden)} gives a {d}-input, {c}-output net whose float64 parameters "

@@ -1,14 +1,11 @@
 """Experiment orchestration: metrics, baselines, reports, multi-seed runs.
 
-A RunReport serializes to a flat directory of CSVs plus config.json (the
-resolved config echo with the run's warnings under "run_warnings"),
-optionally mwnet.json and the plots weight_curve.svg and accuracy.svg.
-The CSV layout is written down once, in _COLUMN_FILES and _MATRIX_FILES:
-each file's header and the RunReport field and cell format behind each
-column. save_report and load_report both walk those tables. stability.csv
-holds computed fields, so it is written but never read back (row `epoch`
-is the change from epoch-1 to epoch). All floats are written with repr(),
-so a load/save round trip is byte-identical.
+A RunReport is written as a directory of CSVs and config.json (the config
+echo plus "run_warnings"), optionally with mwnet.json and two SVG plots.
+The CSV layout is written down once, in _COLUMN_FILES and _MATRIX_FILES,
+which save_report and load_report both walk; stability.csv (row `epoch`
+is the change from epoch-1 to epoch) is computed, so never read back.
+Floats are written with repr(), so a load/save round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -51,9 +48,8 @@ def run_baseline(
     config_echo: dict | None = None,
     **train_kwargs,
 ) -> RunReport:
-    """`train` with `baseline` as the run's fixed weighting rule: the same
-    iterations without the meta step, so no weighting net, no meta batch,
-    and zero meta-gradient norms. Other keyword arguments go to `train`."""
+    """`train` with `baseline` as the run's fixed weighting rule; other
+    keyword arguments go to `train`."""
     echo = dict(config_echo or {})
     echo["baseline"] = {"kind": baseline.kind, "gamma": baseline.gamma, "lam": baseline.lam}
     with _stage(f"{baseline.kind} baseline, "):
@@ -74,9 +70,8 @@ class ExperimentResult:
 
 
 def _gaussians(ds: DatasetBlock, key: str, seed: int) -> BiasedDataset:
-    """A config's mixture drawn for one seed, `key`'s count per class. The
-    spec's checks passed at parse time; what can still fail is memory for
-    the sizes, or features that overflow float64 from radius and spread."""
+    """A config's mixture for one seed, `key`'s count per class; what can
+    still fail is memory, or features that overflow from radius and spread."""
     size = getattr(ds, key)
     try:
         with _stage(f"dataset.radius={ds.radius} and dataset.spread={ds.spread} give ", ConfigError):
@@ -109,11 +104,9 @@ def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> Bi
 
 
 def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, BiasedDataset, BiasedDataset]:
-    """Generate or load data, carve the meta set from the clean pool,
-    then inject imbalance and/or noise into the remaining training data.
-    A loaded file's set sizes are known only here, so the sizes that the
-    config asks of them are checked here, naming the config key (a
-    gaussians config's were checked when it was parsed)."""
+    """(train, meta, test) sets: the meta set from the clean pool, then the
+    bias injected into the rest. A file's sizes are known only here, so
+    the config's demands on them are checked here, naming the key."""
     ds = cfg.dataset
     pool = _pool(cfg, seed)
     if ds.kind == "gaussians":
@@ -135,9 +128,7 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
 
 
 def generate_biased(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
-    """The config's data pipeline without the meta/test split: generate
-    or load, then inject imbalance and/or noise. Backs the data-file
-    export command."""
+    """The config's data with its bias, without the meta and test split."""
     return _inject_bias(cfg, _pool(cfg, seed), seed)
 
 
@@ -147,8 +138,7 @@ def _mean_std(values: list[float]) -> dict:
 
 
 def summarize(seeds, reports: list[RunReport], baseline_reports: dict[str, list[RunReport]]) -> dict:
-    """Aggregate per-seed reports into the summary dict saved as summary.json,
-    each run's warnings included (empty lists for a healthy run)."""
+    """The summary.json dict of per-seed reports, each run's warnings included."""
     scores, degenerate, gaps = [], [], []
     for rep in reports:
         rho, flag = metrics.monotonicity_score(rep.curve_losses, rep.curve_weights)
@@ -174,8 +164,8 @@ def summarize(seeds, reports: list[RunReport], baseline_reports: dict[str, list[
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """The full protocol: per seed, build data, train the weighted model,
-    run any configured baselines; aggregate mean and std across seeds."""
+    """Per seed, build the data, train the weighted model and run the
+    baselines; then summarize across seeds."""
     reports, mwnets = [], []
     baseline_reports: dict[str, list[RunReport]] = {b.kind: [] for b in cfg.baselines}
     for seed in cfg.seeds:
@@ -261,8 +251,7 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def _check_weights(values: np.ndarray) -> None:
-    """Raise naming the line of the first weight that is NaN, infinite or
-    negative; row k of `values` is the file's line k + 2."""
+    """Name the line (row k + 2) of the first weight that is NaN, infinite or negative."""
     bad = np.argwhere(~((values >= 0) & (values < np.inf)))
     if bad.size:
         raise ValueError(f"line {bad[0][0] + 2}: weight {float(values[tuple(bad[0])])!r} is not finite and nonnegative")
@@ -273,7 +262,7 @@ def _header(index, columns) -> list[str]:
 
 
 def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: bool = False) -> None:
-    """Write the report directory (see module docstring for the layout)."""
+    """Write the report directory (module docstring)."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
     for name, index, columns in _COLUMN_FILES:
@@ -303,9 +292,8 @@ def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: b
 
 def load_report(report_dir) -> RunReport:
     """Rebuild a RunReport from a report directory. A malformed file, a
-    weight that is NaN, infinite or negative, or a weight curve of fewer
-    than MIN_CURVE_POINTS points raises ValueError naming the file (and
-    the line of a weight)."""
+    weight that is not finite and nonnegative, or fewer than
+    MIN_CURVE_POINTS curve points raises, naming the file."""
     join = lambda name: os.path.join(report_dir, name)
     kwargs = {}
     for name, index, columns in _COLUMN_FILES:
@@ -345,8 +333,7 @@ def load_report(report_dir) -> RunReport:
 
 
 def render_plots(report: RunReport, out_dir) -> list[str]:
-    """Render the report's weight_curve.svg and accuracy.svg into out_dir;
-    deterministic, so re-rendering overwrites identically."""
+    """Write weight_curve.svg and accuracy.svg into out_dir; return their paths."""
     curve_path = os.path.join(out_dir, "weight_curve.svg")
     save_plot(curve_path, ("weight", report.curve_losses, report.curve_weights),
               "Loss to weight mapping", "training loss", "weight")
@@ -361,10 +348,8 @@ def render_plots(report: RunReport, out_dir) -> list[str]:
 
 
 def save_experiment(result: ExperimentResult, out_dir, plots: bool = False) -> None:
-    """Write an experiment tree: single-seed results go directly into
-    out_dir, multi-seed results into seed_<s>/ subdirectories; baseline
-    runs into baseline_<kind>/ next to the run they accompany.
-    summary.json always sits at the top."""
+    """Write summary.json and each seed's report into out_dir (seed_<s>/
+    when there are several seeds), its baselines into baseline_<kind>/."""
     os.makedirs(out_dir, exist_ok=True)
     single = len(result.seeds) == 1
     for k, seed in enumerate(result.seeds):

@@ -1,54 +1,32 @@
 """The bilevel training loop: weighted loss, virtual step, meta-gradient.
 
-One iteration (`train_step`) does three things with a shared training
-mini-batch and an independent meta mini-batch (a fixed rule skips step 2):
+One iteration (`train_step`) takes a training mini-batch and an
+independent meta mini-batch (a fixed rule draws none and skips step 2):
 
-1. Virtual step: w_hat(Theta) = w - alpha * sum_i coeff_i * d L_i/d w,
-   a plain SGD step whose coefficients coeff_i come from the weighting
-   net (raw weight / n, or the normalized eta_i).
-2. Meta step: the meta-set loss at w_hat is differentiated through the
-   virtual step analytically. With g_meta the mean meta-batch gradient at
-   w_hat and g_j training sample j's gradient at w, the unnormalized case
-   gives
+1. Virtual step: w_hat(Theta) = w - alpha * sum_i coeff_i * dL_i/dw, a
+   plain SGD step with coeff_i = raw weight / n, or the normalized eta_i.
+2. Meta step: with g_meta the mean meta-batch gradient at w_hat and g_j
+   training sample j's gradient at w, the unnormalized meta-gradient is
 
        grad_theta = -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j)/dTheta
 
-   and Theta moves by -beta * grad_theta, so a training sample whose
-   gradient aligns with the meta gradients gets its weight pushed up.
-   Under normalization the coefficients couple through their sum and the
-   quotient rule replaces the simple per-sample factor.
-3. Actual step: the classifier redoes the weighted step from w with the
-   weights recomputed under the new Theta, this time with the configured
-   momentum and weight decay. It updates the velocity in place and writes
-   the new parameters into its gradient's buffer (`nnet.sgd_step`).
+   (under normalization the quotient rule couples the samples), and Theta
+   moves by -beta * grad_theta: a sample whose gradient aligns with the
+   meta gradient gains weight.
+3. Actual step: the classifier steps from w with the weights recomputed
+   under the new Theta, with the configured momentum and weight decay.
 
-No step builds a per-sample gradient row, and the meta step builds no
-vector of param_count length at all. One backward pass on the training
-batch gives each layer's inputs a_k and deltas delta_k at w
-(`nnet.layer_deltas`); the virtual step is kept as these factors, and the
-meta batch runs forward and backward at w_hat through them
-(`nnet.lookahead_forward`, `nnet.lookahead_deltas`) with the m x n Gram
-matrices K_k = a_meta,k a_k^T + 1. The inner products g_meta . g_j are
-then the column means of sum_k K_k * (delta_meta,k delta_k^T)
-(`nnet.gradient_gram`), so neither w_hat nor g_meta is ever formed; the
-extra work is O(n * m * width). Only `meta_gradient_fd`, the independent
-oracle, builds w_hat as a vector. The deltas do not depend on Theta, so
-the virtual step's backward pass is reused by step 3, the one
-param_count-sized reduction of an iteration.
+No step builds a per-sample gradient row. The virtual step is kept as the
+training batch's per-layer factors at w, the meta batch runs at w_hat
+through them (`nnet.lookahead_forward`, `nnet.lookahead_deltas`), and the
+g_meta . g_j are the column means of `nnet.gradient_gram`, so neither
+w_hat nor g_meta is formed (`meta_gradient_fd`, the oracle, forms w_hat).
+The deltas do not depend on Theta, so step 3 reuses the virtual step's
+backward pass, and the Jacobian dV/dTheta comes from the virtual step's
+weighting-net pass.
 
-The weighting net runs forward once per Theta: the virtual step's pass at
-Theta gives the raw weights, and its cache gives the meta step's Jacobian
-dV(L_j)/dTheta (`nnet.per_sample_gradients` with unit upstream); step 3
-runs the second pass, at the updated Theta'.
-
-Every pass over a whole dataset or grid (epoch evaluation and meta loss,
-the tracked samples, the final report's losses, weights and curve) runs
-without a cache in row blocks of `nnet.ROW_BLOCK` (`nnet.outputs`), so it
-holds one block's activations whatever the dataset's size; each training
-step runs `nnet.forward` on its whole batch and keeps the cache.
-
-Values are checked as `nnet`'s module docstring sets out: once, where
-they enter, and never again inside the loop.
+Passes over a whole dataset or grid run in row blocks without a cache
+(`nnet.outputs`). Values are checked as `nnet`'s module docstring sets out.
 """
 
 from __future__ import annotations
@@ -88,16 +66,12 @@ TRACKED_SAMPLES = 10
 # losses, taken by `_percentile` because np.percentile imports numpy.ma.
 CURVE_PERCENTILE = 99.0
 # An epoch's meta loss above this many times ln(c), the loss of a uniform
-# guess, marks a diverging run. The shipped configs stay below 3 times
-# ln(c) in every epoch, baselines included.
+# guess, marks a diverging run; the shipped configs stay below 3 times.
 DIVERGENCE_FACTOR = 10.0
 # This many consecutive iterations with an exactly zero meta-gradient (and
-# some weight nonzero) mark a stalled weighting net. None of the 8400
-# iterations of the shipped configs' learned runs has a zero meta-gradient
-# (the smallest norm is about 1e-8), so a small count raises no false
-# alarm there. One zero can come from a batch whose weights all sit where
-# the sigmoid head rounds to 1; five in a row take five independently drawn
-# batches, and a stalled net is reported within five iterations.
+# some weight nonzero) mark a stalled weighting net. One zero can come from
+# a batch whose weights all sit where the sigmoid head rounds to 1; five in
+# a row take five independent batches, yet report a stall within five.
 STALL_ITERS = 5
 
 
@@ -120,8 +94,7 @@ class TrainConfig:
         # Each comparison is written so that NaN fails it.
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        # beta == 0 freezes the weighting net, which equals running it as a
-        # fixed rule; tests use it (baselines bring their own fixed rule)
+        # beta == 0 freezes the weighting net into a fixed rule, as tests use
         if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if self.n < 1:
@@ -143,16 +116,12 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Classifier, weighting net, momentum buffer and spare classifier.
+    """Classifier, weighting (net or fixed rule), velocity and spare classifier.
 
-    Each classifier step (`update_classifier`) updates `velocity`, a
-    float64 vector shaped like `w.params`, in place, and writes the new
-    parameters into the vector of `spare`, a net of `w`'s layers (built at
-    the first step if None); the new state's `w` is the spare and its
-    `spare` the old `w`, so a run keeps two classifier vectors, and a
-    caller that keeps a state across two steps copies its `w.params`.
-    `theta` is the run's weighting (see `weights`): the weighting net,
-    replaced at each Theta update, or a fixed rule, which no step changes."""
+    A classifier step updates `velocity` in place and writes the new
+    parameters into `spare`'s vector (built at the first step if None);
+    the new state swaps `w` and `spare`, so a caller that keeps a state
+    across two steps copies its `w.params`."""
 
     w: DenseNet
     theta: MWNet | Callable[[np.ndarray], np.ndarray]
@@ -162,9 +131,8 @@ class TrainState:
 
 @dataclass
 class Batch:
-    """A mini-batch; samples are sorted by dataset index at construction
-    so reductions run in one canonical order regardless of draw order.
-    Ids already in order keep the arrays given, uncopied."""
+    """A mini-batch, sorted by dataset index so that reductions run in one
+    order whatever the draw; ids already in order keep the arrays uncopied."""
 
     ids: np.ndarray
     features: np.ndarray
@@ -190,9 +158,7 @@ class Batch:
 
     @classmethod
     def from_dataset(cls, dataset: BiasedDataset, indices: np.ndarray) -> "Batch":
-        """The rows `indices` of a dataset, in sorted order. The dataset's
-        arrays were checked when it was built, so the batch is built from
-        them without the constructor's checks."""
+        """The dataset's rows `indices`, sorted, without the constructor's checks."""
         indices = np.array(indices, dtype=np.int64)  # a copy, sorted in place (np.sort without its wrapper)
         indices.sort()
         if indices.size == 0:
@@ -204,12 +170,9 @@ class Batch:
 
 @dataclass
 class VirtualCache:
-    """One virtual step from w, kept as the factors of w_hat and reused by
-    the meta step and the actual update: the training batch's forward pass
-    at w, its per-layer deltas (`nnet.layer_deltas`), losses, raw weights,
-    step coefficients coeffs = raw_weights / denom with their denominator,
-    and the weighting net's pass at Theta that gave them (None for a rule).
-    w_hat = w - alpha * sum_i coeffs[i] * g_i is never formed."""
+    """One virtual step from w as the factors of w_hat: the training batch's
+    forward cache and deltas at w, losses, raw weights, coeffs = raw / denom,
+    and the weighting net's cache at Theta (None for a rule)."""
 
     losses: np.ndarray
     forward_cache: ForwardCache
@@ -222,12 +185,8 @@ class VirtualCache:
 
 @dataclass
 class MetaGradientReport:
-    """The analytic meta-gradient and the pieces it is assembled from.
-
-    mean_G_per_j[j] is the inner product between the mean meta gradient at
-    w_hat and training sample j's gradient at w. A fixed rule takes no meta
-    step: its grad_theta is empty (a rule has no parameters), mean_G_per_j None.
-    """
+    """The meta-gradient, mean_G_per_j[j] = g_meta . g_j, and the virtual step;
+    for a fixed rule grad_theta is empty and mean_G_per_j None."""
 
     grad_theta: np.ndarray
     mean_G_per_j: np.ndarray | None
@@ -240,13 +199,9 @@ class MetaGradientReport:
 
 @dataclass
 class RunReport:
-    """Everything a finished run exposes for analysis.
-
-    Histories hold one entry per completed epoch (an epoch is
-    ceil(N_train / n) iterations). Stability is computed from the tracked
-    weights: one row between each pair of adjacent epochs, so
-    len(histories) - 1 of them, and none below 2 epochs.
-    """
+    """Everything a finished run exposes. Histories hold one entry per
+    epoch of ceil(N_train / n) iterations; stability one per pair of
+    adjacent epochs, from the tracked weights."""
 
     accuracy_history: np.ndarray
     train_loss_history: np.ndarray
@@ -295,12 +250,8 @@ BASELINE_KINDS = ("uniform", "ramp", "step")
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """A fixed loss -> weight rule standing in for the learned net; called
-    on a batch's losses, it returns their weights.
-
-    uniform: weight 1. ramp: (loss / max loss in the batch)^gamma,
-    clipped to [0, 1]. step: 1 below the threshold lam, 0 above.
-    """
+    """A fixed loss -> weight rule in place of the net. uniform: 1. ramp:
+    (loss / batch max loss)^gamma, clipped to [0, 1]. step: 1 below lam, else 0."""
 
     kind: str
     gamma: float = 1.0
@@ -327,10 +278,9 @@ class BaselineSpec:
 
 
 def weights(theta: MWNet | Callable[[np.ndarray], np.ndarray], losses: np.ndarray, cache: bool = False):
-    """`losses` weighted by a run's weighting net or fixed rule, and checked:
-    the one function that does either. Anything but one finite nonnegative
-    weight per sample raises, naming the kind of weighting. With `cache`,
-    (weights, the net's ForwardCache of one pass or None for a rule)."""
+    """The weights of `losses` under a net or rule, the one place either is
+    made and checked: anything but one finite nonnegative weight per sample
+    raises. With `cache`, (weights, the net's ForwardCache or None)."""
     if isinstance(theta, MWNet):
         kind = "weighting net"
         raw, mw_cache = mw_forward_cache(theta, losses) if cache else (mw_forward(theta, losses), None)
@@ -345,25 +295,18 @@ def weights(theta: MWNet | Callable[[np.ndarray], np.ndarray], losses: np.ndarra
 
 
 def _losses(net: DenseNet, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample losses, from a forward pass in row blocks that keeps no
-    cache (`nnet.outputs`)."""
     return softmax_cross_entropy(outputs(net, features), labels)[0]
 
 
 def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
-    """The step coefficients raw / denom and denom: `weightnet.normalizer`
-    under normalization, else the batch size. `raw` comes from `weights`,
-    which checked it."""
+    """raw / denom and denom: `weightnet.normalizer` or the batch size."""
     denom = weightnet.normalizer(raw) if normalize else raw.size
     return raw / denom, denom
 
 
 def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
-    """One plain SGD step on the loss weighted by the run's `weights`, kept
-    as a function of Theta: w_hat = w - alpha * sum_i coeff_i * grad_i, held
-    as its factors and never formed (see `VirtualCache`); the meta step
-    applies alpha. No momentum, no weight decay; those belong to the actual
-    update. Its backward pass is the only one on a training batch."""
+    """The virtual step as a `VirtualCache`, without momentum or weight decay;
+    the meta step applies alpha."""
     out, fcache = forward(state.w, batch.features)
     losses, dlogits = softmax_cross_entropy(out, batch.labels)
     deltas = layer_deltas(state.w, fcache, dlogits)
@@ -379,18 +322,9 @@ def meta_gradient_direct(
     alpha: float,
     normalize: bool = False,
 ) -> MetaGradientReport:
-    """Exact gradient of the mean meta loss at w_hat(Theta) w.r.t. Theta.
-
-    Unnormalized, this is the closed form
-    -(alpha/n) * sum_j (g_meta . g_j) * dV(L_j; Theta)/dTheta; under
-    normalization the same chain rule runs through eta = raw/sum(raw)
-    and picks up the quotient-rule coupling between samples; an all-zero
-    raw vector has an all-zero Jacobian, so its gradient is 0. The meta
-    batch runs forward and backward at w_hat through the virtual step's
-    factors, and the n inner products come from the m x n Gram matrices
-    of the two batches (see the module docstring); the weighting net's
-    Jacobian comes from the virtual step's forward pass at Theta.
-    """
+    """The exact gradient of the mean meta loss at w_hat(Theta) w.r.t. Theta
+    (module docstring). Normalized, an all-zero raw vector has a zero
+    Jacobian, so a zero gradient."""
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     with _stage("virtual step: "):
@@ -401,8 +335,7 @@ def meta_gradient_direct(
         meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
         dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)[1]
         meta_deltas = lookahead_deltas(state.w, cache.forward_cache, steps, meta_fcache, dmeta)
-        # np.add.reduce(x) / count is ndarray.mean's arithmetic without its
-        # Python wrapper (see nnet's module docstring)
+        # ndarray.mean's arithmetic without its Python wrapper (nnet's module docstring)
         mean_G_per_j = np.add.reduce(gradient_gram(grams, meta_deltas, cache.deltas), axis=0) / meta_batch.size
         jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
 
@@ -430,8 +363,7 @@ def meta_gradient_fd(
     eps: float,
     normalize: bool = False,
 ) -> np.ndarray:
-    """Central-difference oracle for the meta-gradient: perturb each
-    Theta coordinate, rebuild w_hat(Theta), re-evaluate the meta loss."""
+    """Central-difference oracle for the meta-gradient, forming w_hat(Theta) each time."""
     from metaweight.nnet import fd_gradient
 
     cache = virtual_update(state, train_batch, normalize)
@@ -464,18 +396,10 @@ def update_classifier(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> TrainState:
-    """The classifier's SGD step from w on the per-sample gradients of one
-    backward pass at w (its forward cache and `nnet.layer_deltas`), each
-    scaled by its step coefficient (`_coefficients`); returns the new
-    state. Momentum and weight decay apply here and only here; zero both
-    for the bare one-step form. The deltas depend on w only, not on Theta,
-    so the virtual step's pass serves a step under the updated Theta.
-
-    The gradient goes into the spare's vector, which `nnet.sgd_step`
-    overwrites with the new parameters while it updates `state.velocity`
-    in place; `state.w.params` is left unchanged. The new state's `w` is
-    the spare and its `spare` is `state.w` (see `TrainState`).
-    """
+    """The classifier's SGD step from w on one backward pass at w, each
+    sample's gradient scaled by its coefficient; momentum and weight decay
+    apply here only. The new parameters go into the spare's vector, and
+    `state.w.params` is unchanged (`TrainState`)."""
     with _stage("classifier step: "):
         spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
         grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
@@ -494,13 +418,9 @@ def train_step(
     config: TrainConfig,
     alpha: float,
 ) -> tuple[TrainState, MetaGradientReport, np.ndarray]:
-    """One iteration of any run, each stage under its name: the virtual
-    step, for a weighting net the meta step and Theta update, and the
-    classifier step. Returns the new state, the meta-gradient report and
-    the raw weights the classifier step applied. A fixed rule has no meta
-    batch (None), and its virtual step runs as part of the classifier
-    step. `alpha` is config.alpha under the driver's schedule.
-    """
+    """One iteration of any run, each stage under its name; a fixed rule has
+    no meta batch. `alpha` is config.alpha under the schedule. Returns the
+    new state, the report and the raw weights the classifier step applied."""
     if train_batch.size != config.n:
         raise ValueError(f"train batch size {train_batch.size} != config.n {config.n}")
     if meta_batch is None:
@@ -524,9 +444,7 @@ def train_step(
 
 
 def evaluate(net: DenseNet, dataset: BiasedDataset) -> tuple[float, np.ndarray]:
-    """Accuracy of argmax predictions against the true labels plus the
-    confusion matrix (rows true class, columns predicted class). The
-    forward pass runs in row blocks (`nnet.outputs`)."""
+    """Accuracy against the true labels and the confusion matrix [true][predicted]."""
     predictions = np.argmax(outputs(net, dataset.features), axis=1)
     confusion = confusion_matrix(dataset.true_labels, predictions, dataset.c)
     return float(np.trace(confusion) / dataset.n), confusion
@@ -546,9 +464,8 @@ def _check_meta_set(meta_set: BiasedDataset, train_set: BiasedDataset) -> list[s
 
 
 def _pick_tracked(train_set: BiasedDataset, seed: int, count: int = TRACKED_SAMPLES) -> np.ndarray:
-    """Sample ids whose weights get traced per epoch: noisy ones when
-    available, otherwise arbitrary samples. A baseline run on the same
-    training set and seed tracks the same ids as the learned run."""
+    """The ids whose weights are traced per epoch, noisy ones if any; the
+    same for every run of a seed."""
     rng = rng_stream(seed, 200)
     pool = np.flatnonzero(train_set.corrupted)
     if pool.size == 0:
@@ -558,11 +475,9 @@ def _pick_tracked(train_set: BiasedDataset, seed: int, count: int = TRACKED_SAMP
 
 
 def _batches(dataset: BiasedDataset, size: int, rng: np.random.Generator) -> Callable[[], Batch]:
-    """A function returning the next mini-batch of `size` samples drawn by
-    `rng`. A batch the size of the set is the whole set in sorted order
-    whatever the draw, so it is built once and returned every time, and
-    `rng` is never drawn; each stream feeds only its own set's batches, so
-    no other draw changes."""
+    """The next mini-batch of `size` samples drawn by `rng`; a batch the size
+    of the set is the whole set whatever the draw, so it is built once and
+    `rng` is not drawn."""
     if size == dataset.n:
         whole = Batch.from_dataset(dataset, np.arange(dataset.n))
         return lambda: whole
@@ -579,21 +494,12 @@ def train(
     weight_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     config_echo: dict | None = None,
 ) -> tuple[TrainState, RunReport]:
-    """Run T iterations of the bilevel loop and assemble the run report.
+    """Run T iterations of `train_step` and assemble the run report.
 
-    Every iteration is one `train_step` on a training batch of config.n
-    samples and, in a learned run, a meta batch of config.m. A batch as
-    large as its set is the whole set on every draw, so it is built once
-    and not drawn (`_batches`).
-
-    weight_fn replaces the weighting net with a fixed losses -> weights
-    rule (baselines), which becomes the state's `theta`: no weighting net
-    is built and no meta batch drawn, so `train_step` takes no meta step,
-    and the recorded meta-gradient norms are zero. The report's warnings
-    name a meta set larger than the train set, classifier steps whose
-    weights were all zero, a weighting net's meta-gradient that stayed
-    exactly zero, and epochs whose meta loss shows the run diverging.
-    """
+    `weight_fn`, a fixed losses -> weights rule, replaces the weighting net:
+    no meta batch is drawn and the meta-gradient norms are zero. Warnings
+    name a meta set larger than the train set, all-zero weights, a stalled
+    meta-gradient and a diverging meta loss."""
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
         raise ValueError(f"batch size n={config.n} exceeds train set size {train_set.n}")
@@ -611,8 +517,7 @@ def train(
         # A rule's meta-gradient is 0 by design: no run of T + 1 zeros stalls.
         theta, draw_meta, stall_iters = weight_fn, lambda: None, config.T + 1
     state = TrainState(w=classifier, theta=theta, velocity=np.zeros_like(classifier.params))
-    # The state holds the only references, so each weighting net is freed
-    # once replaced, and the two classifier nets trade places each step.
+    # The state holds the only references, so each replaced net is freed.
     del classifier, theta
 
     tracked_ids = _pick_tracked(train_set, config.seed)
@@ -636,8 +541,7 @@ def train(
             state, report, raw = train_step(state, draw_train(), draw_meta(), config, alpha)
             epoch_losses.append(report.weighted_loss)
             epoch_norms.append(math.sqrt(dot(report.grad_theta, report.grad_theta)))
-            # Its virtual-step cache holds the batch's activations and
-            # deltas; nothing reads them again.
+            # its cache holds the batch's activations and deltas, read no more
             del report
             if not raw.any():
                 zero_weight_iters.append(t + 1)
@@ -675,9 +579,8 @@ def train(
 
 
 def _stall_notes(zero_grad_iters: list[int], T: int, limit: int = STALL_ITERS) -> list[str]:
-    """A run warning when the meta-gradient was exactly zero, with some
-    weight nonzero, in `limit` consecutive iterations: Theta then no
-    longer moves and the run has become a fixed-rule run."""
+    """A warning when the meta-gradient was exactly zero, with some weight
+    nonzero, in `limit` consecutive iterations: Theta no longer moves."""
     run = 0
     for k, t in enumerate(zero_grad_iters):
         run = run + 1 if k and t == zero_grad_iters[k - 1] + 1 else 1
@@ -691,9 +594,7 @@ def _stall_notes(zero_grad_iters: list[int], T: int, limit: int = STALL_ITERS) -
 
 
 def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:
-    """A run warning when some epoch's meta loss is above DIVERGENCE_FACTOR
-    times ln(c): the classifier is then confidently wrong on the clean,
-    balanced meta set, far worse than guessing."""
+    """A warning when some epoch's meta loss is above DIVERGENCE_FACTOR * ln(c)."""
     limit = DIVERGENCE_FACTOR * float(np.log(c))
     over = [epoch for epoch, loss in enumerate(meta_losses, 1) if loss > limit]
     if not over:
@@ -707,9 +608,7 @@ def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:
 
 def _percentile(values: np.ndarray, percent: float) -> float:
     """`float(np.percentile(values, percent))` for a 1-D float64 array, bit
-    for bit: NumPy's default ("linear") method, NaN when any value is NaN.
-    The kth list and the two-sided lerp are NumPy's own, so equal values of
-    either sign (0.0 and -0.0) land where NumPy's partition puts them."""
+    for bit: NumPy's kth list and two-sided lerp, NaN when any value is NaN."""
     n = values.size
     virtual = (n - 1) * (percent / 100)
     # at or past the last index NumPy reads the last value on both sides,
@@ -729,13 +628,13 @@ def _final_report(
     state: TrainState, train_set: BiasedDataset, test_set: BiasedDataset, tracked_ids: np.ndarray,
     history: dict[str, list], echo: dict, notes: list[str],
 ) -> RunReport:
-    """The run report: per-epoch histories plus the final classifier's
-    confusion matrix, per-sample weights and weight curve. The final passes
-    read the training set in place (its ids are already in `Batch` order)
-    and run both nets one row block at a time (`nnet.outputs`)."""
+    """The run report: the histories plus the final confusion matrix,
+    per-sample weights and weight curve."""
     _, final_confusion = evaluate(state.w, test_set)
 
     final_losses = _losses(state.w, train_set.features, train_set.observed_labels)
+    if not np.isfinite(final_losses).all():
+        raise ValueError("non-finite training losses")
 
     hi = max(_percentile(final_losses, CURVE_PERCENTILE), 1e-6)
     grid = np.linspace(0.0, hi, WEIGHT_CURVE_POINTS)

@@ -19,12 +19,8 @@ def confusion_matrix(true_labels: np.ndarray, predictions: np.ndarray, c: int) -
 
 
 def stability_from_history(weight_history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std of |weight change| between adjacent epochs.
-
-    weight_history has shape (epochs, samples); entry [e, j] is sample
-    j's weight at the end of epoch e. Returns two vectors of length
-    epochs - 1.
-    """
+    """Mean and std over samples of |weight change| between adjacent rows
+    of an (epochs, samples) history: two vectors of length epochs - 1."""
     weight_history = np.asarray(weight_history, dtype=np.float64)
     if weight_history.ndim != 2 or weight_history.shape[0] < 2:
         raise ValueError("need a (epochs >= 2, samples) weight history")
@@ -40,11 +36,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def monotonicity_score(losses: np.ndarray, weights: np.ndarray) -> tuple[float, bool]:
-    """Spearman rank correlation between losses and weights.
-
-    Returns (score, degenerate). A constant or NaN-holding input makes the
-    correlation undefined; that case scores 0.0 with the degenerate flag set.
-    """
+    """(Spearman rank correlation, degenerate); a constant or NaN-holding
+    input, where it is undefined, scores 0.0 with degenerate set."""
     losses = np.asarray(losses, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if losses.shape != weights.shape or losses.ndim != 1:

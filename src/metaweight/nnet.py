@@ -1,94 +1,54 @@
-"""Dense feed-forward networks with manual forward/backward passes.
+"""Dense feed-forward networks with manual forward and backward passes.
 
-Everything here is plain float64 numpy. A network is a chain of layer
-specs (`mlp` builds every chain the package runs) plus one flat parameter
-vector; the flattening order, walked by `_layer_views` (and by
-`per_sample_gradients`, which joins each row's blocks in it), is part of
-the contract shared by every gradient in the package:
+Everything is float64 NumPy. A network is a chain of layer specs (`mlp`)
+plus one flat parameter vector, laid out as every gradient in the package
+assumes:
 
     for each layer k:  W_k.ravel() (C order, shape (input_dim, output_dim)),
                        then b_k (length output_dim)
 
-Gradients come from one backward pass. `layer_deltas` returns, for each
-layer k, the (batch, output_dim) matrix delta_k of per-sample loss
-gradients with respect to the layer's pre-activations. Sample i's gradient
-block for layer k is then a_k[i] (outer) delta_k[i] for W_k and delta_k[i]
-for b_k, with a_k the layer's input, so the reductions the training loop
-needs never build a per-sample gradient row:
+`layer_deltas` gives, per layer k, the (batch, output_dim) matrix delta_k
+of per-sample loss gradients with respect to the pre-activations. With a_k
+the layer's input, sample i's gradient block is a_k[i] (outer) delta_k[i]
+for W_k and delta_k[i] for b_k, so no reduction builds a per-sample row:
 
     weighted_gradient:  sum_i c_i g_i  = per layer a_k^T (c * delta_k), c^T delta_k
     gradient_gram:      (g'_i . g_j)   = sum_k K_k * (delta'_k delta_k^T),
                                          K_k = a'_k a_k^T + 1
 
-`gradient_gram` is the Gram-matrix form of per-example gradient inner
-products (Goodfellow, arXiv:1510.01799): the bias block adds the 1.
-
-The same factorization runs a network at the virtual point
-w_hat = w - sum_i s_i g_i of an SGD step without forming w_hat. Layer k's
-step is W_k - a_k^T S_k, b_k - 1^T S_k with S_k = s * delta_k, so a new
-batch a'_k sees
+(per-example gradient inner products in Gram form, Goodfellow,
+arXiv:1510.01799). The same factors run a network at the virtual point
+w_hat = w - sum_i s_i g_i without forming it: with S_k = s * delta_k, a
+new batch a'_k sees
 
     forward:   z'_k = a'_k W_k + b_k - K_k S_k
     backward:  delta'_{k-1} = (delta'_k W_k^T - (delta'_k S_k^T) a_k) * act'
 
-(`lookahead_forward`, `lookahead_deltas`), and the K_k of the forward
-pass are the Gram matrices `gradient_gram` needs. All of this costs
-O(batch * width) memory instead of O(batch * param_count).
-`per_sample_gradients` materializes the rows from the same deltas; it
-serves as the oracle in tests and as the engine of the weighting net's
-small Jacobian.
+(`lookahead_forward`, `lookahead_deltas`), in O(batch * width) memory.
 
-A forward pass keeps one array per layer, its output: ReLU rectifies the
-pre-activation in place and its backward pass masks on act > 0, equal to
-preact > 0 for every float (as in in-place activated layers, Rota Bulo et
-al., arXiv:1712.02616); sigmoid's derivative reads only its output.
+A forward pass keeps each layer's output only: ReLU rectifies in place,
+and its backward pass masks on act > 0, which equals preact > 0 for every
+float (Rota Bulo et al., arXiv:1712.02616).
 
-Products go through `dot = np.ndarray.dot`, not `@` or `np.matmul`, and
-row reductions through `ufunc.reduce` (`np.add.reduce`,
-`np.maximum.reduce`), not the `sum` and `max` methods. On the shipped
-tiny models a step is about a hundred small NumPy calls, so per-call cost
-sets its speed. `ndarray.dot` is `np.dot`'s C routine without its
-`__array_function__` dispatch, and `ufunc.reduce` is what the methods
-call after their Python-level argument handling, so both give the bits of
-the forms they replace; `dot`'s first operand must be an ndarray, as
-every array the kernels take is. Where the inner dimension is 1, `matmul`
-takes a slow path; the weighting net's scalar input gives two such
-products per meta step (x @ W_1 forward, delta_2 @ W_2^T back). `dot` and
-`@` give the same bits on every operand the kernels pass
-(tests/test_nnet.py). The one exception is `weighted_gradient`'s weight
-block, which keeps `np.matmul(..., out=)` to write straight into the flat
-gradient, where `dot` with `out=` is slower at the wide shapes.
+Products go through `dot = np.ndarray.dot` and reductions through
+`ufunc.reduce` (`np.add.reduce`, `np.maximum.reduce`): a tiny model's step
+is many small calls, and both skip the Python-level dispatch of `@`,
+`sum` and `max` while giving their bits (tests/test_nnet.py). `dot`'s
+first operand must be an ndarray. `weighted_gradient` writes its weight
+blocks with `np.matmul(..., out=)`, straight into the flat gradient.
 
-`outputs` runs the forward pass ROW_BLOCK rows at a time without a cache,
-for passes over a whole dataset or grid: O(ROW_BLOCK * width) memory,
-which at the benchmarked widths fits in the memory a training step frees.
-
-Values are checked once, where they enter the package, and each stage
-output where it is made. Settings are checked in `metaopt.TrainConfig`
-and `metaopt.BaselineSpec`, data in `biasgen.BiasedDataset` and
-`biasgen.load_dataset`, hand-built batches in the `metaopt.Batch`
-constructor, and a weighting net's shape in the `weightnet.MWNet`
-constructor. The `DenseNet` constructor checks the layer chain and the
-parameter vector; `DenseNet.with_params`, the one way a new vector is
-bound onto a built net, checks that vector's shape and finiteness against
-the layers already checked; `outputs` coerces its input to a float64
-matrix. The kernels (`forward`, `lookahead_forward`, `layer_deltas`,
-`lookahead_deltas`, `weighted_gradient`, `gradient_gram`,
-`per_sample_gradients`, `softmax_cross_entropy`, `sgd_step`) take float64
-2-D arrays (1-D vectors for `sgd_step`) as they are, without coercing
-them: the training loop builds every array they see, from datasets
-checked when they were built. All but `sgd_step` leave their inputs
-unchanged, apart from `weighted_gradient`'s `out`; `sgd_step` updates the
-velocity in place and writes the new parameter vector into the
-gradient's buffer, so a run keeps two classifier nets and steps each
-into the other's vector (`metaopt.TrainState`). The kernels check
-argument shapes and step settings, not array values. The training loop
-checks each stage output it acts on once, where it is made: every weight
-vector, learned or fixed-rule, in `metaopt.weights`, the meta-gradient,
-each new weighting-net vector through `with_params`, and the
-classifier's new vector in `metaopt.update_classifier`.
-Reductions use numpy's fixed summation order, so identical inputs give
-bit-identical results across runs.
+Values are checked once, where they enter the package: settings in
+`metaopt.TrainConfig` and `metaopt.BaselineSpec`, data in
+`biasgen.BiasedDataset`, hand-built batches in `metaopt.Batch`, a
+weighting net's shape in `weightnet.MWNet`, a layer chain and its vector
+in `DenseNet`, and each new vector's shape and finiteness in
+`DenseNet.with_params`. The kernels take float64 2-D arrays (1-D for
+`sgd_step`) uncoerced and check shapes and settings, not values; all but
+`sgd_step` leave their inputs unchanged, apart from `weighted_gradient`'s
+`out`. The loop checks each stage output once, where it is made: weights
+in `metaopt.weights`, the meta-gradient, and the classifier's new vector
+in `metaopt.update_classifier`. Reductions keep NumPy's fixed summation
+order, so identical inputs give identical bits.
 """
 
 from __future__ import annotations
@@ -100,12 +60,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 # Rows per block of `outputs`. A multiple of 4, so that every block starts
-# on a row where the BLAS kernels' row tiles start: with OpenBLAS (x86-64
-# SkylakeX kernels) each block's rows then equal the rows of the one-pass
-# product bit for bit on the shipped layer shapes (2-64-3, 2-16-3, 1-100-1).
-# 64 rows, so that a block's activations at the widest benchmarked layer
-# (256 units, 128 KiB) fit in the chunks a training step frees and a
-# full-set pass does not grow the heap.
+# where the BLAS kernels' row tiles start and its rows equal the one-pass
+# product's bit for bit; few enough that a block's activations fit in the
+# memory a training step frees.
 ROW_BLOCK = 64
 
 RELU = "relu"
@@ -142,7 +99,6 @@ def mlp(widths: Sequence[int], head: str) -> tuple[LayerSpec, ...]:
 
 
 def _layer_views(layers: Sequence[LayerSpec], flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Each layer's (W, b) views of a flat vector."""
     views, off = [], 0
     for spec in layers:
         mid, end = off + spec.input_dim * spec.output_dim, off + spec.param_count
@@ -163,13 +119,10 @@ def _check_chain(specs: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
 
 @dataclass(frozen=True)
 class DenseNet:
-    """Layer specs plus one flat parameter vector (see module docstring for layout).
+    """Layer specs plus one flat parameter vector (module docstring).
 
-    Frozen: the per-layer (W, b) views into `params` are built once, at
-    construction, and stay bound to that vector. The vector's entries are
-    not frozen: a classifier step (`sgd_step`) writes the new parameters
-    into the vector of a second net of the same layers, its spare.
-    """
+    Frozen: the (W, b) views are bound to `params` at construction. The
+    vector's entries are not frozen; `sgd_step` writes into them."""
 
     layers: tuple[LayerSpec, ...]
     params: np.ndarray
@@ -179,8 +132,6 @@ class DenseNet:
         self._bind(np.asarray(self.params, dtype=np.float64), sum(s.param_count for s in self.layers))
 
     def _bind(self, params: np.ndarray, expected: int) -> None:
-        """Check `params` against the layer chain and store it with its
-        per-layer (W, b) views."""
         if params.shape != (expected,):
             raise ValueError(f"params must have shape ({expected},), got {params.shape}")
         if not np.isfinite(params).all():
@@ -205,13 +156,8 @@ class DenseNet:
         return self._views
 
     def with_params(self, params: np.ndarray) -> "DenseNet":
-        """This net's layers with the parameter vector `params`, held as
-        given (a float64 array is not copied, so pass one nothing else will
-        write to). The layer chain was checked when this net was built, so
-        only the new vector's shape and finiteness are checked. The training
-        loop binds each new weighting-net vector this way, and the
-        classifier's spare once per run; classifier steps write into the
-        two classifier vectors without rebinding them."""
+        """This net's layers bound to `params`, uncopied if float64 (pass a
+        vector nothing else writes to); checks its shape and finiteness."""
         net = object.__new__(DenseNet)
         object.__setattr__(net, "layers", self.layers)
         net._bind(np.asarray(params, dtype=np.float64), self.params.size)
@@ -220,8 +166,7 @@ class DenseNet:
 
 @dataclass
 class ForwardCache:
-    """The activations of one forward pass, the only arrays it keeps: acts[0]
-    is the input batch, acts[k+1] the output of layer k."""
+    """One forward pass's activations: acts[0] the input, acts[k+1] layer k's output."""
 
     acts: list[np.ndarray]
 
@@ -231,13 +176,9 @@ class ForwardCache:
 
 
 def init_net(specs: Sequence[LayerSpec], seed: int) -> DenseNet:
-    """Build a network with Gaussian weights and zero biases.
-
-    Weight std is sqrt(2/input_dim) for ReLU layers (He) and
-    sqrt(1/input_dim) otherwise; deterministic in (specs, seed).
-    """
-    # The constructor checks the layer chain on a zero vector; the weights
-    # are then drawn into its views in place (finite by construction).
+    """Zero biases and Gaussian weights of std sqrt(2/input_dim) for ReLU
+    layers (He) or sqrt(1/input_dim); deterministic in (specs, seed)."""
+    # checked on a zero vector, then drawn into its views (finite by construction)
     net = DenseNet(specs, np.zeros(sum(spec.param_count for spec in specs)))
     rng = np.random.Generator(np.random.Philox(seed))
     for spec, (w, _) in zip(net.layers, net.layer_params()):
@@ -251,9 +192,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return np.maximum(z, 0.0, out=z)
     if kind == SIGMOID:
-        # exp(-|z|) <= 1 cannot overflow; for each sign of z this is the same
-        # arithmetic as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), so the bits
-        # match. A NaN fails z >= 0 and keeps e/d, which is NaN.
+        # exp(-|z|) <= 1 cannot overflow; per sign of z this is the arithmetic
+        # of 1/(1+exp(-z)) or exp(z)/(1+exp(z)). A NaN fails z >= 0: e/d is NaN.
         e = np.exp(-np.abs(z))
         d = 1.0 + e
         return np.divide(1.0, d, out=e / d, where=z >= 0)
@@ -261,8 +201,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activation_backward(delta: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
-    """delta times the activation's derivative at the layer output `act`;
-    identity passes delta through."""
+    """delta times the activation's derivative, read from the layer output `act`."""
     # ReLU subgradient at 0 is defined as 0.
     if kind == RELU:
         return delta * (act > 0.0)
@@ -277,10 +216,7 @@ def _check_batch(net: DenseNet, batch: np.ndarray) -> None:
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a float64 (batch_size, input_dim) matrix.
-
-    Returns the final activations and a cache of every intermediate.
-    """
+    """The net's outputs on a (batch_size, input_dim) matrix, and the pass's cache."""
     _check_batch(net, batch)
     acts = [batch]
     for spec, (w, b) in zip(net.layers, net.layer_params()):
@@ -291,15 +227,10 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 
 
 def outputs(net: DenseNet, batch: np.ndarray) -> np.ndarray:
-    """`forward`'s outputs without its cache, computed ROW_BLOCK rows at a
-    time into one (batch_size, output_dim) array: a pass over a whole set
-    holds one block's activations, not O(batch_size * width), and at the
-    benchmarked widths a block fits in the memory a training step frees.
-
-    A 1-row tail joins the block before it: NumPy runs a 1-row product as a
-    matrix-vector product, whose rows differ in the last bits from the
-    matrix product's. A batch of at most ROW_BLOCK + 1 rows is one block.
-    """
+    """`forward`'s outputs without its cache, ROW_BLOCK rows at a time, so a
+    pass over a whole set holds one block's activations. A 1-row tail joins
+    the block before it: NumPy runs a 1-row product as a matrix-vector
+    product, whose bits differ from the matrix product's."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = x.shape[0]
     if n <= ROW_BLOCK + 1:
@@ -314,12 +245,8 @@ def outputs(net: DenseNet, batch: np.ndarray) -> np.ndarray:
 
 
 def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> list[np.ndarray]:
-    """Backprop one scalar loss per sample; entry k is the (batch_size,
-    output_dim_k) matrix d(loss_i)/d(preact_k).
-
-    `upstream` is the (batch_size, output_dim) matrix of per-sample loss
-    gradients with respect to the network outputs.
-    """
+    """Entry k is the (batch_size, output_dim_k) matrix d(loss_i)/d(preact_k),
+    from `upstream`, each sample's loss gradient at the outputs."""
     bsz = cache.batch_size
     if upstream.shape != (bsz, net.output_dim):
         raise ValueError(f"upstream must have shape ({bsz}, {net.output_dim}), got {upstream.shape}")
@@ -337,9 +264,8 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
 def weighted_gradient(
     net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The flat vector sum_i coeffs[i] * d(loss_i)/d(params), built layer
-    by layer from `layer_deltas` output without per-sample rows, into
-    `out` (a contiguous float64 vector) when given."""
+    """sum_i coeffs[i] * d(loss_i)/d(params) from `layer_deltas` output,
+    into `out` (a contiguous float64 vector) when given."""
     grad = np.empty(net.param_count) if out is None else out
     if grad.shape != (net.param_count,):
         raise ValueError(f"out must have shape ({net.param_count},), got {grad.shape}")
@@ -352,11 +278,8 @@ def weighted_gradient(
 def lookahead_forward(
     net: DenseNet, cache: ForwardCache, steps: list[np.ndarray], batch: np.ndarray
 ) -> tuple[np.ndarray, ForwardCache, list[np.ndarray]]:
-    """`forward` at w_hat = w - sum_i s_i g_i, where g_i are the per-sample
-    gradients of the batch cached in `cache` and steps[k] = s * delta_k
-    (see module docstring). Returns the outputs, the cache and the
-    per-layer Gram matrices K_k = a'_k a_k^T + 1 of this batch against the
-    cached one."""
+    """`forward` at w_hat = w - sum_i s_i g_i, g_i the gradients of the batch
+    in `cache` and steps[k] = s * delta_k; also returns the Gram matrices K_k."""
     _check_batch(net, batch)
     acts, grams = [batch], []
     for spec, (w, b), a_prev, step in zip(net.layers, net.layer_params(), cache.acts, steps):
@@ -373,8 +296,7 @@ def lookahead_forward(
 def lookahead_deltas(
     net: DenseNet, cache: ForwardCache, steps: list[np.ndarray], look_cache: ForwardCache, upstream: np.ndarray
 ) -> list[np.ndarray]:
-    """`layer_deltas` at the w_hat of `lookahead_forward`, for the batch of
-    `look_cache`; `cache` and `steps` are the ones that defined w_hat."""
+    """`layer_deltas` at `lookahead_forward`'s w_hat, for the batch of `look_cache`."""
     views = net.layer_params()
     deltas = [None] * len(net.layers)
     delta = upstream
@@ -387,10 +309,7 @@ def lookahead_deltas(
 
 
 def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b: list[np.ndarray]) -> np.ndarray:
-    """The (batch_a, batch_b) matrix of inner products g_a[i] . g_b[j]
-    between two batches' per-sample gradients, sum_k K_k * (da_k db_k^T),
-    from the per-layer Gram matrices K_k = a_a,k a_b,k^T + 1 (as returned
-    by `lookahead_forward`) and each batch's per-layer deltas."""
+    """The matrix of g_a[i] . g_b[j] = sum_k K_k * (da_k db_k^T) between two batches."""
     total = grams[0] * dot(deltas_a[0], deltas_b[0].T)
     for gram, da, db in zip(grams[1:], deltas_a[1:], deltas_b[1:]):
         total += gram * dot(da, db.T)
@@ -398,17 +317,11 @@ def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b:
 
 
 def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
-    """Backprop one scalar loss per sample; row i is d(loss_i)/d(params).
-
-    `upstream` is the (batch_size, output_dim) matrix of per-sample loss
-    gradients with respect to the network outputs. The mean of the rows
-    equals the gradient of the mean loss. Memory peaks at twice
-    batch_size * param_count floats (the blocks, then the rows); the
-    training loop uses `weighted_gradient` and `gradient_gram` instead.
-    """
+    """Row i is d(loss_i)/d(params), as in `layer_deltas`: the tests' oracle
+    and the weighting net's Jacobian. Peaks at twice batch_size * param_count floats."""
     blocks = []
     for a_prev, delta in zip(cache.acts, layer_deltas(net, cache, upstream)):
-        # dL_i/dW = a_prev_i (outer) delta_i; each block is contiguous, and one copy joins them into rows
+        # dL_i/dW = a_prev_i (outer) delta_i, in contiguous blocks that one copy joins into rows
         outer = a_prev[:, :, None] * delta[:, None, :]
         blocks += [outer.reshape(len(delta), a_prev.shape[1] * delta.shape[1]), delta]
     return np.concatenate(blocks, axis=1)
@@ -442,14 +355,12 @@ def sgd_step(
     *,
     state: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum SGD: v' = momentum*v + grad + weight_decay*params; params' = params - lr*v',
-    with `state` the velocity v.
+    """Momentum SGD: v' = momentum*v + grad + weight_decay*params, params' = params - lr*v'.
 
-    `state` becomes v' in place, as `torch.optim.SGD` updates its momentum
-    buffer; params' is written into `grad`'s buffer, and (grad, state) is
-    returned. `params` is left unchanged, and the step allocates no
-    param-sized array. Evaluated left to right; the weight-decay product
-    is taken even at weight_decay 0, for its signed zeros."""
+    `state` (v) becomes v' in place, as in `torch.optim.SGD`; params' is
+    written into `grad`'s buffer and (grad, state) returned; `params` is
+    unchanged and nothing param-sized is allocated. The weight-decay
+    product is taken even at 0, for its signed zeros."""
     if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
@@ -469,12 +380,8 @@ def sgd_step(
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample softmax cross-entropy and its gradient w.r.t. the logits.
-
-    Returns (losses, grad) with losses shape (batch,) and grad shape
-    (batch, classes) = softmax(logits) - onehot(labels). Labels must lie
-    in [0, classes); they are checked where datasets are built, not here.
-    """
+    """Per-sample softmax cross-entropy and its gradient softmax(logits) -
+    onehot(labels); labels in [0, classes) are checked where datasets are built."""
     shifted = logits - np.maximum.reduce(logits, axis=1)[:, None]
     expz = np.exp(shifted)
     norm = np.add.reduce(expz, axis=1)

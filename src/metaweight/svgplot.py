@@ -1,8 +1,7 @@
 """Minimal deterministic SVG line plots.
 
-Hand-rolled on purpose: the output must be byte-identical across
-re-renders of the same data, which rules out plotting libraries that
-embed generated ids or timestamps in their SVG.
+Hand-rolled so that re-renders of the same data are byte-identical, which
+plotting libraries that embed generated ids or timestamps are not.
 """
 
 from __future__ import annotations

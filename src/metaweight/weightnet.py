@@ -1,18 +1,7 @@
 """The weighting network: a tiny MLP mapping a scalar loss to a weight.
 
-Architecture is 1 -> hidden (ReLU, possibly several layers) -> 1 with a
-sigmoid head, so every weight lands in (0, 1). `normalize` rescales a
-weight vector to sum to one and maps an all-zero vector to all zeros.
-
-`mw_jacobian` gives the exact per-input parameter Jacobian
-d(weight_i)/d(theta), and the tests use it as the reference. The meta
-step builds the same Jacobian with `nnet.per_sample_gradients` on the
-cache of the virtual step's weighting-net pass, so it runs no second
-forward pass.
-
-Values are checked as `nnet`'s module docstring sets out; a loss vector's
-shape is checked where it enters (`mw_forward`, `mw_forward_cache`,
-`mw_jacobian`), the training loop's weights in `metaopt.weights`, and a
+It is 1 -> hidden (ReLU layers) -> 1 with a sigmoid head, so every weight
+lies in (0, 1). A loss vector's shape is checked where it enters, and a
 saved net's document where `load_mwnet` reads it.
 """
 
@@ -54,20 +43,15 @@ class MWNet:
         return self.net.param_count
 
     def with_theta(self, theta: np.ndarray) -> "MWNet":
-        """This net with parameter vector `theta` (see `DenseNet.with_params`);
-        the layer shape was checked when this net was built."""
+        """This net with parameter vector `theta` (`DenseNet.with_params`)."""
         mwnet = object.__new__(MWNet)
         mwnet.net = self.net.with_params(theta)
         return mwnet
 
 
 def init_mwnet(hidden: tuple[int, ...] = (100,), seed: int = 0) -> MWNet:
-    """Initialize with weights shrunk well below the usual scale.
-
-    The small weights keep the sigmoid near its linear midpoint, so an
-    untrained net maps every loss to roughly 0.5 instead of an arbitrary
-    steep curve.
-    """
+    """A net with weights shrunk by INIT_SCALE, so that its sigmoid starts
+    near its midpoint and maps every loss to about 0.5."""
     if not hidden or any(h < 1 for h in hidden):
         raise ValueError("hidden layer sizes must be positive")
     net = init_net(mlp((1, *hidden, 1), "sigmoid"), seed)
@@ -88,28 +72,20 @@ def mw_forward_cache(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, Forw
 
 
 def mw_forward(mwnet: MWNet, losses: np.ndarray) -> np.ndarray:
-    """Map a vector of losses to a vector of weights in (0, 1), in row
-    blocks (`nnet.outputs`), so any number of losses costs O(block * hidden)
-    memory."""
+    """The weights of a loss vector, in row blocks (`nnet.outputs`)."""
     return outputs(mwnet.net, _column(losses))[:, 0]
 
 
 def mw_jacobian(mwnet: MWNet, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights plus the exact Jacobian d(weight_i)/d(theta).
-
-    Returns (weights, jac) with jac shape (len(losses), param_count).
-    """
+    """The weights and their exact (len(losses), param_count) Jacobian d(weight_i)/d(theta)."""
     weights, cache = mw_forward_cache(mwnet, losses)
     jac = per_sample_gradients(mwnet.net, cache, np.ones((weights.size, 1)))
     return weights, jac
 
 
 def normalizer(weights: np.ndarray) -> float:
-    """The denominator of `normalize`, unchecked (the loop's weights were
-    checked in `metaopt.weights`): the sum of the weights, or 1 when all
-    are 0. Any positive stand-in gives the same zeros, and the meta step's
-    Jacobian rows are then 0 too (a sigmoid head outputs 0 only where it
-    is saturated), so the choice never reaches an output."""
+    """`normalize`'s denominator, unchecked: the sum, or 1 when all weights
+    are 0 (any positive stand-in gives the same zeros)."""
     total = float(weights.sum())
     return total if total > 0.0 else 1.0
 
@@ -130,9 +106,7 @@ def save_mwnet(mwnet: MWNet, path) -> None:
 
 
 def load_mwnet(path) -> MWNet:
-    """Read a weighting net in `save_mwnet`'s format. A file that is not
-    JSON of that shape, or whose net fails the `DenseNet` or `MWNet`
-    checks, raises ValueError naming the file and the field."""
+    """Read a `save_mwnet` file; a fault names the file and the field."""
     with open(path, "r", encoding="utf-8") as fh, _stage(f"{path}: "):
         return _parse_mwnet(json.load(fh))
 

@@ -107,6 +107,11 @@ FAULTS = {
         "error: {root}/mwnet.json: layers[0]: unknown activation 'bogus', "
         "expected one of ('relu', 'sigmoid', 'identity')\n",
     ),
+    "model weights": (
+        {"mwnet.json": json.dumps({**MWNET, "params": [1e308, 1e308, 0.0, 0.0, 1e308, -1e308, 0.0]})},
+        PROBE + ["--steps", "3"], 2,
+        "error: {root}/mwnet.json: weighting net must return finite nonnegative weights, one per sample\n",
+    ),
     "data header": (
         {"config.json": on_file(), "data.csv": "1,2\n"},
         TRAIN, 2, "error: {root}/data.csv: header must be 'N,d,c', got ['1', '2']\n",
@@ -227,6 +232,7 @@ def check(root, case):
     proc = run_main(*write_input(root, files, argv))
     assert (proc.returncode, proc.stderr) == (code, stderr.replace("{root}", str(root)))
     assert not os.path.exists(os.path.join(root, "out"))
+    assert not os.path.exists(os.path.join(root, "curve.csv"))
 
 
 @pytest.mark.parametrize("name", sorted(FAULTS))

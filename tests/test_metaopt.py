@@ -1433,12 +1433,16 @@ def test_weights_refuses_what_a_net_makes_of_a_non_finite_loss(loss, cache):
         assert metaopt.weights(theta, np.zeros(0)).shape == (0,)
 
 
-def test_a_run_whose_final_losses_are_not_finite_names_the_seed_and_the_final_report():
+@pytest.mark.parametrize(
+    "weight_fn", [None, metaopt.BaselineSpec("uniform"), metaopt.BaselineSpec("step")], ids=["learned", "uniform", "step"]
+)
+def test_a_run_whose_final_losses_are_not_finite_names_the_seed_and_the_final_report(weight_fn):
     # One training sample overflows the trained classifier's logits to -inf
-    # and +inf, so its final loss is NaN, and so is the weight the net gives
-    # it. The sample is kept out of the one iteration's batch and out of the
-    # tracked samples, and the run ends before an epoch evaluation, so the
-    # loop itself never sees it.
+    # and +inf, so its final loss is NaN: the net's weight for it is NaN too,
+    # but the uniform and step rules give it a finite weight. The sample is
+    # kept out of the one iteration's batch and out of the tracked samples,
+    # and the run ends before an epoch evaluation, so the loop itself never
+    # sees it.
     train_set, meta_set, test_set = make_toy_sets(13)
     config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=1, seed=2)
     assert -(-train_set.n // config.n) > config.T
@@ -1447,10 +1451,8 @@ def test_a_run_whose_final_losses_are_not_finite_names_the_seed_and_the_final_re
     features = train_set.features.copy()
     features[k] = [-1e308, 1e308]
     train_set = BiasedDataset(features, train_set.observed_labels, train_set.true_labels, train_set.c)
-    with np.errstate(all="ignore"), pytest.raises(
-        ValueError, match=r"^seed 2, final report: weighting net must return finite nonnegative weights"
-    ):
-        train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^seed 2, final report: non-finite training losses$"):
+        train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, weight_fn=weight_fn)
 
 
 def test_train_lr_schedule_scales_the_step():

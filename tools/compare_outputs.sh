@@ -16,10 +16,14 @@
 # codes are then diffed. Each command is stopped after 300 s and then logs
 # exit code 124, so a hang in either tree shows up as a difference instead
 # of stalling the script. Each difference is printed, then each tree's line
-# count of src/metaweight/*.py (as `wc -l` totals it) beside its code lines
-# and docstring lines (counted with `ast` and `tokenize`, see count_lines);
-# the exit status is 1 if there is any difference, else 0. The temporary
-# directory is removed on exit.
+# count of src/metaweight/*.py (as `wc -l` totals it) beside its code lines,
+# docstring lines and comment-only lines (counted with `ast` and `tokenize`,
+# see count_lines), then the name of each module whose code differs from the
+# ref's: whose `ast` tree, with every module, class and function docstring
+# removed, is not the ref's (or that only one tree has). A change to
+# docstrings and comments alone lists no module. The exit status is 1 if
+# there is any difference in outputs, else 0. The temporary directory is
+# removed on exit.
 set -euo pipefail
 
 ref=${1:?usage: tools/compare_outputs.sh <git-ref>}
@@ -71,13 +75,14 @@ for dir in out faults logs; do
 done
 # Code lines hold a token other than a comment, a line end or an indent
 # (tokenize); docstring lines are those of a module, class or function
-# docstring (ast), and are not code lines.
+# docstring (ast), and are not code lines; comment-only lines hold a comment
+# and neither code nor docstring.
 count_lines() {
     python3 - "$@" <<'PY'
 import ast, io, sys, tokenize
 
 blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
-code = docs = 0
+code = docs = comments = 0
 for path in sys.argv[1:]:
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
@@ -86,19 +91,42 @@ for path in sys.argv[1:]:
         kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
         if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
             doc_lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-    lines = set()
+    lines, commented = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in blank:
+        if tok.type == tokenize.COMMENT:
+            commented.add(tok.start[0])
+        elif tok.type not in blank:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     code += len(lines - doc_lines)
     docs += len(doc_lines)
-print(f"{code} code lines and {docs} docstring lines")
+    comments += len(commented - lines - doc_lines)
+print(f"{code} code lines, {docs} docstring lines and {comments} comment-only lines")
 PY
 }
 for side in ref work; do
     sources=("$tmp/$side"/src/metaweight/*.py)
     echo "$side: $(cat "${sources[@]}" | wc -l) lines in src/metaweight/*.py, $(count_lines "${sources[@]}")" >&2
 done
+python3 - "$tmp/ref/src/metaweight" "$tmp/work/src/metaweight" <<'PY' >&2
+import ast, os, sys
+
+
+def code(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            node.body = node.body[1:]
+    return ast.dump(tree)
+
+
+names = sorted({n for d in sys.argv[1:] for n in os.listdir(d) if n.endswith(".py")})
+changed = [n for n in names if code(os.path.join(sys.argv[1], n)) != code(os.path.join(sys.argv[2], n))]
+print(f"modules whose code differs: {', '.join(changed) if changed else 'none'}")
+PY
 if [ "$status" -eq 0 ]; then
     files=$(find "$tmp/work/out" "$tmp/work/faults" -type f | wc -l)
     echo "identical: $files files and $(ls "$tmp/work/logs" | wc -l) logs" >&2
