@@ -3,11 +3,12 @@
 A small classifier trains while an MLP learns to map each sample's loss
 to a weight in [0, 1], guided by a small clean, balanced meta set. The
 package root re-exports nothing; it holds the one fault hook, `_stage`,
-and the one CSV dialect, `_write_csv` and `_csv_rows`, and imports no
-package module, so every module can use them.
+and the one CSV and JSON dialects (`_write_csv` and `_csv_rows`, `_write_json`
+and `_read_json`), and imports no package module, so every module can use them.
 """
 
 import csv
+import json
 
 
 class _stage:
@@ -46,3 +47,19 @@ def _csv_rows(path):
             yield from reader
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _write_json(path, payload) -> None:
+    """Write UTF-8 JSON: sorted keys, two-space indent, "\\n" line ends, a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_json(path):
+    """A UTF-8 JSON file's value; text that does not decode, too deep a nesting included, is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None

@@ -15,7 +15,7 @@ import numpy as np
 
 from metaweight import _stage, _write_csv
 from metaweight.biasgen import derive_seed, save_dataset
-from metaweight.config import ConfigError, load_config
+from metaweight.config import _FLOAT64_BYTES, _MAX_ARRAY_BYTES, ConfigError, load_config
 from metaweight.harness import generate_biased, load_report, render_plots, run_experiment, save_experiment
 from metaweight.metaopt import (
     BASELINE_KINDS,
@@ -132,6 +132,8 @@ def cmd_train(args) -> int:
 
 def cmd_probe(args) -> int:
     _at_least("--steps", args.steps, 2)
+    if args.steps * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+        raise ConfigError(f"--steps={args.steps} curve points exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)")
     if not -math.inf < args.min < args.max < math.inf:
         raise ConfigError(f"--min and --max must be finite with --max above --min, got {args.min} and {args.max}")
     if not args.max - args.min < math.inf:

@@ -8,13 +8,12 @@ training with defaults. Each block is read one way: `_require_keys` (or
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from metaweight import _stage
+from metaweight import _read_json, _stage
 from metaweight.biasgen import FLIP, NoiseSpec, _longtail_ratio, longtail_counts
 from metaweight.metaopt import BaselineSpec, TrainConfig
 from metaweight.nnet import mlp
@@ -286,12 +285,10 @@ def _check_batches(optim: TrainConfig, train_n: int, meta_n: int, error: type[Va
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with _stage(f"config {path} is not valid JSON: ", ConfigError):
+            doc = _read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_config(doc)

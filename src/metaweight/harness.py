@@ -10,14 +10,13 @@ Floats are written with repr(), so a load/save round trip is byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from metaweight import _csv_rows, _stage, _write_csv, metrics
+from metaweight import _csv_rows, _read_json, _stage, _write_csv, _write_json, metrics
 from metaweight.biasgen import (
     UNIFORM,
     BiasedDataset,
@@ -279,11 +278,7 @@ def save_report(report: RunReport, out_dir, mwnet: MWNet | None = None, plots: b
             [index] + [f"{prefix}{int(t)}" for t in tags],
             [[first + k] + [cell.write(v) for v in row] for k, row in enumerate(matrix)],
         )
-    payload = dict(report.config_echo)
-    payload["run_warnings"] = list(report.warnings)
-    with open(join("config.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(join("config.json"), {**report.config_echo, "run_warnings": list(report.warnings)})
     if mwnet is not None:
         save_mwnet(mwnet, join("mwnet.json"))
     if plots:
@@ -322,8 +317,8 @@ def load_report(report_dir) -> RunReport:
     points = kwargs["curve_losses"].size
     if points < MIN_CURVE_POINTS:
         raise ValueError(f"{join('weight_curve.csv')}: need at least {MIN_CURVE_POINTS} curve points, got {points}")
-    with _stage(f"{join('config.json')}: "), open(join("config.json"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with _stage(f"{join('config.json')}: "):
+        payload = _read_json(join("config.json"))
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         warnings = payload.pop("run_warnings", [])
@@ -357,6 +352,4 @@ def save_experiment(result: ExperimentResult, out_dir, plots: bool = False) -> N
         save_report(result.reports[k], run_dir, mwnet=result.mwnets[k], plots=plots)
         for kind, reps in result.baseline_reports.items():
             save_report(reps[k], os.path.join(run_dir, f"baseline_{kind}"), plots=plots)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), result.summary)

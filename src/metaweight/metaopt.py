@@ -608,7 +608,7 @@ def _divergence_notes(meta_losses: list[float], c: int) -> list[str]:
 
 def _percentile(values: np.ndarray, percent: float) -> float:
     """`float(np.percentile(values, percent))` for a 1-D float64 array, bit
-    for bit: NumPy's kth list and two-sided lerp, NaN when any value is NaN."""
+    for bit: NumPy's kth list and two-sided lerp."""
     n = values.size
     virtual = (n - 1) * (percent / 100)
     # at or past the last index NumPy reads the last value on both sides,
@@ -617,8 +617,6 @@ def _percentile(values: np.ndarray, percent: float) -> float:
     hi = lo + 1 if lo >= 0 else -1
     g = virtual - lo
     part = np.partition(values, sorted({0, -1, lo, hi}))
-    if math.isnan(part[-1]):
-        return float(part[-1])
     a, b = float(part[lo]), float(part[hi])
     d = b - a
     return b - d * (1 - g) if g >= 0.5 else a + d * g

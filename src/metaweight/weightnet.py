@@ -7,12 +7,11 @@ saved net's document where `load_mwnet` reads it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from metaweight import _stage
+from metaweight import _read_json, _stage, _write_json
 from metaweight.nnet import DenseNet, ForwardCache, LayerSpec, forward, init_net, mlp, outputs, per_sample_gradients
 
 INIT_SCALE = 0.1
@@ -99,16 +98,13 @@ def normalize(weights: np.ndarray) -> np.ndarray:
 
 
 def save_mwnet(mwnet: MWNet, path) -> None:
-    payload = {"layers": [asdict(spec) for spec in mwnet.net.layers], "params": mwnet.net.params.tolist()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"layers": [asdict(spec) for spec in mwnet.net.layers], "params": mwnet.net.params.tolist()})
 
 
 def load_mwnet(path) -> MWNet:
     """Read a `save_mwnet` file; a fault names the file and the field."""
-    with open(path, "r", encoding="utf-8") as fh, _stage(f"{path}: "):
-        return _parse_mwnet(json.load(fh))
+    with _stage(f"{path}: "):
+        return _parse_mwnet(_read_json(path))
 
 
 def _parse_mwnet(payload) -> MWNet:

@@ -59,6 +59,8 @@ def on_file(**edits):
 
 TRAIN = ["train", "--config", "{root}/config.json", "--out", "{root}/out", "--seed", "1"]
 PROBE = ["probe", "--model", "{root}/mwnet.json", "--out", "{root}/curve.csv"]
+# JSON arrays nested past the recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # name -> (files by name, command line, exit code, stderr): one input per
 # place that names a fault.
@@ -138,6 +140,38 @@ FAULTS = {
         {**REPORT_CSVS, "report/config.json": '{"run_warnings": 5}\n'},
         ["report", "{root}/report"], 2,
         "error: {root}/report/config.json: run_warnings must be a list of strings, got 5\n",
+    ),
+    # JSON that does not decode: not UTF-8, an integer past Python's
+    # 4300-digit limit, and nesting past the recursion limit in each file
+    # the package reads as JSON.
+    "config not utf-8": (
+        {"config.json": b'{"seeds": [1]\xff}\n'},
+        TRAIN, 1,
+        "config error: config {root}/config.json is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+        "in position 13: invalid start byte\n",
+    ),
+    "config integer past digit limit": (
+        {"config.json": '{"seeds": [' + "1" * 5000 + "]}\n"},
+        TRAIN, 1,
+        "config error: config {root}/config.json is not valid JSON: Exceeds the limit (4300 digits) for integer "
+        "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n",
+    ),
+    "config nested too deeply": (
+        {"config.json": DEEP_JSON},
+        TRAIN, 1, "config error: config {root}/config.json is not valid JSON: JSON nested too deeply\n",
+    ),
+    "model nested too deeply": (
+        {"mwnet.json": DEEP_JSON},
+        PROBE, 2, "error: {root}/mwnet.json: JSON nested too deeply\n",
+    ),
+    "report config nested too deeply": (
+        {**REPORT_CSVS, "report/config.json": DEEP_JSON},
+        ["report", "{root}/report"], 2, "error: {root}/report/config.json: JSON nested too deeply\n",
+    ),
+    "probe steps past numpy": (
+        {"mwnet.json": json.dumps(MWNET)},
+        PROBE + ["--steps", str(10**20)], 1,
+        f"config error: --steps={10**20} curve points exceed NumPy's largest array ({MAX_ARRAY_BYTES} bytes)\n",
     ),
     # A field past the csv module's 131072-character limit, in a data file
     # and in a report file.

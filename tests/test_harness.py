@@ -3,9 +3,13 @@
 import filecmp
 import json
 import os
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaweight.biasgen import (
     BiasedDataset,
@@ -260,6 +264,47 @@ def test_report_round_trip_with_one_completed_epoch(tmp_path):
     assert loaded.accuracy_history.size == 1
     assert loaded.stability_mean.size == 0
     assert (tmp_path / "run" / "stability.csv").read_text() == "epoch,mean_abs_delta,std_abs_delta\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_report():
+    return run_tiny_experiment(None)[1].reports[0]
+
+
+def same_json(a, b) -> bool:
+    """Equal as JSON values, with each value's type and each float's bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+# Any JSON value without NaN or infinities, with signed zeros, the smallest
+# subnormal and values near float64's ends among its numbers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    echo=st.dictionaries(st.text().filter(lambda key: key != "run_warnings"), JSON_VALUES, max_size=4),
+    warnings=st.lists(st.text(), max_size=3),
+)
+def test_config_echo_and_warnings_survive_a_round_trip(tmp_path_factory, tiny_report, echo, warnings):
+    out = tmp_path_factory.mktemp("report")
+    save_report(replace(tiny_report, config_echo=echo, warnings=warnings), out)
+    loaded = load_report(out)
+    assert same_json(loaded.config_echo, echo)
+    assert same_json(loaded.warnings, warnings)
 
 
 def test_load_report_rejects_a_short_curve(tmp_path):

@@ -1,9 +1,13 @@
 """Weighting-net checks: shape contract, Jacobian oracle, normalization."""
 
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaweight.nnet import DenseNet, LayerSpec, fd_gradient
 from metaweight.weightnet import (
@@ -141,3 +145,43 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "again.json"
     save_mwnet(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_file_in_the_unsorted_key_order_loads_to_the_same_net(tmp_path):
+    # Nets saved before the JSON writer sorted keys list each layer's keys
+    # in LayerSpec's field order: input_dim, output_dim, activation.
+    mwnet = init_mwnet((4, 3), seed=5)
+    payload = {"layers": [asdict(spec) for spec in mwnet.net.layers], "params": mwnet.theta.tolist()}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    assert '"input_dim": 1,\n      "output_dim": 4,\n      "activation": "relu"' in old.read_text()
+    back = load_mwnet(old)
+    assert back.net.layers == mwnet.net.layers
+    assert back.theta.tobytes() == mwnet.theta.tobytes()
+    save_mwnet(back, tmp_path / "new.json")
+    assert json.loads((tmp_path / "new.json").read_text()) == json.loads(old.read_text())
+
+
+# Signed zeros, the smallest subnormal and values near float64's ends, of
+# both signs, besides any finite float.
+PARAM_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def weighting_nets(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    mwnet = init_mwnet(hidden, seed=0)
+    params = draw(st.lists(PARAM_VALUES, min_size=mwnet.param_count, max_size=mwnet.param_count))
+    return mwnet.with_theta(np.array(params, dtype=np.float64))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(weighting_nets())
+def test_save_then_load_returns_the_parameters_bit_for_bit(tmp_path_factory, mwnet):
+    path = tmp_path_factory.mktemp("mwnet") / "mwnet.json"
+    save_mwnet(mwnet, path)
+    back = load_mwnet(path)
+    assert back.net.layers == mwnet.net.layers
+    assert back.theta.tobytes() == mwnet.theta.tobytes()

@@ -15,7 +15,10 @@
 # every failing input of tests/test_fault_messages.py. The output trees, stdout, stderr and exit
 # codes are then diffed. Each command is stopped after 300 s and then logs
 # exit code 124, so a hang in either tree shows up as a difference instead
-# of stalling the script. Each difference is printed, then each tree's line
+# of stalling the script. Each difference is printed: a file that both trees
+# hold is shown with `diff`, unless both sides parse as JSON to the same value
+# (see same_json), when its name is printed beside "same JSON value"; such a
+# file still counts as a difference. Then each tree's line
 # count of src/metaweight/*.py (as `wc -l` totals it) beside its code lines,
 # docstring lines and comment-only lines (counted with `ast` and `tokenize`,
 # see count_lines), then the name of each module whose code differs from the
@@ -69,9 +72,41 @@ for side in ref work; do
     done <logs/fault_cases.txt
 done
 
+# same_json A B: succeed if both files parse as JSON to the same value,
+# compared as json.dumps writes it with sorted keys (so key order alone does
+# not count, but -0.0 and 0.0, or 1.0 and 1, stay apart).
+same_json() {
+    python3 - "$@" <<'PY'
+import json, sys
+
+
+def value(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.dumps(json.load(fh), sort_keys=True)
+    except (ValueError, RecursionError):
+        sys.exit(1)
+
+
+sys.exit(value(sys.argv[1]) != value(sys.argv[2]))
+PY
+}
 status=0
 for dir in out faults logs; do
-    diff -r "$tmp/ref/$dir" "$tmp/work/$dir" || status=1
+    listing=$(diff -rq "$tmp/ref/$dir" "$tmp/work/$dir") || status=1
+    while IFS= read -r line; do
+        if [[ $line =~ ^Files\ (.*)\ and\ (.*)\ differ$ ]]; then
+            a=${BASH_REMATCH[1]} b=${BASH_REMATCH[2]}
+            if same_json "$a" "$b"; then
+                echo "${a#"$tmp/ref/"}: same JSON value"
+            else
+                echo "diff $a $b"
+                diff "$a" "$b" || true
+            fi
+        elif [ -n "$line" ]; then
+            echo "$line"
+        fi
+    done <<<"$listing"
 done
 # Code lines hold a token other than a comment, a line end or an indent
 # (tokenize); docstring lines are those of a module, class or function
