@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
 
 def cmd_probe(args) -> int:
     _at_least("--steps", args.steps, 2)
-    if args.steps * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:
+    if float(args.steps) * _FLOAT64_BYTES > _MAX_ARRAY_BYTES:  # np.linspace sizes its grid from the float
         raise ConfigError(f"--steps={args.steps} curve points exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)")
     if not -math.inf < args.min < args.max < math.inf:
         raise ConfigError(f"--min and --max must be finite with --max above --min, got {args.min} and {args.max}")

@@ -73,6 +73,8 @@ DIVERGENCE_FACTOR = 10.0
 # a batch whose weights all sit where the sigmoid head rounds to 1; five in
 # a row take five independent batches, yet report a stall within five.
 STALL_ITERS = 5
+# The grad_theta of every record without a meta step: it has no entries to change.
+_NO_GRADIENT = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,13 @@ class Batch:
 
 
 @dataclass
-class VirtualCache:
-    """One virtual step from w as the factors of w_hat: the training batch's
-    forward cache and deltas at w, losses, raw weights, coeffs = raw / denom,
-    and the weighting net's cache at Theta (None for a rule)."""
+class MetaGradientReport:
+    """One iteration's record. The virtual step from w as the factors of
+    w_hat: the training batch's forward cache and deltas at w, losses, raw
+    weights, coeffs = raw / denom, and the weighting net's cache at Theta
+    (None for a rule). A meta step sets the meta-gradient and
+    mean_G_per_j[j] = g_meta . g_j; without one grad_theta stays empty and
+    mean_G_per_j None."""
 
     losses: np.ndarray
     forward_cache: ForwardCache
@@ -181,20 +186,12 @@ class VirtualCache:
     coeffs: np.ndarray
     denom: float
     mw_cache: ForwardCache | None
-
-
-@dataclass
-class MetaGradientReport:
-    """The meta-gradient, mean_G_per_j[j] = g_meta . g_j, and the virtual step;
-    for a fixed rule grad_theta is empty and mean_G_per_j None."""
-
     grad_theta: np.ndarray
-    mean_G_per_j: np.ndarray | None
-    virtual: VirtualCache
+    mean_G_per_j: np.ndarray | None = None
 
     @property
     def weighted_loss(self) -> float:
-        return float(dot(self.virtual.coeffs, self.virtual.losses))
+        return float(dot(self.coeffs, self.losses))
 
 
 @dataclass
@@ -304,15 +301,15 @@ def _coefficients(raw: np.ndarray, normalize: bool) -> tuple[np.ndarray, float]:
     return raw / denom, denom
 
 
-def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> VirtualCache:
-    """The virtual step as a `VirtualCache`, without momentum or weight decay;
-    the meta step applies alpha."""
+def virtual_update(state: TrainState, batch: Batch, normalize: bool = False) -> MetaGradientReport:
+    """The virtual step, without momentum or weight decay, as the record of
+    its iteration; the meta step applies alpha."""
     out, fcache = forward(state.w, batch.features)
     losses, dlogits = softmax_cross_entropy(out, batch.labels)
     deltas = layer_deltas(state.w, fcache, dlogits)
     raw, mw_cache = weights(state.theta, losses, cache=True)
     coeffs, denom = _coefficients(raw, normalize)
-    return VirtualCache(losses, fcache, deltas, raw, coeffs, denom, mw_cache)
+    return MetaGradientReport(losses, fcache, deltas, raw, coeffs, denom, mw_cache, _NO_GRADIENT)
 
 
 def meta_gradient_direct(
@@ -323,28 +320,28 @@ def meta_gradient_direct(
     normalize: bool = False,
 ) -> MetaGradientReport:
     """The exact gradient of the mean meta loss at w_hat(Theta) w.r.t. Theta
-    (module docstring). Normalized, an all-zero raw vector has a zero
-    Jacobian, so a zero gradient."""
+    (module docstring), set on the virtual step's record. Normalized, an
+    all-zero raw vector has a zero Jacobian, so a zero gradient."""
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     with _stage("virtual step: "):
-        cache = virtual_update(state, train_batch, normalize)
+        report = virtual_update(state, train_batch, normalize)
     with _stage("meta step: "):
-        scale = (alpha * cache.coeffs)[:, None]
-        steps = [scale * delta for delta in cache.deltas]
-        meta_out, meta_fcache, grams = lookahead_forward(state.w, cache.forward_cache, steps, meta_batch.features)
+        scale = (alpha * report.coeffs)[:, None]
+        steps = [scale * delta for delta in report.deltas]
+        meta_out, meta_fcache, grams = lookahead_forward(state.w, report.forward_cache, steps, meta_batch.features)
         dmeta = softmax_cross_entropy(meta_out, meta_batch.labels)[1]
-        meta_deltas = lookahead_deltas(state.w, cache.forward_cache, steps, meta_fcache, dmeta)
+        meta_deltas = lookahead_deltas(state.w, report.forward_cache, steps, meta_fcache, dmeta)
         # ndarray.mean's arithmetic without its Python wrapper (nnet's module docstring)
-        mean_G_per_j = np.add.reduce(gradient_gram(grams, meta_deltas, cache.deltas), axis=0) / meta_batch.size
-        jac = per_sample_gradients(state.theta.net, cache.mw_cache, np.ones((cache.losses.size, 1)))
+        mean_G_per_j = np.add.reduce(gradient_gram(grams, meta_deltas, report.deltas), axis=0) / meta_batch.size
+        jac = per_sample_gradients(state.theta.net, report.mw_cache, np.ones((report.losses.size, 1)))
 
         n = train_batch.size
         if normalize:
             # d(eta_j)/d(raw_k) = delta_jk/denom - raw_j/denom^2, dividing
             # twice where denom^2 is below the normal range
-            denom = cache.denom
-            coupled = float(dot(mean_G_per_j, cache.raw_weights))
+            denom = report.denom
+            coupled = float(dot(mean_G_per_j, report.raw_weights))
             coupled = coupled / denom**2 if denom**2 >= sys.float_info.min else coupled / denom / denom
             grad_theta = dot(-alpha * (mean_G_per_j / denom - coupled), jac)
         else:
@@ -352,7 +349,8 @@ def meta_gradient_direct(
 
         if not np.isfinite(grad_theta).all():
             raise ValueError("non-finite meta-gradient")
-    return MetaGradientReport(grad_theta=grad_theta, mean_G_per_j=mean_G_per_j, virtual=cache)
+    report.grad_theta, report.mean_G_per_j = grad_theta, mean_G_per_j
+    return report
 
 
 def meta_gradient_fd(
@@ -400,15 +398,14 @@ def update_classifier(
     sample's gradient scaled by its coefficient; momentum and weight decay
     apply here only. The new parameters go into the spare's vector, and
     `state.w.params` is unchanged (`TrainState`)."""
-    with _stage("classifier step: "):
-        spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
-        grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
-        params, _ = sgd_step(
-            state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
-        )
-        if not np.isfinite(params).all():
-            raise ValueError("non-finite parameter entries")
-        return TrainState(spare, state.theta, state.velocity, state.w)
+    spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
+    grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
+    params, _ = sgd_step(
+        state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
+    )
+    if not np.isfinite(params).all():
+        raise ValueError("non-finite parameter entries")
+    return TrainState(spare, state.theta, state.velocity, state.w)
 
 
 def train_step(
@@ -418,28 +415,30 @@ def train_step(
     config: TrainConfig,
     alpha: float,
 ) -> tuple[TrainState, MetaGradientReport, np.ndarray]:
-    """One iteration of any run, each stage under its name; a fixed rule has
-    no meta batch. `alpha` is config.alpha under the schedule. Returns the
-    new state, the report and the raw weights the classifier step applied."""
+    """One iteration of any run, each stage entered once and under its name:
+    virtual step, meta step, theta update, classifier step. A fixed rule has
+    no meta batch, and its classifier step takes the virtual step too.
+    `alpha` is config.alpha under the schedule. Returns the new state, the
+    iteration's record and the raw weights the classifier step applied."""
     if train_batch.size != config.n:
         raise ValueError(f"train batch size {train_batch.size} != config.n {config.n}")
-    if meta_batch is None:
-        with _stage("classifier step: "):
-            report = MetaGradientReport(np.zeros(0), None, virtual_update(state, train_batch, config.normalize))
-        raw, coeffs = report.virtual.raw_weights, report.virtual.coeffs
-    else:
+    if meta_batch is not None:
         if meta_batch.size != config.m:
             raise ValueError(f"meta batch size {meta_batch.size} != config.m {config.m}")
         report = meta_gradient_direct(state, train_batch, meta_batch, alpha, config.normalize)
         with _stage("theta update: "):
             state = update_theta(state, report.grad_theta, config.beta)
-        with _stage("classifier step: "):
-            raw = weights(state.theta, report.virtual.losses, cache=True)[0]  # one pass, as in the virtual step
+    with _stage("classifier step: "):
+        if meta_batch is None:
+            report = virtual_update(state, train_batch, config.normalize)
+            raw, coeffs = report.raw_weights, report.coeffs
+        else:
+            raw = weights(state.theta, report.losses, cache=True)[0]  # one pass, as in the virtual step
             coeffs = _coefficients(raw, config.normalize)[0]
-    state = update_classifier(
-        state, report.virtual.forward_cache, report.virtual.deltas, coeffs, alpha,
-        config.classifier_momentum, config.classifier_weight_decay,
-    )
+        state = update_classifier(
+            state, report.forward_cache, report.deltas, coeffs, alpha,
+            config.classifier_momentum, config.classifier_weight_decay,
+        )
     return state, report, raw
 
 
@@ -541,7 +540,7 @@ def train(
             state, report, raw = train_step(state, draw_train(), draw_meta(), config, alpha)
             epoch_losses.append(report.weighted_loss)
             epoch_norms.append(math.sqrt(dot(report.grad_theta, report.grad_theta)))
-            # its cache holds the batch's activations and deltas, read no more
+            # it holds the batch's activations and deltas, read no more
             del report
             if not raw.any():
                 zero_weight_iters.append(t + 1)

@@ -329,17 +329,37 @@ def test_sample_batch_same_state_same_batch():
     assert np.array_equal(a, b)
 
 
-def test_dataset_csv_round_trip(tmp_path):
-    ds = apply_uniform_noise(toy_dataset(c=3, per_class=40), 0.3, seed=8)
-    path = tmp_path / "data.csv"
+# Finite float64 values, with signed zeros, the smallest subnormals and
+# values near float64's ends among them.
+FINITE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def datasets(draw):
+    n, d, c = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    features = draw(st.lists(FINITE_FLOATS, min_size=n * d, max_size=n * d))
+    labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+    return BiasedDataset(np.array(features).reshape(n, d), draw(labels), draw(labels), c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(datasets())
+@example(apply_uniform_noise(toy_dataset(c=3, per_class=40), 0.3, seed=8))
+@example(BiasedDataset(np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308]]), [0, 1], [1, 1], 2))
+def test_dataset_csv_round_trip(tmp_path_factory, ds):
+    # Save then load gives every value back bit for bit, and saving what
+    # was loaded writes the same bytes.
+    path = tmp_path_factory.mktemp("data") / "data.csv"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.observed_labels, ds.observed_labels)
-    assert np.array_equal(back.true_labels, ds.true_labels)
-    assert np.array_equal(back.corrupted, ds.corrupted)
+    for name in ("features", "observed_labels", "true_labels", "corrupted"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
     assert back.c == ds.c
-    path2 = tmp_path / "data2.csv"
+    path2 = path.with_name("data2.csv")
     save_dataset(back, path2)
     assert path.read_bytes() == path2.read_bytes()
 

@@ -173,6 +173,12 @@ FAULTS = {
         PROBE + ["--steps", str(10**20)], 1,
         f"config error: --steps={10**20} curve points exceed NumPy's largest array ({MAX_ARRAY_BYTES} bytes)\n",
     ),
+    # A count that np.linspace rounds up to 2**60 as a float, past the largest array.
+    "probe steps rounded up past numpy": (
+        {"mwnet.json": json.dumps(MWNET)},
+        PROBE + ["--steps", str(2**60 - 1)], 1,
+        f"config error: --steps={2**60 - 1} curve points exceed NumPy's largest array ({MAX_ARRAY_BYTES} bytes)\n",
+    ),
     # A field past the csv module's 131072-character limit, in a data file
     # and in a report file.
     "data field past csv limit": (

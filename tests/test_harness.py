@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaweight.biasgen import (
@@ -37,6 +37,8 @@ from metaweight.metaopt import BaselineSpec, TrainConfig, evaluate, train
 from metaweight.metrics import stability_from_history
 from metaweight.nnet import DenseNet, LayerSpec, forward, softmax_cross_entropy
 from metaweight.weightnet import load_mwnet, mw_forward
+
+from test_biasgen import FINITE_FLOATS
 
 SMALL_LAYERS = (LayerSpec(2, 8, "relu"), LayerSpec(8, 3, "identity"))
 
@@ -211,7 +213,7 @@ def run_tiny_experiment(tmp_path, doc=None):
 
 
 def assert_round_trip(report, out, mwnet=None):
-    """Save, load and save again: every field and every file survives."""
+    """Save, load and save again: every field survives bit for bit, and every file."""
     save_report(report, out / "run", mwnet=mwnet)
     loaded = load_report(out / "run")
     for name in (
@@ -221,7 +223,7 @@ def assert_round_trip(report, out, mwnet=None):
     ):
         got, want = getattr(loaded, name), getattr(report, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+        assert got.tobytes() == want.tobytes(), name
     assert loaded.config_echo == report.config_echo
     assert loaded.warnings == report.warnings
 
@@ -230,19 +232,6 @@ def assert_round_trip(report, out, mwnet=None):
     for name in names:
         assert filecmp.cmp(out / "run" / name, out / "again" / name, shallow=False), name
     return loaded
-
-
-def test_report_save_load_round_trip(tmp_path):
-    _, result = run_tiny_experiment(tmp_path)
-    report = result.reports[0]
-    assert report.accuracy_history.size == 2
-    loaded = assert_round_trip(report, tmp_path, mwnet=result.mwnets[0])
-    # Stability is computed from the tracked weights, one row between epochs.
-    assert loaded.stability_mean.size == 1
-    stab_mean, stab_std = stability_from_history(loaded.tracked_weight_history)
-    assert np.array_equal(loaded.stability_mean, stab_mean)
-    assert np.array_equal(loaded.stability_std, stab_std)
-    assert load_mwnet(tmp_path / "run" / "mwnet.json").theta.tolist() == result.mwnets[0].theta.tolist()
 
 
 def test_report_round_trip_with_no_completed_epochs(tmp_path):
@@ -267,8 +256,55 @@ def test_report_round_trip_with_one_completed_epoch(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def tiny_report():
-    return run_tiny_experiment(None)[1].reports[0]
+def tiny_result():
+    return run_tiny_experiment(None)[1]
+
+
+@pytest.fixture(scope="module")
+def tiny_report(tiny_result):
+    return tiny_result.reports[0]
+
+
+WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def report_arrays(draw):
+    """The arrays of a report that load_report reads back: four histories
+    of one length (none included), at least MIN_CURVE_POINTS curve points,
+    the weight distribution, a tracked-weight matrix and a confusion
+    matrix, each weight finite and nonnegative."""
+
+    def array(elements, size, dtype):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype)
+
+    int64s = st.integers(-(2**63), 2**63 - 1)
+    epochs, points = draw(st.integers(0, 3)), draw(st.integers(harness.MIN_CURVE_POINTS, 14))
+    samples, rows, tracked, c = (draw(st.integers(lo, 4)) for lo in (0, 0, 1, 1))
+    histories = ("accuracy_history", "train_loss_history", "meta_loss_history", "grad_norm_history")
+    return {
+        **{name: array(FINITE_FLOATS, epochs, np.float64) for name in histories},
+        "curve_losses": array(FINITE_FLOATS, points, np.float64),
+        "curve_weights": array(WEIGHTS, points, np.float64),
+        "dist_ids": array(int64s, samples, np.int64),
+        "dist_weights": array(WEIGHTS, samples, np.float64),
+        "dist_corrupted": array(st.booleans(), samples, bool),
+        "tracked_ids": array(int64s, tracked, np.int64),
+        "tracked_weight_history": array(WEIGHTS, rows * tracked, np.float64).reshape(rows, tracked),
+        "final_confusion": array(int64s, c * c, np.int64).reshape(c, c),
+    }
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(arrays=report_arrays())
+@example(arrays={})  # the trained report as it is
+def test_report_save_load_round_trip(tmp_path_factory, tiny_result, arrays):
+    out = tmp_path_factory.mktemp("report")
+    mwnet = tiny_result.mwnets[0]
+    # Stability from weights near 1e308 overflows, alike in both reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_round_trip(replace(tiny_result.reports[0], **arrays), out, mwnet=mwnet)
+    assert load_mwnet(out / "run" / "mwnet.json").theta.tobytes() == mwnet.theta.tobytes()
 
 
 def same_json(a, b) -> bool:
@@ -284,11 +320,9 @@ def same_json(a, b) -> bool:
     return a == b
 
 
-# Any JSON value without NaN or infinities, with signed zeros, the smallest
-# subnormal and values near float64's ends among its numbers.
+# Any JSON value without NaN or infinities, with FINITE_FLOATS' numbers.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(allow_nan=False, allow_infinity=False),
+    st.none() | st.booleans() | st.integers() | st.text() | FINITE_FLOATS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=12,
 )

@@ -87,11 +87,11 @@ def zero_weight_theta(mw_hidden=(5,), seed=0):
     return mwnet.with_theta(theta)
 
 
-def virtual_params(state, cache, alpha):
+def virtual_params(state, record, alpha):
     """The virtual parameters w_hat = w - alpha * sum_i coeffs[i] g_i of
-    the virtual step `cache` taken from `state` (the training loop never
+    the virtual step `record` taken from `state` (the training loop never
     forms them)."""
-    return state.w.params - alpha * weighted_gradient(state.w, cache.forward_cache, cache.deltas, cache.coeffs)
+    return state.w.params - alpha * weighted_gradient(state.w, record.forward_cache, record.deltas, record.coeffs)
 
 
 def copied(state):
@@ -235,16 +235,16 @@ def test_meta_gradient_report_pieces_consistent():
     assert report.mean_G_per_j.shape == (n,)
 
     losses, grads = per_sample_losses_grads(state.w, tb)
-    assert np.array_equal(report.virtual.losses, losses)
+    assert np.array_equal(report.losses, losses)
     assert rel_err(
-        weighted_gradient(state.w, report.virtual.forward_cache, report.virtual.deltas, report.virtual.coeffs),
-        report.virtual.coeffs @ grads,
+        weighted_gradient(state.w, report.forward_cache, report.deltas, report.coeffs),
+        report.coeffs @ grads,
     ) < 1e-14
-    assert np.array_equal(report.virtual.raw_weights, mw_forward(state.theta, losses))
+    assert np.array_equal(report.raw_weights, mw_forward(state.theta, losses))
 
     # mean_G_per_j is the meta-sample mean of the meta/train gradient inner
     # products G_ij at (w_hat, w), built here from per-sample rows.
-    w_hat = state.w.with_params(virtual_params(state, report.virtual, alpha))
+    w_hat = state.w.with_params(virtual_params(state, report, alpha))
     _, meta_grads = per_sample_losses_grads(w_hat, mb)
     G = meta_grads @ grads.T
     assert rel_err(report.mean_G_per_j, G.mean(axis=0)) < 1e-14
@@ -260,14 +260,14 @@ def test_meta_gradient_normalized_quotient_rule_oracle():
         state, tb, mb = make_instance(seed + 20)
         alpha = 0.15
         report = meta_gradient_direct(state, tb, mb, alpha, normalize=True)
-        raw = report.virtual.raw_weights
+        raw = report.raw_weights
         n = tb.size
         total = raw.sum()
         # Independent formulation: chain rule through the explicit n-by-n
         # Jacobian of eta = raw / sum(raw).
         d_eta_d_raw = np.eye(n) / total - np.outer(raw, np.ones(n)) / total**2
         d_meta_d_eta = -alpha * report.mean_G_per_j
-        _, jac = mw_jacobian(state.theta, report.virtual.losses)
+        _, jac = mw_jacobian(state.theta, report.losses)
         expected = (d_meta_d_eta @ d_eta_d_raw) @ jac
         assert rel_err(report.grad_theta, expected) < 1e-12
 
@@ -288,7 +288,7 @@ def test_meta_gradient_zero_when_classifier_exact_on_meta():
     train_batch = Batch(np.arange(6), 0.5 * rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
 
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha=0.1)
-    w_hat = classifier.with_params(virtual_params(state, report.virtual, 0.1))
+    w_hat = classifier.with_params(virtual_params(state, report, 0.1))
     _, meta_grads = per_sample_losses_grads(w_hat, meta_batch)
     assert np.all(meta_grads == 0.0)
     assert np.all(report.mean_G_per_j == 0.0)
@@ -335,7 +335,7 @@ def test_meta_gradient_zero_sum_guard_yields_finite_zero():
     report = meta_gradient_direct(state, tb, mb, alpha=0.1, normalize=True)
     # All raw weights are exactly zero: the denominator is then 1, and
     # the saturated sigmoid has zero slope, so the gradient is exactly zero.
-    assert np.all(report.virtual.raw_weights == 0.0)
+    assert np.all(report.raw_weights == 0.0)
     assert np.all(np.isfinite(report.grad_theta))
     assert np.all(report.grad_theta == 0.0)
 
@@ -350,7 +350,7 @@ def test_meta_gradient_normalized_with_an_underflowing_square_sum():
     theta[-1] = -460.0
     state = TrainState(state.w, state.theta.with_theta(theta), state.velocity)
     report = meta_gradient_direct(state, tb, mb, 0.1, normalize=True)
-    total = float(report.virtual.raw_weights.sum())
+    total = float(report.raw_weights.sum())
     assert total > 0.0 and total**2 == 0.0
     fd = meta_gradient_fd(state, tb, mb, 0.1, eps=1e-5, normalize=True)
     assert np.linalg.norm(report.grad_theta - fd) < 1e-6 * np.linalg.norm(fd)
@@ -369,11 +369,11 @@ def test_meta_gradient_duplicated_sample_columns_identical():
     )
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
     _, grads = per_sample_losses_grads(state.w, tb)
-    _, meta_grads = per_sample_losses_grads(state.w.with_params(virtual_params(state, report.virtual, 0.1)), mb)
+    _, meta_grads = per_sample_losses_grads(state.w.with_params(virtual_params(state, report, 0.1)), mb)
     assert rel_err(report.mean_G_per_j, (meta_grads @ grads.T).mean(axis=0)) < 1e-14
     assert report.mean_G_per_j[0] == report.mean_G_per_j[1]
-    assert report.virtual.raw_weights[0] == report.virtual.raw_weights[1]
-    _, jac = mw_jacobian(state.theta, report.virtual.losses)
+    assert report.raw_weights[0] == report.raw_weights[1]
+    _, jac = mw_jacobian(state.theta, report.losses)
     assert np.array_equal(jac[0], jac[1])
 
 
@@ -388,7 +388,7 @@ def test_meta_gradient_sign_single_sample():
         tb = Batch(np.zeros(1, dtype=int), rng.standard_normal((1, 2)), rng.integers(0, 3, 1))
         report = meta_gradient_direct(state, tb, mb, alpha=0.1)
         mean_g = float(report.mean_G_per_j[0])
-        _, jac = mw_jacobian(state.theta, report.virtual.losses)
+        _, jac = mw_jacobian(state.theta, report.losses)
         if mean_g > 1e-3 and np.linalg.norm(jac[0]) > 1e-3:
             found = True
             break
@@ -396,7 +396,7 @@ def test_meta_gradient_sign_single_sample():
 
     beta = 1e-4
     new_state = update_theta(state, report.grad_theta, beta)
-    loss = report.virtual.losses
+    loss = report.losses
     before = mw_forward(state.theta, loss)[0]
     after = mw_forward(new_state.theta, loss)[0]
     assert after > before
@@ -409,11 +409,11 @@ def test_meta_gradient_first_order_weight_movement():
     # under one Theta step is -beta * <dV(L_j)/dTheta, grad_theta>.
     state, tb, mb = make_instance(17)
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
-    _, jac = mw_jacobian(state.theta, report.virtual.losses)
+    _, jac = mw_jacobian(state.theta, report.losses)
     beta = 1e-5
     new_theta = state.theta.with_theta(state.theta.theta - beta * report.grad_theta)
-    before = mw_forward(state.theta, report.virtual.losses)
-    after = mw_forward(new_theta, report.virtual.losses)
+    before = mw_forward(state.theta, report.losses)
+    after = mw_forward(new_theta, report.losses)
     predicted = -beta * (jac @ report.grad_theta)
     assert np.linalg.norm((after - before) - predicted) < 1e-3 * np.linalg.norm(predicted)
     rising = predicted > 1e-14
@@ -468,7 +468,7 @@ def test_meta_gradient_batch_order_invariance():
     r2 = meta_gradient_direct(state, tb2, mb2, alpha=0.1, normalize=True)
     assert np.array_equal(r1.grad_theta, r2.grad_theta)
     assert np.array_equal(r1.mean_G_per_j, r2.mean_G_per_j)
-    assert np.array_equal(virtual_params(state, r1.virtual, 0.1), virtual_params(state, r2.virtual, 0.1))
+    assert np.array_equal(virtual_params(state, r1, 0.1), virtual_params(state, r2, 0.1))
 
 
 def test_batch_sorts_only_out_of_order_ids():
@@ -566,7 +566,7 @@ def test_train_step_matches_per_sample_oracle(instance):
     w_hat = w - alpha * (coeffs @ grads)
     # The step never forms w_hat; virtual_params builds it from the virtual
     # step's factors, and the meta batch ran at it through them.
-    formed = virtual_params(state, report.virtual, alpha)
+    formed = virtual_params(state, report, alpha)
     assert close(formed, w_hat, np.linalg.norm(w) + alpha * row_scale(coeffs, grads))
 
     meta_grads = per_sample_losses_grads(state.w.with_params(w_hat), mb)[1]
@@ -818,11 +818,11 @@ def test_train_step_composes_the_three_updates():
     state = before
     manual = meta_gradient_direct(state, tb, mb, config.alpha, config.normalize)
     s1 = update_theta(state, manual.grad_theta, config.beta)
-    s1_raw = mw_forward(s1.theta, manual.virtual.losses)
+    s1_raw = mw_forward(s1.theta, manual.losses)
     s2 = update_classifier(
         s1,
-        manual.virtual.forward_cache,
-        manual.virtual.deltas,
+        manual.forward_cache,
+        manual.deltas,
         metaopt._coefficients(s1_raw, config.normalize)[0],
         config.alpha,
         momentum=config.classifier_momentum,
@@ -852,7 +852,7 @@ def test_train_step_alpha_zero_is_stationary():
     before = copied(state)
     new_state, report, _ = train_step(state, tb, mb, config, alpha=0.0)
     assert np.all(report.grad_theta == 0.0)
-    assert np.array_equal(virtual_params(before, report.virtual, 0.0), before.w.params)
+    assert np.array_equal(virtual_params(before, report, 0.0), before.w.params)
     assert np.array_equal(new_state.w.params, before.w.params)
     assert np.array_equal(new_state.theta.theta, state.theta.theta)
 
@@ -888,7 +888,7 @@ def test_fixed_rule_train_step_is_the_classifier_step_on_the_rule_weights(kind, 
     assert np.array_equal(new_state.velocity, expected.velocity)
     assert new_state.theta is rule
     assert report.grad_theta.size == 0 and report.mean_G_per_j is None
-    assert report.virtual.mw_cache is None
+    assert report.mw_cache is None
     assert report.weighted_loss == float(nnet.dot(coeffs, losses))
 
 
@@ -995,10 +995,10 @@ def test_train_step_does_the_promised_work(monkeypatch, normalize):
     assert calls["weighted"] == ["update"]
     assert calls["nets"] == [("update", "with_params", state.theta.net.layers)]
     monkeypatch.undo()
-    weights, jac = mw_jacobian(state.theta, report.virtual.losses)
+    weights, jac = mw_jacobian(state.theta, report.losses)
     assert len(calls["jacobians"]) == 1
     assert np.array_equal(calls["jacobians"][0], jac)
-    assert np.array_equal(report.virtual.raw_weights, weights)
+    assert np.array_equal(report.raw_weights, weights)
     assert not np.array_equal(new_state.theta.theta, state.theta.theta)
 
 
@@ -1054,6 +1054,37 @@ def test_fixed_rule_step_does_the_promised_work(monkeypatch):
     assert calls["weighted"] == ["update"] * T
     assert calls["sgd_step"] == ["update"] * T
     assert not counting[0]
+
+
+ITERATION_STAGES = ("virtual step: ", "meta step: ", "theta update: ", "classifier step: ")
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("fixed_rule", [False, True])
+def test_an_iteration_enters_each_stage_once_in_order(monkeypatch, fixed_rule, normalize):
+    """A recorder on the stage hook sees one span per stage per iteration:
+    a learned iteration enters the virtual step, the meta step, the theta
+    update and the classifier step, in that order; a fixed rule's
+    iteration enters only its classifier step, which takes the virtual
+    step too."""
+    import metaweight
+
+    train_set, meta_set, test_set = make_toy_sets(3)
+    config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=4, normalize=normalize, seed=1)
+    entered, enter = [], metaweight._stage.__enter__
+
+    def recording_enter(stage):
+        if stage.context in ITERATION_STAGES:
+            entered.append(stage.context)
+        return enter(stage)
+
+    monkeypatch.setattr(metaweight._stage, "__enter__", recording_enter)
+    weight_fn = metaopt.BaselineSpec("ramp") if fixed_rule else None
+    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
+          weight_fn=weight_fn)
+
+    per_iteration = ["classifier step: "] if fixed_rule else list(ITERATION_STAGES)
+    assert entered == per_iteration * config.T
 
 
 @pytest.mark.parametrize("fixed_rule", [False, True])
@@ -1166,11 +1197,11 @@ def test_a_batch_the_size_of_its_set_is_never_drawn(monkeypatch, whole):
 
 def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     # The final pass over the whole training set is a run's memory peak.
-    # The last step's report (whose virtual-step cache holds the batch's
-    # activations and deltas) may not still be reachable when it starts,
-    # nor the spare classifier net: of the two classifier vectors a run
-    # alternates between, only the final one is alive, after an odd or an
-    # even number of steps.
+    # The last step's report (which holds the batch's activations and
+    # deltas) may not still be reachable when it starts, nor the spare
+    # classifier net: of the two classifier vectors a run alternates
+    # between, only the final one is alive, after an odd or an even number
+    # of steps.
     train_set, meta_set, test_set = make_toy_sets(5)
     update_fn, train_step_fn, final_report_fn = metaopt.update_classifier, metaopt.train_step, metaopt._final_report
     refs, vectors, alive = {}, [], []
@@ -1183,7 +1214,6 @@ def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
     def spy_train_step(*args, **kwargs):
         state, report, raw = train_step_fn(*args, **kwargs)
         refs["last report"] = weakref.ref(report)
-        refs["last virtual cache"] = weakref.ref(report.virtual)
         return state, report, raw
 
     def spy_final_report(state, *args):
@@ -1201,7 +1231,7 @@ def test_train_releases_stale_state_before_the_final_pass(monkeypatch):
             store.clear()
         config = TrainConfig(alpha=0.1, beta=0.01, n=10, m=4, T=T, seed=7)
         state, _ = train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
-        assert sorted(refs) == ["last report", "last virtual cache"]
+        assert sorted(refs) == ["last report"]
         assert len(vectors) == 2 * T
         assert alive == [([], True, None)], T
         assert state.spare is None

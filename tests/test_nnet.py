@@ -384,8 +384,7 @@ def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, sh
     monkeypatch.setattr(metaopt, "dot", spy)
     for normalize in (False, True):
         report = metaopt.meta_gradient_direct(state, train_batch, meta_batch, 0.1, normalize)
-        virtual = report.virtual
-        metaopt.update_classifier(state, virtual.forward_cache, virtual.deltas, virtual.coeffs, 0.1)
+        metaopt.update_classifier(state, report.forward_cache, report.deltas, report.coeffs, 0.1)
     monkeypatch.undo()
 
     for a, b in operands:
