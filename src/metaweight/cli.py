@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from metaweight import _stage, _write_csv
-from metaweight.biasgen import derive_seed, save_dataset
+from metaweight.biasgen import BiasedDataset, derive_seed, save_dataset
 from metaweight.config import _FLOAT64_BYTES, _MAX_ARRAY_BYTES, ConfigError, load_config
 from metaweight.harness import generate_biased, load_report, render_plots, run_experiment, save_experiment
 from metaweight.metaopt import (
@@ -159,17 +159,11 @@ def _gradcheck_instance(seed: int, alpha: float, normalize: bool) -> tuple[np.nd
     mwnet = mwnet.with_theta(mwnet.theta + 0.3 * rng.normal(size=mwnet.param_count))
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
 
-    n, m = 8, 4
-    train_batch = Batch(
-        ids=np.arange(n),
-        features=rng.normal(size=(n, 2)) * 1.5,
-        labels=rng.integers(0, 3, size=n),
-    )
-    meta_batch = Batch(
-        ids=np.arange(m),
-        features=rng.normal(size=(m, 2)) * 1.5,
-        labels=rng.integers(0, 3, size=m),
-    )
+    def batch(size):
+        features, labels = rng.normal(size=(size, 2)) * 1.5, rng.integers(0, 3, size=size)
+        return Batch.from_dataset(BiasedDataset(features, labels, labels, 3), np.arange(size))
+
+    train_batch, meta_batch = batch(8), batch(4)
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha, normalize=normalize)
     fd = meta_gradient_fd(state, train_batch, meta_batch, alpha, eps=1e-5, normalize=normalize)
     return report.grad_theta, fd

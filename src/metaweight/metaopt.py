@@ -131,28 +131,15 @@ class TrainState:
     spare: DenseNet | None = None
 
 
-@dataclass
+@dataclass(init=False)
 class Batch:
-    """A mini-batch, sorted by dataset index so that reductions run in one
-    order whatever the draw; ids already in order keep the arrays uncopied."""
+    """A mini-batch: rows of a `BiasedDataset`, which checked them, sorted
+    by dataset index so that reductions run in one order whatever the draw.
+    `from_dataset` is the only constructor."""
 
     ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.ids.size == 0:
-            raise ValueError("empty batch")
-        if self.features.shape[0] != self.ids.size or self.labels.shape != self.ids.shape:
-            raise ValueError("batch field lengths disagree")
-        if (self.ids[1:] < self.ids[:-1]).any():
-            order = np.argsort(self.ids, kind="stable")
-            self.ids = self.ids[order]
-            self.features = self.features[order]
-            self.labels = self.labels[order]
 
     @property
     def size(self) -> int:
@@ -160,7 +147,7 @@ class Batch:
 
     @classmethod
     def from_dataset(cls, dataset: BiasedDataset, indices: np.ndarray) -> "Batch":
-        """The dataset's rows `indices`, sorted, without the constructor's checks."""
+        """The dataset's rows `indices` (repeats allowed), sorted."""
         indices = np.array(indices, dtype=np.int64)  # a copy, sorted in place (np.sort without its wrapper)
         indices.sort()
         if indices.size == 0:
@@ -496,9 +483,18 @@ def train(
     """Run T iterations of `train_step` and assemble the run report.
 
     `weight_fn`, a fixed losses -> weights rule, replaces the weighting net:
-    no meta batch is drawn and the meta-gradient norms are zero. Warnings
-    name a meta set larger than the train set, all-zero weights, a stalled
-    meta-gradient and a diverging meta loss."""
+    no meta batch is drawn and the meta-gradient norms are zero. A set whose
+    features or classes disagree with the classifier's inputs or outputs
+    raises. Warnings name a meta set larger than the train set, all-zero
+    weights, a stalled meta-gradient, a diverging meta loss and, in a
+    learned run, corrupted samples that outweigh the clean ones."""
+    d, c = classifier_specs[0].input_dim, classifier_specs[-1].output_dim
+    for name, dataset in (("train", train_set), ("meta", meta_set), ("test", test_set)):
+        if (dataset.d, dataset.c) != (d, c):
+            raise ValueError(
+                f"{name} set has {dataset.d} features and {dataset.c} classes, "
+                f"but the classifier takes {d} inputs and gives {c} outputs"
+            )
     notes = _check_meta_set(meta_set, train_set)
     if config.n > train_set.n:
         raise ValueError(f"batch size n={config.n} exceeds train set size {train_set.n}")
@@ -574,7 +570,12 @@ def train(
     # The final pass needs one classifier vector; the spare's is freed here.
     state = TrainState(state.w, state.theta, state.velocity)
     with _stage(f"seed {config.seed}, final report: "):
-        return state, _final_report(state, train_set, test_set, tracked_ids, history, echo, notes)
+        report = _final_report(state, train_set, test_set, tracked_ids, history, echo, notes)
+    # A fixed rule's weights are by design, as the ramp's up-weighting of high losses.
+    means = report.clean_noisy_means() if weight_fn is None else None
+    if means is not None and means[1] > means[0]:
+        report.warnings.append(f"corrupted samples outweigh clean ones: mean weight {means[1]:.3g} vs {means[0]:.3g}")
+    return state, report
 
 
 def _stall_notes(zero_grad_iters: list[int], T: int, limit: int = STALL_ITERS) -> list[str]:

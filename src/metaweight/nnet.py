@@ -39,15 +39,17 @@ blocks with `np.matmul(..., out=)`, straight into the flat gradient.
 
 Values are checked once, where they enter the package: settings in
 `metaopt.TrainConfig` and `metaopt.BaselineSpec`, data in
-`biasgen.BiasedDataset`, hand-built batches in `metaopt.Batch`, a
-weighting net's shape in `weightnet.MWNet`, a layer chain and its vector
-in `DenseNet`, and each new vector's shape and finiteness in
-`DenseNet.with_params`. The kernels take float64 2-D arrays (1-D for
-`sgd_step`) uncoerced and check shapes and settings, not values; all but
-`sgd_step` leave their inputs unchanged, apart from `weighted_gradient`'s
-`out`. The loop checks each stage output once, where it is made: weights
-in `metaopt.weights`, the meta-gradient, and the classifier's new vector
-in `metaopt.update_classifier`. Reductions keep NumPy's fixed summation
+`biasgen.BiasedDataset` (a batch is a dataset's rows,
+`metaopt.Batch.from_dataset`, and a kernel caller's dataset has as many
+classes as the net has outputs), a weighting net's shape in
+`weightnet.MWNet`, a layer chain and its vector in `DenseNet`, and each
+new vector's shape and finiteness in `DenseNet.with_params`. The kernels
+take float64 2-D arrays (1-D for `sgd_step`) uncoerced and check shapes
+and settings, not values; all but `sgd_step` leave their inputs
+unchanged, apart from `weighted_gradient`'s `out`. The loop checks each
+stage output once, where it is made: weights in `metaopt.weights`, the
+meta-gradient, and the classifier's new vector in
+`metaopt.update_classifier`. Reductions keep NumPy's fixed summation
 order, so identical inputs give identical bits.
 """
 

@@ -109,6 +109,14 @@ FAULTS = {
         "error: {root}/mwnet.json: layers[0]: unknown activation 'bogus', "
         "expected one of ('relu', 'sigmoid', 'identity')\n",
     ),
+    "model layers not a list": (
+        {"mwnet.json": json.dumps({**MWNET, "layers": {}})},
+        PROBE, 2, "error: {root}/mwnet.json: layers must be a list\n",
+    ),
+    "model layer dims": (
+        {"mwnet.json": json.dumps(MWNET).replace('"input_dim": 1', '"input_dim": 1.0')},
+        PROBE, 2, "error: {root}/mwnet.json: layers[0] dims must be integers\n",
+    ),
     "model weights": (
         {"mwnet.json": json.dumps({**MWNET, "params": [1e308, 1e308, 0.0, 0.0, 1e308, -1e308, 0.0]})},
         PROBE + ["--steps", "3"], 2,
@@ -117,6 +125,21 @@ FAULTS = {
     "data header": (
         {"config.json": on_file(), "data.csv": "1,2\n"},
         TRAIN, 2, "error: {root}/data.csv: header must be 'N,d,c', got ['1', '2']\n",
+    ),
+    "data records past header": (
+        {"config.json": on_file(), "data.csv": "2,2,3\n" + TINY_DATA.split("\n", 1)[1]},
+        TRAIN, 2, "error: {root}/data.csv: more than 2 sample records\n",
+    ),
+    "data feature": (
+        {"config.json": on_file(), "data.csv": TINY_DATA.replace("0.0,", "zero,", 1)},
+        TRAIN, 2, "error: {root}/data.csv: record 0 has a non-numeric feature\n",
+    ),
+    "test split": (
+        {
+            "config.json": noise40(dataset={"kind": "file", "path": "{root}/data.csv", "test_fraction": 0.99}),
+            "data.csv": "10,2,3\n" + "".join(f"{k}.0,{k % 2}.0,{k % 3},{k % 3},0\n" for k in range(10)),
+        },
+        TRAIN, 2, "error: dataset.test_fraction=0.99 leaves no training data\n",
     ),
     "data encoding": (
         {"config.json": on_file(), "data.csv": b"1,2,3\n0.0,\xff0.0,0,0,0\n"},

@@ -7,10 +7,12 @@ sign semantics).
 """
 
 import gc
+import os
 import struct
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from metaweight.biasgen import (
     split_meta,
 )
 from metaweight import metaopt, nnet
+from metaweight.config import load_config
+from metaweight.harness import run_experiment
 from metaweight.metaopt import (
     Batch,
     MetaGradientReport,
@@ -72,9 +76,16 @@ def make_instance(seed, n=8, m=4, d=2, c=3, hidden=8, mw_hidden=(5,), perturb=0.
     # Move Theta off its near-flat initialization so dV/dTheta is not tiny.
     mwnet = mwnet.with_theta(mwnet.theta + perturb * rng.standard_normal(mwnet.theta.size))
     state = TrainState(w=classifier, theta=mwnet, velocity=np.zeros_like(classifier.params))
-    train_batch = Batch(np.arange(n), rng.standard_normal((n, d)), rng.integers(0, c, n))
-    meta_batch = Batch(np.arange(m), rng.standard_normal((m, d)), rng.integers(0, c, m))
+    train_batch = make_batch(rng.standard_normal((n, d)), rng.integers(0, c, n), c)
+    meta_batch = make_batch(rng.standard_normal((m, d)), rng.integers(0, c, m), c)
     return state, train_batch, meta_batch
+
+
+def make_batch(features, labels, c=3, ids=None):
+    """The rows `ids` (all, by default) of a clean dataset of these features
+    and labels over c classes: every test batch is built from a dataset."""
+    dataset = BiasedDataset(features, labels, labels, c)
+    return Batch.from_dataset(dataset, np.arange(len(labels)) if ids is None else ids)
 
 
 def zero_weight_theta(mw_hidden=(5,), seed=0):
@@ -284,8 +295,8 @@ def test_meta_gradient_zero_when_classifier_exact_on_meta():
 
     rng = np.random.Generator(np.random.Philox(9))
     meta_labels = np.array([0, 1, 2, 0])
-    meta_batch = Batch(np.arange(4), np.eye(3)[meta_labels], meta_labels)
-    train_batch = Batch(np.arange(6), 0.5 * rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
+    meta_batch = make_batch(np.eye(3)[meta_labels], meta_labels)
+    train_batch = make_batch(0.5 * rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
 
     report = meta_gradient_direct(state, train_batch, meta_batch, alpha=0.1)
     w_hat = classifier.with_params(virtual_params(state, report, 0.1))
@@ -361,12 +372,8 @@ def test_meta_gradient_duplicated_sample_columns_identical():
     rng = np.random.Generator(np.random.Philox(13))
     feats = rng.standard_normal((3, 2))
     labels = rng.integers(0, 3, 3)
-    # Sample id 4 appears twice; the sort keeps the copies adjacent.
-    tb = Batch(
-        np.array([4, 4, 7, 9]),
-        feats[[0, 0, 1, 2]],
-        labels[[0, 0, 1, 2]],
-    )
+    # Sample 0 is drawn twice; the sort keeps the copies adjacent.
+    tb = make_batch(feats, labels, ids=[0, 2, 0, 1])
     report = meta_gradient_direct(state, tb, mb, alpha=0.1)
     _, grads = per_sample_losses_grads(state.w, tb)
     _, meta_grads = per_sample_losses_grads(state.w.with_params(virtual_params(state, report, 0.1)), mb)
@@ -385,7 +392,7 @@ def test_meta_gradient_sign_single_sample():
     for seed in range(40):
         state, _, mb = make_instance(seed, n=1)
         rng = np.random.Generator(np.random.Philox(seed + 1000))
-        tb = Batch(np.zeros(1, dtype=int), rng.standard_normal((1, 2)), rng.integers(0, 3, 1))
+        tb = make_batch(rng.standard_normal((1, 2)), rng.integers(0, 3, 1))
         report = meta_gradient_direct(state, tb, mb, alpha=0.1)
         mean_g = float(report.mean_G_per_j[0])
         _, jac = mw_jacobian(state.theta, report.losses)
@@ -456,13 +463,12 @@ def test_meta_gradient_batch_order_invariance():
     mfeats = rng.standard_normal((4, 2))
     mlabels = rng.integers(0, 3, 4)
 
-    ids = np.arange(8)
     perm = rng.permutation(8)
     mperm = rng.permutation(4)
-    tb1 = Batch(ids, feats, labels)
-    tb2 = Batch(ids[perm], feats[perm], labels[perm])
-    mb1 = Batch(np.arange(4), mfeats, mlabels)
-    mb2 = Batch(np.arange(4)[mperm], mfeats[mperm], mlabels[mperm])
+    tb1 = make_batch(feats, labels)
+    tb2 = make_batch(feats, labels, ids=perm)
+    mb1 = make_batch(mfeats, mlabels)
+    mb2 = make_batch(mfeats, mlabels, ids=mperm)
 
     r1 = meta_gradient_direct(state, tb1, mb1, alpha=0.1, normalize=True)
     r2 = meta_gradient_direct(state, tb2, mb2, alpha=0.1, normalize=True)
@@ -472,16 +478,8 @@ def test_meta_gradient_batch_order_invariance():
 
 
 def test_batch_sorts_only_out_of_order_ids():
-    rng = np.random.Generator(np.random.Philox(24))
-    feats = rng.standard_normal((5, 2))
-    labels = rng.integers(0, 3, 5)
-    ids = np.array([4, 0, 3, 1, 2])
-    shuffled = Batch(ids, feats, labels)
-    assert np.array_equal(shuffled.ids, np.arange(5))
-    assert np.array_equal(shuffled.features, feats[np.argsort(ids)])
-    assert np.array_equal(shuffled.labels, labels[np.argsort(ids)])
-    in_order = Batch(np.arange(5), feats, labels)
-    assert in_order.features is feats and in_order.labels is labels
+    # A batch is a dataset's rows: there is no constructor that takes arrays.
+    pytest.raises(TypeError, Batch, np.arange(5), np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
 
     train_set = make_toy_sets(12)[0]
     batch = Batch.from_dataset(train_set, np.array([5, 1, 3]))
@@ -535,8 +533,8 @@ def bilevel_instances(draw):
     mwnet = mwnet.with_theta(mwnet.theta + 0.5 * rng.standard_normal(mwnet.theta.size))
     state = TrainState(classifier, mwnet, 0.1 * rng.standard_normal(classifier.params.size))
     feats, labels = rng.standard_normal((pool, dims[0])), rng.integers(0, dims[-1], pool)
-    train_batch = Batch(ids, feats[ids], labels[ids])
-    meta_batch = Batch(np.arange(m), rng.standard_normal((m, dims[0])), rng.integers(0, dims[-1], m))
+    train_batch = make_batch(feats, labels, dims[-1], ids)
+    meta_batch = make_batch(rng.standard_normal((m, dims[0])), rng.integers(0, dims[-1], m), dims[-1])
     config = TrainConfig(
         alpha=0.1, beta=0.5, n=n, m=m, T=1, normalize=normalize,
         classifier_momentum=0.9, classifier_weight_decay=1e-3,
@@ -594,8 +592,8 @@ def test_train_step_memory_is_per_layer():
     rng = np.random.Generator(np.random.Philox(41))
     classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
     state = TrainState(classifier, init_mwnet((100,), 2), np.zeros_like(classifier.params))
-    tb = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
-    mb = Batch(np.arange(32), rng.standard_normal((32, 256)), rng.integers(0, 10, 32))
+    tb = make_batch(rng.standard_normal((64, 256)), rng.integers(0, 10, 64), 10)
+    mb = make_batch(rng.standard_normal((32, 256)), rng.integers(0, 10, 32), 10)
     config = TrainConfig(alpha=0.1, beta=0.3, n=64, m=32, T=1, normalize=True, classifier_momentum=0.9)
     train_step(state, tb, mb, config, config.alpha)
     tracemalloc.start()
@@ -617,7 +615,7 @@ def test_classifier_step_allocates_one_parameter_sized_array():
     rng = np.random.Generator(np.random.Philox(43))
     classifier = init_net((LayerSpec(256, 256, "relu"), LayerSpec(256, 10, "identity")), 1)
     state = TrainState(classifier, None, np.zeros_like(classifier.params))
-    batch = Batch(np.arange(64), rng.standard_normal((64, 256)), rng.integers(0, 10, 64))
+    batch = make_batch(rng.standard_normal((64, 256)), rng.integers(0, 10, 64), 10)
     coeffs = rng.uniform(size=64) / 64
     params, velocity = state.w.params, state.velocity
     param_bytes = params.nbytes
@@ -1090,9 +1088,10 @@ def test_an_iteration_enters_each_stage_once_in_order(monkeypatch, fixed_rule, n
 @pytest.mark.parametrize("fixed_rule", [False, True])
 def test_an_iteration_rechecks_nothing_checked_before(monkeypatch, fixed_rule):
     """Structure is checked once, where it is built: an iteration of `train`,
-    bilevel or fixed-rule, runs no layer-chain check and no DenseNet, MWNet
-    or Batch constructor check, and TrainState has no check of its own
-    (sgd_step checks the velocity's shape at each classifier step)."""
+    bilevel or fixed-rule, runs no layer-chain check and no DenseNet or
+    MWNet constructor check. TrainState has no check of its own (sgd_step
+    checks the velocity's shape at each classifier step), and a Batch has no
+    constructor but `Batch.from_dataset`, whose rows the dataset checked."""
     from metaweight import weightnet
 
     train_set, meta_set, test_set = make_toy_sets(15, per_class=40)
@@ -1120,7 +1119,7 @@ def test_an_iteration_rechecks_nothing_checked_before(monkeypatch, fixed_rule):
     monkeypatch.setattr(metaopt, "sample_batch", iteration_starts)
     monkeypatch.setattr(metaopt, "_final_report", iterations_end)
     monkeypatch.setattr(nnet, "_check_chain", spy("_check_chain", nnet._check_chain))
-    for cls in (DenseNet, weightnet.MWNet, Batch):
+    for cls in (DenseNet, weightnet.MWNet):
         monkeypatch.setattr(cls, "__post_init__", spy(f"{cls.__name__}.__post_init__", cls.__post_init__))
     weight_fn = metaopt.BaselineSpec("uniform") if fixed_rule else None
     train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,),
@@ -1129,6 +1128,7 @@ def test_an_iteration_rechecks_nothing_checked_before(monkeypatch, fixed_rule):
     assert phase == ["final report"]
     assert [name for stage, name in calls if stage == "iteration"] == []
     assert "__post_init__" not in vars(TrainState)
+    assert "__init__" not in vars(Batch) and "__post_init__" not in vars(Batch)
     # The spies do see the checks where the nets are built.
     built = [name for stage, name in calls if stage == "set-up"]
     assert "_check_chain" in built and "DenseNet.__post_init__" in built
@@ -1388,6 +1388,33 @@ def test_train_warns_when_weights_collapse(monkeypatch):
     _, healthy = train(train_set, meta_set, test_set, TrainConfig(n=10, m=4, T=9, seed=2),
                        classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,))
     assert healthy.warnings == []
+
+
+def test_a_learned_run_warns_when_corrupted_samples_outweigh_clean_ones():
+    # noise40's seed 32 learns a rising curve where seeds 1-5 learn a
+    # falling one. A fixed rule's weights are by design: the ramp gives the
+    # corrupted samples' high losses the most weight and records nothing.
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "noise40.json"))
+    result = run_experiment(replace(cfg, seeds=(32,), baselines=(metaopt.BaselineSpec("ramp"),)))
+    assert result.reports[0].warnings == ["corrupted samples outweigh clean ones: mean weight 0.611 vs 0.552"]
+    ramp = result.baseline_reports["ramp"][0]
+    clean, noisy = ramp.clean_noisy_means()
+    assert noisy > clean and ramp.warnings == []
+
+
+@pytest.mark.parametrize("side", ["inputs", "outputs"])
+@pytest.mark.parametrize("which", ["train", "meta", "test"])
+def test_train_refuses_a_set_that_disagrees_with_the_classifier(which, side):
+    sets = dict(zip(("train", "meta", "test"), make_toy_sets(3)))
+    ds = sets[which]
+    if side == "inputs":
+        sets[which] = BiasedDataset(np.hstack([ds.features, ds.features]), ds.observed_labels, ds.true_labels, ds.c)
+    else:
+        sets[which] = BiasedDataset(ds.features, ds.observed_labels, ds.true_labels, ds.c + 1)
+    d, c = sets[which].d, sets[which].c
+    message = f"{which} set has {d} features and {c} classes, but the classifier takes 2 inputs and gives 3 outputs"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(sets["train"], sets["meta"], sets["test"], TrainConfig(n=8, m=4, T=2, seed=3), SMALL_LAYERS, (5,))
 
 
 def test_stall_warning_needs_five_zero_gradients_in_a_row():

@@ -365,6 +365,7 @@ def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, sh
     # 0.3.31 (x86-64 SkylakeX kernels), as the ROW_BLOCK tests are.
     from metaweight import metaopt
     from metaweight.weightnet import init_mwnet
+    from test_metaopt import make_batch
 
     specs, n, m = DOT_SHAPES[shape]
     rng = np.random.Generator(np.random.Philox(47))
@@ -372,8 +373,8 @@ def test_np_dot_keeps_the_bits_of_matmul_on_the_kernels_operands(monkeypatch, sh
     theta = init_mwnet((100,), 2)
     state = metaopt.TrainState(init_net(specs, 1), theta.with_theta(theta.theta + 0.3 * rng.normal(size=301)),
                                np.zeros(sum(s.param_count for s in specs)))
-    train_batch = metaopt.Batch(np.arange(n), rng.normal(0.0, 2.0, size=(n, d)), rng.integers(0, c, size=n))
-    meta_batch = metaopt.Batch(np.arange(m), rng.normal(0.0, 2.0, size=(m, d)), rng.integers(0, c, size=m))
+    train_batch = make_batch(rng.normal(0.0, 2.0, size=(n, d)), rng.integers(0, c, size=n), c)
+    meta_batch = make_batch(rng.normal(0.0, 2.0, size=(m, d)), rng.integers(0, c, size=m), c)
     operands, real_dot = [], nnet.dot
 
     def spy(a, b):
