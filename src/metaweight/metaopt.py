@@ -147,11 +147,11 @@ class Batch:
 
     @classmethod
     def from_dataset(cls, dataset: BiasedDataset, indices: np.ndarray) -> "Batch":
-        """The dataset's rows `indices` (repeats allowed), sorted."""
+        """The dataset's rows `indices` (one or more, repeats allowed), sorted."""
         indices = np.array(indices, dtype=np.int64)  # a copy, sorted in place (np.sort without its wrapper)
         indices.sort()
-        if indices.size == 0:
-            raise ValueError("empty batch")
+        if indices.size == 0 or indices[0] < 0 or indices[-1] >= dataset.features.shape[0]:
+            raise ValueError(f"a batch takes one or more row indices in [0, {dataset.n})")
         batch = object.__new__(cls)
         batch.ids, batch.features, batch.labels = indices, dataset.features[indices], dataset.observed_labels[indices]
         return batch

@@ -8,9 +8,10 @@ import os
 import numpy as np
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-# Events for two epochs (12 iterations) of noise40 seed 1, counted with
-# NumPy 2.4.6 (one 600-iteration run reads 241.8 per learned iteration and
-# 116.2 per uniform-rule one). A change that lowers a count lowers its budget.
+# Events for two epochs (12 iterations) of the counter's CONFIG (noise40)
+# and SEED (1), counted with NumPy 2.4.6 (one 600-iteration run reads 241.8
+# per learned iteration and 116.2 per uniform-rule one). A change that
+# lowers a count lowers its budget.
 BUDGET_NUMPY = "2.4.6"
 BUDGET = {"learned": 3395, "uniform": 1718}
 
@@ -24,10 +25,9 @@ def load_counter():
 
 def test_two_runs_count_the_same_events_within_the_budget():
     counter = load_counter()
-    kinds, T = counter.runs(os.path.join(ROOT, "configs", "noise40.json"), seed=1, epochs=2)
+    kinds, T = counter.runs(epochs=2)
     assert T == 12 and sorted(kinds) == sorted(BUDGET)
     for kind, run in kinds.items():
-        run()  # the warm-up
         counts = counter.count_events(run)
         assert counter.count_events(run) == counts, kind
         total = sum(counts.values())

@@ -488,6 +488,14 @@ def test_batch_sorts_only_out_of_order_ids():
     assert np.array_equal(batch.labels, train_set.observed_labels[[1, 3, 5]])
 
 
+@pytest.mark.parametrize("indices", [[], [-1, 0], [0, 30]], ids=["empty", "negative", "past the end"])
+def test_a_batch_refuses_indices_outside_its_dataset(indices):
+    train_set = make_toy_sets(12)[0]
+    assert train_set.n == 30
+    with pytest.raises(ValueError, match=r"^a batch takes one or more row indices in \[0, 30\)$"):
+        Batch.from_dataset(train_set, np.array(indices, dtype=np.int64))
+
+
 # ---------------------------------------------------------------- per-layer path vs per-sample oracle
 
 

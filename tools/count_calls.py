@@ -1,14 +1,14 @@
 """Count the calls one training run makes in the package's frames.
 
-    PYTHONPATH=src python3 tools/count_calls.py [--config configs/noise40.json] [--seed 1] [--epochs 2]
+    PYTHONPATH=src python3 tools/count_calls.py [--epochs 2]
 
-Trains the config's data for one seed, `--epochs` epochs and no lr
-schedule, once as a learned run and once with the uniform rule, and
-prints per run kind the events that `sys.setprofile` reports in the
-package's frames: Python calls into the package, Python calls out of it
-(to NumPy's Python functions, say) and C calls made from it. Each kind is
-counted after one warm-up run, which fills the `LayerSpec.param_count`
-cache, and the counts are the same on every later run in the process.
+Trains noise40's data for seed 1, `--epochs` epochs and no lr schedule,
+once as a learned run and once with the uniform rule, and prints per run
+kind the events that `sys.setprofile` reports in the package's frames:
+Python calls into the package, Python calls out of it (to NumPy's Python
+functions, say) and C calls made from it. Each count follows one
+uncounted warm-up run, which fills the `LayerSpec.param_count` cache, so
+the counts are the same on every later run in the process.
 Only package frames are counted, so a NumPy upgrade moves a count only
 where the package calls a NumPy function written in Python.
 """
@@ -29,11 +29,15 @@ from metaweight.metaopt import BaselineSpec, train
 from metaweight.nnet import mlp
 
 PACKAGE_DIR = os.path.dirname(metaweight.__file__) + os.sep
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "noise40.json")
+SEED = 1
 
 
 def count_events(run) -> dict[str, int]:
-    """The package-frame events of `run()`: Python calls into the package
-    ("in"), Python calls out of it ("out") and C calls from it ("c")."""
+    """The package-frame events of `run()` after one uncounted warm-up
+    run: Python calls into the package ("in"), Python calls out of it
+    ("out") and C calls from it ("c")."""
+    run()
     counts = {"in": 0, "out": 0, "c": 0}
     inside = {}
 
@@ -66,13 +70,14 @@ def count_events(run) -> dict[str, int]:
     return counts
 
 
-def runs(config_path: str, seed: int, epochs: int) -> tuple[dict, int]:
-    """A zero-argument training run per kind, and the iterations each takes."""
-    cfg = load_config(config_path)
-    train_set, meta_set, test_set = _build_datasets(cfg, seed)
+def runs(epochs: int) -> tuple[dict, int]:
+    """A zero-argument training run per kind of CONFIG for SEED, and the
+    iterations each takes."""
+    cfg = load_config(CONFIG)
+    train_set, meta_set, test_set = _build_datasets(cfg, SEED)
     specs = mlp((train_set.d, *cfg.classifier_hidden, train_set.c), "identity")
     T = epochs * -(-train_set.n // cfg.optim.n)
-    optim = replace(cfg.optim, seed=seed, T=T, lr_schedule=())
+    optim = replace(cfg.optim, seed=SEED, T=T, lr_schedule=())
     rules = {"learned": None, "uniform": BaselineSpec("uniform")}
     args = (train, train_set, meta_set, test_set, optim, specs, cfg.mwnet_hidden)
     return {kind: partial(*args, weight_fn=rule) for kind, rule in rules.items()}, T
@@ -80,14 +85,10 @@ def runs(config_path: str, seed: int, epochs: int) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default_config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "noise40.json")
-    parser.add_argument("--config", default=default_config)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--epochs", type=int, default=2)
     args = parser.parse_args(argv)
-    kinds, T = runs(args.config, args.seed, args.epochs)
+    kinds, T = runs(args.epochs)
     for kind, run in kinds.items():
-        run()  # the warm-up
         counts = count_events(run)
         total = sum(counts.values())
         print(f"{kind}: {total} events in {T} iterations ({total / T:.1f} per iteration): "
