@@ -3,7 +3,9 @@
 Unknown keys anywhere are errors, so a typo fails loudly instead of
 training with defaults. Each block is read one way: `_require_keys` (or
 `_optional`, for a block that may be absent or null) checks its keys,
-`_numbers` its numbers against a bounds table, `_typed` the rest.
+`_numbers` its numbers against a bounds table, `_typed` the rest. The
+document alone is checked here; what it demands of its data is checked
+once the data is built (`harness._build_datasets`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from metaweight import _read_json, _stage
-from metaweight.biasgen import FLIP, NoiseSpec, _longtail_ratio, longtail_counts
+from metaweight.biasgen import NoiseSpec
 from metaweight.metaopt import BaselineSpec, TrainConfig
 from metaweight.nnet import mlp
 
@@ -151,8 +153,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         rate = _numbers(noise_block, "bias.noise", {"rate": _REAL})["rate"]
         with _stage("bias.noise: ", ConfigError):
             noise = NoiseSpec(kind=noise_block["kind"], rate=rate)
-    if noise is not None and noise.kind == FLIP and dataset.kind == "gaussians" and dataset.classes < 3:
-        raise ConfigError("flip noise needs at least 3 classes")
 
     meta = doc["meta"]
     _require_keys(meta, {"per_class"}, {"per_class"}, "meta")
@@ -163,10 +163,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _check_net("mwnet_hidden", hidden.get("mwnet_hidden", ExperimentConfig.mwnet_hidden), 1, 1)
 
     optim = _optim(doc["optim"])
-    if dataset.kind == "gaussians":
-        _check_sizes(dataset, meta_per_class, imbalance_factor, optim)
-        widths = hidden.get("classifier_hidden", ExperimentConfig.classifier_hidden)
-        _check_net("classifier_hidden", widths, dataset.dim, dataset.classes)
 
     output = _optional(doc, "output", "output", {"dir", "plots"})
     out_dir = _typed(output, "dir", "output", ExperimentConfig.out_dir)
@@ -246,25 +242,6 @@ def _optim(block) -> TrainConfig:
         return TrainConfig(**fields, normalize=normalize, lr_schedule=schedule)
 
 
-def _check_sizes(dataset: DatasetBlock, meta_per_class: int, factor: float | None, optim: TrainConfig) -> None:
-    """Reject batch sizes that no run of a gaussians dataset could draw. A
-    long tail keeps a sample of every class, so only an optim.n above
-    dataset.classes needs the exact size, in time linear in the classes."""
-    if meta_per_class > dataset.per_class:
-        raise ConfigError(
-            f"meta.per_class={meta_per_class} is above dataset.per_class={dataset.per_class}, "
-            f"so a class cannot fill the meta set"
-        )
-    base = dataset.per_class - meta_per_class
-    train_n = dataset.classes * base
-    if factor is not None and base > 0:
-        with _stage("bias.imbalance.factor: ", ConfigError):
-            _longtail_ratio(dataset.classes, base, factor)
-            if optim.n > dataset.classes:
-                train_n = int(longtail_counts(dataset.classes, base, factor).sum())
-    _check_batches(optim, train_n, dataset.classes * meta_per_class, ConfigError)
-
-
 def _check_net(key: str, hidden: tuple[int, ...], d: int, c: int) -> None:
     """Reject hidden widths that give a d-input, c-output net more float64
     parameters than NumPy's largest array holds, naming model.<key>."""
@@ -273,14 +250,6 @@ def _check_net(key: str, hidden: tuple[int, ...], d: int, c: int) -> None:
             f"model.{key}={list(hidden)} gives a {d}-input, {c}-output net whose float64 parameters "
             f"exceed NumPy's largest array ({_MAX_ARRAY_BYTES} bytes)"
         )
-
-
-def _check_batches(optim: TrainConfig, train_n: int, meta_n: int, error: type[ValueError]) -> None:
-    """Reject a batch size above the set it is drawn from, as `error`."""
-    if optim.n > train_n:
-        raise error(f"optim.n={optim.n} is above the training-set size {train_n}")
-    if optim.m > meta_n:
-        raise error(f"optim.m={optim.m} is above the meta-set size {meta_n} (classes times meta.per_class)")
 
 
 def load_config(path) -> ExperimentConfig:

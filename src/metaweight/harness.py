@@ -31,7 +31,7 @@ from metaweight.biasgen import (
     rng_stream,
     split_meta,
 )
-from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_batches, _check_net
+from metaweight.config import ConfigError, DatasetBlock, ExperimentConfig, _check_net
 from metaweight.metaopt import BaselineSpec, RunReport, TrainConfig, train
 from metaweight.nnet import forward, mlp  # noqa: F401 (forward unused; bench/test_bench.py traces it here)
 from metaweight.svgplot import save_plot
@@ -93,36 +93,47 @@ def _pool(cfg: ExperimentConfig, seed: int) -> BiasedDataset:
 
 
 def _inject_bias(cfg: ExperimentConfig, dataset: BiasedDataset, seed: int) -> BiasedDataset:
-    """Apply the config's imbalance, then its label noise."""
+    """Apply the config's imbalance, then its label noise; a set either
+    cannot take is a ConfigError naming the key."""
     if cfg.imbalance_factor is not None:
-        dataset = apply_longtail(dataset, cfg.imbalance_factor, derive_seed(seed, 12))
+        with _stage("bias.imbalance.factor: ", ConfigError):
+            dataset = apply_longtail(dataset, cfg.imbalance_factor, derive_seed(seed, 12))
     if cfg.noise is not None:
         inject = apply_uniform_noise if cfg.noise.kind == UNIFORM else apply_flip_noise
-        dataset = inject(dataset, cfg.noise.rate, derive_seed(seed, 13))
+        with _stage("bias.noise: ", ConfigError):
+            dataset = inject(dataset, cfg.noise.rate, derive_seed(seed, 13))
     return dataset
 
 
 def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, BiasedDataset, BiasedDataset]:
     """(train, meta, test) sets: the meta set from the clean pool, then the
-    bias injected into the rest. A file's sizes are known only here, so
-    the config's demands on them are checked here, naming the key."""
+    bias injected into the rest. This is the one place that checks what the
+    config demands of its data, on the sets just built and before training:
+    each demand that fails is a ConfigError naming its key (exit 1). A fault
+    of the data file itself stays a ValueError naming the file (exit 2)."""
     ds = cfg.dataset
     pool = _pool(cfg, seed)
+    _check_net("classifier_hidden", cfg.classifier_hidden, pool.d, pool.c)
     if ds.kind == "gaussians":
         test_set = _gaussians(ds, "test_per_class", derive_seed(seed, 15))
     else:
-        _check_net("classifier_hidden", cfg.classifier_hidden, pool.d, pool.c)
+        if pool.n == 0:
+            raise ValueError(f"dataset.path={ds.path} holds no samples")
         n_test = max(1, int(round(pool.n * ds.test_fraction)))
         if n_test >= pool.n:
-            raise ValueError(f"dataset.test_fraction={ds.test_fraction} leaves no training data")
+            raise ConfigError(f"dataset.test_fraction={ds.test_fraction} leaves no training data")
         order = rng_stream(seed, 15).permutation(pool.n)
         test_set = pool.subset(np.sort(order[:n_test]))
         pool = pool.subset(np.sort(order[n_test:]))
 
-    with _stage(f"meta.per_class={cfg.meta_per_class}: "):
+    with _stage(f"meta.per_class={cfg.meta_per_class}: ", ConfigError):
         meta_set, train_set = split_meta(pool, cfg.meta_per_class, derive_seed(seed, 14))
     train_set = _inject_bias(cfg, train_set, seed)
-    _check_batches(cfg.optim, train_set.n, meta_set.n, ValueError)
+    optim = cfg.optim
+    if optim.n > train_set.n:
+        raise ConfigError(f"optim.n={optim.n} is above the training-set size {train_set.n}")
+    if optim.m > meta_set.n:
+        raise ConfigError(f"optim.m={optim.m} is above the meta-set size {meta_set.n} (classes times meta.per_class)")
     return train_set, meta_set, test_set
 
 

@@ -127,6 +127,20 @@ def test_gen_data_degenerate_bias_is_clean(tmp_path):
     assert np.array_equal(ds.observed_labels, ds.true_labels)
 
 
+def test_gen_data_keeps_a_long_tail_that_only_a_training_split_would_empty(tmp_path):
+    # noise40's pool keeps 70 samples per class; factor 130 keeps [70, 6, 1]
+    # of them. gen-data makes no meta split, so the [60, 5, 0] that the
+    # training split of train would keep does not concern it.
+    with open(NOISE40, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["bias"]["imbalance"] = {"factor": 130}
+    out = tmp_path / "tail.csv"
+    proc = run_main("gen-data", "--config", write_config(tmp_path / "tail.json", doc), "--out", out, "--seed", 1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote 77 samples (2 features, 3 classes) to {out}\n"
+    assert np.bincount(load_dataset(out).true_labels).tolist() == [70, 6, 1]
+
+
 def test_gen_data_flip_noise_two_classes_is_config_error(tmp_path):
     doc = base_doc()
     doc["dataset"]["classes"] = 2
@@ -211,8 +225,8 @@ def test_train_schedule_entry_past_T_is_config_error(tmp_path):
 
 
 def test_train_impossible_batch_size_is_config_error(tmp_path):
-    # The sizes of a gaussians dataset are known from the config, so a
-    # batch larger than its set fails before any data is built.
+    # A batch larger than the set it is drawn from fails once the sets are
+    # built, before training, naming the key.
     doc = base_doc()
     doc["optim"]["n"] = 10000
     out = tmp_path / "r"
@@ -463,20 +477,21 @@ def noise40_data(tmp_path_factory):
     return data
 
 
-# config key -> (value, the error it gives on noise40_data)
+# config key -> (value, exit code, the error it gives on noise40_data)
 FILE_FAULTS = {
-    "dataset.path": ("absent.csv", "dataset.path=absent.csv cannot be read: No such file or directory"),
-    "optim.n": (10000, "optim.n=10000 is above the training-set size 138"),
-    "optim.m": (10000, "optim.m=10000 is above the meta-set size 30 (classes times meta.per_class)"),
-    "meta.per_class": (1000, "meta.per_class=1000: class 0 has only 40 clean samples, need 1000"),
+    "dataset.path": ("absent.csv", 2, "error: dataset.path=absent.csv cannot be read: No such file or directory"),
+    "optim.n": (10000, 1, "config error: optim.n=10000 is above the training-set size 138"),
+    "optim.m": (10000, 1, "config error: optim.m=10000 is above the meta-set size 30 (classes times meta.per_class)"),
+    "meta.per_class": (1000, 1, "config error: meta.per_class=1000: class 0 has only 40 clean samples, need 1000"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(FILE_FAULTS))
 def test_a_file_dataset_fault_names_its_key(noise40_data, tmp_path, monkeypatch, key):
-    # A file's set sizes are known only once it loads, so these faults are
-    # runtime errors (exit 2), named by the config key.
-    value, message = FILE_FAULTS[key]
+    # A file's set sizes are known only once it loads. A demand on them
+    # that the sets cannot meet is a config error (exit 1), and a file that
+    # cannot be read a runtime error (exit 2); each is named by its key.
+    value, code, message = FILE_FAULTS[key]
     with open(NOISE40, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["dataset"] = {"kind": "file", "path": str(noise40_data)}
@@ -484,7 +499,7 @@ def test_a_file_dataset_fault_names_its_key(noise40_data, tmp_path, monkeypatch,
     doc[block][name] = value
     monkeypatch.chdir(tmp_path)
     proc = run_main("train", "--config", write_config(tmp_path / "file.json", doc), "--out", "r", "--seed", 1)
-    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    assert (proc.returncode, proc.stderr) == (code, f"{message}\n")
     assert not (tmp_path / "r").exists()
 
 

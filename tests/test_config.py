@@ -3,15 +3,12 @@
 import copy
 import json
 import re
-import signal
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from metaweight.biasgen import longtail_counts
 from metaweight.config import ConfigError, load_config, parse_config
+from metaweight.harness import _build_datasets
 
 
 def minimal_doc():
@@ -21,6 +18,11 @@ def minimal_doc():
         "optim": {"alpha": 0.1, "beta": 0.01, "n": 8, "m": 4, "T": 10},
         "seeds": [0, 1],
     }
+
+
+def build(doc):
+    """Seed 0's (train, meta, test) sets of the parsed document."""
+    return _build_datasets(parse_config(doc), 0)
 
 
 def test_minimal_doc_parses_with_defaults():
@@ -100,13 +102,16 @@ def test_null_optional_blocks_are_tolerated():
 
 
 def test_flip_noise_needs_three_classes():
+    # The document parses; the data built from it cannot take flip noise.
     doc = minimal_doc()
     doc["dataset"]["classes"] = 2
     doc["bias"] = {"noise": {"kind": "flip", "rate": 0.2}}
-    with pytest.raises(ConfigError, match="3 classes"):
-        parse_config(doc)
+    parse_config(doc)
+    message = r"^bias\.noise: flip noise needs at least 3 classes for two distinct targets$"
+    with pytest.raises(ConfigError, match=message):
+        build(doc)
     doc["dataset"]["classes"] = 3
-    assert parse_config(doc).noise.kind == "flip"
+    assert build(doc)[0].corrupted.any()
 
 
 def test_noise_rate_bounds():
@@ -211,7 +216,8 @@ def test_gaussians_dim_must_be_two():
         parse_config(doc)
 
 
-def test_gaussian_set_sizes_are_checked_at_parse_time():
+def test_gaussian_set_sizes_are_checked_when_the_sets_are_built():
+    # Every document below parses; the sets built from it do not fit it.
     # minimal_doc: 3 classes of 20 samples, 2 per class for the meta set,
     # so the meta set has 6 samples and the training set 3 * 18 = 54.
     for key, value, message in (
@@ -221,32 +227,32 @@ def test_gaussian_set_sizes_are_checked_at_parse_time():
         doc = minimal_doc()
         doc["optim"][key] = value
         with pytest.raises(ConfigError, match=message):
-            parse_config(doc)
+            build(doc)
     doc = minimal_doc()
     doc["optim"].update(n=54, m=6)
-    optim = parse_config(doc).optim
-    assert (optim.n, optim.m) == (54, 6)
+    train_set, meta_set, _ = build(doc)
+    assert (train_set.n, meta_set.n) == (54, 6)
     # Long tail over the 18 left per class: counts 18, 6 and 2, 26 in all.
     doc = minimal_doc()
     doc["bias"] = {"imbalance": {"factor": 10}, "noise": {"kind": "uniform", "rate": 0.4}}
     doc["optim"]["n"] = 26
-    assert parse_config(doc).optim.n == 26
+    assert build(doc)[0].n == 26
     doc["optim"]["n"] = 27
     with pytest.raises(ConfigError, match=r"^optim\.n=27 is above the training-set size 26$"):
-        parse_config(doc)
+        build(doc)
     doc["bias"]["imbalance"]["factor"] = 1e6
     with pytest.raises(ConfigError, match=r"^bias\.imbalance\.factor: imbalance factor 1000000\.0 empties a class"):
-        parse_config(doc)
+        build(doc)
     doc = minimal_doc()
     doc["meta"]["per_class"] = 21
-    with pytest.raises(ConfigError, match=r"^meta\.per_class=21 is above dataset\.per_class=20"):
-        parse_config(doc)
+    with pytest.raises(ConfigError, match=r"^meta\.per_class=21: class 0 has only 20 clean samples, need 21$"):
+        build(doc)
     # Every sample in the meta set leaves no training set at all.
     doc["meta"]["per_class"] = 20
     doc["optim"]["m"] = 4
     with pytest.raises(ConfigError, match=r"^optim\.n=8 is above the training-set size 0$"):
-        parse_config(doc)
-    # A file dataset's sizes are known only once it is read; train checks them.
+        build(doc)
+    # A document is checked alone: a file dataset's path is not opened.
     doc = minimal_doc()
     doc["dataset"] = {"kind": "file", "path": "data.csv"}
     doc["optim"].update(n=10000, m=10000)
@@ -328,72 +334,6 @@ def test_optim_messages_name_the_config_key():
         with pytest.raises(ConfigError) as raised:
             parse_config(doc)
         assert re.fullmatch(message, str(raised.value)), str(raised.value)
-
-
-def test_a_huge_class_count_under_imbalance_parses_at_once():
-    # Under a long tail the parse checks in constant time that the last,
-    # smallest class keeps a sample, and sums the per-class counts only when
-    # optim.n exceeds dataset.classes; every class keeps a sample, so a batch
-    # of at most dataset.classes rows always fits. Here optim.n is 32, so
-    # neither size is summed and neither costs time or memory. An interval
-    # timer turns a parse that does not finish into a failure. 759e6 classes
-    # of 759e6 samples are the largest square size whose features fit
-    # NumPy's largest array.
-    base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "imbalance20.json").read_text())
-    for classes, per_class in ((10**15, 210), (759_000_000, 759_000_000)):
-        doc = copy.deepcopy(base)
-        doc["dataset"].update(classes=classes, per_class=per_class)
-
-        def too_slow(signum, frame):
-            raise TimeoutError("parse_config took more than 1 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        tracemalloc.start()
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 1.0)
-            cfg = parse_config(doc)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        assert cfg.dataset.classes == classes
-        assert peak < 1 << 20
-
-
-def test_long_tail_batch_check_matches_the_exact_size():
-    # The outcome and message are those of a check against the exact size,
-    # on a few hundred random small long tails with batch sizes around the
-    # class count (where the sum is skipped) and around the size.
-    rng = np.random.default_rng(23)
-    outcomes = {"fits": 0, "too big": 0, "emptied": 0}
-    branches = {"sum skipped": 0, "exact sum": 0}
-    for _ in range(600):
-        c = int(rng.integers(2, 300))
-        base = int(np.exp(rng.uniform(0, np.log(3000))))
-        factor = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, np.log(1e3))))
-        doc = minimal_doc()
-        doc["dataset"].update(classes=c, per_class=base + 2)
-        doc["bias"] = {"imbalance": {"factor": factor}}
-        try:
-            total = int(longtail_counts(c, base, factor).sum())
-        except ValueError as exc:
-            expected = f"bias.imbalance.factor: {exc}"
-            n = int(rng.integers(1, 50))
-        else:
-            n = max(1, (c if rng.random() < 0.5 else total) + int(rng.integers(-c, c + 1)))
-            expected = f"optim.n={n} is above the training-set size {total}" if n > total else None
-            branches["sum skipped" if n <= c else "exact sum"] += 1
-        doc["optim"]["n"] = n
-        try:
-            parse_config(doc)
-            message = None
-        except ConfigError as exc:
-            message = str(exc)
-        assert message == expected, (c, base, factor, n)
-        outcomes["fits" if expected is None else "emptied" if "empties" in expected else "too big"] += 1
-    assert min(outcomes.values()) > 60, outcomes
-    assert min(branches.values()) > 60, branches
 
 
 def test_string_and_list_values_are_typed():

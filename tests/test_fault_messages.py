@@ -80,7 +80,28 @@ FAULTS = {
     ),
     "meta split": (
         {"config.json": on_file(meta={"per_class": 1000}), "data.csv": TINY_DATA},
-        TRAIN, 2, "error: meta.per_class=1000: class 0 has only 2 clean samples, need 1000\n",
+        TRAIN, 1, "config error: meta.per_class=1000: class 0 has only 2 clean samples, need 1000\n",
+    ),
+    "meta split of gaussians": (
+        {"config.json": noise40(meta={"per_class": 71})},
+        TRAIN, 1, "config error: meta.per_class=71: class 0 has only 70 clean samples, need 71\n",
+    ),
+    "flip noise on two classes": (
+        {
+            "config.json": on_file(bias={"noise": {"kind": "flip", "rate": 0.4}}, meta={"per_class": 1},
+                                   optim={"n": 2, "m": 2}),
+            "data.csv": "6,2,2\n" + "".join(f"{k}.0,{k % 3}.0,{k % 2},{k % 2},0\n" for k in range(6)),
+        },
+        TRAIN, 1, "config error: bias.noise: flip noise needs at least 3 classes for two distinct targets\n",
+    ),
+    # Seed 1 puts record 4 in the test set, which leaves 2 samples of each
+    # class: 1 for the meta set and 1 for the long tail, which empties two.
+    "long tail of a file": (
+        {
+            "config.json": on_file(bias={"imbalance": {"factor": 10}}, meta={"per_class": 1}, optim={"n": 2, "m": 2}),
+            "data.csv": "7,2,3\n" + "".join(f"{k}.0,{k % 2}.0,{c},{c},0\n" for k, c in enumerate("0120012")),
+        },
+        TRAIN, 1, "config error: bias.imbalance.factor: imbalance factor 10 empties a class (counts [1, 0, 0])\n",
     ),
     "noise spec": (
         {"config.json": noise40(bias={"noise": {"kind": "bogus", "rate": 0.4}})},
@@ -139,7 +160,11 @@ FAULTS = {
             "config.json": noise40(dataset={"kind": "file", "path": "{root}/data.csv", "test_fraction": 0.99}),
             "data.csv": "10,2,3\n" + "".join(f"{k}.0,{k % 2}.0,{k % 3},{k % 3},0\n" for k in range(10)),
         },
-        TRAIN, 2, "error: dataset.test_fraction=0.99 leaves no training data\n",
+        TRAIN, 1, "config error: dataset.test_fraction=0.99 leaves no training data\n",
+    ),
+    "data without samples": (
+        {"config.json": on_file(), "data.csv": "0,2,3\n"},
+        TRAIN, 2, "error: dataset.path={root}/data.csv holds no samples\n",
     ),
     "data encoding": (
         {"config.json": on_file(), "data.csv": b"1,2,3\n0.0,\xff0.0,0,0,0\n"},
@@ -241,8 +266,8 @@ FAULTS = {
     },
 }
 
-# Inputs past a limit, named by key when the config is parsed (a file
-# classifier's widths once its data loads): an integer that no float64
+# Inputs past a limit, named by key when the config is parsed (a
+# classifier's widths once its data is built): an integer that no float64
 # holds in a real-valued key, and hidden widths that give a net more
 # float64 parameters than NumPy's largest array holds.
 PAST_LIMIT_FAULTS = {
