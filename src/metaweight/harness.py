@@ -119,6 +119,8 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[BiasedDataset, Bi
     else:
         if pool.n == 0:
             raise ValueError(f"dataset.path={ds.path} holds no samples")
+        if pool.n == 1:
+            raise ValueError(f"dataset.path={ds.path} holds 1 sample; the test and training splits need at least 2")
         n_test = max(1, int(round(pool.n * ds.test_fraction)))
         if n_test >= pool.n:
             raise ConfigError(f"dataset.test_fraction={ds.test_fraction} leaves no training data")

@@ -45,6 +45,8 @@ from metaweight.nnet import (
     DenseNet,
     ForwardCache,
     LayerSpec,
+    aligned_zeros,
+    all_finite,
     dot,
     forward,
     gradient_gram,
@@ -121,9 +123,10 @@ class TrainState:
     """Classifier, weighting (net or fixed rule), velocity and spare classifier.
 
     A classifier step updates `velocity` in place and writes the new
-    parameters into `spare`'s vector (built at the first step if None);
-    the new state swaps `w` and `spare`, so a caller that keeps a state
-    across two steps copies its `w.params`."""
+    parameters into `spare`'s vector (built 64-byte aligned at the first
+    step if None); the new state swaps `w` and `spare`, so a caller that
+    keeps a state across two steps copies its `w.params`. `train` builds
+    the velocity aligned too (`nnet.aligned_zeros`)."""
 
     w: DenseNet
     theta: MWNet | Callable[[np.ndarray], np.ndarray]
@@ -383,14 +386,15 @@ def update_classifier(
 ) -> TrainState:
     """The classifier's SGD step from w on one backward pass at w, each
     sample's gradient scaled by its coefficient; momentum and weight decay
-    apply here only. The new parameters go into the spare's vector, and
-    `state.w.params` is unchanged (`TrainState`)."""
-    spare = state.spare if state.spare is not None else state.w.with_params(np.zeros_like(state.w.params))
-    grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare.params)
+    apply here only. The gradient and then the new parameters go into the
+    spare's vector, through its (W, b) views, and `state.w.params` is
+    unchanged (`TrainState`). One `sgd_step` call per update."""
+    spare = state.spare if state.spare is not None else state.w.with_params(aligned_zeros(state.w.params.size))
+    grad = weighted_gradient(state.w, forward_cache, deltas, coeffs, out=spare)
     params, _ = sgd_step(
         state.w.params, grad, alpha, momentum=momentum, weight_decay=weight_decay, state=state.velocity
     )
-    if not np.isfinite(params).all():
+    if not all_finite(params):
         raise ValueError("non-finite parameter entries")
     return TrainState(spare, state.theta, state.velocity, state.w)
 
@@ -511,7 +515,7 @@ def train(
     else:
         # A rule's meta-gradient is 0 by design: no run of T + 1 zeros stalls.
         theta, draw_meta, stall_iters = weight_fn, lambda: None, config.T + 1
-    state = TrainState(w=classifier, theta=theta, velocity=np.zeros_like(classifier.params))
+    state = TrainState(w=classifier, theta=theta, velocity=aligned_zeros(classifier.params.size))
     # The state holds the only references, so each replaced net is freed.
     del classifier, theta
 

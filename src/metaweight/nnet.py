@@ -34,8 +34,20 @@ Products go through `dot = np.ndarray.dot` and reductions through
 `ufunc.reduce` (`np.add.reduce`, `np.maximum.reduce`): a tiny model's step
 is many small calls, and both skip the Python-level dispatch of `@`,
 `sum` and `max` while giving their bits (tests/test_nnet.py). `dot`'s
-first operand must be an ndarray. `weighted_gradient` writes its weight
-blocks with `np.matmul(..., out=)`, straight into the flat gradient.
+first operand must be an ndarray.
+
+Kernels write in place into the arrays they make, with the bits of the
+fresh-array forms (tests/test_nnet.py). `layer_deltas` and
+`lookahead_deltas` mask each hidden layer's new product in place, and
+`lookahead_deltas` also subtracts its step term in place.
+`per_sample_gradients` writes each layer's blocks straight into the rows
+of one (batch_size, param_count) matrix, its peak. `weighted_gradient`
+writes through the (W, b) views of its `out` net (`np.matmul(..., out=)`).
+`sgd_step` updates the velocity in place and writes the new vector into
+the gradient's buffer; at weight decay 0 it adds no decay term, four
+passes over the vectors instead of six. The classifier's vectors are
+64-byte aligned (`aligned_zeros`), and a vector's finiteness takes one dot
+product (`all_finite`).
 
 Values are checked once, where they enter the package: settings in
 `metaopt.TrainConfig` and `metaopt.BaselineSpec`, data in
@@ -55,6 +67,7 @@ order, so identical inputs give identical bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -100,6 +113,25 @@ def mlp(widths: Sequence[int], head: str) -> tuple[LayerSpec, ...]:
     return tuple(LayerSpec(a, b, act) for a, b, act in zip(widths, widths[1:], acts))
 
 
+def aligned_zeros(size: int) -> np.ndarray:
+    """A float64 vector of zeros that starts on a 64-byte boundary (a cache
+    line) unless empty: a buffer 8 entries (64 B) longer, sliced. The
+    classifier's vectors come from here, so the step's speed does not
+    depend on where the heap puts them."""
+    buf = np.zeros(size + 8)
+    start = -buf.__array_interface__["data"][0] % 64 // 8
+    return buf[start:start + size]
+
+
+def all_finite(vector: np.ndarray) -> bool:
+    """`np.isfinite(vector).all()` for a float64 vector. Its sum of squares
+    is finite only if every entry is, so one dot product (no temporary)
+    settles it, unless that sum is NaN or overflows (an entry past about
+    1e154); then `np.isfinite` decides. `np.vdot` takes that sum without
+    the overflow RuntimeWarning that `dot` raises."""
+    return np.vdot(vector, vector) < math.inf or bool(np.isfinite(vector).all())
+
+
 def _layer_views(layers: Sequence[LayerSpec], flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     views, off = [], 0
     for spec in layers:
@@ -136,7 +168,7 @@ class DenseNet:
     def _bind(self, params: np.ndarray, expected: int) -> None:
         if params.shape != (expected,):
             raise ValueError(f"params must have shape ({expected},), got {params.shape}")
-        if not np.isfinite(params).all():
+        if not all_finite(params):
             raise ValueError("non-finite parameter entries")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_views", _layer_views(self.layers, params))
@@ -179,9 +211,10 @@ class ForwardCache:
 
 def init_net(specs: Sequence[LayerSpec], seed: int) -> DenseNet:
     """Zero biases and Gaussian weights of std sqrt(2/input_dim) for ReLU
-    layers (He) or sqrt(1/input_dim); deterministic in (specs, seed)."""
+    layers (He) or sqrt(1/input_dim); deterministic in (specs, seed). The
+    vector is 64-byte aligned (`aligned_zeros`)."""
     # checked on a zero vector, then drawn into its views (finite by construction)
-    net = DenseNet(specs, np.zeros(sum(spec.param_count for spec in specs)))
+    net = DenseNet(specs, aligned_zeros(sum(spec.param_count for spec in specs)))
     rng = np.random.Generator(np.random.Philox(seed))
     for spec, (w, _) in zip(net.layers, net.layer_params()):
         scale = np.sqrt(2.0 / spec.input_dim) if spec.activation == RELU else np.sqrt(1.0 / spec.input_dim)
@@ -202,13 +235,14 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _activation_backward(delta: np.ndarray, act: np.ndarray, kind: str) -> np.ndarray:
-    """delta times the activation's derivative, read from the layer output `act`."""
+def _activation_backward(delta: np.ndarray, act: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """delta times the activation's derivative, read from the layer output
+    `act`, into `out` when given (`delta` itself, where the caller owns it)."""
     # ReLU subgradient at 0 is defined as 0.
     if kind == RELU:
-        return delta * (act > 0.0)
+        return np.multiply(delta, act > 0.0, out=out)
     if kind == SIGMOID:
-        return delta * (act * (1.0 - act))
+        return np.multiply(delta, act * (1.0 - act), out=out)
     return delta
 
 
@@ -253,25 +287,28 @@ def layer_deltas(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> li
     if upstream.shape != (bsz, net.output_dim):
         raise ValueError(f"upstream must have shape ({bsz}, {net.output_dim}), got {upstream.shape}")
     views = net.layer_params()
-    deltas = [None] * len(net.layers)
-    delta = upstream
-    for k in range(len(net.layers) - 1, -1, -1):
-        delta = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation)
-        deltas[k] = delta
-        if k > 0:
-            delta = dot(delta, views[k][0].T)
+    last = len(net.layers) - 1
+    deltas = [None] * last + [_activation_backward(upstream, cache.acts[-1], net.layers[-1].activation)]
+    for k in range(last - 1, -1, -1):
+        delta = dot(deltas[k + 1], views[k + 1][0].T)  # a new array, masked in place
+        deltas[k] = _activation_backward(delta, cache.acts[k + 1], net.layers[k].activation, out=delta)
     return deltas
 
 
 def weighted_gradient(
-    net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray, out: np.ndarray | None = None
+    net: DenseNet, cache: ForwardCache, deltas: list[np.ndarray], coeffs: np.ndarray, out: DenseNet | None = None
 ) -> np.ndarray:
     """sum_i coeffs[i] * d(loss_i)/d(params) from `layer_deltas` output,
-    into `out` (a contiguous float64 vector) when given."""
-    grad = np.empty(net.param_count) if out is None else out
-    if grad.shape != (net.param_count,):
-        raise ValueError(f"out must have shape ({net.param_count},), got {grad.shape}")
-    for (w, b), a_prev, delta in zip(_layer_views(net.layers, grad), cache.acts, deltas):
+    written through the (W, b) views of `out` (a net of the same layers)
+    into its vector when given; returns the vector."""
+    if out is None:
+        grad = np.empty(net.param_count)
+        views = _layer_views(net.layers, grad)
+    elif out.layers != net.layers:
+        raise ValueError("out must be a net of the same layers")
+    else:
+        grad, views = out.params, out.layer_params()
+    for (w, b), a_prev, delta in zip(views, cache.acts, deltas):
         np.matmul(a_prev.T, coeffs[:, None] * delta, out=w)
         b[...] = dot(coeffs, delta)
     return grad
@@ -300,13 +337,13 @@ def lookahead_deltas(
 ) -> list[np.ndarray]:
     """`layer_deltas` at `lookahead_forward`'s w_hat, for the batch of `look_cache`."""
     views = net.layer_params()
-    deltas = [None] * len(net.layers)
-    delta = upstream
-    for k in range(len(net.layers) - 1, -1, -1):
-        delta = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation)
-        deltas[k] = delta
-        if k > 0:
-            delta = dot(delta, views[k][0].T) - dot(dot(delta, steps[k].T), cache.acts[k])
+    last = len(net.layers) - 1
+    deltas = [None] * last + [_activation_backward(upstream, look_cache.acts[-1], net.layers[-1].activation)]
+    for k in range(last - 1, -1, -1):
+        later = deltas[k + 1]
+        delta = dot(later, views[k + 1][0].T)  # a new array, updated and masked in place
+        delta -= dot(dot(later, steps[k + 1].T), cache.acts[k + 1])
+        deltas[k] = _activation_backward(delta, look_cache.acts[k + 1], net.layers[k].activation, out=delta)
     return deltas
 
 
@@ -320,13 +357,21 @@ def gradient_gram(grams: list[np.ndarray], deltas_a: list[np.ndarray], deltas_b:
 
 def per_sample_gradients(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
     """Row i is d(loss_i)/d(params), as in `layer_deltas`: the tests' oracle
-    and the weighting net's Jacobian. Peaks at twice batch_size * param_count floats."""
-    blocks = []
-    for a_prev, delta in zip(cache.acts, layer_deltas(net, cache, upstream)):
-        # dL_i/dW = a_prev_i (outer) delta_i, in contiguous blocks that one copy joins into rows
-        outer = a_prev[:, :, None] * delta[:, None, :]
-        blocks += [outer.reshape(len(delta), a_prev.shape[1] * delta.shape[1]), delta]
-    return np.concatenate(blocks, axis=1)
+    and the weighting net's Jacobian. Each layer's blocks are written
+    straight into the rows, so the matrix, batch_size * param_count floats,
+    is the peak."""
+    deltas = layer_deltas(net, cache, upstream)
+    rows = upstream.shape[0]
+    jac = np.empty((rows, net.params.size))
+    end = 0
+    for a_prev, delta in zip(cache.acts, deltas):
+        fan_in, width = a_prev.shape[1], delta.shape[1]
+        start, end = end, end + fan_in * width
+        # dL_i/dW = a_prev_i (outer) delta_i, C order, in row i's W block
+        np.multiply(a_prev[:, :, None], delta[:, None, :], out=jac[:, start:end].reshape(rows, fan_in, width))
+        jac[:, end:end + width] = delta
+        end += width
+    return jac
 
 
 def fd_gradient(loss_fn: Callable[[np.ndarray], float], params: np.ndarray, eps: float) -> np.ndarray:
@@ -361,8 +406,9 @@ def sgd_step(
 
     `state` (v) becomes v' in place, as in `torch.optim.SGD`; params' is
     written into `grad`'s buffer and (grad, state) returned; `params` is
-    unchanged and nothing param-sized is allocated. The weight-decay
-    product is taken even at 0, for its signed zeros."""
+    unchanged and nothing param-sized is allocated. A weight decay of 0
+    adds no decay term, as in torch: v' is momentum*v + grad, and a -0
+    entry of it stays -0."""
     if not lr >= 0:
         raise ValueError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
@@ -375,8 +421,9 @@ def sgd_step(
         raise ValueError(f"shape mismatch: params {params.shape} vs state {state.shape}")
     state *= momentum
     state += grad
-    np.multiply(weight_decay, params, out=grad)
-    state += grad
+    if weight_decay:
+        np.multiply(weight_decay, params, out=grad)
+        state += grad
     np.multiply(lr, state, out=grad)
     return np.subtract(params, grad, out=grad), state
 

@@ -166,6 +166,11 @@ FAULTS = {
         {"config.json": on_file(), "data.csv": "0,2,3\n"},
         TRAIN, 2, "error: dataset.path={root}/data.csv holds no samples\n",
     ),
+    "data with one sample": (
+        {"config.json": on_file(), "data.csv": "1,2,3\n0.0,1.0,0,0,0\n"},
+        TRAIN, 2,
+        "error: dataset.path={root}/data.csv holds 1 sample; the test and training splits need at least 2\n",
+    ),
     "data encoding": (
         {"config.json": on_file(), "data.csv": b"1,2,3\n0.0,\xff0.0,0,0,0\n"},
         TRAIN, 2, "error: {root}/data.csv: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n",

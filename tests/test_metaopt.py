@@ -613,6 +613,27 @@ def test_train_step_memory_is_per_layer():
     assert peak < 8 * 2**20, f"train_step peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("weight_fn", [None, metaopt.BaselineSpec("uniform")])
+def test_a_run_alternates_between_two_aligned_classifier_vectors(monkeypatch, weight_fn):
+    # init_net's vector, the velocity and the spare start on 64-byte
+    # boundaries, and each classifier step reads one of the two parameter
+    # vectors and writes the other, with the one velocity.
+    train_set, meta_set, test_set = make_toy_sets(3)
+    config = TrainConfig(alpha=0.1, beta=0.1, n=10, m=4, T=6, seed=1, classifier_momentum=0.9)
+    address = lambda a: a.__array_interface__["data"][0]
+    seen, step = [], metaopt.sgd_step
+
+    def recording_step(params, grad, *args, state, **kwargs):
+        seen.append((address(params), address(grad), address(state)))
+        return step(params, grad, *args, state=state, **kwargs)
+
+    monkeypatch.setattr(metaopt, "sgd_step", recording_step)
+    train(train_set, meta_set, test_set, config, classifier_specs=SMALL_LAYERS, mwnet_hidden=(5,), weight_fn=weight_fn)
+    first, second, velocity = seen[0]
+    assert first != second and [a % 64 for a in (first, second, velocity)] == [0, 0, 0]
+    assert seen == [(first, second, velocity), (second, first, velocity)] * (config.T // 2)
+
+
 def test_classifier_step_allocates_one_parameter_sized_array():
     # The step updates the velocity in place and writes the new vector into
     # the spare net's, which first holds the weighted gradient. A state

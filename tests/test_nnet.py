@@ -5,10 +5,13 @@ code shared with the implementation) and central finite differences.
 """
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metaweight import nnet
 from metaweight.nnet import (
@@ -16,6 +19,9 @@ from metaweight.nnet import (
     LayerSpec,
     _activate,
     _activation_backward,
+    aligned_zeros,
+    all_finite,
+    dot,
     fd_gradient,
     forward,
     gradient_gram,
@@ -297,6 +303,133 @@ def test_layer_views_are_views_that_write_through_to_the_vector_and_the_matrix_r
         assert np.array_equal(flat, np.concatenate(expected))
 
 
+def joined_rows(net, cache, upstream):
+    """The rows as each layer's contiguous outer-product block and its delta,
+    joined by one np.concatenate."""
+    blocks = []
+    for a_prev, delta in zip(cache.acts, layer_deltas(net, cache, upstream)):
+        outer = a_prev[:, :, None] * delta[:, None, :]
+        blocks += [outer.reshape(len(delta), a_prev.shape[1] * delta.shape[1]), delta]
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 64])
+@pytest.mark.parametrize("shape", ["1-100-1", "2-16-3", "3-5-4-2", "5-2"])
+def test_per_sample_gradients_write_the_joined_rows_bit_for_bit(shape, rows):
+    # Each layer's blocks go straight into the rows of one matrix; its bits
+    # are those of the joined contiguous blocks, on an empty batch too.
+    rng = np.random.Generator(np.random.Philox(59))
+    net = init_net(CHAINS[shape], 59)
+    _, cache = forward(net, rng.normal(size=(rows, net.input_dim)))
+    upstream = rng.normal(size=(rows, net.output_dim))
+    got = per_sample_gradients(net, cache, upstream)
+    assert got.shape == (rows, net.param_count) and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), joined_rows(net, cache, upstream).view(np.uint64))
+
+
+def fresh_backward(delta, act, kind):
+    """The activation's backward pass into a new array."""
+    if kind == "relu":
+        return delta * (act > 0.0)
+    if kind == "sigmoid":
+        return delta * (act * (1.0 - act))
+    return delta
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_deltas_updated_in_place_keep_the_bits_of_the_fresh_arrays(shape):
+    # layer_deltas and lookahead_deltas mask each hidden layer's product in
+    # place, and lookahead_deltas subtracts its step term in place: the bits
+    # of delta * mask and of a - b into new arrays, with the inputs unchanged.
+    layers = CHAINS[shape]
+    rng = np.random.Generator(np.random.Philox(61))
+    net = init_net(layers, 61)
+    _, cache = forward(net, rng.normal(size=(9, net.input_dim)))
+    upstream = rng.normal(size=(9, net.output_dim))
+    steps = [0.05 * rng.normal(size=d.shape) for d in layer_deltas(net, cache, upstream)]
+    _, look_cache, _ = lookahead_forward(net, cache, steps, rng.normal(size=(5, net.input_dim)))
+    look_upstream = rng.normal(size=(5, net.output_dim))
+    inputs = [upstream, look_upstream, *steps, *cache.acts, *look_cache.acts]
+    before = [a.copy() for a in inputs]
+    plain, look = layer_deltas(net, cache, upstream), lookahead_deltas(net, cache, steps, look_cache, look_upstream)
+    expected, expected_look = [None] * len(layers), [None] * len(layers)
+    delta, look_delta = upstream, look_upstream
+    for k in range(len(layers) - 1, -1, -1):
+        delta = fresh_backward(delta, cache.acts[k + 1], layers[k].activation)
+        look_delta = fresh_backward(look_delta, look_cache.acts[k + 1], layers[k].activation)
+        expected[k], expected_look[k] = delta, look_delta
+        w = net.layer_params()[k][0]
+        delta = dot(delta, w.T)
+        look_delta = dot(look_delta, w.T) - dot(dot(look_delta, steps[k].T), cache.acts[k])
+    bits = lambda a: a.view(np.uint64)
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(plain, expected))
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(look, expected_look))
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(inputs, before))
+
+
+def test_weighted_gradient_writes_through_the_views_of_its_out_net():
+    rng = np.random.Generator(np.random.Philox(67))
+    net = init_net(CHAINS["3-5-4-2"], 67)
+    _, cache = forward(net, rng.normal(size=(6, 3)))
+    deltas = layer_deltas(net, cache, rng.normal(size=(6, 2)))
+    coeffs = rng.random(6)
+    spare = net.with_params(np.zeros(net.param_count))
+    grad = weighted_gradient(net, cache, deltas, coeffs, out=spare)
+    assert grad is spare.params
+    assert np.array_equal(grad.view(np.uint64), weighted_gradient(net, cache, deltas, coeffs).view(np.uint64))
+    other = init_net(CHAINS["5-2"], 67)
+    with pytest.raises(ValueError, match="out must be a net of the same layers"):
+        weighted_gradient(net, cache, deltas, coeffs, out=other)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 387, 68362])
+def test_aligned_zeros_start_on_a_cache_line(size):
+    vector = aligned_zeros(size)
+    assert vector.shape == (size,) and vector.dtype == np.float64 and not vector.any()
+    # NumPy gives an empty slice its base's address: it has no first entry to align.
+    assert size == 0 or vector.__array_interface__["data"][0] % 64 == 0
+    assert vector.base.nbytes == vector.nbytes + 64
+
+
+# Entries whose squares overflow (past about 1.34e154, up to the largest
+# float), non-finite ones, signed zeros, subnormals and ordinary floats.
+FINITENESS_ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(1.6e308, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1.6e308),
+    st.floats(1e153, 1e155),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(FINITENESS_ENTRIES, max_size=40))
+@example([])
+@example([1.7e308, 1.7e308])
+@example([1e200, math.nan])
+@example([math.inf, -math.inf])
+def test_all_finite_is_isfinite_all(values):
+    # Also without a warning where the sum of squares overflows.
+    vector = np.array(values, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(vector) == np.isfinite(vector).all()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1.7e308])
+def test_all_finite_on_a_wide_vector(entry):
+    # A vector of the wide classifier's size, one entry replaced at the
+    # start, the middle or the end.
+    vector = np.random.Generator(np.random.Philox(71)).standard_normal(68362)
+    assert all_finite(vector)
+    for at in (0, vector.size // 2, -1):
+        probe = vector.copy()
+        probe[at] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(probe) == math.isfinite(entry)
+
+
 def blocked_sizes(n, block):
     """Row counts of `outputs`' blocks: full blocks, a 1-row tail folded
     into the block before it."""
@@ -532,6 +665,7 @@ def test_forward_and_backward_are_pure(small_net):
     out, cache = forward(small_net, x)
     upstream = np.ones((4, 2))
     per_sample_gradients(small_net, cache, upstream)
+    assert np.array_equal(upstream, np.ones((4, 2)))
     assert np.array_equal(small_net.params, params_before)
     assert np.array_equal(x, x_before)
     out2, _ = forward(small_net, x)
@@ -578,8 +712,8 @@ def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
     # gradient's buffer and returns those two arrays, leaving the parameters
     # unchanged; their bits are those of the step that returned new arrays,
     # params - lr * ((momentum * v + g) + weight_decay * params) evaluated
-    # left to right, signed zeros and subnormals included. The weight-decay
-    # product at weight_decay 0 turns a -0 velocity entry into +0.
+    # left to right, signed zeros and subnormals included, where a weight
+    # decay of 0 adds no term (as torch.optim.SGD): v' is momentum * v + g.
     tiny = np.nextafter(0.0, 1.0)
     edge = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.2250738585072014e-308, 1.0, -2.5])
     p_edge, g_edge, v_edge = (a.ravel() for a in np.meshgrid(edge, edge, edge, indexing="ij"))
@@ -589,7 +723,9 @@ def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
     for lr in (0.0, 0.1, 1e-300):
         for momentum in (0.0, 0.9):
             for weight_decay in (0.0, 5e-4):
-                velocity = (momentum * vel0 + grad0) + weight_decay * params0
+                velocity = momentum * vel0 + grad0
+                if weight_decay:
+                    velocity = velocity + weight_decay * params0
                 expected = params0 - lr * velocity
                 params, grad, state = params0.copy(), grad0.copy(), vel0.copy()
                 out_params, out_state = sgd_step(params, grad, lr, momentum, weight_decay, state=state)
@@ -597,10 +733,16 @@ def test_sgd_step_updates_its_inputs_in_place_with_the_bits_of_the_fresh_step():
                 assert np.array_equal(bits(params), bits(params0)), (lr, momentum, weight_decay)
                 assert np.array_equal(bits(out_state), bits(velocity)), (lr, momentum, weight_decay)
                 assert np.array_equal(bits(out_params), bits(expected)), (lr, momentum, weight_decay)
-    # The weight-decay product's signed zero is in the result.
+                # The parameters keep the bits of the step that always added
+                # weight_decay * params: at 0 that term is +-0, which can only
+                # turn a -0 velocity entry into +0, and p - lr * (+-0) has the
+                # bits of a finite p either way.
+                always_decayed = params0 - lr * ((momentum * vel0 + grad0) + weight_decay * params0)
+                assert np.array_equal(bits(out_params), bits(always_decayed)), (lr, momentum, weight_decay)
+    # Without a decay term a -0 velocity entry stays -0.
     zero = np.array([-0.0])
     _, state = sgd_step(np.array([1.0]), zero.copy(), 0.1, 0.9, 0.0, state=zero.copy())
-    assert not np.signbit(state[0])
+    assert np.signbit(state[0])
 
 
 def test_sgd_step_validation():
